@@ -4,31 +4,47 @@ The model is the usual recursion
 
     g(l) = W(l) h(l-1),    h(l) = phi(g(l)),    h(0) = x,
 
-with every weight (and bias, when enabled) drawn i.i.d. N(0, sigma_w^2).
-The object of study is the prior distribution of a single unit g(l)_m or
-h(l)_m for a fixed input x, across independent weight draws.
+with every weight (and bias, when enabled) of layer l drawn i.i.d.
+N(0, sigma_l^2). The object of study is the prior distribution of a single
+unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
-Two sampling methods are provided.
+Sampling paths. All of them produce the same joint law of the requested
+units; they are different pseudorandom mappings from the seed, and the
+test suite cross-checks them.
+
+"conditional" (the default) rests on the exact identity that, given
+h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
+r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
+depth can overflow, and picks its layer step by the activation:
+
+* relu, prelu and identity are positively homogeneous, phi(r z) = r phi(z),
+  so ||h(l)||^2 = r_l^2 S_l with S_l = chi2_N + a^2 chi2_{H-N}, where
+  N ~ Bin(H, 1/2) counts the positive units and a is the negative-side
+  slope. The exact step draws N, S+ = chi2_N and S- = chi2_{H-N}, then
+  only the requested units, by stick-breaking conditional on them: with
+  N' positives left among H' remaining units, a unit is positive with
+  probability N'/H', and its Z^2 is S' Beta(1/2, (K'-1)/2), where S' and K'
+  are the remaining sum and count of its group (all of S' when K' = 1).
+  A layer costs O(units requested) per draw, whatever its width.
+* elu, selu, tanh and sigmoid draw the full (b, H) matrix of normals,
+  apply the activation in (sign, log-magnitude) form and reduce the norm
+  by log-sum-exp: O(H) per layer per draw.
 
 "direct" materializes a fresh weight set per draw and runs the forward
-pass literally. It is exact but costs H_l * H_{l-1} normals per layer
-per draw and works in linear arithmetic, so deep configurations can
-overflow double precision.
+pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per layer per
+draw, and deep configurations can overflow. It is the ground truth.
 
-"conditional" (the default) uses the exact distributional identity that,
-given h(l-1), the H_l entries of g(l) are i.i.d.
-N(0, sigma_w^2 (||h(l-1)||^2 + bias)). Sampling the layer conditionally
-costs H_l normals per layer per draw, and the scale is tracked in log
-domain, so arbitrarily deep configurations cannot overflow. The joint law
-of any set of units produced this way is identical to the direct
-construction; the two methods are different pseudorandom mappings from
-the seed but the same distribution, and the test suite cross-checks them.
-
-Determinism: samples are generated in fixed-size chunks whose generators
-are seeded by SeedSequence(entropy + [chunk_index]). Results are
-bit-identical for a given (config, x, seed, chunking policy) no matter
-how many workers evaluate the chunks, and unit m's stream is the same
-whether it is sampled alone or jointly with other units.
+Streams. Samples are generated in fixed-size chunks. Chunk c of a request
+with entropy prefix E draws from SeedSequence(E + [c]), except in the exact
+step, where layer l of chunk c owns the child stream
+SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, S+ and S-
+first; then, for units 0, 1, ... in index order, a uniform (the unit's
+sign group), a normal and a chi-square (its share of the group's sum).
+So results are bit-identical for a given (config, x, seed, chunking
+policy) whatever the worker count, and unit m's draws are the same whether
+it is requested alone, with other units of its layer, or with other
+layers. SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests
+record it.
 """
 
 from __future__ import annotations
@@ -37,13 +53,20 @@ import configparser
 import csv
 import hashlib
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigFileError, LayerOverflowError
-from .nonlinearity import NonlinearitySpec, apply, apply_signed_log
+from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
+                           is_positively_homogeneous, negative_slope)
+
+# Version of the seed-to-draws mapping, recorded in run manifests.
+# 1: full-matrix conditional step for every activation.
+# 2: exact stick-breaking step for relu, prelu and identity.
+SAMPLER_VERSION = 2
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -345,9 +368,82 @@ def _chunk_ranges(n_samples: int, chunk_size: int):
     return [(i, min(chunk_size, n_samples - s)) for i, s in enumerate(starts)]
 
 
-def _conditional_chunk(config: NetworkConfig, log_q0: float, rng, b: int,
-                       needs: dict[int, int]):
-    """One chunk of the conditional sampler; returns pre arrays per layer."""
+def _generator(key) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+
+
+def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
+                       b: int, needs: dict[int, int]):
+    """One chunk of the conditional sampler; returns pre arrays per layer.
+
+    key is the chunk's entropy (request prefix plus chunk index).
+    """
+    if is_positively_homogeneous(config.nonlinearity):
+        return _exact_chunk(config, log_q0, key, b, needs)
+    return _matrix_chunk(config, log_q0, _generator(key), b, needs)
+
+
+def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
+                 needs: dict[int, int]):
+    """Exact layer step of a positively homogeneous network: per layer, the
+    positive count and the two chi-square sums, then the requested units."""
+    a2 = negative_slope(config.nonlinearity) ** 2
+    top = max(needs)
+    out = {}
+    log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
+    for layer in range(1, top + 1):
+        H = config.layer_widths[layer - 1]
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(list(key), spawn_key=(layer,))))
+        n_pos = rng.binomial(H, 0.5, size=b)
+        s_pos = 2.0 * rng.standard_gamma(0.5 * n_pos)
+        s_neg = 2.0 * rng.standard_gamma(0.5 * (H - n_pos))
+        if layer in needs:
+            out[layer] = _stick_break(rng, log_r, H, n_pos, s_pos, s_neg,
+                                      needs[layer])
+        if layer == top:
+            break
+        with np.errstate(divide="ignore"):
+            log_sq = 2.0 * log_r + np.log(s_pos + a2 * s_neg)
+        if config.include_bias:
+            log_sq = np.logaddexp(log_sq, 0.0)
+        log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
+    return out
+
+
+def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
+                 s_pos: np.ndarray, s_neg: np.ndarray, j: int):
+    """Units 0..j-1 of a layer of H units, drawn in index order given the
+    number of positive units and the sums of Z^2 over each sign group."""
+    b = log_r.shape[0]
+    n_pos = n_pos.copy()
+    n_neg = H - n_pos
+    signs = np.empty((b, j), dtype=np.int8)
+    logabs = np.empty((b, j))
+    for i in range(j):
+        pos = rng.random(b) * (H - i) < n_pos
+        k = np.where(pos, n_pos, n_neg)
+        s = np.where(pos, s_pos, s_neg)
+        # Z^2 / S' ~ Beta(1/2, (K'-1)/2), drawn as chi2_1 / (chi2_1 +
+        # chi2_{K'-1}); the last unit of a group takes all that is left.
+        u = rng.standard_normal(b) ** 2
+        rest = 2.0 * rng.standard_gamma(0.5 * (k - 1))
+        z2 = np.where(k == 1, s, s * (u / (u + rest)))
+        n_pos -= pos
+        n_neg -= ~pos
+        s_pos = np.where(pos, s_pos - z2, s_pos)
+        s_neg = np.where(pos, s_neg, s_neg - z2)
+        with np.errstate(divide="ignore"):
+            logabs[:, i] = log_r + 0.5 * np.log(z2)
+        signs[:, i] = np.where(pos, 1, -1)
+    signs[np.isneginf(logabs)] = 0
+    return signs, logabs
+
+
+def _matrix_chunk(config: NetworkConfig, log_q0: float, rng, b: int,
+                  needs: dict[int, int]):
+    """Full-matrix layer step for activations that are not positively
+    homogeneous: every unit of every layer up to the deepest requested."""
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
@@ -404,6 +500,14 @@ def _direct_chunk(config: NetworkConfig, x: np.ndarray, rng, b: int,
     return out
 
 
+def worker_threads(workers: int, n_chunks: int) -> int:
+    """Threads for one sampler pass: at most the workers asked for, the
+    machine's cores and the number of chunks."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, n_chunks)
+
+
 def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
                 needs: dict[int, int], entropy: tuple[int, ...],
                 method: str = "conditional", chunk_size: int = DEFAULT_CHUNK,
@@ -438,14 +542,14 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
 
     def one_chunk(task):
         idx, b = task
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(list(entropy) + [idx])))
+        key = (*entropy, idx)
         if method == "conditional":
-            return _conditional_chunk(config, log_q0, rng, b, needs)
-        return _direct_chunk(config, x, rng, b, needs)
+            return _conditional_chunk(config, log_q0, key, b, needs)
+        return _direct_chunk(config, x, _generator(key), b, needs)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = worker_threads(workers, len(chunks))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one_chunk, chunks))
     else:
         results = [one_chunk(t) for t in chunks]
