@@ -26,8 +26,8 @@ from .tail_analysis import (MomentCurve, RecursionVerdict, SurvivalCurves,
                             TailEstimate, empirical_log_norm,
                             estimate_theta_moments, estimate_theta_survival,
                             gaussian_norm_oracle, ks_gaussian_test,
-                            moment_curve, recursion_check, survival_curves,
-                            synthetic_values)
+                            moment_curve, recursion_check, relu_norm_oracle,
+                            survival_curves, synthetic_values)
 
 __version__ = "0.1.0"
 
@@ -45,6 +45,7 @@ __all__ = [
     "input_hash", "is_positively_homogeneous", "ks_gaussian_test",
     "lq_penalty", "moment_curve", "parse_config_file", "pool",
     "pool_signed_log", "pooled_tail_check", "recursion_check",
+    "relu_norm_oracle",
     "sample_input", "sample_joint_units", "sample_layer_units",
     "sample_units", "sample_weights", "search_envelope_constants",
     "sha256_file", "survival_curves", "sweep", "synthetic_values",

@@ -12,7 +12,8 @@ Subcommands:
   envelope         linear envelope verdicts for the built-in nonlinearities
   contours         superellipse contour data for L^q balls
   oracle-check     moment estimator against exact Gaussian norms
-  rerun            replay a manifest and verify byte-identical outputs
+  rerun            replay a manifest and verify byte-identical outputs;
+                   names a sampler version change when files differ
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ import numpy as np
 from .covariance_verifier import sweep
 from .errors import ConfigFileError, DegenerateDistributionError, MomentOverflowError
 from .manifest import RunManifest, build_manifest, sha256_file
-from .network_model import (NetworkConfig, parse_config_file, sample_input,
+from .network_model import (SAMPLER_VERSION, NetworkConfig,
+                            parse_config_file, sample_input,
                             sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
 from .penalty_geometry import contour
@@ -349,7 +351,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads (results are worker-count invariant)")
+                   help="worker threads, at most one per core (results are "
+                        "worker-count invariant)")
     p.add_argument("--assert", dest="assert_mode", action="store_true",
                    help="exit 1 when any verdict fails or a cell errors")
 
@@ -448,7 +451,8 @@ def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bo
     names, ok, lines = _RUNNERS[command](params, out_dir)
     duration = time.monotonic() - t0
     man = build_manifest(command, params, params.get("seed", 0),
-                         {n: out_dir / n for n in names}, duration)
+                         {n: out_dir / n for n in names}, duration,
+                         SAMPLER_VERSION)
     man.write(out_dir / "manifest.json")
     return man, ok, lines
 
@@ -474,6 +478,9 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
             mismatched.append(name)
         print(f"{name}: {status}")
     if mismatched:
+        if old.sampler != new.sampler:
+            print(f"sampler version differs (manifest {old.sampler}, "
+                  f"this build {new.sampler})")
         print(f"rerun of {old.command}: {len(mismatched)} file(s) differ")
         return 1
     print(f"rerun of {old.command}: all {len(old.files)} file(s) byte-identical")
@@ -482,6 +489,10 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.workers is not None and args.workers < 1:
+        print(f"error: --workers must be >= 1, got {args.workers}",
+              file=sys.stderr)
+        return 2
     try:
         if args.command == "rerun":
             return _cmd_rerun(args)

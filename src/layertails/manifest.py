@@ -3,6 +3,10 @@ the SHA-256 digests of every file it wrote. A manifest is self-contained
 (the network description is embedded, not referenced), so `rerun` can
 reproduce the outputs without the original config file and verify them
 byte for byte.
+
+The manifest also records the version of the sampler's seed-to-draws
+mapping (`sampler`). Manifests written before the field existed load as
+version 1, so `rerun` can say why a replay under another version differs.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ class RunManifest:
     files: dict
     duration_s: float
     created: str = ""
+    sampler: int = 1
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -44,9 +49,11 @@ class RunManifest:
 
 
 def build_manifest(command: str, params: dict, seed: int, file_paths: dict,
-                   duration_s: float) -> RunManifest:
-    """file_paths maps emitted file names to their on-disk paths."""
+                   duration_s: float, sampler: int) -> RunManifest:
+    """file_paths maps emitted file names to their on-disk paths; sampler
+    is the version of the sampler that produced them."""
     files = {name: sha256_file(path) for name, path in sorted(file_paths.items())}
     return RunManifest(command=command, params=params, seed=int(seed),
                        files=files, duration_s=float(duration_s),
-                       created=time.strftime("%Y-%m-%dT%H:%M:%S%z"))
+                       created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+                       sampler=int(sampler))

@@ -61,7 +61,7 @@ import numpy as np
 
 from .errors import ConfigFileError, LayerOverflowError
 from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
-                           is_positively_homogeneous, negative_slope)
+                           is_positively_homogeneous)
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -368,8 +368,9 @@ def _chunk_ranges(n_samples: int, chunk_size: int):
     return [(i, min(chunk_size, n_samples - s)) for i, s in enumerate(starts)]
 
 
-def _generator(key) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(key))))
+def _generator(key, spawn_key=()) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(list(key), spawn_key=spawn_key)))
 
 
 def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
@@ -387,14 +388,14 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
                  needs: dict[int, int]):
     """Exact layer step of a positively homogeneous network: per layer, the
     positive count and the two chi-square sums, then the requested units."""
-    a2 = negative_slope(config.nonlinearity) ** 2
+    # phi(u) = a*u for u < 0, so phi(-1)^2 = a^2
+    a2 = apply(config.nonlinearity, -1.0) ** 2
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
     for layer in range(1, top + 1):
         H = config.layer_widths[layer - 1]
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(list(key), spawn_key=(layer,))))
+        rng = _generator(key, spawn_key=(layer,))
         n_pos = rng.binomial(H, 0.5, size=b)
         s_pos = 2.0 * rng.standard_gamma(0.5 * n_pos)
         s_neg = 2.0 * rng.standard_gamma(0.5 * (H - n_pos))

@@ -216,18 +216,6 @@ def is_positively_homogeneous(spec: NonlinearitySpec) -> bool:
     return spec.family in ("relu", "prelu", "identity")
 
 
-def negative_slope(spec: NonlinearitySpec) -> float:
-    """The slope a of a positively homogeneous activation on the negative
-    half-line: phi(u) = u for u > 0 and a*u for u < 0."""
-    if spec.family == "relu":
-        return 0.0
-    if spec.family == "prelu":
-        return spec.params[0]
-    if spec.family == "identity":
-        return 1.0
-    raise ValueError(f"{spec} is not positively homogeneous")
-
-
 @dataclass(frozen=True)
 class EnvelopeGrid:
     """Log-spaced evaluation grid, symmetric about 0.

@@ -168,6 +168,38 @@ def gaussian_norm_oracle(sigma: float, k: int) -> float:
     return sigma * math.exp(log_moment / k)
 
 
+def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
+    """Exact ||g_l||_k of a pre-nonlinearity unit of a bias-free relu network.
+
+    widths are the layer widths H_1, H_2, ...; layer-1 units are
+    N(0, scale^2) and later weights have std 1 (a weight std sigma_i at
+    layer i >= 2 multiplies the result by sigma_i; fold it into scale).
+    Given the layers below, g_l = r_l Z with Z ~ N(0, 1) and
+    r_l^2 = scale^2 prod_{i<l} S_i, where S_i = chi2 with N_i ~ Bin(H_i, 1/2)
+    degrees of freedom, all independent. Hence
+
+        E|g_l|^k = scale^k E|Z|^k prod_{i<l} E[S_i^(k/2)],
+        E[S^(k/2)] = sum_N P(N) 2^(k/2) Gamma((N+k)/2) / Gamma(N/2),
+
+    a finite sum in which the N = 0 term vanishes. Evaluated in log domain,
+    so k in the thousands is fine.
+    """
+    widths = tuple(int(w) for w in widths)
+    if not 1 <= layer <= len(widths):
+        raise ValueError(f"layer {layer} out of range 1..{len(widths)}")
+    if int(k) != k or k < 1:
+        raise ValueError("k must be an integer >= 1")
+    k = int(k)
+    log_moment = k * math.log(gaussian_norm_oracle(scale, k))
+    for H in widths[:layer - 1]:
+        n = np.arange(1, H + 1)
+        log_pmf = (gammaln(H + 1) - gammaln(n + 1) - gammaln(H - n + 1)
+                   - H * math.log(2.0))
+        log_moment += _logsumexp(log_pmf + 0.5 * k * math.log(2.0)
+                                 + gammaln((n + k) / 2.0) - gammaln(n / 2.0))
+    return math.exp(log_moment / k)
+
+
 def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
     if not (1 <= k_min < k_max):
         raise ValueError("need 1 <= k_min < k_max")

@@ -181,6 +181,25 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "MISMATCH" in printed
+        assert "sampler version differs" not in printed
+
+    def test_older_sampler_version_is_named(self, net_ini, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        main(["tail-sweep", "--config", str(net_ini), "--samples", "20000",
+              "--out", str(out), "--seed", "3"])
+        # a version-1 manifest: no sampler field, and the hashes of the
+        # files the version-1 sampler wrote
+        man = json.loads((out / "manifest.json").read_text())
+        del man["sampler"]
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        assert RunManifest.load(out / "manifest.json").sampler == 1
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "sampler version differs (manifest 1, this build 2)" in printed
 
     def test_rerun_is_self_contained(self, net_ini, tmp_path):
         # the manifest embeds the network; the original config can vanish
@@ -201,6 +220,17 @@ class TestRerun:
         mb = RunManifest.load(b / "manifest.json")
         assert ma.params == mb.params
         assert ma.files == mb.files
+
+
+@pytest.mark.parametrize("command", [
+    ["tail-sweep", "--config", "net.ini"], ["envelope"], ["rerun", "m.json"]])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_exit_2(command, workers, tmp_path, capsys):
+    code = main(command + ["--workers", workers, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: --workers must be >= 1, got {workers}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_console_script_is_installed():

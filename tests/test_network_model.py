@@ -5,13 +5,15 @@ import pytest
 from scipy import stats
 
 from layertails.errors import ConfigFileError, LayerOverflowError
+from layertails import network_model
 from layertails.network_model import (STREAM_UNITS, NetworkConfig,
                                       UnitSampleSet, forward, input_hash,
                                       parse_config_file, sample_input,
                                       sample_joint_units, sample_layer_units,
                                       sample_units, sample_weights,
-                                      write_config_file)
+                                      worker_threads, write_config_file)
 from layertails.nonlinearity import NonlinearitySpec, apply
+from layertails.tail_analysis import relu_norm_oracle
 
 RELU = NonlinearitySpec("relu")
 TANH = NonlinearitySpec("tanh")
@@ -276,3 +278,96 @@ class TestSamplerLaw:
         vals = got.decode()
         assert np.all(np.isfinite(vals))
         assert np.std(vals) > 0
+
+
+class TestWorkerThreads:
+    def test_capped_by_workers_cores_and_chunks(self, monkeypatch):
+        monkeypatch.setattr(network_model.os, "cpu_count", lambda: 4)
+        assert worker_threads(1, 10) == 1
+        assert worker_threads(2, 10) == 2
+        assert worker_threads(1000, 24_000) == 4
+        assert worker_threads(8, 3) == 3
+
+    def test_unknown_core_count_means_one(self, monkeypatch):
+        monkeypatch.setattr(network_model.os, "cpu_count", lambda: None)
+        assert worker_threads(8, 10) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_fewer_than_one(self, workers):
+        with pytest.raises(ValueError):
+            worker_threads(workers, 10)
+
+
+PRELU = NonlinearitySpec("prelu", (0.25,))
+
+
+class TestExactSampler:
+    """The exact step for relu, prelu and identity against the direct
+    forward pass, the relu moment oracle, and the stream contracts."""
+
+    @pytest.mark.parametrize("nonlinearity,bias,std", [
+        (RELU, False, 1.0),
+        (PRELU, True, (0.8, 1.5, 1.2)),
+        (NonlinearitySpec("identity"), False, 1.0),
+    ])
+    def test_agrees_with_direct_at_depth_3(self, nonlinearity, bias, std):
+        cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
+                            nonlinearity=nonlinearity, weight_std=std,
+                            include_bias=bias)
+        x = sample_input(20, 5)
+        n = 20_000
+        exact = sample_units(cfg, x, 3, 0, "pre", n, 5)
+        direct = sample_units(cfg, x, 3, 0, "pre", n, 5, method="direct")
+        d, p = stats.ks_2samp(exact.decode(), direct.decode())
+        assert p > 0.001
+
+    def test_width_one_relu_dies_half_the_time(self):
+        # g2 = 0 exactly when the single layer-1 unit is not positive
+        cfg = NetworkConfig(input_dim=4, layer_widths=(1, 1),
+                            nonlinearity=RELU)
+        n = 40_000
+        s = sample_units(cfg, sample_input(4, 7), 2, 0, "pre", n, 7)
+        dead = s.signs == 0
+        assert abs(dead.mean() - 0.5) <= 4 * 0.5 / math.sqrt(n)
+        assert np.all(np.isneginf(s.log_magnitudes[dead]))
+        assert np.all(np.isfinite(s.log_magnitudes[~dead]))
+        assert not np.any(np.isnan(s.log_magnitudes))
+
+    def test_depth_200_stays_finite_in_log_domain(self):
+        cfg = NetworkConfig(input_dim=10, layer_widths=(10,) * 200,
+                            nonlinearity=RELU, weight_std=100.0)
+        s = sample_units(cfg, sample_input(10, 2), 200, 0, "pre", 2000, 2)
+        live = s.signs != 0
+        assert not np.any(np.isnan(s.log_magnitudes))
+        assert np.all(np.isfinite(s.log_magnitudes[live]))
+        assert np.all(np.isneginf(s.log_magnitudes[~live]))
+        # far beyond double range, where a linear forward pass overflows
+        assert np.max(s.log_magnitudes[live]) > 709.0
+
+    @pytest.mark.parametrize("layer", [2, 3])
+    def test_second_moment_matches_relu_oracle(self, layer):
+        cfg = NetworkConfig(input_dim=5, layer_widths=(5, 5, 5),
+                            nonlinearity=RELU)
+        x = sample_input(5, 17)
+        n = 200_000
+        g2 = sample_units(cfg, x, layer, 0, "pre", n, 17).decode() ** 2
+        want = relu_norm_oracle(cfg.layer_widths, layer, 2,
+                                scale=math.sqrt(float(x @ x))) ** 2
+        se = np.std(g2) / math.sqrt(n)
+        assert abs(np.mean(g2) - want) <= 4 * se
+
+    def test_prelu_stream_is_request_shape_and_worker_invariant(self):
+        cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
+                            nonlinearity=PRELU)
+        x = sample_input(20, 11)
+        n = 10_000
+        alone = sample_units(cfg, x, 2, 0, "pre", n, 11)
+        joint_s, joint_lm = sample_joint_units(cfg, x, 2, (0, 1, 2), "pre",
+                                               n, (11, STREAM_UNITS))
+        multi = sample_layer_units(cfg, x, (1, 2, 3), "pre", n, 11,
+                                   workers=3)
+        np.testing.assert_array_equal(alone.signs, joint_s[:, 0])
+        np.testing.assert_array_equal(alone.log_magnitudes, joint_lm[:, 0])
+        np.testing.assert_array_equal(alone.signs, multi[2].signs)
+        np.testing.assert_array_equal(alone.log_magnitudes,
+                                      multi[2].log_magnitudes)
