@@ -29,8 +29,7 @@ import numpy as np
 from .covariance_verifier import sweep
 from .errors import ConfigFileError, DegenerateDistributionError, MomentOverflowError
 from .manifest import RunManifest, build_manifest, sha256_file
-from .network_model import (SAMPLER_VERSION, NetworkConfig,
-                            parse_config_file, sample_input,
+from .network_model import (NetworkConfig, parse_config_file, sample_input,
                             sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
 from .penalty_geometry import contour
@@ -451,8 +450,7 @@ def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bo
     names, ok, lines = _RUNNERS[command](params, out_dir)
     duration = time.monotonic() - t0
     man = build_manifest(command, params, params.get("seed", 0),
-                         {n: out_dir / n for n in names}, duration,
-                         SAMPLER_VERSION)
+                         {n: out_dir / n for n in names}, duration)
     man.write(out_dir / "manifest.json")
     return man, ok, lines
 

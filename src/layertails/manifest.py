@@ -17,6 +17,8 @@ import json
 import time
 from dataclasses import dataclass
 
+from .network_model import SAMPLER_VERSION
+
 
 def sha256_file(path) -> str:
     h = hashlib.sha256()
@@ -49,11 +51,10 @@ class RunManifest:
 
 
 def build_manifest(command: str, params: dict, seed: int, file_paths: dict,
-                   duration_s: float, sampler: int) -> RunManifest:
-    """file_paths maps emitted file names to their on-disk paths; sampler
-    is the version of the sampler that produced them."""
+                   duration_s: float) -> RunManifest:
+    """file_paths maps emitted file names to their on-disk paths."""
     files = {name: sha256_file(path) for name, path in sorted(file_paths.items())}
     return RunManifest(command=command, params=params, seed=int(seed),
                        files=files, duration_s=float(duration_s),
                        created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                       sampler=int(sampler))
+                       sampler=SAMPLER_VERSION)

@@ -187,8 +187,8 @@ class TestRerun:
         out = tmp_path / "sweep"
         main(["tail-sweep", "--config", str(net_ini), "--samples", "20000",
               "--out", str(out), "--seed", "3"])
-        # a version-1 manifest: no sampler field, and the hashes of the
-        # files the version-1 sampler wrote
+        # a version-1 manifest: no sampler field, and digests standing in
+        # for the files the version-1 sampler wrote
         man = json.loads((out / "manifest.json").read_text())
         del man["sampler"]
         man["files"] = {name: "0" * 64 for name in man["files"]}

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from layertails.errors import ConfigFileError, LayerOverflowError
 from layertails import network_model
+from layertails.errors import ConfigFileError, LayerOverflowError
 from layertails.network_model import (STREAM_UNITS, NetworkConfig,
                                       UnitSampleSet, forward, input_hash,
                                       parse_config_file, sample_input,

@@ -239,6 +239,8 @@ def test_depth_progression_visible_at_narrow_width():
     assert 0.4 <= t1 <= 0.6
     assert t2 - t1 >= 0.25
     assert t3 - t2 >= 0.25
+    assert t2 - t1 > ests[0].se_theta + ests[1].se_theta
+    assert t3 - t2 > ests[1].se_theta + ests[2].se_theta
     assert (t1, t2, t3) == pytest.approx((0.507, 0.976, 1.445), abs=1e-3)
 
 
