@@ -230,8 +230,9 @@ def _run_survival_curves(params: dict, out_dir: Path):
     if 1 in layers and curves.gaussian_log_survival is not None:
         zmax, good = curves.gaussian_match(1)
         ok &= good
-        lines.append(f"layer 1 vs Gaussian reference: max |z| = {zmax:.2f} "
-                     f"({'within' if good else 'OUTSIDE'} 3 se)")
+        lines.append(f"layer 1 vs Gaussian reference: max |z| = {zmax:.2f}, "
+                     f"{'matches' if good else 'DOES NOT MATCH'} at the "
+                     f"familywise 3-se rate")
     return names, ok, lines
 
 

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, kolmogorov, ndtr, ndtri
+from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, ndtr, ndtri
 
 from .errors import DegenerateDistributionError
 from .network_model import STREAM_SYNTHETIC, UnitSampleSet
@@ -415,7 +415,19 @@ class SurvivalCurves:
 
     def gaussian_match(self, layer: int, n_se: float = 3.0):
         """Compare one curve to the Gaussian reference up to its own 99.9th
-        percentile grid point; returns (max |z|, ok)."""
+        percentile grid point; returns (max |z|, ok).
+
+        max |z| is the largest gap in se_log_survival units, for display.
+        The verdict is familywise: each compared grid count gets an exact
+        two-sided binomial p-value against the reference survival, and the
+        curve matches when the smallest one, times the number of points
+        (Bonferroni), is at least 2 Phi_bar(n_se). On reference draws the
+        whole curve is thus rejected at most as often as one n_se-sigma
+        Gaussian test (0.27% at 3), where a pointwise n_se limit on the
+        maximum over a few hundred correlated points fails several
+        percent of the time. With standardized curves the reference is
+        placed by the estimated IQR, so the rate there is approximate.
+        """
         if self.gaussian_log_survival is None:
             raise ValueError("curves were built without a Gaussian reference")
         j = self.p999_index[layer]
@@ -423,10 +435,14 @@ class SurvivalCurves:
         ref = self.gaussian_log_survival[: j + 1]
         se = self.se_log_survival[layer][: j + 1]
         c = self.counts[layer][: j + 1]
-        good = (c > 0) & (c < self.n_positive[layer])
+        n = self.n_positive[layer]
+        good = (c > 0) & (c < n)
         z = np.abs((ls[good] - ref[good]) / se[good])
         zmax = float(np.max(z))
-        return zmax, bool(zmax <= n_se)
+        c, q = c[good], np.exp(ref[good])
+        tail = np.minimum(bdtr(c, n, q), bdtrc(c - 1, n, q))
+        p_adj = min(1.0, 2.0 * float(np.min(tail)) * c.size)
+        return zmax, bool(p_adj >= 2.0 * float(ndtr(-n_se)))
 
 
 def survival_curves(sample_sets: dict[int, UnitSampleSet],

@@ -268,7 +268,7 @@ def test_criterion_9_ten_layer_survival_ordering():
     pairs = ", ".join(f"{a}<{b}" if okp else f"{a}!<{b}"
                       for a, b, _, _, okp in ordering)
     _line(9, ok, f"tail ordering {pairs}, layer-1 Gaussian match "
-          f"z={zmax:.2f} (limit 3), {elapsed:.0f}s")
+          f"max |z|={zmax:.2f} (familywise 3-se rate), {elapsed:.0f}s")
     for layer_a, layer_b, log_a, log_b, passes in ordering:
         assert passes, (layer_a, layer_b, log_a, log_b)
     assert gaussian_ok

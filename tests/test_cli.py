@@ -1,13 +1,16 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from layertails.cli import main
 from layertails.manifest import RunManifest, sha256_file
-from layertails.network_model import NetworkConfig, write_config_file
+from layertails.network_model import (NetworkConfig, sample_input,
+                                      write_config_file)
 from layertails.nonlinearity import NonlinearitySpec
 
 
@@ -132,6 +135,13 @@ class TestSurvivalCurvesCommand:
                      "--assert"])
         assert code == 0
         assert (out / "gaussian_reference.csv").exists()
+        x = sample_input(30, 0)
+        sigma1 = math.sqrt(float(x @ x))
+        rows = read_rows(out / "gaussian_reference.csv")
+        log_x = np.array([float(r["log_x"]) for r in rows])
+        got = np.array([float(r["log_survival"]) for r in rows])
+        want = np.log(2.0 * ndtr(-np.exp(log_x) / sigma1))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_grid_is_shared_across_layers(self, net_ini, tmp_path):
         out = tmp_path / "curves"
