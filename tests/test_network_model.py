@@ -17,6 +17,7 @@ from layertails.tail_analysis import relu_norm_oracle
 
 RELU = NonlinearitySpec("relu")
 TANH = NonlinearitySpec("tanh")
+ELU = NonlinearitySpec("elu", (1.0,))
 
 
 def small_config(**kw):
@@ -223,7 +224,8 @@ class TestSamplerDeterminism:
         from layertails.nonlinearity import apply_signed_log
         pre = sample_units(cfg20, x20, 2, 0, "pre", 2000, 11)
         post = sample_units(cfg20, x20, 2, 0, "post", 2000, 11)
-        s, lm = apply_signed_log(RELU, pre.signs, pre.log_magnitudes)
+        s, lm = apply_signed_log(cfg20.nonlinearity, pre.signs,
+                                 pre.log_magnitudes)
         np.testing.assert_array_equal(post.signs, s)
         np.testing.assert_array_equal(post.log_magnitudes, lm)
 
@@ -278,6 +280,28 @@ class TestSamplerLaw:
         vals = got.decode()
         assert np.all(np.isfinite(vals))
         assert np.std(vals) > 0
+
+
+class _EluNet:
+    """Reruns a class's cfg20 tests on an elu net, which the conditional
+    sampler steps through the full-matrix path rather than the exact one."""
+
+    @pytest.fixture(scope="class")
+    def cfg20(self):
+        return NetworkConfig(input_dim=20, layer_widths=(20, 20),
+                             nonlinearity=ELU, weight_std=1.0)
+
+    @pytest.fixture(scope="class")
+    def x20(self, cfg20):
+        return sample_input(cfg20.input_dim, 11)
+
+
+class TestMatrixPathDeterminism(_EluNet, TestSamplerDeterminism):
+    pass
+
+
+class TestMatrixPathLaw(_EluNet, TestSamplerLaw):
+    pass
 
 
 class TestWorkerThreads:
