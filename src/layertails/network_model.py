@@ -26,9 +26,12 @@ depth can overflow, and picks its layer step by the activation:
   probability N'/H', and its Z^2 is S' Beta(1/2, (K'-1)/2), where S' and K'
   are the remaining sum and count of its group (all of S' when K' = 1).
   A layer costs O(units requested) per draw, whatever its width.
-* elu, selu, tanh and sigmoid draw the full (b, H) matrix of normals,
-  apply the activation in (sign, log-magnitude) form and reduce the norm
-  by log-sum-exp: O(H) per layer per draw.
+* elu, selu, tanh and sigmoid draw the full (b, H) matrix of normals Z
+  and sum ||phi(r Z)||^2 row by row in plain doubles: O(H) per layer per
+  draw. Rows with |log r| of 300 or more, dead rows (r = 0) and rows
+  whose sum is not a finite, positive, normal double apply the
+  activation in (sign, log-magnitude) form and reduce the norm by
+  log-sum-exp instead.
 
 "direct" materializes a fresh weight set per draw and runs the forward
 pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per layer per
@@ -66,7 +69,9 @@ from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
 # 2: exact stick-breaking step for relu, prelu and identity.
-SAMPLER_VERSION = 2
+# 3: linear-domain norm for elu, selu, tanh and sigmoid; the same stream
+#    as version 2, whose outputs differ from it by rounding only.
+SAMPLER_VERSION = 3
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -84,6 +89,11 @@ DEFAULT_CHUNK = 4096
 _DIRECT_CHUNK = 256
 
 _MAX_SEED = 2**64
+
+# The full-matrix step sums a row in plain doubles while |log r| is below
+# this: r Z and the sum of H squares of phi(r Z) then stay far inside
+# double range (e^600 against about e^709).
+_LINEAR_LOG_R = 300.0
 
 
 @dataclass(frozen=True)
@@ -306,20 +316,12 @@ class UnitSampleSet:
     def n_samples(self) -> int:
         return int(self.signs.shape[0])
 
-    @property
-    def values(self):
-        """The (sign, log_magnitude) pairs as an iterator."""
-        return zip(self.signs.tolist(), self.log_magnitudes.tolist())
-
     def decode(self) -> np.ndarray:
         """sign * exp(log_magnitude); may produce inf if magnitudes exceed
         double-precision range (the estimators avoid this by staying in
         log domain)."""
         with np.errstate(over="ignore"):
             return self.signs * np.exp(self.log_magnitudes)
-
-    def abs_log(self) -> np.ndarray:
-        return self.log_magnitudes
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -444,35 +446,75 @@ def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
 def _matrix_chunk(config: NetworkConfig, log_q0: float, rng, b: int,
                   needs: dict[int, int]):
     """Full-matrix layer step for activations that are not positively
-    homogeneous: every unit of every layer up to the deepest requested."""
+    homogeneous: every unit of every layer up to the deepest requested.
+
+    Each layer draws its (b, H) normals Z in one call. The requested units
+    are (sign, log r + log|Z|) of their columns. The norm of h = phi(r Z)
+    is a row dot product in plain doubles; only rows with |log r| at or
+    above _LINEAR_LOG_R, dead rows and rows whose sum is not a finite,
+    positive, normal double are reduced in log domain (_log_sq_norm).
+    Still O(H) per layer per draw.
+    """
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
     for layer in range(1, top + 1):
         H = config.layer_widths[layer - 1]
         Z = rng.standard_normal((b, H))
-        with np.errstate(divide="ignore"):
-            logabs_g = log_r[:, None] + np.log(np.abs(Z))
-        sign_g = np.sign(Z).astype(np.int8)
-        dead = np.isneginf(log_r)
-        if np.any(dead):
-            sign_g[dead, :] = 0
-            logabs_g[dead, :] = -np.inf
         if layer in needs:
-            j = needs[layer]
-            out[layer] = (sign_g[:, :j].copy(), logabs_g[:, :j].copy())
+            out[layer] = _scaled(log_r, Z[:, :needs[layer]])
         if layer == top:
             break
-        sign_h, logabs_h = apply_signed_log(config.nonlinearity, sign_g, logabs_g)
-        m = np.max(logabs_h, axis=1)
-        with np.errstate(invalid="ignore"):
-            log_sq = 2.0 * m + np.log(
-                np.sum(np.exp(2.0 * (logabs_h - m[:, None])), axis=1))
-        log_sq = np.where(np.isneginf(m), -np.inf, log_sq)
+        log_sq = _log_sq_norm(config.nonlinearity, log_r, Z)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
         log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
     return out
+
+
+def _scaled(log_r: np.ndarray, Z: np.ndarray):
+    """(sign, log|g|) of g = r Z row by row; every unit of a dead row
+    (log r = -inf) is zero."""
+    with np.errstate(divide="ignore"):
+        logabs = log_r[:, None] + np.log(np.abs(Z))
+    signs = np.sign(Z).astype(np.int8)
+    dead = np.isneginf(log_r)
+    signs[dead] = 0
+    logabs[dead] = -np.inf
+    return signs, logabs
+
+
+def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, Z: np.ndarray):
+    """log sum_i phi(r Z_i)^2 for each row of Z, where r = e^log_r.
+
+    Rows with |log r| below _LINEAR_LOG_R are summed in plain doubles. The
+    rest (dead rows, rows far outside double range) and any row whose
+    linear sum is not a finite, positive, normal double go to
+    _log_sq_norm_signed_log.
+    """
+    lin = np.abs(log_r) < _LINEAR_LOG_R
+    r = np.exp(np.where(lin, log_r, 0.0))
+    with np.errstate(over="ignore"):
+        h = apply(phi, Z * r[:, None])
+        sq = np.einsum("ij,ij->i", h, h)
+    ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    log_sq = np.log(np.where(ok, sq, 1.0))
+    if not np.all(ok):
+        rest = ~ok
+        log_sq[rest] = _log_sq_norm_signed_log(phi, log_r[rest], Z[rest])
+    return log_sq
+
+
+def _log_sq_norm_signed_log(phi: NonlinearitySpec, log_r: np.ndarray,
+                            Z: np.ndarray):
+    """_log_sq_norm in (sign, log-magnitude) form, by log-sum-exp: finite
+    at any |log r|, and -inf for a dead row."""
+    _, logabs_h = apply_signed_log(phi, *_scaled(log_r, Z))
+    m = np.max(logabs_h, axis=1)
+    with np.errstate(invalid="ignore"):
+        log_sq = 2.0 * m + np.log(
+            np.sum(np.exp(2.0 * (logabs_h - m[:, None])), axis=1))
+    return np.where(np.isneginf(m), -np.inf, log_sq)
 
 
 def _direct_chunk(config: NetworkConfig, x: np.ndarray, rng, b: int,

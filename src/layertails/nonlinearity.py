@@ -109,21 +109,20 @@ def apply(spec: NonlinearitySpec, u):
     elif fam == "prelu":
         alpha = spec.params[0]
         out = np.where(arr > 0, arr, alpha * arr)
-    elif fam == "elu":
-        alpha = spec.params[0]
-        out = np.where(arr > 0, arr, alpha * np.expm1(np.minimum(arr, 0.0)))
-    elif fam == "selu":
-        lam, alpha = spec.params
-        out = lam * np.where(arr > 0, arr, alpha * np.expm1(np.minimum(arr, 0.0)))
+    elif fam in ("elu", "selu"):
+        # max(u, 0) + alpha expm1(min(u, 0)) has no per-element branch; one
+        # of the two terms is always an exact zero
+        alpha = spec.params[-1]
+        out = np.maximum(arr, 0.0) + alpha * np.expm1(np.minimum(arr, 0.0))
+        if fam == "selu":
+            out *= spec.params[0]
     elif fam == "tanh":
         out = np.tanh(arr)
     elif fam == "sigmoid":
-        # 1/(1+e^-u) without overflow on either side
-        out = np.empty_like(arr)
-        pos = arr >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-        e = np.exp(arr[~pos])
-        out[~pos] = e / (1.0 + e)
+        # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
+        # per-element branch, and overflows on neither side
+        out = np.exp(np.minimum(arr, 0.0))
+        out /= 1.0 + np.exp(-np.abs(arr))
     else:  # pragma: no cover
         raise AssertionError(fam)
     if np.isscalar(u) or np.ndim(u) == 0:

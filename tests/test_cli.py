@@ -9,8 +9,8 @@ from scipy.special import ndtr
 
 from layertails.cli import main
 from layertails.manifest import RunManifest, sha256_file
-from layertails.network_model import (NetworkConfig, sample_input,
-                                      write_config_file)
+from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
+                                      sample_input, write_config_file)
 from layertails.nonlinearity import NonlinearitySpec
 
 
@@ -209,7 +209,8 @@ class TestRerun:
                      str(tmp_path / "replay")])
         printed = capsys.readouterr().out
         assert code == 1
-        assert "sampler version differs (manifest 1, this build 2)" in printed
+        assert ("sampler version differs (manifest 1, this build "
+                f"{SAMPLER_VERSION})") in printed
 
     def test_rerun_is_self_contained(self, net_ini, tmp_path):
         # the manifest embeds the network; the original config can vanish

@@ -18,6 +18,7 @@ from layertails.tail_analysis import relu_norm_oracle
 RELU = NonlinearitySpec("relu")
 TANH = NonlinearitySpec("tanh")
 ELU = NonlinearitySpec("elu", (1.0,))
+SIGMOID = NonlinearitySpec("sigmoid")
 
 
 def small_config(**kw):
@@ -284,12 +285,15 @@ class TestSamplerLaw:
 
 class _EluNet:
     """Reruns a class's cfg20 tests on an elu net, which the conditional
-    sampler steps through the full-matrix path rather than the exact one."""
+    sampler steps through the full-matrix path rather than the exact one.
+    Subclasses may name another activation of that path."""
+
+    nonlinearity = ELU
 
     @pytest.fixture(scope="class")
     def cfg20(self):
         return NetworkConfig(input_dim=20, layer_widths=(20, 20),
-                             nonlinearity=ELU, weight_std=1.0)
+                             nonlinearity=self.nonlinearity, weight_std=1.0)
 
     @pytest.fixture(scope="class")
     def x20(self, cfg20):
@@ -302,6 +306,84 @@ class TestMatrixPathDeterminism(_EluNet, TestSamplerDeterminism):
 
 class TestMatrixPathLaw(_EluNet, TestSamplerLaw):
     pass
+
+
+class TestTanhPathLaw(_EluNet, TestSamplerLaw):
+    nonlinearity = TANH
+
+
+class TestSigmoidPathLaw(_EluNet, TestSamplerLaw):
+    nonlinearity = SIGMOID
+
+
+MATRIX_FAMILIES = [ELU, NonlinearitySpec("selu"), TANH, SIGMOID]
+
+
+def _all_rows_log_domain(monkeypatch):
+    # no |log r| is below 0, so every row takes the log-domain norm
+    monkeypatch.setattr(network_model, "_LINEAR_LOG_R", 0.0)
+
+
+class TestMatrixStepFallback:
+    """The full-matrix step sums each row's norm in plain doubles and hands
+    rows out of double range to the log-domain reduction; both must give
+    the same draws up to rounding."""
+
+    @pytest.mark.parametrize("nonlinearity", MATRIX_FAMILIES,
+                             ids=lambda spec: spec.family)
+    def test_log_domain_rows_agree_with_linear_rows(self, nonlinearity,
+                                                    monkeypatch):
+        cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
+                            nonlinearity=nonlinearity,
+                            weight_std=(0.7, 1.5, 1.0), include_bias=True)
+        x = sample_input(20, 4)
+        linear = sample_layer_units(cfg, x, (2, 3), "pre", 5000, 4)
+        _all_rows_log_domain(monkeypatch)
+        logdom = sample_layer_units(cfg, x, (2, 3), "pre", 5000, 4)
+        for layer in (2, 3):
+            np.testing.assert_array_equal(linear[layer].signs,
+                                          logdom[layer].signs)
+            np.testing.assert_allclose(linear[layer].log_magnitudes,
+                                       logdom[layer].log_magnitudes,
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("nonlinearity,std", [(ELU, 100.0), (TANH, 1e-2)],
+                             ids=["elu", "tanh"])
+    def test_depth_200_leaves_double_range(self, nonlinearity, std,
+                                           monkeypatch):
+        # elu grows and tanh shrinks |g| past e^709 and e^-709; rows cross
+        # |log r| = _LINEAR_LOG_R at different layers, so some chunks mix
+        # linear and log-domain rows
+        cfg = NetworkConfig(input_dim=10, layer_widths=(10,) * 200,
+                            nonlinearity=nonlinearity, weight_std=std)
+        x = sample_input(10, 2)
+        s = sample_units(cfg, x, 200, 0, "pre", 2000, 2)
+        lm = s.log_magnitudes
+        assert np.all(np.isfinite(lm))
+        assert np.all(s.signs != 0)
+        assert np.max(np.abs(lm)) > 709.0
+        _all_rows_log_domain(monkeypatch)
+        logdom = sample_units(cfg, x, 200, 0, "pre", 2000, 2)
+        np.testing.assert_array_equal(s.signs, logdom.signs)
+        np.testing.assert_allclose(lm, logdom.log_magnitudes, rtol=1e-12)
+
+    @pytest.mark.parametrize("nonlinearity,std", [
+        (ELU, 1e200), (TANH, 1e-200)], ids=["elu_overflow", "tanh_underflow"])
+    def test_unrepresentable_linear_sums_take_the_log_domain(
+            self, nonlinearity, std, monkeypatch):
+        # with no range limit, elu(1e200)^2 overflows and tanh(1e-200)^2
+        # underflows; the sum check alone must send those rows on
+        cfg = NetworkConfig(input_dim=4, layer_widths=(3, 3),
+                            nonlinearity=nonlinearity, weight_std=std)
+        x = sample_input(4, 6)
+        monkeypatch.setattr(network_model, "_LINEAR_LOG_R", np.inf)
+        unlimited = sample_units(cfg, x, 2, 0, "pre", 3000, 6)
+        _all_rows_log_domain(monkeypatch)
+        logdom = sample_units(cfg, x, 2, 0, "pre", 3000, 6)
+        assert np.all(np.isfinite(unlimited.log_magnitudes))
+        np.testing.assert_array_equal(unlimited.signs, logdom.signs)
+        np.testing.assert_allclose(unlimited.log_magnitudes,
+                                   logdom.log_magnitudes, rtol=0, atol=1e-12)
 
 
 class TestWorkerThreads:

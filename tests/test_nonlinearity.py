@@ -70,6 +70,26 @@ class TestApply:
         elu = NonlinearitySpec("elu", (0.9,))
         np.testing.assert_allclose(apply(selu, u), 1.1 * apply(elu, u))
 
+    @pytest.mark.parametrize("spec", [NonlinearitySpec("elu", (0.7,)),
+                                      NonlinearitySpec("selu")],
+                             ids=lambda spec: spec.family)
+    def test_elu_equals_its_branching_form(self, spec):
+        side = np.logspace(-300, 300, 2001)
+        u = np.concatenate([-side[::-1], [0.0], side])
+        lam, alpha = (1.0, *spec.params) if spec.family == "elu" else spec.params
+        want = lam * np.where(u > 0, u, alpha * np.expm1(np.minimum(u, 0.0)))
+        np.testing.assert_array_equal(apply(spec, u), want)
+
+    def test_sigmoid_equals_its_two_sided_form(self):
+        u = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [-0.0],
+                            np.random.default_rng(0).standard_normal(10_000)])
+        pos = u >= 0
+        want = np.empty_like(u)
+        want[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+        e = np.exp(u[~pos])
+        want[~pos] = e / (1.0 + e)
+        np.testing.assert_array_equal(apply(SIGMOID, u), want)
+
     def test_scalar_in_scalar_out(self):
         got = apply(RELU, -3.0)
         assert isinstance(got, float) and got == 0.0
