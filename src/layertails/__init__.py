@@ -3,17 +3,16 @@ priors: prior simulation, tail-parameter estimation, covariance sign
 checks, pooling invariance, and the induced penalty geometry.
 """
 
-from .conv_pooling import (PoolCheck, PoolingSpec, pool, pool_signed_log,
+from .conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
                            pooled_tail_check)
 from .covariance_verifier import (CovarianceReport, SweepResult,
                                   estimate_unit_covariance, sweep)
 from .errors import (ConfigFileError, DegenerateDistributionError,
                      LayerOverflowError, MomentOverflowError)
 from .manifest import RunManifest, build_manifest, sha256_file
-from .network_model import (ForwardResult, NetworkConfig, UnitSampleSet,
-                            WeightSet, forward, input_hash, parse_config_file,
+from .network_model import (NetworkConfig, UnitSampleSet, parse_config_file,
                             sample_input, sample_joint_units,
-                            sample_layer_units, sample_units, sample_weights,
+                            sample_layer_units, sample_units,
                             write_config_file)
 from .nonlinearity import (SEARCH_GRID, EnvelopeGrid, EnvelopeWitness,
                            NonlinearitySpec, apply, apply_signed_log,
@@ -34,20 +33,20 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigFileError", "ContourSet", "CovarianceReport",
     "DegenerateDistributionError", "EnvelopeGrid", "EnvelopeWitness",
-    "ForwardResult", "LayerOverflowError", "MomentCurve",
+    "LayerOverflowError", "MomentCurve",
     "MomentOverflowError", "NetworkConfig", "NonlinearitySpec", "PoolCheck",
     "PoolingSpec", "PenaltyBreakdown", "RecursionVerdict", "RunManifest",
     "SEARCH_GRID", "SurvivalCurves", "SweepResult", "TailEstimate",
-    "UnitSampleSet", "WeightSet", "apply", "apply_signed_log",
+    "UnitSampleSet", "apply", "apply_signed_log",
     "build_manifest", "contour", "empirical_log_norm",
     "equal_coordinate", "estimate_theta_moments", "estimate_theta_survival",
-    "estimate_unit_covariance", "forward", "gaussian_norm_oracle",
-    "input_hash", "is_positively_homogeneous", "ks_gaussian_test",
-    "lq_penalty", "moment_curve", "parse_config_file", "pool",
+    "estimate_unit_covariance", "gaussian_norm_oracle",
+    "is_positively_homogeneous", "ks_gaussian_test",
+    "lq_penalty", "moment_curve", "parse_config_file",
     "pool_signed_log", "pooled_tail_check", "recursion_check",
     "relu_norm_oracle",
     "sample_input", "sample_joint_units", "sample_layer_units",
-    "sample_units", "sample_weights", "search_envelope_constants",
+    "sample_units", "search_envelope_constants",
     "sha256_file", "survival_curves", "sweep", "synthetic_values",
     "unit_penalty", "verify_envelope", "weight_decay", "write_config_file",
 ]

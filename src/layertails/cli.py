@@ -66,28 +66,6 @@ def _write_rows(path: Path, comments: list[str], header: str, rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _network_params(config: NetworkConfig) -> dict:
-    std = config.weight_std
-    return {
-        "input_dim": config.input_dim,
-        "layer_widths": list(config.layer_widths),
-        "nonlinearity": str(config.nonlinearity),
-        "weight_std": list(std) if isinstance(std, tuple) else float(std),
-        "include_bias": config.include_bias,
-        "seed": config.seed,
-    }
-
-
-def _config_from_params(d: dict) -> NetworkConfig:
-    std = d["weight_std"]
-    return NetworkConfig(input_dim=int(d["input_dim"]),
-                         layer_widths=tuple(d["layer_widths"]),
-                         nonlinearity=NonlinearitySpec.parse(d["nonlinearity"]),
-                         weight_std=tuple(std) if isinstance(std, list) else float(std),
-                         include_bias=bool(d["include_bias"]),
-                         seed=int(d["seed"]))
-
-
 def _resolve_layers(requested, config: NetworkConfig) -> list[int]:
     layers = sorted(set(requested)) if requested else list(range(1, config.depth + 1))
     bad = [l for l in layers if not 1 <= l <= config.depth]
@@ -101,7 +79,7 @@ def _resolve_layers(requested, config: NetworkConfig) -> list[int]:
 
 
 def _run_tail_sweep(params: dict, out_dir: Path):
-    config = _config_from_params(params["network"])
+    config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
     layers = params["layers"]
@@ -180,7 +158,7 @@ def _run_tail_sweep(params: dict, out_dir: Path):
 
 
 def _run_survival_curves(params: dict, out_dir: Path):
-    config = _config_from_params(params["network"])
+    config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
     layers = params["layers"]
@@ -237,7 +215,7 @@ def _run_survival_curves(params: dict, out_dir: Path):
 
 
 def _run_covariance(params: dict, out_dir: Path):
-    config = _config_from_params(params["network"])
+    config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
     powers = [(s, t) for s in (1, 2, 3) for t in (1, 2, 3)]
@@ -428,7 +406,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     params: dict = {"seed": args.seed, "workers": args.workers}
     if cmd in ("tail-sweep", "survival-curves", "covariance"):
         config = parse_config_file(args.config)
-        params["network"] = _network_params(config)
+        params["network"] = config.to_dict()
         params["layers"] = _resolve_layers(args.layers, config)
         params["samples"] = args.samples
     if cmd == "tail-sweep":

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network_model import (DEFAULT_CHUNK, STREAM_POOLING, NetworkConfig,
-                            UnitSampleSet, sample_joint_units, _provenance)
+from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
+                            sample_joint_units)
 from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
 
 
@@ -29,16 +29,6 @@ class PoolingSpec:
             raise ValueError(f"pooling kind must be 'max' or 'average', got {self.kind!r}")
         if self.region_size < 1:
             raise ValueError("region_size must be >= 1")
-
-
-def pool(values, spec: PoolingSpec) -> float:
-    """Pool one region of raw values."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != (spec.region_size,):
-        raise ValueError(f"expected {spec.region_size} values, got shape {v.shape}")
-    if spec.kind == "max":
-        return float(np.max(v))
-    return float(np.mean(v))
 
 
 def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
@@ -88,7 +78,6 @@ class PoolCheck:
 def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
                       region, spec: PoolingSpec, n_samples: int, seed: int,
                       k_min: int = 2, k_max: int = 10,
-                      chunk_size: int = DEFAULT_CHUNK,
                       workers: int = 1) -> PoolCheck:
     """Tail parameter before vs after pooling a region of post units.
 
@@ -104,17 +93,14 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
         raise ValueError("region length must equal spec.region_size")
     entropy = (int(seed), STREAM_POOLING, int(layer), *region)
     signs, lms = sample_joint_units(config, x, layer, region, "post",
-                                    n_samples, entropy, chunk_size=chunk_size,
-                                    workers=workers)
-    prov = _provenance(config, x, seed, "conditional", entropy)
+                                    n_samples, entropy, workers=workers)
     before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],
                                signs=signs[:, 0].copy(),
-                               log_magnitudes=lms[:, 0].copy(),
-                               provenance=prov)
+                               log_magnitudes=lms[:, 0].copy())
     ps, plm = pool_signed_log(signs, lms, spec)
     after_set = UnitSampleSet(layer=layer, kind=f"pooled-{spec.kind}",
                               unit_index=region[0], signs=ps,
-                              log_magnitudes=plm, provenance=prov)
+                              log_magnitudes=plm)
     before = estimate_theta_moments(moment_curve(before_set, k_min, k_max))
     after = estimate_theta_moments(moment_curve(after_set, k_min, k_max))
     budget = before.se_theta + after.se_theta + 0.1

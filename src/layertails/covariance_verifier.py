@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MomentOverflowError
-from .network_model import (DEFAULT_CHUNK, STREAM_COVARIANCE, NetworkConfig,
-                            sample_joint_units)
+from .network_model import STREAM_COVARIANCE, NetworkConfig, sample_joint_units
 
 _N_BATCHES = 32
 _LOG_DOUBLE_MAX = 708.0
@@ -56,7 +55,6 @@ def _verdict(estimate: float, se: float) -> str:
 def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
                              pair: tuple[int, int], s: int, t: int,
                              n_samples: int, seed: int,
-                             chunk_size: int = DEFAULT_CHUNK,
                              workers: int = 1) -> CovarianceReport:
     """Estimate Cov[(h_m)^s, (h_m')^t] over independent weight draws.
 
@@ -72,8 +70,7 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
         raise ValueError("need n_samples >= 10^4")
     entropy = (int(seed), STREAM_COVARIANCE, layer, m, mp, int(s), int(t))
     signs, lms = sample_joint_units(config, x, layer, (m, mp), "post",
-                                    n_samples, entropy, chunk_size=chunk_size,
-                                    workers=workers)
+                                    n_samples, entropy, workers=workers)
     lm_a, lm_b = lms[:, 0], lms[:, 1]
     top_a = float(np.max(lm_a))
     top_b = float(np.max(lm_b))
@@ -119,7 +116,7 @@ class SweepResult:
 
 def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
           n_samples: int, seed: int, pair: tuple[int, int] = (0, 1),
-          chunk_size: int = DEFAULT_CHUNK, workers: int = 1) -> SweepResult:
+          workers: int = 1) -> SweepResult:
     """Grid of covariance reports over layers x powers.
 
     Each cell draws its own independent sample stream; per-cell errors
@@ -133,7 +130,7 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
             try:
                 reports.append(estimate_unit_covariance(
                     config, x, int(layer), pair, int(s), int(t),
-                    n_samples, seed, chunk_size=chunk_size, workers=workers))
+                    n_samples, seed, workers=workers))
             except (MomentOverflowError, ValueError) as exc:
                 errors.append((int(layer), int(s), int(t), str(exc)))
     return SweepResult(reports=reports, errors=errors)

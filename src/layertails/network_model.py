@@ -8,14 +8,17 @@ with every weight (and bias, when enabled) of layer l drawn i.i.d.
 N(0, sigma_l^2). The object of study is the prior distribution of a single
 unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
-Sampling paths. All of them produce the same joint law of the requested
+Sampling. Every sampler entry point (sample_units, sample_layer_units,
+sample_joint_units) validates its request and hands it to run_sampler,
+which has two methods. Both produce the same joint law of the requested
 units; they are different pseudorandom mappings from the seed, and the
 test suite cross-checks them.
 
 "conditional" (the default) rests on the exact identity that, given
 h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
-depth can overflow, and picks its layer step by the activation:
+depth can overflow (and a zero input gives log r_1 = -inf, a dead row),
+and picks its layer step by the activation:
 
 * relu, prelu and identity are positively homogeneous, phi(r z) = r phi(z),
   so ||h(l)||^2 = r_l^2 S_l with S_l = chi2_N + a^2 chi2_{H-N}, where
@@ -33,32 +36,35 @@ depth can overflow, and picks its layer step by the activation:
   activation in (sign, log-magnitude) form and reduce the norm by
   log-sum-exp instead.
 
-"direct" materializes a fresh weight set per draw and runs the forward
-pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per layer per
-draw, and deep configurations can overflow. It is the ground truth.
+"direct" draws a fresh weight matrix per layer per draw and runs the
+forward pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per
+layer per draw, and deep configurations can overflow (LayerOverflowError).
+It is the ground-truth oracle; it is reached through
+sample_units(..., method="direct") and run_sampler.
 
-Streams. Samples are generated in fixed-size chunks. Chunk c of a request
-with entropy prefix E draws from SeedSequence(E + [c]), except in the exact
-step, where layer l of chunk c owns the child stream
+Streams. Samples are generated in fixed-size chunks: DEFAULT_CHUNK draws
+for the conditional method, _DIRECT_CHUNK for the direct one. Chunk c of a
+request with entropy prefix E draws from SeedSequence(E + [c]), except in
+the exact step, where layer l of chunk c owns the child stream
 SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, S+ and S-
 first; then, for units 0, 1, ... in index order, a uniform (the unit's
 sign group), a normal and a chi-square (its share of the group's sum).
-So results are bit-identical for a given (config, x, seed, chunking
-policy) whatever the worker count, and unit m's draws are the same whether
-it is requested alone, with other units of its layer, or with other
-layers. SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests
-record it.
+So results are bit-identical for a given (config, x, seed) whatever the
+worker count, and unit m's draws are the same whether it is requested
+alone, with other units of its layer, or with other layers.
+SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests record
+it.
 """
 
 from __future__ import annotations
 
 import configparser
-import csv
 import hashlib
+import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,13 +85,13 @@ STREAM_UNITS = 1
 STREAM_COVARIANCE = 2
 STREAM_POOLING = 3
 STREAM_INPUT = 5
-STREAM_WEIGHTS = 6
 STREAM_DIRECT = 7
 STREAM_SYNTHETIC = 8
 
+# The fixed chunking policy, part of the seed-to-draws mapping. The direct
+# method materializes (chunk, H, H_prev) weight blocks, so its chunks are
+# smaller, to bound memory.
 DEFAULT_CHUNK = 4096
-# The direct method materializes (chunk, H, H_prev) weight blocks; its
-# chunk size is part of the fixed chunking policy, chosen to bound memory.
 _DIRECT_CHUNK = 256
 
 _MAX_SEED = 2**64
@@ -139,39 +145,53 @@ class NetworkConfig:
             return self.weight_std[layer - 1]
         return float(self.weight_std)
 
-    def canonical_string(self) -> str:
+    def to_dict(self) -> dict:
+        """The one serialized form: a manifest's params.network, the keys
+        and values of the INI file, and the input of config_hash."""
         std = self.weight_std
-        std_txt = (",".join(repr(s) for s in std)
-                   if isinstance(std, tuple) else repr(float(std)))
-        return (f"input_dim={self.input_dim};"
-                f"layer_widths={','.join(str(w) for w in self.layer_widths)};"
-                f"nonlinearity={self.nonlinearity};"
-                f"weight_std={std_txt};"
-                f"include_bias={self.include_bias};"
-                f"seed={self.seed}")
+        return {
+            "input_dim": self.input_dim,
+            "layer_widths": list(self.layer_widths),
+            "nonlinearity": str(self.nonlinearity),
+            "weight_std": list(std) if isinstance(std, tuple) else float(std),
+            "include_bias": self.include_bias,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "NetworkConfig":
+        std = d["weight_std"]
+        return cls(input_dim=int(d["input_dim"]),
+                   layer_widths=tuple(d["layer_widths"]),
+                   nonlinearity=NonlinearitySpec.parse(d["nonlinearity"]),
+                   weight_std=tuple(std) if isinstance(std, list) else float(std),
+                   include_bias=bool(d["include_bias"]),
+                   seed=int(d["seed"]))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_string().encode()).hexdigest()[:16]
+        text = json.dumps(self.to_dict(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _ini_value(v) -> str:
+    if isinstance(v, list):
+        return ",".join(repr(e) for e in v)
+    if isinstance(v, bool):
+        return str(v).lower()
+    return v if isinstance(v, str) else repr(v)
 
 
 def write_config_file(path, config: NetworkConfig) -> None:
     parser = configparser.ConfigParser()
-    std = config.weight_std
-    parser["network"] = {
-        "input_dim": str(config.input_dim),
-        "layer_widths": ",".join(str(w) for w in config.layer_widths),
-        "nonlinearity": str(config.nonlinearity),
-        "weight_std": (",".join(repr(s) for s in std)
-                       if isinstance(std, tuple) else repr(float(std))),
-        "include_bias": str(config.include_bias).lower(),
-        "seed": str(config.seed),
-    }
+    parser["network"] = {k: _ini_value(v) for k, v in config.to_dict().items()}
     with open(path, "w") as fh:
         parser.write(fh)
 
 
 def parse_config_file(path) -> NetworkConfig:
-    """Read a [network] section config file; see write_config_file for keys."""
+    """Read a [network] section config file; its keys are those of
+    NetworkConfig.to_dict, and every key but input_dim and layer_widths
+    has a default."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -184,24 +204,17 @@ def parse_config_file(path) -> NetworkConfig:
         raise ConfigFileError(f"config file {path} lacks a [network] section")
     sec = parser["network"]
     try:
-        widths = tuple(int(w) for w in sec["layer_widths"].split(","))
-        std_txt = sec.get("weight_std", "1.0")
-        std_parts = [float(s) for s in std_txt.split(",")]
-        std = std_parts[0] if len(std_parts) == 1 else tuple(std_parts)
-        return NetworkConfig(
-            input_dim=int(sec["input_dim"]),
-            layer_widths=widths,
-            nonlinearity=NonlinearitySpec.parse(sec.get("nonlinearity", "relu")),
-            weight_std=std,
-            include_bias=sec.getboolean("include_bias", fallback=False),
-            seed=int(sec.get("seed", "0")),
-        )
+        std = [float(s) for s in sec.get("weight_std", "1.0").split(",")]
+        return NetworkConfig.from_dict({
+            "input_dim": int(sec["input_dim"]),
+            "layer_widths": [int(w) for w in sec["layer_widths"].split(",")],
+            "nonlinearity": sec.get("nonlinearity", "relu"),
+            "weight_std": std[0] if len(std) == 1 else std,
+            "include_bias": sec.getboolean("include_bias", fallback=False),
+            "seed": int(sec.get("seed", "0")),
+        })
     except (KeyError, ValueError) as exc:
         raise ConfigFileError(f"bad config file {path}: {exc}") from exc
-
-
-def input_hash(x: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()[:16]
 
 
 def sample_input(dim: int, seed: int) -> np.ndarray:
@@ -211,84 +224,6 @@ def sample_input(dim: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence([int(seed), STREAM_INPUT])))
     return rng.standard_normal(dim)
-
-
-@dataclass(frozen=True)
-class WeightSet:
-    """Per-layer weight matrices, shape H_l x (H_{l-1} + 1 if bias)."""
-
-    matrices: tuple[np.ndarray, ...]
-    include_bias: bool = False
-    seed: int | None = None
-
-    def n_entries(self) -> int:
-        return sum(m.size for m in self.matrices)
-
-
-def sample_weights(config: NetworkConfig, seed: int) -> WeightSet:
-    """Draw one full weight set from the prior; bit-reproducible per seed."""
-    mats = []
-    prev = config.input_dim
-    for layer, width in enumerate(config.layer_widths, start=1):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence([int(seed), STREAM_WEIGHTS, layer])))
-        cols = prev + (1 if config.include_bias else 0)
-        mats.append(config.weight_std_for(layer) * rng.standard_normal((width, cols)))
-        prev = width
-    return WeightSet(tuple(mats), config.include_bias, int(seed))
-
-
-@dataclass
-class ForwardResult:
-    """Per-layer (g, h) pairs plus any rescaling constants applied to h."""
-
-    pairs: list[tuple[np.ndarray, np.ndarray]]
-    rescale_constants: list[float]
-
-    def g(self, layer: int) -> np.ndarray:
-        return self.pairs[layer - 1][0]
-
-    def h(self, layer: int) -> np.ndarray:
-        return self.pairs[layer - 1][1]
-
-
-def forward(weights: WeightSet, x: np.ndarray, config: NetworkConfig,
-            rescale: bool = False) -> ForwardResult:
-    """Propagate one input through one weight set.
-
-    With rescale=True each layer's h is divided by max(1, max|h|) and the
-    constant recorded; the tail parameter is invariant to positive scaling
-    so every quantity under test is unchanged while arithmetic stays finite.
-    Without it, a non-finite intermediate raises LayerOverflowError naming
-    the layer.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
-    if len(weights.matrices) != config.depth:
-        raise ValueError("weight set depth does not match config")
-    pairs = []
-    constants = []
-    h = x
-    for layer, W in enumerate(weights.matrices, start=1):
-        hin = np.concatenate([h, [1.0]]) if config.include_bias else h
-        if W.shape[1] != hin.shape[0]:
-            raise ValueError(f"layer {layer} weight shape {W.shape} does not match "
-                             f"input of length {hin.shape[0]}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = W @ hin
-        if not np.all(np.isfinite(g)):
-            raise LayerOverflowError(layer)
-        h = apply(config.nonlinearity, g)
-        c = 1.0
-        if rescale:
-            peak = float(np.max(np.abs(h))) if h.size else 0.0
-            if peak > 1.0:
-                c = peak
-                h = h / c
-        constants.append(c)
-        pairs.append((g, h))
-    return ForwardResult(pairs, constants)
 
 
 @dataclass
@@ -304,7 +239,6 @@ class UnitSampleSet:
     unit_index: int
     signs: np.ndarray
     log_magnitudes: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("pre", "post", "pooled-max", "pooled-average"):
@@ -322,52 +256,6 @@ class UnitSampleSet:
         log domain)."""
         with np.errstate(over="ignore"):
             return self.signs * np.exp(self.log_magnitudes)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            for key in sorted(self.provenance):
-                fh.write(f"# {key}={self.provenance[key]}\n")
-            fh.write(f"# layer={self.layer} kind={self.kind} unit={self.unit_index}\n")
-            writer = csv.writer(fh)
-            writer.writerow(["sign", "log_magnitude"])
-            for s, lm in zip(self.signs, self.log_magnitudes):
-                writer.writerow([int(s), repr(float(lm))])
-
-    @classmethod
-    def from_csv(cls, path) -> "UnitSampleSet":
-        meta = {}
-        signs = []
-        lms = []
-        with open(path) as fh:
-            header_seen = False
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    for part in line[1:].split():
-                        if "=" in part:
-                            k, v = part.split("=", 1)
-                            meta[k] = v
-                    continue
-                if not header_seen:
-                    header_seen = True
-                    continue
-                s_txt, lm_txt = line.split(",")
-                signs.append(int(s_txt))
-                lms.append(float(lm_txt))
-        return cls(layer=int(meta.get("layer", 0)),
-                   kind=meta.get("kind", "pre"),
-                   unit_index=int(meta.get("unit", 0)),
-                   signs=np.asarray(signs, dtype=np.int8),
-                   log_magnitudes=np.asarray(lms, dtype=float),
-                   provenance={k: v for k, v in meta.items()
-                               if k not in ("layer", "kind", "unit")})
-
-
-def _chunk_ranges(n_samples: int, chunk_size: int):
-    starts = range(0, n_samples, chunk_size)
-    return [(i, min(chunk_size, n_samples - s)) for i, s in enumerate(starts)]
 
 
 def _generator(key, spawn_key=()) -> np.random.Generator:
@@ -553,9 +441,10 @@ def worker_threads(workers: int, n_chunks: int) -> int:
 
 def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
                 needs: dict[int, int], entropy: tuple[int, ...],
-                method: str = "conditional", chunk_size: int = DEFAULT_CHUNK,
+                method: str = "conditional",
                 workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Chunked deterministic sampling engine.
+    """Chunked deterministic sampling engine; method is "conditional" or
+    "direct", and each has its fixed chunk size.
 
     needs maps 1-based layer index to the number of leading units whose
     pre-nonlinearity draws should be collected. Returns, per requested
@@ -578,10 +467,16 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
             raise ValueError(f"layer {layer} has width {config.layer_widths[layer - 1]}, "
                              f"cannot collect {j} units")
 
-    if method == "direct":
-        chunk_size = _DIRECT_CHUNK
-    chunks = _chunk_ranges(n_samples, chunk_size)
-    log_q0 = math.log(float(np.dot(x, x)) + (1.0 if config.include_bias else 0.0))
+    size = _DIRECT_CHUNK if method == "direct" else DEFAULT_CHUNK
+    chunks = [(i, min(size, n_samples - start))
+              for i, start in enumerate(range(0, n_samples, size))]
+    q0 = float(np.dot(x, x)) + (1.0 if config.include_bias else 0.0)
+    if q0 >= np.finfo(float).tiny:
+        log_q0 = math.log(q0)
+    else:
+        # x.x underflows for |x| below about 1e-154; a zero input without
+        # bias zeroes layer 1, so every row starts dead (log r = -inf)
+        log_q0 = 2.0 * math.log(math.hypot(*x)) if np.any(x) else -math.inf
 
     def one_chunk(task):
         idx, b = task
@@ -605,20 +500,40 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     return merged
 
 
-def _provenance(config: NetworkConfig, x: np.ndarray, seed: int, method: str,
-                entropy: tuple[int, ...]) -> dict:
-    return {
-        "config": config.config_hash(),
-        "input": input_hash(x),
-        "seed": int(seed),
-        "method": method,
-        "stream": "/".join(str(e) for e in entropy),
-    }
+def _sample(config: NetworkConfig, x: np.ndarray, requests: dict,
+            kind: str, n_samples: int, entropy: tuple[int, ...], method: str,
+            workers: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """One sampler pass for requests, which maps 1-based layers to lists of
+    0-based unit indices. Returns per layer (signs, log_magnitudes) of shape
+    (n_samples, len(units)), columns in the order given; kind "post" applies
+    the nonlinearity to them."""
+    if kind not in ("pre", "post"):
+        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
+    if not requests:
+        return {}
+    for layer, units in requests.items():
+        if not (1 <= layer <= config.depth):
+            raise ValueError(f"layer {layer} out of range 1..{config.depth}")
+        if len(set(units)) != len(units):
+            raise ValueError("unit indices must be distinct")
+        if any(not (0 <= i < config.layer_widths[layer - 1]) for i in units):
+            raise ValueError(f"unit indices out of range for layer {layer}")
+    got = run_sampler(config, x, n_samples,
+                      {layer: max(units) + 1 for layer, units in requests.items()},
+                      entropy, method=method, workers=workers)
+    out = {}
+    for layer, units in requests.items():
+        signs, lms = got.pop(layer)
+        signs, lms = signs[:, units], lms[:, units]
+        if kind == "post":
+            signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
+        out[layer] = (signs, lms)
+    return out
 
 
 def sample_units(config: NetworkConfig, x: np.ndarray, layer: int,
                  unit_index: int, kind: str, n_samples: int, seed: int,
-                 method: str = "conditional", chunk_size: int = DEFAULT_CHUNK,
+                 method: str = "conditional",
                  workers: int = 1) -> UnitSampleSet:
     """Draw n_samples of one unit, each draw from an independent prior
     weight set (up to the sampling method's reparametrization).
@@ -626,83 +541,33 @@ def sample_units(config: NetworkConfig, x: np.ndarray, layer: int,
     unit_index is 0-based. kind "pre" gives g(l)_m, "post" gives
     phi(g(l)_m).
     """
-    if kind not in ("pre", "post"):
-        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
-    if not (1 <= layer <= config.depth):
-        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-    if not (0 <= unit_index < config.layer_widths[layer - 1]):
-        raise ValueError(f"unit_index {unit_index} out of range for layer {layer}")
-    entropy = ((int(seed), STREAM_UNITS) if method == "conditional"
-               else (int(seed), STREAM_DIRECT))
-    got = run_sampler(config, x, n_samples, {layer: unit_index + 1}, entropy,
-                      method=method, chunk_size=chunk_size, workers=workers)
-    signs, lms = got[layer]
-    signs = signs[:, unit_index]
-    lms = lms[:, unit_index]
-    if kind == "post":
-        signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
+    stream = STREAM_UNITS if method == "conditional" else STREAM_DIRECT
+    signs, lms = _sample(config, x, {layer: [unit_index]}, kind, n_samples,
+                         (int(seed), stream), method, workers)[layer]
     return UnitSampleSet(layer=layer, kind=kind, unit_index=unit_index,
-                         signs=signs, log_magnitudes=lms,
-                         provenance=_provenance(config, x, seed, method, entropy))
+                         signs=signs[:, 0], log_magnitudes=lms[:, 0])
 
 
 def sample_layer_units(config: NetworkConfig, x: np.ndarray, layers,
                        kind: str, n_samples: int, seed: int,
-                       method: str = "conditional",
-                       chunk_size: int = DEFAULT_CHUNK,
                        workers: int = 1) -> dict[int, UnitSampleSet]:
     """Unit 0 of several layers from a single propagation pass."""
-    if kind not in ("pre", "post"):
-        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
-    layers = sorted(set(int(l) for l in layers))
-    if not layers:
-        return {}
-    if layers[0] < 1 or layers[-1] > config.depth:
-        raise ValueError(f"layers out of range 1..{config.depth}")
-    entropy = ((int(seed), STREAM_UNITS) if method == "conditional"
-               else (int(seed), STREAM_DIRECT))
-    got = run_sampler(config, x, n_samples, {l: 1 for l in layers}, entropy,
-                      method=method, chunk_size=chunk_size, workers=workers)
-    out = {}
-    for layer in layers:
-        signs, lms = got[layer]
-        signs = signs[:, 0]
-        lms = lms[:, 0]
-        if kind == "post":
-            signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
-        out[layer] = UnitSampleSet(layer=layer, kind=kind, unit_index=0,
-                                   signs=signs, log_magnitudes=lms,
-                                   provenance=_provenance(config, x, seed,
-                                                          method, entropy))
-    return out
+    requests = {layer: [0] for layer in sorted(set(int(l) for l in layers))}
+    got = _sample(config, x, requests, kind, n_samples,
+                  (int(seed), STREAM_UNITS), "conditional", workers)
+    return {layer: UnitSampleSet(layer=layer, kind=kind, unit_index=0,
+                                 signs=signs[:, 0], log_magnitudes=lms[:, 0])
+            for layer, (signs, lms) in got.items()}
 
 
 def sample_joint_units(config: NetworkConfig, x: np.ndarray, layer: int,
                        unit_indices, kind: str, n_samples: int,
-                       entropy: tuple[int, ...],
-                       method: str = "conditional",
-                       chunk_size: int = DEFAULT_CHUNK,
-                       workers: int = 1):
+                       entropy: tuple[int, ...], workers: int = 1):
     """Joint draws of several units of one layer (shared weight draws).
 
     Returns (signs, log_magnitudes) of shape (n_samples, len(unit_indices)),
     columns in the order given. Callers own the entropy prefix.
     """
-    if kind not in ("pre", "post"):
-        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
-    idx = [int(i) for i in unit_indices]
-    if len(set(idx)) != len(idx):
-        raise ValueError("unit indices must be distinct")
-    if not (1 <= layer <= config.depth):
-        raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-    width = config.layer_widths[layer - 1]
-    if any(not (0 <= i < width) for i in idx):
-        raise ValueError(f"unit indices out of range for layer {layer}")
-    got = run_sampler(config, x, n_samples, {layer: max(idx) + 1}, entropy,
-                      method=method, chunk_size=chunk_size, workers=workers)
-    signs, lms = got[layer]
-    signs = signs[:, idx]
-    lms = lms[:, idx]
-    if kind == "post":
-        signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
-    return signs, lms
+    units = [int(i) for i in unit_indices]
+    return _sample(config, x, {layer: units}, kind, n_samples, entropy,
+                   "conditional", workers)[layer]

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
+from collections.abc import Sequence
 
-from .network_model import WeightSet
+import numpy as np
 
 CONTOUR_RTOL = 1e-9
 
@@ -29,9 +29,10 @@ def lq_penalty(v, q: float) -> float:
     return float(np.sum(np.abs(v) ** q))
 
 
-def weight_decay(weights: WeightSet) -> float:
-    """Sum of squares of every weight entry across all layers."""
-    return float(sum(np.sum(np.square(w)) for w in weights.matrices))
+def weight_decay(weights: Sequence[np.ndarray]) -> float:
+    """Sum of squares of every weight entry across all layers; weights is
+    one matrix per layer."""
+    return float(sum(np.sum(np.square(w)) for w in weights))
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,8 @@ class PenaltyBreakdown:
         return "\n".join(lines)
 
 
-def unit_penalty(units, weights: WeightSet | None = None) -> PenaltyBreakdown:
+def unit_penalty(units, weights: Sequence[np.ndarray] | None = None
+                 ) -> PenaltyBreakdown:
     """Layer l contributes lq_penalty(U(l), 2/l); totals exclude the
     joint-dependence term. `units` is a sequence of per-layer vectors,
     first entry = layer 1.

@@ -54,8 +54,7 @@ def as_sample_set(obj, kind: str = "pre") -> UnitSampleSet:
     with np.errstate(divide="ignore"):
         lm = np.log(np.abs(v))
     return UnitSampleSet(layer=0, kind=kind, unit_index=0,
-                         signs=np.sign(v).astype(np.int8), log_magnitudes=lm,
-                         provenance={"source": "values"})
+                         signs=np.sign(v).astype(np.int8), log_magnitudes=lm)
 
 
 def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
@@ -76,9 +75,7 @@ def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
         v = rng.standard_exponential(n)
     else:
         v = rng.weibull(shape, n)
-    out = as_sample_set(v)
-    out.provenance = {"source": f"synthetic {family}", "seed": str(int(seed))}
-    return out
+    return as_sample_set(v)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,11 @@ from scipy import stats
 
 from layertails import network_model
 from layertails.errors import ConfigFileError, LayerOverflowError
-from layertails.network_model import (STREAM_UNITS, NetworkConfig,
-                                      UnitSampleSet, forward, input_hash,
-                                      parse_config_file, sample_input,
-                                      sample_joint_units, sample_layer_units,
-                                      sample_units, sample_weights,
+from layertails.network_model import (STREAM_DIRECT, STREAM_UNITS,
+                                      NetworkConfig, UnitSampleSet,
+                                      parse_config_file, run_sampler,
+                                      sample_input, sample_joint_units,
+                                      sample_layer_units, sample_units,
                                       worker_threads, write_config_file)
 from layertails.nonlinearity import NonlinearitySpec, apply
 from layertails.tail_analysis import relu_norm_oracle
@@ -53,9 +53,15 @@ class TestNetworkConfig:
     def test_hash_tracks_content(self):
         a = small_config()
         b = small_config()
-        c = small_config(weight_std=1.5)
         assert a.config_hash() == b.config_hash()
-        assert a.config_hash() != c.config_hash()
+        others = [small_config(weight_std=1.5),
+                  small_config(weight_std=(1.0, 1.0, 1.0)),
+                  small_config(include_bias=True), small_config(seed=1),
+                  small_config(nonlinearity=TANH),
+                  small_config(layer_widths=(6, 5, 5)),
+                  small_config(input_dim=9)]
+        hashes = {c.config_hash() for c in [a] + others}
+        assert len(hashes) == 1 + len(others)
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = NetworkConfig(input_dim=12, layer_widths=(3, 9),
@@ -64,6 +70,38 @@ class TestNetworkConfig:
         path = tmp_path / "net.ini"
         write_config_file(path, cfg)
         assert parse_config_file(path) == cfg
+
+    # The dict form is what run manifests record as params.network, and the
+    # INI text is what earlier builds wrote; both are pinned so that old
+    # manifests and config files still load and replay.
+    PRELU_DICT = {"input_dim": 12, "layer_widths": [3, 9],
+                  "nonlinearity": "prelu(0.3)", "weight_std": [0.5, 1.25],
+                  "include_bias": True, "seed": 42}
+    PRELU_INI = ("[network]\ninput_dim = 12\nlayer_widths = 3,9\n"
+                 "nonlinearity = prelu(0.3)\nweight_std = 0.5,1.25\n"
+                 "include_bias = true\nseed = 42\n\n")
+    SCALAR_INI = ("[network]\ninput_dim = 8\nlayer_widths = 6,5,4\n"
+                  "nonlinearity = relu\nweight_std = 1.0\n"
+                  "include_bias = false\nseed = 0\n\n")
+
+    def test_dict_form_is_the_manifest_form(self):
+        cfg = NetworkConfig.from_dict(self.PRELU_DICT)
+        assert cfg.to_dict() == self.PRELU_DICT
+        assert cfg == NetworkConfig(
+            input_dim=12, layer_widths=(3, 9),
+            nonlinearity=NonlinearitySpec.parse("prelu(0.3)"),
+            weight_std=(0.5, 1.25), include_bias=True, seed=42)
+        scalar = small_config(weight_std=2, seed=7)
+        assert scalar.to_dict()["weight_std"] == 2.0
+        for c in (cfg, scalar, small_config(nonlinearity=ELU)):
+            assert NetworkConfig.from_dict(c.to_dict()) == c
+
+    def test_config_file_text_is_unchanged(self, tmp_path):
+        path = tmp_path / "net.ini"
+        write_config_file(path, NetworkConfig.from_dict(self.PRELU_DICT))
+        assert path.read_text() == self.PRELU_INI
+        write_config_file(path, small_config())
+        assert path.read_text() == self.SCALAR_INI
 
     def test_missing_file_is_config_error(self, tmp_path):
         with pytest.raises(ConfigFileError):
@@ -89,72 +127,6 @@ class TestInputsAndWeights:
         c = sample_input(16, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
-        assert input_hash(a) == input_hash(b)
-
-    def test_weight_shapes(self):
-        cfg = small_config(include_bias=True)
-        ws = sample_weights(cfg, 0)
-        assert [w.shape for w in ws.matrices] == [(6, 9), (5, 7), (4, 6)]
-
-    def test_weight_scale(self):
-        cfg = NetworkConfig(input_dim=200, layer_widths=(300,),
-                            nonlinearity=RELU, weight_std=2.5)
-        ws = sample_weights(cfg, 1)
-        assert np.std(ws.matrices[0]) == pytest.approx(2.5, rel=0.02)
-
-    def test_early_layers_unchanged_by_depth(self):
-        # per-layer seeding: adding a layer must not reshuffle earlier ones
-        shallow = sample_weights(small_config(layer_widths=(6, 5)), 9)
-        deep = sample_weights(small_config(layer_widths=(6, 5, 4)), 9)
-        np.testing.assert_array_equal(shallow.matrices[0], deep.matrices[0])
-        np.testing.assert_array_equal(shallow.matrices[1], deep.matrices[1])
-
-
-class TestForward:
-    def test_matches_manual_propagation(self):
-        cfg = small_config(nonlinearity=TANH)
-        ws = sample_weights(cfg, 5)
-        x = sample_input(8, 5)
-        res = forward(ws, x, cfg)
-        h = x
-        for layer, W in enumerate(ws.matrices, start=1):
-            g = W @ h
-            np.testing.assert_allclose(res.g(layer), g, rtol=1e-12)
-            h = np.tanh(g)
-            np.testing.assert_allclose(res.h(layer), h, rtol=1e-12)
-
-    def test_bias_column_is_appended(self):
-        cfg = small_config(include_bias=True)
-        ws = sample_weights(cfg, 5)
-        x = sample_input(8, 5)
-        res = forward(ws, x, cfg)
-        g1 = ws.matrices[0] @ np.concatenate([x, [1.0]])
-        np.testing.assert_allclose(res.g(1), g1, rtol=1e-12)
-
-    def test_rescale_keeps_h_bounded(self):
-        cfg = NetworkConfig(input_dim=30, layer_widths=(50, 50, 50, 50),
-                            nonlinearity=RELU, weight_std=3.0)
-        ws = sample_weights(cfg, 2)
-        x = sample_input(30, 2)
-        res = forward(ws, x, cfg, rescale=True)
-        for layer in range(1, 5):
-            assert np.max(np.abs(res.h(layer))) <= 1.0 + 1e-12
-        assert all(c >= 1.0 for c in res.rescale_constants)
-
-    def test_overflow_names_the_layer(self):
-        cfg = NetworkConfig(input_dim=4, layer_widths=(4, 4, 4),
-                            nonlinearity=RELU, weight_std=1e200)
-        ws = sample_weights(cfg, 0)
-        x = sample_input(4, 0)
-        with pytest.raises(LayerOverflowError) as ei:
-            forward(ws, x, cfg)
-        assert ei.value.layer in (2, 3)
-
-    def test_shape_mismatch_rejected(self):
-        cfg = small_config()
-        ws = sample_weights(cfg, 0)
-        with pytest.raises(ValueError):
-            forward(ws, np.zeros(9), cfg)
 
 
 class TestUnitSampleSet:
@@ -162,23 +134,12 @@ class TestUnitSampleSet:
         return UnitSampleSet(
             layer=2, kind="pre", unit_index=0,
             signs=np.array([1, -1, 0, 1], dtype=np.int8),
-            log_magnitudes=np.array([0.0, math.log(2.0), -np.inf, 800.0]),
-            provenance={"seed": "7", "method": "conditional"})
+            log_magnitudes=np.array([0.0, math.log(2.0), -np.inf, 800.0]))
 
     def test_decode(self):
         got = self._make().decode()
         assert got[0] == 1.0 and got[1] == -2.0 and got[2] == 0.0
         assert np.isinf(got[3])  # beyond double range by design
-
-    def test_csv_round_trip_is_exact(self, tmp_path):
-        s = self._make()
-        path = tmp_path / "unit.csv"
-        s.to_csv(path)
-        back = UnitSampleSet.from_csv(path)
-        assert (back.layer, back.kind, back.unit_index) == (2, "pre", 0)
-        np.testing.assert_array_equal(back.signs, s.signs)
-        np.testing.assert_array_equal(back.log_magnitudes, s.log_magnitudes)
-        assert back.provenance["seed"] == "7"
 
     def test_rejects_bad_kind(self):
         with pytest.raises(ValueError):
@@ -273,14 +234,100 @@ class TestSamplerLaw:
         want = float(x @ x) + 1.0
         assert np.var(s.decode()) == pytest.approx(want, rel=0.02)
 
-    def test_direct_matches_forward_exactly(self):
-        # the direct sampler must be a batched version of forward()
-        cfg = small_config()
-        x = sample_input(8, 13)
-        got = sample_units(cfg, x, 3, 1, "pre", 40, 13, method="direct")
-        vals = got.decode()
-        assert np.all(np.isfinite(vals))
-        assert np.std(vals) > 0
+    def test_direct_matches_forward_exactly(self, cfg20):
+        # the direct sampler is a batched literal forward pass: regenerate
+        # the weights of its one chunk and propagate each draw on its own
+        n, seed = 40, 13
+        x = sample_input(8, seed)
+        for bias in (False, True):
+            cfg = small_config(nonlinearity=cfg20.nonlinearity,
+                               weight_std=(0.7, 1.5, 1.0), include_bias=bias)
+            got = run_sampler(cfg, x, n, {1: 6, 2: 5, 3: 4},
+                              (seed, STREAM_DIRECT), method="direct")
+            rng = network_model._generator((seed, STREAM_DIRECT, 0))
+            weights, cols = [], cfg.input_dim
+            for layer, width in enumerate(cfg.layer_widths, start=1):
+                weights.append(cfg.weight_std_for(layer)
+                               * rng.standard_normal((n, width, cols + bias)))
+                cols = width
+            for i in range(n):
+                h = x
+                for layer, W in enumerate(weights, start=1):
+                    g = W[i] @ (np.append(h, 1.0) if bias else h)
+                    signs, lms = got[layer]
+                    np.testing.assert_allclose(signs[i] * np.exp(lms[i]), g,
+                                               rtol=1e-12, atol=1e-12)
+                    h = apply(cfg.nonlinearity, g)
+            unit = sample_units(cfg, x, 3, 1, "pre", n, seed, method="direct")
+            np.testing.assert_array_equal(unit.log_magnitudes, got[3][1][:, 1])
+
+
+class TestDirectOracle:
+    def test_overflow_names_the_layer(self):
+        cfg = NetworkConfig(input_dim=4, layer_widths=(4, 4, 4),
+                            nonlinearity=RELU, weight_std=1e200)
+        with pytest.raises(LayerOverflowError) as ei:
+            sample_units(cfg, sample_input(4, 0), 3, 0, "pre", 10, 0,
+                         method="direct")
+        assert ei.value.layer in (2, 3)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            sample_units(small_config(), np.zeros(9), 1, 0, "pre", 10, 0,
+                         method="direct")
+
+
+class TestZeroInput:
+    """A zero input without bias makes every layer-1 unit exactly zero; the
+    sampler starts from log r = -inf rather than failing on log 0."""
+
+    WIDTHS = (20, 20, 20)
+
+    def _cfg(self, nonlinearity, std=1.0):
+        return NetworkConfig(input_dim=5, layer_widths=self.WIDTHS,
+                             nonlinearity=nonlinearity, weight_std=std)
+
+    @pytest.mark.parametrize("nonlinearity", [RELU, TANH, ELU, SIGMOID],
+                             ids=lambda spec: spec.family)
+    def test_layer1_is_zero(self, nonlinearity):
+        sets = sample_layer_units(self._cfg(nonlinearity), np.zeros(5),
+                                  (1, 2, 3), "pre", 5000, 3)
+        assert np.all(sets[1].signs == 0)
+        assert np.all(np.isneginf(sets[1].log_magnitudes))
+
+    @pytest.mark.parametrize("nonlinearity", [RELU, TANH, ELU],
+                             ids=lambda spec: spec.family)
+    def test_zero_at_every_layer_when_phi_of_zero_is_zero(self, nonlinearity):
+        sets = sample_layer_units(self._cfg(nonlinearity), np.zeros(5),
+                                  (1, 2, 3), "post", 5000, 3)
+        for s in sets.values():
+            assert np.all(s.signs == 0)
+            assert np.all(np.isneginf(s.log_magnitudes))
+
+    def test_underflowing_input_is_not_zero(self):
+        # x.x underflows to 0 here, but the units are not zero: a bias-free
+        # relu net is positively homogeneous, so scaling x by c scales
+        # every unit by c
+        cfg = self._cfg(RELU)
+        x = sample_input(5, 3)
+        base = sample_layer_units(cfg, x, (1, 2, 3), "pre", 3000, 3)
+        tiny = sample_layer_units(cfg, 1e-170 * x, (1, 2, 3), "pre", 3000, 3)
+        for layer in (1, 2, 3):
+            np.testing.assert_array_equal(tiny[layer].signs, base[layer].signs)
+            np.testing.assert_allclose(
+                tiny[layer].log_magnitudes,
+                base[layer].log_magnitudes + math.log(1e-170), rtol=1e-12)
+
+    def test_sigmoid_layer2_is_exactly_gaussian(self):
+        # h(1) = sigmoid(0) = 1/2 in every unit, so g(2) ~ N(0, s^2 H_1 / 4)
+        cfg = self._cfg(SIGMOID, std=(1.0, 1.3, 1.0))
+        n = 20_000
+        x = np.zeros(5)
+        cond = sample_units(cfg, x, 2, 0, "pre", n, 3)
+        direct = sample_units(cfg, x, 2, 0, "pre", n, 3, method="direct")
+        sigma = 1.3 * math.sqrt(self.WIDTHS[0] / 4)
+        assert stats.kstest(cond.decode(), "norm", args=(0, sigma)).pvalue > 0.01
+        assert stats.ks_2samp(cond.decode(), direct.decode()).pvalue > 0.001
 
 
 class _EluNet:

@@ -5,8 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layertails.network_model import NetworkConfig, sample_weights
-from layertails.nonlinearity import NonlinearitySpec
 from layertails.penalty_geometry import (ContourSet, PenaltyBreakdown,
                                          contour, equal_coordinate,
                                          lq_penalty, unit_penalty,
@@ -39,12 +37,15 @@ class TestLqPenalty:
                                                    rel=1e-9, abs=1e-9)
 
 
+def weight_matrices(shapes, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(shape) for shape in shapes]
+
+
 class TestWeightDecay:
     def test_equals_sum_of_layer_l2_penalties(self):
-        cfg = NetworkConfig(input_dim=6, layer_widths=(5, 4, 3),
-                            nonlinearity=NonlinearitySpec("relu"))
-        ws = sample_weights(cfg, 3)
-        want = sum(lq_penalty(w.ravel(), 2.0) for w in ws.matrices)
+        ws = weight_matrices([(5, 6), (4, 5), (3, 4)], 3)
+        want = sum(lq_penalty(w.ravel(), 2.0) for w in ws)
         assert weight_decay(ws) == pytest.approx(want, rel=1e-12)
 
 
@@ -74,9 +75,7 @@ class TestUnitPenalty:
                              total_unit_penalty=1.0, copula_excluded=False)
 
     def test_optional_weight_term(self):
-        cfg = NetworkConfig(input_dim=4, layer_widths=(3,),
-                            nonlinearity=NonlinearitySpec("relu"))
-        ws = sample_weights(cfg, 0)
+        ws = weight_matrices([(3, 4)], 0)
         got = unit_penalty([(1.0, 2.0, 3.0)], weights=ws)
         assert got.weight_penalty == pytest.approx(weight_decay(ws))
         report = got.describe()

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layertails.conv_pooling import (PoolCheck, PoolingSpec, pool,
-                                     pool_signed_log, pooled_tail_check)
+from layertails.conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
+                                     pooled_tail_check)
 from layertails.network_model import NetworkConfig, sample_input
 from layertails.nonlinearity import NonlinearitySpec
 
@@ -27,16 +27,6 @@ class TestPoolingSpec:
             PoolingSpec("median", 3)
         with pytest.raises(ValueError):
             PoolingSpec("max", 0)
-
-
-class TestPool:
-    def test_max_and_average(self):
-        assert pool([1.0, -2.0, 0.5, 0.0], MAX4) == 1.0
-        assert pool([1.0, -2.0, 0.5, 0.0], AVG4) == pytest.approx(-0.125)
-
-    def test_region_size_enforced(self):
-        with pytest.raises(ValueError):
-            pool([1.0, 2.0], MAX4)
 
 
 class TestPoolSignedLog:
