@@ -207,6 +207,54 @@ class TestSamplerDeterminism:
             sample_joint_units(cfg20, x20, 2, (0, 0), "pre", 1000, (0,))
 
 
+def _direct_weights(cfg, n, seed):
+    """The weight matrices of the direct sampler's one chunk of n draws,
+    regenerated from its stream: one (n, width, fan_in) array per layer."""
+    rng = network_model._generator((seed, STREAM_DIRECT, 0))
+    weights, cols = [], cfg.input_dim + cfg.include_bias
+    for layer, width in enumerate(cfg.layer_widths, start=1):
+        weights.append(cfg.weight_std_for(layer)
+                       * rng.standard_normal((n, width, cols)))
+        cols = width + cfg.include_bias
+    return weights
+
+
+class TestForward:
+    """Per-draw literal propagation through the direct oracle's weights."""
+
+    def test_matches_manual_propagation(self):
+        n, seed = 20, 5
+        cfg = small_config(nonlinearity=TANH)
+        x = sample_input(8, seed)
+        weights = _direct_weights(cfg, n, seed)
+        needs = dict(enumerate(cfg.layer_widths, start=1))
+        got = run_sampler(cfg, x, n, needs, (seed, STREAM_DIRECT),
+                          method="direct")
+        post = [sample_units(cfg, x, layer, 0, "post", n, seed,
+                             method="direct").decode()
+                for layer in range(1, cfg.depth + 1)]
+        for i in range(n):
+            h = x
+            for layer, W in enumerate(weights, start=1):
+                g = W[i] @ h
+                signs, lms = got[layer]
+                np.testing.assert_allclose(signs[i] * np.exp(lms[i]), g,
+                                           rtol=1e-12)
+                h = np.tanh(g)
+                assert post[layer - 1][i] == pytest.approx(h[0], rel=1e-12)
+
+    def test_bias_column_is_appended(self):
+        n, seed = 20, 5
+        cfg = small_config(include_bias=True)
+        x = sample_input(8, seed)
+        W1 = _direct_weights(cfg, n, seed)[0]
+        assert W1.shape == (n, 6, 9)
+        signs, lms = run_sampler(cfg, x, n, {1: 6}, (seed, STREAM_DIRECT),
+                                 method="direct")[1]
+        g1 = W1 @ np.concatenate([x, [1.0]])
+        np.testing.assert_allclose(signs * np.exp(lms), g1, rtol=1e-12)
+
+
 class TestSamplerLaw:
     """Distributional checks tying the fast conditional sampler to ground
     truth. The conditional path never materializes weight matrices, so
@@ -244,12 +292,7 @@ class TestSamplerLaw:
                                weight_std=(0.7, 1.5, 1.0), include_bias=bias)
             got = run_sampler(cfg, x, n, {1: 6, 2: 5, 3: 4},
                               (seed, STREAM_DIRECT), method="direct")
-            rng = network_model._generator((seed, STREAM_DIRECT, 0))
-            weights, cols = [], cfg.input_dim
-            for layer, width in enumerate(cfg.layer_widths, start=1):
-                weights.append(cfg.weight_std_for(layer)
-                               * rng.standard_normal((n, width, cols + bias)))
-                cols = width
+            weights = _direct_weights(cfg, n, seed)
             for i in range(n):
                 h = x
                 for layer, W in enumerate(weights, start=1):
