@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            sample_joint_units)
+                            entropy_prefix, sample_joint_units)
 from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
 
 
@@ -91,7 +91,7 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
         raise ValueError("region indices must be distinct")
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
-    entropy = (int(seed), STREAM_POOLING, int(layer), *region)
+    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
     signs, lms = sample_joint_units(config, x, layer, region, "post",
                                     n_samples, entropy, workers=workers)
     before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],

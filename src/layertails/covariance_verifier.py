@@ -8,6 +8,13 @@ errors, "zero-consistent" when within 3, "nonnegative-consistent"
 otherwise. Standard errors come from batch means over 32 contiguous
 batches, so they honor any dependence the estimator introduces within a
 batch.
+
+A sweep draws the pair once, at every requested layer, in a single
+sampler pass from the prefix (seed, STREAM_COVARIANCE, m, m'), and scores
+all its (layer, s, t) cells from those draws. Its cells are therefore not
+independent of each other. No check relies on that: each verdict rests on
+its own cell's batch means. estimate_unit_covariance draws from the same
+prefix, so it reproduces any sweep cell exactly.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MomentOverflowError
-from .network_model import STREAM_COVARIANCE, NetworkConfig, sample_joint_units
+from .network_model import (STREAM_COVARIANCE, NetworkConfig, _sample,
+                            entropy_prefix, sample_joint_units)
 
 _N_BATCHES = 32
 _LOG_DOUBLE_MAX = 708.0
@@ -52,25 +60,27 @@ def _verdict(estimate: float, se: float) -> str:
     return "nonnegative-consistent"
 
 
-def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
-                             pair: tuple[int, int], s: int, t: int,
-                             n_samples: int, seed: int,
-                             workers: int = 1) -> CovarianceReport:
-    """Estimate Cov[(h_m)^s, (h_m')^t] over independent weight draws.
-
-    The two units are drawn jointly (they share each draw's upstream
-    layers), which is exactly the dependence the sign verdict probes.
-    """
+def _check_powers(s: int, t: int) -> None:
     if s < 1 or t < 1 or int(s) != s or int(t) != t:
         raise ValueError("powers s, t must be integers >= 1")
+
+
+def _check_request(pair, n_samples: int) -> tuple[int, int]:
     m, mp = int(pair[0]), int(pair[1])
     if m == mp:
         raise ValueError("pair must name two distinct units")
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10^4")
-    entropy = (int(seed), STREAM_COVARIANCE, layer, m, mp, int(s), int(t))
-    signs, lms = sample_joint_units(config, x, layer, (m, mp), "post",
-                                    n_samples, entropy, workers=workers)
+    return m, mp
+
+
+def _cell(signs: np.ndarray, lms: np.ndarray, layer: int,
+          pair: tuple[int, int], s: int, t: int) -> CovarianceReport:
+    """Cov[(h_m)^s, (h_m')^t] of one layer's joint draws, given as
+    (n, 2) signs and log-magnitudes of the pair's post units."""
+    _check_powers(s, t)
+    s, t = int(s), int(t)
+    n_samples = signs.shape[0]
     lm_a, lm_b = lms[:, 0], lms[:, 1]
     top_a = float(np.max(lm_a))
     top_b = float(np.max(lm_b))
@@ -92,9 +102,28 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
         sl = slice(bounds[i], bounds[i + 1])
         batch[i] = np.mean(a[sl] * b[sl]) - np.mean(a[sl]) * np.mean(b[sl])
     se = float(np.std(batch, ddof=1) / math.sqrt(_N_BATCHES))
-    return CovarianceReport(layer=layer, pair=(m, mp), s=int(s), t=int(t),
+    return CovarianceReport(layer=layer, pair=pair, s=s, t=t,
                             estimate=est, se=se, n_samples=n_samples,
                             verdict=_verdict(est, se))
+
+
+def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
+                             pair: tuple[int, int], s: int, t: int,
+                             n_samples: int, seed: int,
+                             workers: int = 1) -> CovarianceReport:
+    """Estimate Cov[(h_m)^s, (h_m')^t] over independent weight draws.
+
+    The two units are drawn jointly (they share each draw's upstream
+    layers), which is exactly the dependence the sign verdict probes. The
+    draws are those of the same pair and layer in sweep, so the report
+    equals the matching sweep cell exactly.
+    """
+    _check_powers(s, t)
+    m, mp = _check_request(pair, n_samples)
+    signs, lms = sample_joint_units(
+        config, x, layer, (m, mp), "post", n_samples,
+        entropy_prefix(seed, STREAM_COVARIANCE, m, mp), workers=workers)
+    return _cell(signs, lms, layer, (m, mp), s, t)
 
 
 @dataclass
@@ -119,18 +148,27 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
           workers: int = 1) -> SweepResult:
     """Grid of covariance reports over layers x powers.
 
-    Each cell draws its own independent sample stream; per-cell errors
-    (for example moment overflow at large powers) are recorded and the
-    sweep continues.
+    One sampler pass draws the pair at every requested layer, and every
+    (layer, s, t) cell is scored from those draws, so each cell equals
+    estimate_unit_covariance of the same arguments exactly. Cells of one
+    sweep share draws and are not independent of each other; each cell's
+    batch-mean standard error stays valid, and no check relies on
+    independence between cells. Request problems (equal units, too few
+    samples, units or layers out of range, a bad seed) raise ValueError
+    before any draw; per-cell problems (moment overflow at large powers,
+    invalid powers) are recorded and the sweep continues.
     """
+    m, mp = _check_request(pair, n_samples)
+    layers = [int(layer) for layer in layers]
+    draws = _sample(config, x, {layer: [m, mp] for layer in layers}, "post",
+                    n_samples, entropy_prefix(seed, STREAM_COVARIANCE, m, mp),
+                    "conditional", workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
     for layer in layers:
         for s, t in powers:
             try:
-                reports.append(estimate_unit_covariance(
-                    config, x, int(layer), pair, int(s), int(t),
-                    n_samples, seed, workers=workers))
+                reports.append(_cell(*draws[layer], layer, (m, mp), s, t))
             except (MomentOverflowError, ValueError) as exc:
-                errors.append((int(layer), int(s), int(t), str(exc)))
+                errors.append((layer, int(s), int(t), str(exc)))
     return SweepResult(reports=reports, errors=errors)

@@ -43,7 +43,9 @@ It is the ground-truth oracle; it is reached through
 sample_units(..., method="direct") and run_sampler.
 
 Streams. Samples are generated in fixed-size chunks: DEFAULT_CHUNK draws
-for the conditional method, _DIRECT_CHUNK for the direct one. Chunk c of a
+for the conditional method, _DIRECT_CHUNK for the direct one. An entropy
+prefix E is (seed, stream tag, fields of the operation), built by
+entropy_prefix, which accepts seeds in [0, 2^32) only. Chunk c of a
 request with entropy prefix E draws from SeedSequence(E + [c]), except in
 the exact step, where layer l of chunk c owns the child stream
 SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, S+ and S-
@@ -77,7 +79,10 @@ from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
 # 2: exact stick-breaking step for relu, prelu and identity.
 # 3: linear-domain norm for elu, selu, tanh and sigmoid; the same stream
 #    as version 2, whose outputs differ from it by rounding only.
-SAMPLER_VERSION = 3
+# 4: one covariance sweep draws every layer in one pass from the prefix
+#    (seed, STREAM_COVARIANCE, m, m'); only covariance output bytes differ
+#    from version 3.
+SAMPLER_VERSION = 4
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -94,7 +99,10 @@ STREAM_SYNTHETIC = 8
 DEFAULT_CHUNK = 4096
 _DIRECT_CHUNK = 256
 
-_MAX_SEED = 2**64
+# SeedSequence splits an integer of 2^32 or more into 32-bit words and
+# ignores trailing zero words, so a larger seed would alias the streams of
+# smaller ones (seed 2^32's chunk 0 is seed 0's chunk 1).
+_MAX_SEED = 2**32
 
 # The full-matrix step sums a row in plain doubles while |log r| is below
 # this: r Z and the sum of H squares of phi(r Z) then stay far inside
@@ -132,7 +140,7 @@ class NetworkConfig:
         if any(not (s > 0 and math.isfinite(s)) for s in stds):
             raise ValueError("weight_std entries must be strictly positive and finite")
         if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+            raise ValueError(f"seed must be in [0, 2^32), got {self.seed}")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -217,13 +225,20 @@ def parse_config_file(path) -> NetworkConfig:
         raise ConfigFileError(f"bad config file {path}: {exc}") from exc
 
 
+def entropy_prefix(seed: int, stream: int, *fields: int) -> tuple[int, ...]:
+    """The entropy prefix of one sampling operation: the seed, the
+    operation's stream tag, then fields of its own. Raises ValueError for
+    a seed outside [0, 2^32), which would alias other seeds' streams."""
+    if not (0 <= int(seed) < _MAX_SEED):
+        raise ValueError(f"seed must be in [0, 2^32), got {seed}")
+    return (int(seed), stream, *(int(f) for f in fields))
+
+
 def sample_input(dim: int, seed: int) -> np.ndarray:
     """Standard-normal input vector, drawn once for all weight draws."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), STREAM_INPUT])))
-    return rng.standard_normal(dim)
+    return _generator(entropy_prefix(seed, STREAM_INPUT)).standard_normal(dim)
 
 
 @dataclass
@@ -456,6 +471,8 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     x = np.asarray(x, dtype=float)
     if x.shape != (config.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     if method not in ("conditional", "direct"):
@@ -543,7 +560,7 @@ def sample_units(config: NetworkConfig, x: np.ndarray, layer: int,
     """
     stream = STREAM_UNITS if method == "conditional" else STREAM_DIRECT
     signs, lms = _sample(config, x, {layer: [unit_index]}, kind, n_samples,
-                         (int(seed), stream), method, workers)[layer]
+                         entropy_prefix(seed, stream), method, workers)[layer]
     return UnitSampleSet(layer=layer, kind=kind, unit_index=unit_index,
                          signs=signs[:, 0], log_magnitudes=lms[:, 0])
 
@@ -554,7 +571,7 @@ def sample_layer_units(config: NetworkConfig, x: np.ndarray, layers,
     """Unit 0 of several layers from a single propagation pass."""
     requests = {layer: [0] for layer in sorted(set(int(l) for l in layers))}
     got = _sample(config, x, requests, kind, n_samples,
-                  (int(seed), STREAM_UNITS), "conditional", workers)
+                  entropy_prefix(seed, STREAM_UNITS), "conditional", workers)
     return {layer: UnitSampleSet(layer=layer, kind=kind, unit_index=0,
                                  signs=signs[:, 0], log_magnitudes=lms[:, 0])
             for layer, (signs, lms) in got.items()}

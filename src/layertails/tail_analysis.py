@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, ndtr, ndtri
 
 from .errors import DegenerateDistributionError
-from .network_model import STREAM_SYNTHETIC, UnitSampleSet
+from .network_model import STREAM_SYNTHETIC, UnitSampleSet, entropy_prefix
 
 # Additive slack in recursion_check, per estimator.
 METHOD_TOLERANCE = {"moment-slope": 0.15, "survival-slope": 0.2}
@@ -67,8 +67,8 @@ def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
     codes = {"gaussian": 0, "exponential": 1, "weibull": 2}
     if family not in codes:
         raise ValueError(f"unknown synthetic family {family!r}")
-    rng = np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), STREAM_SYNTHETIC, codes[family]])))
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+        entropy_prefix(seed, STREAM_SYNTHETIC, codes[family]))))
     if family == "gaussian":
         v = sigma * rng.standard_normal(n)
     elif family == "exponential":
@@ -124,6 +124,40 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(a - m))))
 
 
+def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
+    """(log||X||_k, se) for each integer k in ks; see empirical_log_norm.
+
+    Every moment is a log-sum-exp taken in one reused buffer, with the
+    operations of _logsumexp in the same order, so the values equal it
+    bit for bit.
+    """
+    lm = s.log_magnitudes
+    n = lm.shape[0]
+    if n < 100:
+        raise ValueError("need at least 100 samples")
+    if np.all(np.isneginf(lm)):
+        raise DegenerateDistributionError("all samples are zero")
+    buf = np.empty(n)
+
+    def log_moment(order: int) -> float:
+        np.multiply(lm, order, out=buf)
+        m = float(np.max(buf))
+        if m == -np.inf:
+            return -np.inf
+        np.subtract(buf, m, out=buf)
+        np.exp(buf, out=buf)
+        return m + math.log(float(np.sum(buf))) - math.log(n)
+
+    out = []
+    for k in ks:
+        log_mk = log_moment(k)
+        log_m2k = log_moment(2 * k)
+        delta = min(log_m2k - 2.0 * log_mk, math.log(n))
+        se = math.sqrt(math.expm1(max(delta, 0.0))) / (k * math.sqrt(n))
+        out.append((log_mk / k, se))
+    return out
+
+
 def empirical_log_norm(samples, k: int) -> tuple[float, float]:
     """log||X||_k and its delta-method standard error, fully in log domain.
 
@@ -135,18 +169,7 @@ def empirical_log_norm(samples, k: int) -> tuple[float, float]:
     s = as_sample_set(samples)
     if int(k) != k or k < 1:
         raise ValueError("k must be an integer >= 1")
-    k = int(k)
-    lm = s.log_magnitudes
-    n = lm.shape[0]
-    if n < 100:
-        raise ValueError("need at least 100 samples")
-    if np.all(np.isneginf(lm)):
-        raise DegenerateDistributionError("all samples are zero")
-    log_mk = _logsumexp(k * lm) - math.log(n)
-    log_m2k = _logsumexp(2 * k * lm) - math.log(n)
-    delta = min(log_m2k - 2.0 * log_mk, math.log(n))
-    se = math.sqrt(math.expm1(max(delta, 0.0))) / (k * math.sqrt(n))
-    return log_mk / k, se
+    return _log_norms(s, [int(k)])[0]
 
 
 def gaussian_norm_oracle(sigma: float, k: int) -> float:
@@ -202,7 +225,7 @@ def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
         raise ValueError("need 1 <= k_min < k_max")
     s = as_sample_set(samples)
     ks = np.arange(int(k_min), int(k_max) + 1)
-    pairs = [empirical_log_norm(s, int(k)) for k in ks]
+    pairs = _log_norms(s, [int(k) for k in ks])
     src = f"layer={s.layer} kind={s.kind} unit={s.unit_index}"
     return MomentCurve(ks=ks,
                        log_norms=np.array([p[0] for p in pairs]),

@@ -162,6 +162,24 @@ class TestCovarianceCommand:
         assert len(rows) == 9
         assert all(r["verdict"] != "violation" for r in rows)
 
+    def test_too_few_samples_exit_2(self, net_ini, tmp_path, capsys):
+        out = tmp_path / "cov"
+        code = main(["covariance", "--config", str(net_ini), "--samples",
+                     "100", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: need n_samples >= 10^4"]
+        assert not (out / "covariance.csv").exists()
+
+
+def test_seed_of_2_to_the_32_exits_2(net_ini, tmp_path, capsys):
+    code = main(["tail-sweep", "--config", str(net_ini), "--samples", "1000",
+                 "--seed", "4294967296", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == ["error: seed must be in [0, 2^32), "
+                                "got 4294967296"]
+
 
 class TestRerun:
     def test_byte_identical_replay_with_different_workers(self, net_ini,
@@ -211,6 +229,25 @@ class TestRerun:
         assert code == 1
         assert ("sampler version differs (manifest 1, this build "
                 f"{SAMPLER_VERSION})") in printed
+
+    def test_version_3_covariance_manifest_is_named(self, net_ini, tmp_path,
+                                                   capsys):
+        # version 4 draws a covariance sweep in one pass, so a version-3
+        # covariance run cannot replay byte for byte
+        out = tmp_path / "cov"
+        main(["covariance", "--config", str(net_ini), "--layers", "1,2",
+              "--samples", "10000", "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        man["sampler"] = 3
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "covariance.csv: MISMATCH" in printed
+        assert "sampler version differs (manifest 3, this build 4)" in printed
 
     def test_rerun_is_self_contained(self, net_ini, tmp_path):
         # the manifest embeds the network; the original config can vanish

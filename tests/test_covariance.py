@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from layertails import network_model
 from layertails.covariance_verifier import (CovarianceReport, _verdict,
                                             estimate_unit_covariance, sweep)
 from layertails.errors import MomentOverflowError
@@ -8,6 +9,8 @@ from layertails.network_model import NetworkConfig, sample_input
 from layertails.nonlinearity import NonlinearitySpec
 
 RELU = NonlinearitySpec("relu")
+ELU = NonlinearitySpec("elu", (1.0,))
+POWERS = [(s, t) for s in (1, 2, 3) for t in (1, 2, 3)]
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ class TestEstimate:
         from layertails.network_model import (STREAM_COVARIANCE,
                                               sample_joint_units)
         r = estimate_unit_covariance(cfg, x, 2, (0, 1), 1, 1, 20_000, 23)
-        entropy = (23, STREAM_COVARIANCE, 2, 0, 1, 1, 1)
+        entropy = (23, STREAM_COVARIANCE, 0, 1)
         signs, lms = sample_joint_units(cfg, x, 2, (0, 1), "post", 20_000,
                                         entropy)
         a = signs[:, 0] * np.exp(lms[:, 0])
@@ -108,3 +111,51 @@ class TestSweep:
         powers = [(s, t) for s in (1, 2) for t in (1, 2)]
         res = sweep(cfg, x, (1, 2), powers, 30_000, 23)
         assert res.violations() == []
+
+    def test_invalid_powers_are_recorded_per_cell(self, cfg, x):
+        res = sweep(cfg, x, (1,), [(0, 1), (1, 1)], 10_000, 23)
+        assert [(r.s, r.t) for r in res.reports] == [(1, 1)]
+        assert [e[:3] for e in res.errors] == [(1, 0, 1)]
+
+    @pytest.mark.parametrize("kw", [
+        dict(pair=(1, 1)), dict(pair=(0, 20)), dict(n_samples=100),
+        dict(layers=(1, 3)), dict(seed=2**32),
+    ])
+    def test_request_errors_raise_before_any_draw(self, cfg, x, kw,
+                                                  monkeypatch):
+        calls = []
+        monkeypatch.setattr(network_model, "run_sampler",
+                            lambda *a, **k: calls.append(a))
+        args = dict(layers=(1, 2), n_samples=10_000, seed=23, pair=(0, 1))
+        args.update(kw)
+        with pytest.raises(ValueError):
+            sweep(cfg, x, args["layers"], POWERS, args["n_samples"],
+                  args["seed"], pair=args["pair"])
+        assert calls == []
+
+
+class TestOnePassSweep:
+    """A sweep draws every layer in one pass from the prefix that
+    estimate_unit_covariance uses, so each cell must equal it exactly."""
+
+    @pytest.mark.parametrize("nonlinearity", [RELU, ELU], ids=str)
+    def test_cells_equal_single_cell_estimates(self, nonlinearity):
+        net = NetworkConfig(input_dim=10, layer_widths=(12, 12, 12),
+                            nonlinearity=nonlinearity)
+        x = sample_input(10, 4)
+        res = sweep(net, x, (1, 2, 3), POWERS, 10_000, 31, pair=(2, 0))
+        assert res.errors == []
+        want = [estimate_unit_covariance(net, x, layer, (2, 0), s, t,
+                                         10_000, 31)
+                for layer in (1, 2, 3) for s, t in POWERS]
+        assert len(res.reports) == 27
+        assert res.reports == want
+
+    @pytest.mark.parametrize("nonlinearity", [RELU, ELU], ids=str)
+    def test_worker_count_does_not_change_the_reports(self, nonlinearity):
+        net = NetworkConfig(input_dim=10, layer_widths=(12, 12, 12),
+                            nonlinearity=nonlinearity)
+        x = sample_input(10, 4)
+        one = sweep(net, x, (1, 2, 3), POWERS, 10_000, 31)
+        two = sweep(net, x, (1, 2, 3), POWERS, 10_000, 31, workers=2)
+        assert one.reports == two.reports

@@ -45,6 +45,7 @@ class TestNetworkConfig:
         dict(weight_std=(1.0, 1.0)),  # wrong length for 3 layers
         dict(weight_std=float("inf")),
         dict(seed=-1),
+        dict(seed=2**32),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -127,6 +128,28 @@ class TestInputsAndWeights:
         c = sample_input(16, 4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_seeds_from_2_to_the_32_are_rejected(self, cfg20, x20):
+        # SeedSequence reads 2^32 as the words (0, 1) and drops trailing
+        # zero words, so seed 2^32's chunk 0 would be seed 0's chunk 1
+        with pytest.raises(ValueError, match="2\\^32"):
+            sample_units(cfg20, x20, 2, 0, "pre", 8192, 2**32)
+        with pytest.raises(ValueError):
+            sample_layer_units(cfg20, x20, (1, 2), "pre", 100, 2**32)
+        with pytest.raises(ValueError):
+            sample_input(4, 2**32)
+        with pytest.raises(ValueError):
+            sample_input(4, -1)
+        top = sample_units(cfg20, x20, 2, 0, "pre", 100, 2**32 - 1)
+        assert np.all(np.isfinite(top.log_magnitudes))
+
+    @pytest.mark.parametrize("method", ["conditional", "direct"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, cfg20, method, bad):
+        x = np.ones(cfg20.input_dim)
+        x[1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            sample_units(cfg20, x, 2, 0, "pre", 100, 0, method=method)
 
 
 class TestUnitSampleSet:

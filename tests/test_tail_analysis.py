@@ -58,6 +58,32 @@ class TestLogNorm:
             empirical_log_norm(np.ones(50), 2)
         with pytest.raises(DegenerateDistributionError):
             empirical_log_norm(np.zeros(500), 2)
+        with pytest.raises(DegenerateDistributionError):
+            moment_curve(np.zeros(500), 2, 5)
+
+    def test_curve_equals_per_order_log_sum_exp(self):
+        # the reference takes each moment with fresh temporaries; the
+        # shared buffer must give the same doubles bit for bit
+        def reference(lm, k):
+            def log_moment(a):
+                m = float(np.max(a))
+                return m + math.log(float(np.sum(np.exp(a - m)))) \
+                    - math.log(lm.shape[0])
+            log_mk, log_m2k = log_moment(k * lm), log_moment(2 * k * lm)
+            delta = min(log_m2k - 2.0 * log_mk, math.log(lm.shape[0]))
+            se = math.sqrt(math.expm1(max(delta, 0.0))) / (
+                k * math.sqrt(lm.shape[0]))
+            return log_mk / k, se
+
+        rng = np.random.default_rng(5)
+        v = rng.standard_t(3, size=20_000) * np.exp(rng.normal(size=20_000))
+        v[:50] = 0.0
+        s = encode(v)
+        curve = moment_curve(s, 1, 12)
+        want = [reference(s.log_magnitudes, k) for k in range(1, 13)]
+        assert list(zip(curve.log_norms, curve.ses)) == want
+        assert [empirical_log_norm(s, k) for k in (1, 7, 12)] == \
+            [want[0], want[6], want[11]]
 
     @given(st.floats(min_value=1e-8, max_value=1e8))
     @settings(max_examples=60, deadline=None)
