@@ -3,7 +3,8 @@
 Every subcommand computes first, then writes its CSVs and a manifest.json
 into --out from a single writer. Statistical verdicts are data in the
 CSVs, not exit codes; --assert turns failed verdicts into exit code 1.
-Config and I/O problems exit 2.
+Config and I/O problems exit 2, as do requests that no draws could
+satisfy, which are rejected before any CSV is written.
 
 Subcommands:
   tail-sweep       moment curves, tail estimates (both estimators), recursion verdicts
@@ -33,9 +34,10 @@ from .network_model import (NetworkConfig, parse_config_file, sample_input,
                             sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
 from .penalty_geometry import contour
-from .tail_analysis import (empirical_log_norm, estimate_theta_moments,
-                            estimate_theta_survival, gaussian_norm_oracle,
-                            moment_curve, recursion_check, survival_curves,
+from .tail_analysis import (check_tail_request, empirical_log_norm,
+                            estimate_theta_moments, estimate_theta_survival,
+                            gaussian_norm_oracle, moment_curve,
+                            recursion_check, survival_curves,
                             synthetic_values)
 
 DEFAULT_FAMILIES = ("relu", "prelu(0.25)", "elu(1.0)", "selu", "tanh", "sigmoid")
@@ -81,7 +83,9 @@ def _resolve_layers(requested, config: NetworkConfig) -> list[int]:
 def _run_tail_sweep(params: dict, out_dir: Path):
     config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
-    x = sample_input(config.input_dim, seed)
+    x = sample_input(config.input_dim, seed)  # checks the seed first
+    check_tail_request(params["samples"], params["k_min"], params["k_max"],
+                       params["tail_fraction"])
     layers = params["layers"]
     sets = sample_layer_units(config, x, layers, params["kind"],
                               params["samples"], seed,
@@ -89,7 +93,6 @@ def _run_tail_sweep(params: dict, out_dir: Path):
     names, lines = [], []
     summary_rows, recursion_rows = [], []
     ests = {"moment-slope": {}, "survival-slope": {}}
-    n_errors = 0
     for l in layers:
         per_layer = {}
         try:
@@ -105,14 +108,12 @@ def _run_tail_sweep(params: dict, out_dir: Path):
         except _ESTIMATOR_ERRORS as exc:
             summary_rows.append((l, params["kind"], "moment-slope", None, None,
                                  _sanitize(exc)))
-            n_errors += 1
         try:
             per_layer["survival-slope"] = estimate_theta_survival(
                 sets[l], params["tail_fraction"])
         except _ESTIMATOR_ERRORS as exc:
             summary_rows.append((l, params["kind"], "survival-slope", None, None,
                                  _sanitize(exc)))
-            n_errors += 1
         parts = []
         for method, est in per_layer.items():
             ests[method][l] = est
@@ -122,7 +123,6 @@ def _run_tail_sweep(params: dict, out_dir: Path):
         lines.append(f"layer {l} ({params['kind']}): "
                      + ("; ".join(parts) if parts else "no estimate"))
 
-    n_failed = 0
     for prev, nxt in zip(layers, layers[1:]):
         if nxt - prev != 1:
             continue
@@ -135,8 +135,6 @@ def _run_tail_sweep(params: dict, out_dir: Path):
                                    ests[method][nxt].theta_hat,
                                    v.difference, v.tolerance,
                                    "pass" if v.passes else "fail"))
-            if not v.passes:
-                n_failed += 1
             lines.append(f"recursion {prev} -> {nxt} ({method}): "
                          f"step {v.difference:+.4f} vs 0.5, "
                          f"tolerance {v.tolerance:.4f}, "
@@ -154,7 +152,10 @@ def _run_tail_sweep(params: dict, out_dir: Path):
                 "layer_prev,layer_next,method,theta_prev,theta_next,"
                 "difference,tolerance,verdict", recursion_rows)
     names.append("recursion.csv")
-    return names, n_failed == 0 and n_errors == 0, lines
+    # an estimator error leaves its row without a theta_hat
+    ok = (all(row[3] is not None for row in summary_rows)
+          and all(row[-1] == "pass" for row in recursion_rows))
+    return names, ok, lines
 
 
 def _run_survival_curves(params: dict, out_dir: Path):
@@ -264,8 +265,8 @@ def _run_envelope(params: dict, out_dir: Path):
 
 def _run_contours(params: dict, out_dir: Path):
     names, lines = [], []
-    for q in params["qs"]:
-        cs = contour(q, params["t"], params["n_points"])
+    sets = [contour(q, params["t"], params["n_points"]) for q in params["qs"]]
+    for q, cs in zip(params["qs"], sets):
         name = f"contour_q{q:g}.csv"
         cs.to_csv(out_dir / name)
         names.append(name)
@@ -275,16 +276,16 @@ def _run_contours(params: dict, out_dir: Path):
 
 
 def _run_oracle_check(params: dict, out_dir: Path):
+    if params["k_max"] < 1:
+        raise ValueError(f"need k_max >= 1, got {params['k_max']}")
     vals = synthetic_values("gaussian", params["samples"], params["seed"],
                             sigma=1.0)
     rows = []
-    worst = 0.0
     for k in range(1, params["k_max"] + 1):
         ln, se = empirical_log_norm(vals, k)
         exact = math.log(gaussian_norm_oracle(1.0, k))
-        rel = abs(math.expm1(ln - exact))
-        worst = max(worst, rel)
-        rows.append((k, ln, exact, rel, se))
+        rows.append((k, ln, exact, abs(math.expm1(ln - exact)), se))
+    worst = max(row[3] for row in rows)
     _write_rows(out_dir / "oracle.csv",
                 [f"empirical log-norms of N(0,1), n = {params['samples']}, "
                  "vs the exact Gaussian k-norm"],

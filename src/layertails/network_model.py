@@ -21,10 +21,10 @@ depth can overflow (and a zero input gives log r_1 = -inf, a dead row),
 and picks its layer step by the activation:
 
 * relu, prelu and identity are positively homogeneous, phi(r z) = r phi(z),
-  so ||h(l)||^2 = r_l^2 S_l with S_l = chi2_N + a^2 chi2_{H-N}, where
-  N ~ Bin(H, 1/2) counts the positive units and a is the negative-side
-  slope. The exact step draws N, S+ = chi2_N and S- = chi2_{H-N}, then
-  only the requested units, by stick-breaking conditional on them: with
+  so ||h(l)||^2 = r_l^2 S_l with S_l = lam^2 chi2_N + a^2 chi2_{H-N}, where
+  N ~ Bin(H, 1/2) counts the positive units and lam and a are the slopes
+  of the two sides. The exact step draws N, S+ = chi2_N and S- = chi2_{H-N},
+  then only the requested units, by stick-breaking conditional on them: with
   N' positives left among H' remaining units, a unit is positive with
   probability N'/H', and its Z^2 is S' Beta(1/2, (K'-1)/2), where S' and K'
   are the remaining sum and count of its group (all of S' when K' = 1).
@@ -72,7 +72,7 @@ import numpy as np
 
 from .errors import ConfigFileError, LayerOverflowError
 from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
-                           is_positively_homogeneous)
+                           is_positively_homogeneous, side_slopes)
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -293,8 +293,7 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
                  needs: dict[int, int]):
     """Exact layer step of a positively homogeneous network: per layer, the
     positive count and the two chi-square sums, then the requested units."""
-    # phi(u) = a*u for u < 0, so phi(-1)^2 = a^2
-    a2 = apply(config.nonlinearity, -1.0) ** 2
+    lam, a = side_slopes(config.nonlinearity)
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
@@ -310,7 +309,7 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
         if layer == top:
             break
         with np.errstate(divide="ignore"):
-            log_sq = 2.0 * log_r + np.log(s_pos + a2 * s_neg)
+            log_sq = 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
         log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq

@@ -1,5 +1,13 @@
 """Activation functions and numerical certification of the envelope property.
 
+Each activation family is defined once, by its entry in _TABLE: default
+parameters (their number is the parameter count) and their check, the
+linear form phi(u), the slopes of phi's linear sides, and the log form of
+a bounded negative side (elu, selu) or of the whole line (tanh, sigmoid).
+apply, apply_signed_log, the spec checks and the samplers' choice of
+layer step read only the entry. Adding a family means one entry plus its
+line in the test suite's ALL_SPECS.
+
 An activation phi has the extended envelope property when
 
     |phi(u)| >= c1 + d1 |u|   for all u on at least one half-line, and
@@ -21,29 +29,85 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-_FAMILIES = ("relu", "prelu", "elu", "selu", "tanh", "sigmoid", "identity")
+# Magnitudes above exp(_EXP_CAP) are treated as +infinity when a family
+# saturates; below it, exp() is exact in double precision.
+_EXP_CAP = 700.0
 
-# Number of parameters each family takes.
-_NPARAMS = {
-    "relu": 0,
-    "prelu": 1,
-    "elu": 1,
-    "selu": 2,
-    "tanh": 0,
-    "sigmoid": 0,
-    "identity": 0,
-}
 
-# Filled in when a parametric family is named without parameters. The selu
-# pair is the standard self-normalizing choice.
-_DEFAULT_PARAMS = {
-    "prelu": (0.25,),
-    "elu": (1.0,),
-    "selu": (1.0507009873554805, 1.6732632423543772),
+def _elu(alpha, u):
+    # max(u, 0) + alpha expm1(min(u, 0)) has no per-element branch; one
+    # of the two terms is always an exact zero
+    return np.maximum(u, 0.0) + alpha * np.expm1(np.minimum(u, 0.0))
+
+
+def _elu_neg_log(c, lm):
+    """log|phi(u)| for u < 0 of phi(u) = c expm1(u), from lm = log|u|:
+    log c + log(1 - e^-|u|), and the asymptote log c past e^_EXP_CAP."""
+    with np.errstate(divide="ignore"):
+        shape = np.log(-np.expm1(-np.exp(np.minimum(lm, _EXP_CAP))))
+    return np.where(lm > _EXP_CAP, math.log(c), math.log(c) + shape)
+
+
+def _tanh_signed_log(signs, lm):
+    mag = np.exp(np.minimum(lm, _EXP_CAP))
+    with np.errstate(divide="ignore"):
+        out_lm = np.where(lm > _EXP_CAP, 0.0, np.log(np.tanh(mag)))
+    return signs.astype(np.int8), np.where(signs == 0, -np.inf, out_lm)
+
+
+def _sigmoid_signed_log(signs, lm):
+    # sigmoid is positive everywhere, including at u = 0 where it is 1/2
+    u = signs * np.exp(np.minimum(lm, _EXP_CAP))
+    big = lm > _EXP_CAP
+    out_lm = np.where(big & (signs > 0), 0.0, -np.logaddexp(0.0, -u))
+    out_lm = np.where(big & (signs < 0), -np.inf, out_lm)
+    return np.ones_like(signs, dtype=np.int8), out_lm
+
+
+class _Family(NamedTuple):
+    """One _TABLE entry; p is always the spec's parameter tuple."""
+
+    linear: Callable  # (p, u) -> phi(u) on a float array
+    defaults: tuple[float, ...] = ()  # their number is the parameter count
+    check: Callable = lambda p: True
+    check_msg: str = ""
+    slopes: Callable = lambda p: (None, None)  # (p) -> (lam, a)
+    neg_log: Callable | None = None  # (p, log|u|) -> log|phi(u)| for u < 0
+    signed_log: Callable | None = None  # (signs, lm) -> (signs, lm)
+
+
+_TABLE = {
+    "identity": _Family(lambda p, u: u.copy(), slopes=lambda p: (1.0, 1.0)),
+    "relu": _Family(lambda p, u: np.maximum(u, 0.0),
+                    slopes=lambda p: (1.0, 0.0)),
+    "prelu": _Family(lambda p, u: np.where(u > 0, u, p[0] * u),
+                     defaults=(0.25,), check=lambda p: p[0] >= 0,
+                     check_msg="prelu slope must be >= 0",
+                     slopes=lambda p: (1.0, p[0])),
+    "elu": _Family(lambda p, u: _elu(p[0], u),
+                   defaults=(1.0,), check=lambda p: p[0] > 0,
+                   check_msg="elu alpha must be > 0",
+                   slopes=lambda p: (1.0, None),
+                   neg_log=lambda p, lm: _elu_neg_log(p[0], lm)),
+    # the defaults are the standard self-normalizing (lambda, alpha)
+    "selu": _Family(lambda p, u: p[0] * _elu(p[1], u),
+                    defaults=(1.0507009873554805, 1.6732632423543772),
+                    check=lambda p: p[0] > 0 and p[1] > 0,
+                    check_msg="selu lambda and alpha must be > 0",
+                    slopes=lambda p: (p[0], None),
+                    neg_log=lambda p, lm: _elu_neg_log(p[0] * p[1], lm)),
+    "tanh": _Family(lambda p, u: np.tanh(u), signed_log=_tanh_signed_log),
+    # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
+    # per-element branch, and overflows on neither side
+    "sigmoid": _Family(lambda p, u: (np.exp(np.minimum(u, 0.0))
+                                     / (1.0 + np.exp(-np.abs(u)))),
+                       signed_log=_sigmoid_signed_log),
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -57,25 +121,19 @@ class NonlinearitySpec:
     params: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        fam = _TABLE.get(self.family)
+        if fam is None:
             raise ValueError(f"unknown nonlinearity family {self.family!r}")
-        params = tuple(float(p) for p in self.params)
-        if not params and self.family in _DEFAULT_PARAMS:
-            params = _DEFAULT_PARAMS[self.family]
+        # a parametric family named without parameters takes its defaults
+        params = tuple(float(p) for p in self.params) or fam.defaults
         object.__setattr__(self, "params", params)
-        if len(params) != _NPARAMS[self.family]:
-            raise ValueError(
-                f"{self.family} takes {_NPARAMS[self.family]} parameter(s), "
-                f"got {len(params)}"
-            )
+        if len(params) != len(fam.defaults):
+            raise ValueError(f"{self.family} takes {len(fam.defaults)} "
+                             f"parameter(s), got {len(params)}")
         if not all(math.isfinite(p) for p in params):
             raise ValueError("nonlinearity parameters must be finite")
-        if self.family == "prelu" and params[0] < 0:
-            raise ValueError("prelu slope must be >= 0")
-        if self.family == "elu" and params[0] <= 0:
-            raise ValueError("elu alpha must be > 0")
-        if self.family == "selu" and (params[0] <= 0 or params[1] <= 0):
-            raise ValueError("selu lambda and alpha must be > 0")
+        if not fam.check(params):
+            raise ValueError(fam.check_msg)
 
     @classmethod
     def parse(cls, text: str) -> "NonlinearitySpec":
@@ -83,12 +141,9 @@ class NonlinearitySpec:
         m = _SPEC_RE.match(text)
         if m is None:
             raise ValueError(f"cannot parse nonlinearity {text!r}")
-        family = m.group(1)
-        args = m.group(2)
-        params: tuple[float, ...] = ()
-        if args is not None and args.strip():
-            params = tuple(float(a) for a in args.split(","))
-        return cls(family, params)
+        args = (m.group(2) or "").strip()
+        params = tuple(float(a) for a in args.split(",")) if args else ()
+        return cls(m.group(1), params)
 
     def __str__(self) -> str:
         if self.params:
@@ -101,118 +156,45 @@ def apply(spec: NonlinearitySpec, u):
     arr = np.asarray(u, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("apply requires finite input")
-    fam = spec.family
-    if fam == "identity":
-        out = arr.copy()
-    elif fam == "relu":
-        out = np.maximum(arr, 0.0)
-    elif fam == "prelu":
-        alpha = spec.params[0]
-        out = np.where(arr > 0, arr, alpha * arr)
-    elif fam in ("elu", "selu"):
-        # max(u, 0) + alpha expm1(min(u, 0)) has no per-element branch; one
-        # of the two terms is always an exact zero
-        alpha = spec.params[-1]
-        out = np.maximum(arr, 0.0) + alpha * np.expm1(np.minimum(arr, 0.0))
-        if fam == "selu":
-            out *= spec.params[0]
-    elif fam == "tanh":
-        out = np.tanh(arr)
-    elif fam == "sigmoid":
-        # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
-        # per-element branch, and overflows on neither side
-        out = np.exp(np.minimum(arr, 0.0))
-        out /= 1.0 + np.exp(-np.abs(arr))
-    else:  # pragma: no cover
-        raise AssertionError(fam)
-    if np.isscalar(u) or np.ndim(u) == 0:
-        return float(out)
-    return out
-
-
-# Magnitudes above exp(_EXP_CAP) are treated as +infinity when a family
-# saturates; below it, exp() is exact in double precision.
-_EXP_CAP = 700.0
+    out = _TABLE[spec.family].linear(spec.params, arr)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def apply_signed_log(spec: NonlinearitySpec, signs, logmags):
     """Apply the activation to values stored as (sign, log|value|) pairs.
 
     Returns new (sign, log-magnitude) arrays without ever forming values
-    whose magnitude exceeds double-precision range. Saturating families
-    use their exact asymptotes for inputs beyond exp(700).
+    whose magnitude exceeds double-precision range: a linear side shifts
+    log|u| by the log of its slope, and a bounded side takes its
+    asymptote for inputs beyond exp(700).
     """
     signs = np.asarray(signs)
     lm = np.asarray(logmags, dtype=float)
-    fam = spec.family
+    fam = _TABLE[spec.family]
+    if fam.signed_log is not None:
+        return fam.signed_log(signs, lm)
+    lam, a = fam.slopes(spec.params)
+    out_s = signs.astype(np.int8)
+    out_lm = np.asarray(lm + math.log(lam))  # an array for 0-d input too
+    neg = signs < 0
+    if a is None:
+        out_lm[neg] = fam.neg_log(spec.params, lm[neg])
+    elif a == 0.0:
+        out_s = np.maximum(out_s, 0)
+        out_lm[neg] = -np.inf
+    elif a != 1.0:
+        out_lm = np.where(neg, lm + math.log(a), out_lm)
+    return out_s, out_lm
 
-    if fam == "identity":
-        return signs.copy(), lm.copy()
 
-    if fam == "relu":
-        pos = signs > 0
-        out_s = np.where(pos, signs, 0).astype(np.int8)
-        out_lm = np.where(pos, lm, -np.inf)
-        return out_s, out_lm
-
-    if fam == "prelu":
-        alpha = spec.params[0]
-        out_s = signs.copy()
-        out_lm = lm.copy()
-        neg = signs < 0
-        if alpha == 0.0:
-            out_s = np.where(neg, 0, out_s).astype(np.int8)
-            out_lm = np.where(neg, -np.inf, out_lm)
-        else:
-            out_lm = np.where(neg, lm + math.log(alpha), out_lm)
-        return out_s.astype(np.int8), out_lm
-
-    if fam in ("elu", "selu"):
-        if fam == "elu":
-            lam, alpha = 1.0, spec.params[0]
-        else:
-            lam, alpha = spec.params
-        out_s = signs.copy().astype(np.int8)
-        out_lm = lm + math.log(lam)
-        neg = signs < 0
-        if np.any(neg):
-            lneg = lm[neg]
-            mag = np.exp(np.minimum(lneg, _EXP_CAP))
-            # |phi(u)| = lam*alpha*(1 - e^{-|u|}); saturates at lam*alpha
-            with np.errstate(divide="ignore"):
-                val = np.where(
-                    lneg > _EXP_CAP,
-                    0.0,
-                    np.log(-np.expm1(-mag), where=mag > 0, out=np.full_like(mag, -np.inf)),
-                )
-            out_lm[neg] = math.log(lam * alpha) + val
-        return out_s, out_lm
-
-    if fam == "tanh":
-        out_s = signs.copy().astype(np.int8)
-        mag = np.exp(np.minimum(lm, _EXP_CAP))
-        with np.errstate(divide="ignore"):
-            out_lm = np.where(lm > _EXP_CAP, 0.0, np.log(np.tanh(mag)))
-        out_lm = np.where(signs == 0, -np.inf, out_lm)
-        return out_s, out_lm
-
-    if fam == "sigmoid":
-        # sigmoid is positive everywhere, including at u = 0 where it is 1/2
-        u = signs * np.exp(np.minimum(lm, _EXP_CAP))
-        big_pos = (signs > 0) & (lm > _EXP_CAP)
-        big_neg = (signs < 0) & (lm > _EXP_CAP)
-        out_lm = -np.logaddexp(0.0, -u)
-        out_lm = np.where(big_pos, 0.0, out_lm)
-        out_lm = np.where(big_neg, -np.inf, out_lm)
-        out_s = np.ones_like(signs, dtype=np.int8)
-        return out_s, out_lm
-
-    raise AssertionError(fam)  # pragma: no cover
+def side_slopes(spec: NonlinearitySpec) -> tuple[float | None, float | None]:
+    """(lam, a): phi(u) = lam u for u > 0, a u for u < 0; None if not so."""
+    return _TABLE[spec.family].slopes(spec.params)
 
 
 def is_positively_homogeneous(spec: NonlinearitySpec) -> bool:
-    """True when phi(c*u) = c*phi(u) for c > 0 (relu, prelu, identity)."""
-    return spec.family in ("relu", "prelu", "identity")
+    """True when phi(c*u) = c*phi(u) for c > 0: both sides are linear."""
+    return None not in side_slopes(spec)
 
 
 @dataclass(frozen=True)
@@ -339,12 +321,11 @@ def search_envelope_constants(spec: NonlinearitySpec,
     nz = au > 0
     ratio = np.divide(phi[nz], au[nz])
     upos = u[nz] > 0
-    d1_pos = float(np.min(ratio[upos])) if np.any(upos) else 0.0
-    d1_neg = float(np.min(ratio[~upos])) if np.any(~upos) else 0.0
-    if d1_pos >= d1_neg:
-        side, d1 = "positive-axis", d1_pos
-    else:
-        side, d1 = "negative-axis", d1_neg
+    # the grid has points on both sides; a tie goes to the positive axis
+    d1s = {"positive-axis": float(np.min(ratio[upos])),
+           "negative-axis": float(np.min(ratio[~upos]))}
+    side = max(d1s, key=d1s.get)
+    d1 = d1s[side]
     if d1 <= 0:
         # No half-line supports a linear lower bound; treat as saturating.
         return EnvelopeWitness("bounded", grid=grid.describe())

@@ -19,10 +19,15 @@ import numpy as np
 CONTOUR_RTOL = 1e-9
 
 
+def _check_positive(**values) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:  # also false for NaN
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+
+
 def lq_penalty(v, q: float) -> float:
     """Sum_i |v_i|^q, the q-th power of the L^q quasi-norm (any q > 0)."""
-    if q <= 0:
-        raise ValueError(f"q must be positive, got {q}")
+    _check_positive(q=q)
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("penalty input must be finite")
@@ -83,8 +88,7 @@ def unit_penalty(units, weights: Sequence[np.ndarray] | None = None
 
 def equal_coordinate(q: float, t: float) -> float:
     """Coordinate c of the point (c, c) on the contour |x|^q + |y|^q = t^q."""
-    if q <= 0 or t <= 0:
-        raise ValueError("q and t must be positive")
+    _check_positive(q=q, t=t)
     return t * 2.0 ** (-1.0 / q)
 
 
@@ -96,8 +100,7 @@ class ContourSet:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.q <= 0 or self.t <= 0:
-            raise ValueError("q and t must be positive")
+        _check_positive(q=self.q, t=self.t)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be (n, 2)")
         if self.phis.shape != (self.points.shape[0],):
@@ -128,8 +131,7 @@ def contour(q: float, t: float, n_points: int = 400) -> ContourSet:
     over n_points equally spaced phi in [0, 2pi). Small q pinches the
     contour toward the axes (star shape), large q flattens it to a square.
     """
-    if q <= 0 or t <= 0:
-        raise ValueError("q and t must be positive")
+    _check_positive(q=q, t=t)
     if n_points < 4:
         raise ValueError("need at least 4 points")
     phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)

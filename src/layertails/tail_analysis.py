@@ -40,6 +40,11 @@ from .network_model import STREAM_SYNTHETIC, UnitSampleSet, entropy_prefix
 # Additive slack in recursion_check, per estimator.
 METHOD_TOLERANCE = {"moment-slope": 0.15, "survival-slope": 0.2}
 
+# The fewest draws, moment orders k and tail draws the estimators accept.
+MIN_SAMPLES = 100
+MIN_ORDERS = 4
+MIN_TAIL = 200
+
 # IQR of the standard normal, 2 * Phi^{-1}(3/4).
 _NORMAL_IQR = 2.0 * float(ndtri(0.75))
 
@@ -94,12 +99,6 @@ class MomentCurve:
         if np.any(np.diff(self.ks) <= 0):
             raise ValueError("k must be strictly increasing")
 
-    def lyapunov_ok(self, slack_se: float = 2.0) -> bool:
-        """||X||_k is non-decreasing in k; allow slack_se * se wiggle."""
-        d = np.diff(self.log_norms)
-        allow = slack_se * (self.ses[:-1] + self.ses[1:])
-        return bool(np.all(d >= -allow))
-
 
 @dataclass(frozen=True)
 class TailEstimate:
@@ -133,8 +132,8 @@ def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     """
     lm = s.log_magnitudes
     n = lm.shape[0]
-    if n < 100:
-        raise ValueError("need at least 100 samples")
+    if n < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if np.all(np.isneginf(lm)):
         raise DegenerateDistributionError("all samples are zero")
     buf = np.empty(n)
@@ -256,8 +255,8 @@ def estimate_theta_moments(curve: MomentCurve,
     absorb the Stirling-order bias of small-k windows; see the module
     docstring. correction="none" fits the plain two-term model.
     """
-    if len(curve.ks) < 4:
-        raise ValueError("curve needs at least 4 entries")
+    if len(curve.ks) < MIN_ORDERS:
+        raise ValueError(f"curve needs at least {MIN_ORDERS} entries")
     if correction not in ("finite-k", "none"):
         raise ValueError(f"unknown correction {correction!r}")
     k = curve.ks.astype(float)
@@ -280,6 +279,27 @@ def estimate_theta_moments(curve: MomentCurve,
                                      "correction": correction})
 
 
+def _tail_size(n: int, tail_fraction: float) -> int:
+    """The number of top order statistics a survival-slope fit uses."""
+    if not (0.0 < tail_fraction < 0.5):
+        raise ValueError("tail_fraction must be in (0, 0.5)")
+    m = int(tail_fraction * n)
+    if m < MIN_TAIL:
+        raise ValueError(f"tail_fraction * n_samples must be >= {MIN_TAIL}")
+    return m
+
+
+def check_tail_request(n_samples: int, k_min: int, k_max: int,
+                       tail_fraction: float) -> None:
+    """Raise ValueError for a tail-sweep request that fails on any draws."""
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
+    if k_min < 1 or k_max - k_min + 1 < MIN_ORDERS:
+        raise ValueError(f"need 1 <= k_min and at least {MIN_ORDERS} orders "
+                         f"in [k_min, k_max], got [{k_min}, {k_max}]")
+    _tail_size(n_samples, tail_fraction)
+
+
 def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate:
     """Weibull-plot estimator on the top tail_fraction order statistics.
 
@@ -288,12 +308,8 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     log(-log S) on log x.
     """
     s = as_sample_set(samples)
-    if not (0.0 < tail_fraction < 0.5):
-        raise ValueError("tail_fraction must be in (0, 0.5)")
     n = s.n_samples
-    m = int(tail_fraction * n)
-    if m < 200:
-        raise ValueError("tail_fraction * n_samples must be >= 200")
+    m = _tail_size(n, tail_fraction)
     top = np.sort(s.log_magnitudes)[::-1][:m]
     if np.isneginf(top).any():
         raise DegenerateDistributionError("tail contains exact zeros")

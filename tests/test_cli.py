@@ -172,6 +172,33 @@ class TestCovarianceCommand:
         assert not (out / "covariance.csv").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["tail-sweep", "--samples", "50"], "need at least 100 samples"),
+    (["tail-sweep", "--k-min", "5", "--k-max", "3"],
+     "need 1 <= k_min and at least 4 orders in [k_min, k_max], got [5, 3]"),
+    (["tail-sweep", "--k-min", "2", "--k-max", "4"],
+     "need 1 <= k_min and at least 4 orders in [k_min, k_max], got [2, 4]"),
+    (["tail-sweep", "--samples", "1000"],
+     "tail_fraction * n_samples must be >= 200"),
+    (["tail-sweep", "--tail-fraction", "0.7"],
+     "tail_fraction must be in (0, 0.5)"),
+    (["contours", "nan"], "q must be positive and finite, got nan"),
+    (["oracle-check", "--k-max", "0"], "need k_max >= 1, got 0"),
+], ids=["samples", "k-order", "k-count", "tail-count", "tail-fraction",
+        "contour-nan", "oracle-k-max"])
+def test_bad_request_exits_2_before_writing(args, message, net_ini, tmp_path,
+                                            capsys):
+    # a request no data could satisfy is a usage error, not an error row
+    if args[0] == "tail-sweep":
+        args = args + ["--config", str(net_ini)]
+    out = tmp_path / "o"
+    code = main(args + ["--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.splitlines() == [f"error: {message}"]
+    assert not list(out.glob("*.csv"))
+
+
 def test_seed_of_2_to_the_32_exits_2(net_ini, tmp_path, capsys):
     code = main(["tail-sweep", "--config", str(net_ini), "--samples", "1000",
                  "--seed", "4294967296", "--out", str(tmp_path / "o")])

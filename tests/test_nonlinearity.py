@@ -156,6 +156,15 @@ class TestApplySignedLog:
             assert out_lm[0] == pytest.approx(2000.0 + math.log(lam))
             assert out_lm[1] == pytest.approx(math.log(lam * alpha))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_zero_dimensional_input(self, spec):
+        for sign, lm in [(-1, 2.0), (1, -1.0), (0, -np.inf), (-1, 800.0)]:
+            got = apply_signed_log(spec, np.int8(sign), np.float64(lm))
+            want = apply_signed_log(spec, np.array([sign], dtype=np.int8),
+                                    np.array([lm]))
+            assert [np.ndim(v) for v in got] == [0, 0]
+            assert (got[0], got[1]) == (want[0][0], want[1][0])
+
     def test_zero_stays_zero_for_odd_families(self):
         signs = np.array([0], dtype=np.int8)
         lm = np.array([-np.inf])
@@ -176,6 +185,155 @@ class TestApplySignedLog:
             assert out_s[0] == 1 and out_lm[0] == lm[0]
         else:
             assert out_s[0] == 0 and out_lm[0] == -np.inf
+
+
+# Bit-exact pins of both forms, written as float.hex so that a change in
+# the last bit, or in the sign of a zero, fails. They cover outputs no
+# sampler digest reaches: the post-activation values of elu, selu, tanh and
+# sigmoid. log 750 is where e^u underflows for sigmoid but its log form
+# does not; 699.9 and 700.1 sit on either side of the e^700 asymptote cut.
+PIN_SPECS = ALL_SPECS + [NonlinearitySpec("prelu", (1.7,)),
+                         NonlinearitySpec("elu", (0.3,)),
+                         NonlinearitySpec("selu", (1.0, 2.0))]
+PIN_LOGS = [-math.inf, -800.0, -1.0, 0.0, 1.0, math.log(750.0), 699.9,
+            700.1, 2000.0]
+PIN_LINEAR = [-800.0, -30.0, -2.5, -0.5, -1e-300, 0.0, 1e-300, 0.5, 2.5,
+              800.0]
+
+# apply_signed_log of each PIN_LOGS entry with sign +1, then with sign -1,
+# then of zero: the output signs, then the output log-magnitudes
+PINNED_SIGNED_LOG = {
+    "identity": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf "
+        "-0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf"),
+    "relu": ("+++++++++0000000000",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf -inf "
+        "-inf -inf -inf -inf -inf -inf -inf -inf"),
+    "prelu(0.25)": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf "
+        "-0x1.90b17217f7d1dp+9 -0x1.317217f7d1cf8p+1 "
+        "-0x1.62e42fefa39efp+0 -0x1.8b90bfbe8e7bcp-2 0x1.4ef63b8be236bp+2 "
+        "0x1.5d41c11b3b616p+9 0x1.5d5b5ab4d4fbp+9 0x1.f3a746f404172p+10 "
+        "-inf"),
+    "prelu(0.0)": ("+++++++++0000000000",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf -inf "
+        "-inf -inf -inf -inf -inf -inf -inf -inf"),
+    "elu(1.0)": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf -inf "
+        "-0x1.2da588abc58e4p+0 -0x1.d5aeeff3b3c69p-2 "
+        "-0x1.179e1f3a32902p-4 0x0p+0 0x0p+0 0x0p+0 0x0p+0 -inf"),
+    "selu(1.0507,1.6733)": ("+++++++++---------0",
+        "-inf -0x1.8ff9ab67e5811p+9 -0x1.e6ad9f960446p-1 "
+        "0x1.9526069fbb9ffp-5 0x1.0ca93034fdddp+0 0x1.aad993950a95bp+2 "
+        "0x1.5df987cb4db22p+9 0x1.5e132164e74bcp+9 0x1.f4032a4c0d3f7p+10 "
+        "-inf -inf -0x1.3a651fafd630fp-1 0x1.b073cd6ed8424p-4 "
+        "0x1.fbe45b80dd332p-2 0x1.20e5f1a7b4eb9p-1 0x1.20e5f1a7b4eb9p-1 "
+        "0x1.20e5f1a7b4eb9p-1 0x1.20e5f1a7b4eb9p-1 -inf"),
+    "tanh": ("+++++++++---------0",
+        "-inf -inf -0x1.0b327f080f8b2p+0 -0x1.16e0ae99489e9p-2 "
+        "-0x1.1d5f857464446p-7 0x0p+0 0x0p+0 0x0p+0 0x0p+0 -inf -inf "
+        "-0x1.0b327f080f8b2p+0 -0x1.16e0ae99489e9p-2 "
+        "-0x1.1d5f857464446p-7 0x0p+0 0x0p+0 0x0p+0 0x0p+0 -inf"),
+    "sigmoid": ("+++++++++++++++++++",
+        "-0x1.62e42fefa39efp-1 -0x1.62e42fefa39efp-1 "
+        "-0x1.0d53c81b0d90ap-1 -0x1.40c7abfbec125p-2 -0x1.05be35f66512p-4 "
+        "-0x0p+0 -0x0p+0 0x0p+0 0x0p+0 -0x1.62e42fefa39efp-1 "
+        "-0x1.62e42fefa39efp-1 -0x1.c9ae79cc750a6p-1 "
+        "-0x1.5031eafefb049p+0 -0x1.641e9a60f89f2p+1 "
+        "-0x1.76fffffffffffp+9 -0x1.ac3c2d2582f8fp+1009 -inf -inf "
+        "-0x1.62e42fefa39efp-1"),
+    "prelu(1.7)": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf "
+        "-0x1.8fbc145f9bad6p+9 -0x1.e0a2fcdd6acdep-2 0x1.0fae81914a991p-1 "
+        "0x1.87d740c8a54c8p+0 0x1.c9a517b9f4719p+2 0x1.5e371ed39785dp+9 "
+        "0x1.5e50b86d311f7p+9 0x1.f421f5d032295p+10 -inf"),
+    "elu(0.3)": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf -inf "
+        "-0x1.30ee8c3bd0002p+1 -0x1.a9a34bc8c763bp+0 "
+        "-0x1.45b171bf7d9b1p+0 -0x1.34378fcbda721p+0 "
+        "-0x1.34378fcbda721p+0 -0x1.34378fcbda721p+0 "
+        "-0x1.34378fcbda721p+0 -inf"),
+    "selu(1.0,2.0)": ("+++++++++---------0",
+        "-inf -0x1.9p+9 -0x1p+0 0x0p+0 0x1p+0 0x1.a7af4787cb1e7p+2 "
+        "0x1.5df3333333333p+9 0x1.5e0cccccccccdp+9 0x1.f4p+10 -inf -inf "
+        "-0x1.f0cdc2cfcefb2p-2 0x1.e032dfd726eeap-3 0x1.3ff06c085d4cfp-1 "
+        "0x1.62e42fefa39efp-1 0x1.62e42fefa39efp-1 0x1.62e42fefa39efp-1 "
+        "0x1.62e42fefa39efp-1 -inf"),
+}
+# apply at each PIN_LINEAR point
+PINNED_APPLY = {
+    "identity":
+        "-0x1.9p+9 -0x1.ep+4 -0x1.4p+1 -0x1p-1 -0x1.56e1fc2f8f359p-997 "
+        "0x0p+0 0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
+    "relu":
+        "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x1.56e1fc2f8f359p-997 "
+        "0x1p-1 0x1.4p+1 0x1.9p+9",
+    "prelu(0.25)":
+        "-0x1.9p+7 -0x1.ep+2 -0x1.4p-1 -0x1p-3 -0x1.56e1fc2f8f359p-999 "
+        "0x0p+0 0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
+    "prelu(0.0)":
+        "-0x0p+0 -0x0p+0 -0x0p+0 -0x0p+0 -0x0p+0 0x0p+0 "
+        "0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
+    "elu(1.0)":
+        "-0x1p+0 -0x1.ffffffffffcb5p-1 -0x1.d5f8f47ed617bp-1 "
+        "-0x1.92e9a0720d3ecp-2 -0x1.56e1fc2f8f359p-997 0x0p+0 "
+        "0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
+    "selu(1.0507,1.6733)":
+        "-0x1.c21538a15c30bp+0 -0x1.c21538a15c026p+0 "
+        "-0x1.9d234994d984cp+0 -0x1.62300929dae16p-1 "
+        "-0x1.2d6ad4d76c33ap-996 0x0p+0 0x1.68445435c26cdp-997 "
+        "0x1.0cfaacd9e83e4p-1 0x1.50395810624ddp+1 0x1.a447ae147ae14p+9",
+    "tanh":
+        "-0x1p+0 -0x1p+0 -0x1.f9258260a71c2p-1 -0x1.d9353d7568af3p-2 "
+        "-0x1.56e1fc2f8f359p-997 0x0p+0 0x1.56e1fc2f8f359p-997 "
+        "0x1.d9353d7568af3p-2 0x1.f9258260a71c2p-1 0x1p+0",
+    "sigmoid":
+        "0x0p+0 0x1.a56e0c2ac7ccp-44 0x1.36b7112534848p-4 "
+        "0x1.829a0565978dfp-2 0x1p-1 0x1p-1 0x1p-1 0x1.3eb2fd4d34391p-1 "
+        "0x1.d9291ddb596f8p-1 0x1p+0",
+    "prelu(1.7)":
+        "-0x1.54p+10 -0x1.98p+5 -0x1.1p+2 -0x1.b333333333333p-1 "
+        "-0x1.2373498ed353fp-996 0x0p+0 0x1.56e1fc2f8f359p-997 0x1p-1 "
+        "0x1.4p+1 0x1.9p+9",
+    "elu(0.3)":
+        "-0x1.3333333333333p-2 -0x1.3333333333139p-2 "
+        "-0x1.19fbc5e5b3a7dp-2 -0x1.e37ec088dcb1bp-4 "
+        "-0x1.9b759505df0d1p-999 0x0p+0 0x1.56e1fc2f8f359p-997 0x1p-1 "
+        "0x1.4p+1 0x1.9p+9",
+    "selu(1.0,2.0)":
+        "-0x1p+1 -0x1.ffffffffffcb5p+0 -0x1.d5f8f47ed617bp+0 "
+        "-0x1.92e9a0720d3ecp-1 -0x1.56e1fc2f8f359p-996 0x0p+0 "
+        "0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
+}
+
+
+def _hexes(text):
+    return [float.fromhex(v).hex() for v in text.split()]
+
+
+@pytest.mark.parametrize("spec", PIN_SPECS, ids=str)
+def test_signed_log_is_pinned_bit_for_bit(spec):
+    n = len(PIN_LOGS)
+    signs = np.array([1] * n + [-1] * n + [0], dtype=np.int8)
+    lm = np.array(PIN_LOGS + PIN_LOGS + [-math.inf])
+    out_s, out_lm = apply_signed_log(spec, signs, lm)
+    want_s, want_lm = PINNED_SIGNED_LOG[str(spec)]
+    assert "".join({1: "+", -1: "-", 0: "0"}[int(v)] for v in out_s) == want_s
+    assert [float(v).hex() for v in out_lm] == _hexes(want_lm)
+
+
+@pytest.mark.parametrize("spec", PIN_SPECS, ids=str)
+def test_apply_is_pinned_bit_for_bit(spec):
+    out = apply(spec, np.array(PIN_LINEAR))
+    assert [float(v).hex() for v in out] == _hexes(PINNED_APPLY[str(spec)])
 
 
 class TestHomogeneity:

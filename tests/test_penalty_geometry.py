@@ -28,6 +28,8 @@ class TestLqPenalty:
             lq_penalty((1.0, float("nan")), 1.0)
         with pytest.raises(ValueError):
             lq_penalty((1.0,), 0.0)
+        with pytest.raises(ValueError):
+            lq_penalty((1.0,), math.nan)
 
     @given(st.lists(st.floats(min_value=-100, max_value=100,
                               allow_nan=False), min_size=1, max_size=30))
@@ -122,6 +124,13 @@ class TestContours:
             contour(1.0, -1.0)
         with pytest.raises(ValueError):
             contour(1.0, 1.0, 3)
+        # NaN compares false with everything, so only a test that q > 0
+        # holds, not one that q <= 0 fails, rejects it
+        for q, t in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)):
+            with pytest.raises(ValueError, match="positive and finite"):
+                contour(q, t)
+            with pytest.raises(ValueError, match="positive and finite"):
+                equal_coordinate(q, t)
 
     def test_constructed_points_are_validated(self):
         pts = np.array([[1.0, 0.0], [0.5, 0.2]])
