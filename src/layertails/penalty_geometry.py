@@ -115,13 +115,6 @@ class ContourSet:
                   + np.abs(self.points[:, 1]) ** self.q) ** (1.0 / self.q)
         return float(np.max(np.abs(radius - self.t)) / self.t)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# q = {self.q!r}, t = {self.t!r}\n")
-            fh.write("phi,x,y\n")
-            for phi, (x, y) in zip(self.phis, self.points):
-                fh.write(f"{float(phi)!r},{float(x)!r},{float(y)!r}\n")
-
 
 def contour(q: float, t: float, n_points: int = 400) -> ContourSet:
     """Superellipse parametrization of {(x, y): (|x|^q + |y|^q)^(1/q) = t}:

@@ -48,6 +48,9 @@ MIN_TAIL = 200
 # IQR of the standard normal, 2 * Phi^{-1}(3/4).
 _NORMAL_IQR = 2.0 * float(ndtri(0.75))
 
+# Points of the shared survival grid.
+_SURVIVAL_GRID = 400
+
 
 def as_sample_set(obj, kind: str = "pre") -> UnitSampleSet:
     """Coerce a raw value array into a UnitSampleSet (layer 0, synthetic)."""
@@ -433,10 +436,6 @@ class SurvivalCurves:
     standardized: bool
     gaussian_log_survival: np.ndarray | None = None
 
-    @property
-    def grid(self) -> np.ndarray:
-        return np.exp(self.grid_log)
-
     def ordering(self) -> list[tuple[int, int, float, float, bool]]:
         """Consecutive-pair comparisons at the shallower curve's 99.9th
         percentile grid point: (shallow, deep, logS_shallow, logS_deep, ok)."""
@@ -449,7 +448,7 @@ class SurvivalCurves:
             out.append((a, b, la, lb, ok))
         return out
 
-    def gaussian_match(self, layer: int, n_se: float = 3.0):
+    def gaussian_match(self, layer: int):
         """Compare one curve to the Gaussian reference up to its own 99.9th
         percentile grid point; returns (max |z|, ok).
 
@@ -457,9 +456,9 @@ class SurvivalCurves:
         The verdict is familywise: each compared grid count gets an exact
         two-sided binomial p-value against the reference survival, and the
         curve matches when the smallest one, times the number of points
-        (Bonferroni), is at least 2 Phi_bar(n_se). On reference draws the
-        whole curve is thus rejected at most as often as one n_se-sigma
-        Gaussian test (0.27% at 3); a pointwise n_se limit on max |z|
+        (Bonferroni), is at least 2 Phi_bar(3). On reference draws the
+        whole curve is thus rejected at most as often as one 3-sigma
+        Gaussian test (0.27%); a pointwise 3-se limit on max |z|
         would reject 7% of exactly Gaussian 3e4-draw curves. The price is
         power against small departures: at 3e4 draws a 2% scale error is
         rejected on 21% of seeds and a 3% one on 74%. With standardized
@@ -480,11 +479,11 @@ class SurvivalCurves:
         c, q = c[good], np.exp(ref[good])
         tail = np.minimum(bdtr(c, n, q), bdtrc(c - 1, n, q))
         p_adj = min(1.0, 2.0 * float(np.min(tail)) * c.size)
-        return zmax, bool(p_adj >= 2.0 * float(ndtr(-n_se)))
+        return zmax, bool(p_adj >= 2.0 * float(ndtr(-3.0)))
 
 
 def survival_curves(sample_sets: dict[int, UnitSampleSet],
-                    standardize: bool = True, n_grid: int = 400,
+                    standardize: bool = True,
                     gaussian_sigma: float | None = None) -> SurvivalCurves:
     """Build comparable per-layer survival curves from pre-unit samples.
 
@@ -512,7 +511,7 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     hi = max(float(v[min(v.size - 1, math.ceil(0.9995 * v.size) - 1)])
              for v in std_logs.values()) + math.log(1.05)
     lo = min(float(np.median(v)) for v in std_logs.values()) - math.log(4.0)
-    grid_log = np.linspace(lo, hi, n_grid)
+    grid_log = np.linspace(lo, hi, _SURVIVAL_GRID)
 
     log_surv, counts, ses, p999, n_pos = {}, {}, {}, {}, {}
     for l in layers:

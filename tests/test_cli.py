@@ -66,6 +66,20 @@ class TestContoursCommand:
         assert man.files["contour_q0.5.csv"] == sha256_file(
             out / "contour_q0.5.csv")
 
+    def test_repeated_file_name_exits_2_before_writing(self, tmp_path,
+                                                       capsys):
+        # 0.5 and 0.5000001 agree to the six digits a file name keeps
+        out = tmp_path / "con"
+        code = main(["contours", "0.5", "0.5000001", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: output file name repeated: contour_q0.5.csv"]
+        assert not out.exists()
+        assert main(["contours", "0.5", "1", "--out", str(out)]) == 0
+        man = RunManifest.load(out / "manifest.json")
+        assert set(man.files) == {"contour_q0.5.csv", "contour_q1.csv"}
+
 
 class TestOracleCommand:
     def test_small_run_passes_assert(self, tmp_path):
@@ -111,6 +125,24 @@ class TestTailSweepCommand:
                      "--assert"])
         assert code == 1
 
+    def test_estimator_errors_are_rows(self, tmp_path):
+        # in a (1, 1, 1, 1) relu net about 1/16 of the layer-4 post draws
+        # are non-zero, fewer than the top 10% the survival slope fits
+        ini = tmp_path / "tiny.ini"
+        write_config_file(ini, NetworkConfig(
+            input_dim=1, layer_widths=(1, 1, 1, 1),
+            nonlinearity=NonlinearitySpec("relu")))
+        args = ["tail-sweep", "--config", str(ini), "--kind", "post",
+                "--layers", "3,4", "--samples", "20000"]
+        out = tmp_path / "o"
+        assert main(args + ["--out", str(out)]) == 0
+        row = next(r for r in read_rows(out / "theta_summary.csv")
+                   if r["layer"] == "4" and r["method"] == "survival-slope")
+        assert row["theta_hat"] == ""
+        assert row["error"] == "tail contains exact zeros"
+        assert (out / "moments_layer4.csv").exists()
+        assert main(args + ["--out", str(tmp_path / "a"), "--assert"]) == 1
+
 
 class TestSurvivalCurvesCommand:
     def test_outputs_curves_reference_and_ordering(self, net_ini, tmp_path):
@@ -150,6 +182,16 @@ class TestSurvivalCurvesCommand:
         g1 = [r["log_x"] for r in read_rows(out / "survival_layer1.csv")]
         g2 = [r["log_x"] for r in read_rows(out / "survival_layer2.csv")]
         assert g1 == g2
+
+
+    def test_rejected_run_creates_no_out_dir(self, net_ini, tmp_path, capsys):
+        out = tmp_path / "s1"
+        code = main(["survival-curves", "--config", str(net_ini),
+                     "--samples", "50", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: layer 1: too few positive samples"]
+        assert not out.exists()
 
 
 class TestCovarianceCommand:
@@ -275,6 +317,29 @@ class TestRerun:
         assert code == 1
         assert "covariance.csv: MISMATCH" in printed
         assert "sampler version differs (manifest 3, this build 4)" in printed
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda m: dict(m, extra=1), "unknown field 'extra'"),
+        (lambda m: {k: v for k, v in m.items() if k != "params"},
+         "missing field 'params'"),
+        (lambda m: [m], "is not a JSON object"),
+        (lambda m: dict(m, params={k: v for k, v in m["params"].items()
+                                   if k != "qs"}),
+         "manifest params lack 'qs'"),
+    ], ids=["extra-field", "no-params", "list", "no-qs"])
+    def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
+                                        capsys):
+        out = tmp_path / "con"
+        main(["contours", "0.5", "--out", str(out)])
+        path = out / "manifest.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        code = main(["rerun", str(path), "--out", str(tmp_path / "replay")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and message in err[0]
+        assert not (tmp_path / "replay").exists()
 
     def test_rerun_is_self_contained(self, net_ini, tmp_path):
         # the manifest embeds the network; the original config can vanish

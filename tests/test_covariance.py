@@ -124,7 +124,7 @@ class TestSweep:
     def test_request_errors_raise_before_any_draw(self, cfg, x, kw,
                                                   monkeypatch):
         calls = []
-        monkeypatch.setattr(network_model, "run_sampler",
+        monkeypatch.setattr(network_model, "_conditional_chunk",
                             lambda *a, **k: calls.append(a))
         args = dict(layers=(1, 2), n_samples=10_000, seed=23, pair=(0, 1))
         args.update(kw)

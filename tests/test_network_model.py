@@ -250,7 +250,8 @@ class TestForward:
         cfg = small_config(nonlinearity=TANH)
         x = sample_input(8, seed)
         weights = _direct_weights(cfg, n, seed)
-        needs = dict(enumerate(cfg.layer_widths, start=1))
+        needs = {layer: list(range(width))
+                 for layer, width in enumerate(cfg.layer_widths, start=1)}
         got = run_sampler(cfg, x, n, needs, (seed, STREAM_DIRECT),
                           method="direct")
         post = [sample_units(cfg, x, layer, 0, "post", n, seed,
@@ -272,7 +273,8 @@ class TestForward:
         x = sample_input(8, seed)
         W1 = _direct_weights(cfg, n, seed)[0]
         assert W1.shape == (n, 6, 9)
-        signs, lms = run_sampler(cfg, x, n, {1: 6}, (seed, STREAM_DIRECT),
+        signs, lms = run_sampler(cfg, x, n, {1: list(range(6))},
+                                 (seed, STREAM_DIRECT),
                                  method="direct")[1]
         g1 = W1 @ np.concatenate([x, [1.0]])
         np.testing.assert_allclose(signs * np.exp(lms), g1, rtol=1e-12)
@@ -313,7 +315,9 @@ class TestSamplerLaw:
         for bias in (False, True):
             cfg = small_config(nonlinearity=cfg20.nonlinearity,
                                weight_std=(0.7, 1.5, 1.0), include_bias=bias)
-            got = run_sampler(cfg, x, n, {1: 6, 2: 5, 3: 4},
+            got = run_sampler(cfg, x, n, {1: list(range(6)),
+                                          2: list(range(5)),
+                                          3: list(range(4))},
                               (seed, STREAM_DIRECT), method="direct")
             weights = _direct_weights(cfg, n, seed)
             for i in range(n):

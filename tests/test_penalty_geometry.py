@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layertails.cli import main
 from layertails.penalty_geometry import (ContourSet, PenaltyBreakdown,
                                          contour, equal_coordinate,
                                          lq_penalty, unit_penalty,
@@ -138,12 +139,10 @@ class TestContours:
             ContourSet(q=1.0, t=1.0, phis=np.array([0.0, 1.0]), points=pts)
 
     def test_csv_export(self, tmp_path):
-        cs = contour(1.0, 1.0, 16)
-        path = tmp_path / "contour.csv"
-        cs.to_csv(path)
-        lines = path.read_text().splitlines()
+        assert main(["contours", "1", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "contour_q1.csv").read_text().splitlines()
         assert lines[1] == "phi,x,y"
-        assert len(lines) == 18
+        assert len(lines) == 402
         phi, px, py = map(float, lines[2].split(","))
         assert (phi, px, py) == (0.0, 1.0, 0.0)
 
