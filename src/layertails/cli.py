@@ -288,6 +288,13 @@ def _run_oracle_check(params: dict):
     return [table], worst <= 0.02, lines
 
 
+# JSON types of the runner parameters and list items, checked by rerun
+_PARAM_TYPES = {"seed": int, "workers": int, "samples": int, "k_min": int,
+                "k_max": int, "n_points": int, "kind": str, "network": dict,
+                "standardize": bool, "tail_fraction": float, "t": float,
+                "layers": list, "families": list, "qs": list}
+_ITEM_TYPES = {"layers": int, "families": str, "qs": float}
+
 _RUNNERS = {
     "tail-sweep": _run_tail_sweep,
     "survival-curves": _run_survival_curves,
@@ -440,6 +447,12 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
     if old.command not in _RUNNERS:
         raise ConfigFileError(f"manifest names unknown command {old.command!r}")
     params = dict(old.params)
+    bad = [k for k, v in params.items()
+           if not isinstance(v, _PARAM_TYPES.get(k, object))
+           or k in _ITEM_TYPES and not all(isinstance(e, _ITEM_TYPES[k])
+                                           for e in v)]
+    if bad:
+        raise ConfigFileError(f"manifest params of the wrong type: {bad}")
     if args.workers is not None:
         params["workers"] = args.workers
     out_dir = Path(args.out) if args.out else src.parent / "rerun"

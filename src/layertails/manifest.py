@@ -46,17 +46,21 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         """Read a manifest; raises ValueError when the file is not a JSON
-        object with the manifest's fields."""
+        object with the manifest's fields and their types."""
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
             raise ValueError(f"manifest {path} is not a JSON object")
         fields = dataclasses.fields(cls)
+        types = {"str": str, "dict": dict, "int": int, "float": (int, float)}
         problems = ([f"unknown field {name!r}" for name
                      in sorted(set(payload) - {f.name for f in fields})]
                     + [f"missing field {f.name!r}" for f in fields
                        if f.default is dataclasses.MISSING
-                       and f.name not in payload])
+                       and f.name not in payload]
+                    + [f"field {f.name!r} is not a JSON {f.type}" for f in fields
+                       if f.name in payload
+                       and not isinstance(payload[f.name], types[f.type])])
         if problems:
             raise ValueError(f"manifest {path}: {', '.join(problems)}")
         return cls(**payload)

@@ -31,12 +31,15 @@ and picks its layer step by the activation:
   probability N'/H', and its Z^2 is S' Beta(1/2, (K'-1)/2), where S' and K'
   are the remaining sum and count of its group (all of S' when K' = 1).
   A layer costs O(units requested) per draw, whatever its width.
-* elu, selu, tanh and sigmoid draw the full (b, H) matrix of normals Z
-  and sum ||phi(r Z)||^2 row by row in plain doubles: O(H) per layer per
-  draw. Rows with |log r| of 300 or more, dead rows (r = 0) and rows
-  whose sum is not a finite, positive, normal double apply the
-  activation in (sign, log-magnitude) form and reduce the norm by
-  log-sum-exp instead.
+* elu and selu are linear on the positive side only. Their half step draws
+  N and S+ likewise, then in place of S- the |Z| of the H - N negative
+  units: ||h(l)||^2 = lam^2 r_l^2 S+ + sum_i phi(-r_l |Z_i|)^2, O(H - N)
+  per layer per draw. A requested negative unit takes its row's next
+  unused |Z_i|, which is exact because the group is exchangeable.
+* tanh and sigmoid draw the full (b, H) matrix of normals Z: O(H).
+These two sum in plain doubles; rows with |log r| of 300 or more, dead
+rows (r = 0) and rows whose sum is not a finite, positive, normal double
+apply phi in (sign, log-magnitude) form and sum by log-sum-exp instead.
 
 "direct" draws a fresh weight matrix per layer per draw and runs the
 forward pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per
@@ -51,8 +54,8 @@ entropy_prefix, which accepts seeds in [0, 2^32) only. Chunk c of a
 request with entropy prefix E draws from SeedSequence(E + [c]), except in
 the exact step, where layer l of chunk c owns the child stream
 SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, S+ and S-
-first; then, for units 0, 1, ... in index order, a uniform (the unit's
-sign group), a normal and a chi-square (its share of the group's sum).
+(the half step: each row's negative |Z|), then per unit in index order a
+uniform (its sign group), a normal and a chi-square (its share of S+ or S-).
 So results are bit-identical for a given (config, x, seed) whatever the
 worker count, and unit m's draws are the same whether it is requested
 alone, with other units of its layer, or with other layers.
@@ -73,8 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigFileError, LayerOverflowError
-from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
-                           is_positively_homogeneous, side_slopes)
+from .nonlinearity import NonlinearitySpec, apply, apply_signed_log, side_slopes
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -84,7 +86,8 @@ from .nonlinearity import (NonlinearitySpec, apply, apply_signed_log,
 # 4: one covariance sweep draws every layer in one pass from the prefix
 #    (seed, STREAM_COVARIANCE, m, m'); only covariance output bytes differ
 #    from version 3.
-SAMPLER_VERSION = 4
+# 5: half step for elu and selu; log 2 + log_ndtr Gaussian reference.
+SAMPLER_VERSION = 5
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -286,15 +289,16 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
 
     key is the chunk's entropy (request prefix plus chunk index).
     """
-    if is_positively_homogeneous(config.nonlinearity):
+    if side_slopes(config.nonlinearity)[0] is not None:
         return _exact_chunk(config, log_q0, key, b, needs)
     return _matrix_chunk(config, log_q0, _generator(key), b, needs)
 
 
 def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
                  needs: dict[int, int]):
-    """Exact layer step of a positively homogeneous network: per layer, the
-    positive count and the two chi-square sums, then the requested units."""
+    """Exact layer step of an activation with a linear positive side: per
+    layer, the positive count and the two chi-square sums (the negative
+    units' |Z| in the half step), then the requested units."""
     lam, a = side_slopes(config.nonlinearity)
     top = max(needs)
     out = {}
@@ -304,14 +308,21 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
         rng = _generator(key, spawn_key=(layer,))
         n_pos = rng.binomial(H, 0.5, size=b)
         s_pos = 2.0 * rng.standard_gamma(0.5 * n_pos)
-        s_neg = 2.0 * rng.standard_gamma(0.5 * (H - n_pos))
+        if a is None:  # the H - N negative units' |Z|, row after row
+            s_neg, z_neg = None, np.abs(rng.standard_normal(np.sum(H - n_pos)))
+        else:
+            s_neg, z_neg = 2.0 * rng.standard_gamma(0.5 * (H - n_pos)), None
         if layer in needs:
             out[layer] = _stick_break(rng, log_r, H, n_pos, s_pos, s_neg,
-                                      needs[layer])
+                                      z_neg, needs[layer])
         if layer == top:
             break
-        with np.errstate(divide="ignore"):
-            log_sq = 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
+        if a is None:
+            log_sq = _half_log_sq_norm(config.nonlinearity, log_r, s_pos,
+                                       z_neg, H - n_pos)
+        else:
+            with np.errstate(divide="ignore"):
+                log_sq = 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
         log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
@@ -319,12 +330,15 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
 
 
 def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
-                 s_pos: np.ndarray, s_neg: np.ndarray, j: int):
+                 s_pos: np.ndarray, s_neg, z_neg, j: int):
     """Units 0..j-1 of a layer of H units, drawn in index order given the
-    number of positive units and the sums of Z^2 over each sign group."""
+    number of positive units and the sums of Z^2 over each sign group; in
+    the half step, a negative unit takes its row's next unused z_neg."""
     b = log_r.shape[0]
     n_pos = n_pos.copy()
     n_neg = H - n_pos
+    if z_neg is not None:  # padded, so rows with no |Z| left index in range
+        s_neg, ends, z_neg = np.zeros(b), np.cumsum(n_neg), np.append(z_neg, 0)
     signs = np.empty((b, j), dtype=np.int8)
     logabs = np.empty((b, j))
     for i in range(j):
@@ -336,6 +350,8 @@ def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
         u = rng.standard_normal(b) ** 2
         rest = 2.0 * rng.standard_gamma(0.5 * (k - 1))
         z2 = np.where(k == 1, s, s * (u / (u + rest)))
+        if z_neg is not None:
+            z2 = np.where(pos, z2, z_neg[ends - n_neg] ** 2)
         n_pos -= pos
         n_neg -= ~pos
         s_pos = np.where(pos, s_pos - z2, s_pos)
@@ -347,17 +363,38 @@ def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
     return signs, logabs
 
 
+def _half_log_sq_norm(phi: NonlinearitySpec, log_r, s_pos, z_neg, n_neg):
+    """_log_sq_norm for the half step: lam^2 r^2 S+ plus phi(-r z)^2 over
+    the row's n_neg entries z of the flat z_neg (reduceat skips empty rows,
+    giving them 0, not the next entry). Log-domain rows are reduced as
+    [sqrt(S+), -z..., 0...]: phi(r sqrt(S+))^2 = lam^2 r^2 S+, phi(0) = 0."""
+    lin = np.abs(log_r) < _LINEAR_LOG_R
+    r = np.exp(np.where(lin, log_r, 0.0))
+    full, neg_sq = n_neg > 0, np.zeros(r.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        h = apply(phi, np.repeat(-r, n_neg) * z_neg)
+        neg_sq[full] = np.add.reduceat(h * h, (np.cumsum(n_neg) - n_neg)[full])
+        sq = (side_slopes(phi)[0] * r) ** 2 * s_pos + neg_sq
+    ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
+    log_sq = np.log(np.where(ok, sq, 1.0))
+    if not np.all(ok):
+        rest, n = ~ok, n_neg[~ok]
+        V = np.zeros((n.size, 1 + np.max(n)))
+        V[:, 0] = np.sqrt(s_pos[rest])
+        V[:, 1:][np.arange(np.max(n)) < n[:, None]] = \
+            -z_neg[np.repeat(rest, n_neg)]
+        log_sq[rest] = _log_sq_norm_signed_log(phi, log_r[rest], V)
+    return log_sq
+
+
 def _matrix_chunk(config: NetworkConfig, log_q0: float, rng, b: int,
                   needs: dict[int, int]):
-    """Full-matrix layer step for activations that are not positively
-    homogeneous: every unit of every layer up to the deepest requested.
+    """Full-matrix layer step for activations with no linear side (tanh,
+    sigmoid): every unit of every layer up to the deepest requested.
 
     Each layer draws its (b, H) normals Z in one call. The requested units
-    are (sign, log r + log|Z|) of their columns. The norm of h = phi(r Z)
-    is a row dot product in plain doubles; only rows with |log r| at or
-    above _LINEAR_LOG_R, dead rows and rows whose sum is not a finite,
-    positive, normal double are reduced in log domain (_log_sq_norm).
-    Still O(H) per layer per draw.
+    are (sign, log r + log|Z|) of their columns; _log_sq_norm sums the
+    norm of h = phi(r Z).
     """
     top = max(needs)
     out = {}
@@ -389,13 +426,9 @@ def _scaled(log_r: np.ndarray, Z: np.ndarray):
 
 
 def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, Z: np.ndarray):
-    """log sum_i phi(r Z_i)^2 for each row of Z, where r = e^log_r.
-
-    Rows with |log r| below _LINEAR_LOG_R are summed in plain doubles. The
-    rest (dead rows, rows far outside double range) and any row whose
-    linear sum is not a finite, positive, normal double go to
-    _log_sq_norm_signed_log.
-    """
+    """log sum_i phi(r Z_i)^2 for each row of Z, where r = e^log_r: in plain
+    doubles for rows with |log r| below _LINEAR_LOG_R whose sum is a finite,
+    positive, normal double, else by _log_sq_norm_signed_log."""
     lin = np.abs(log_r) < _LINEAR_LOG_R
     r = np.exp(np.where(lin, log_r, 0.0))
     with np.errstate(over="ignore"):

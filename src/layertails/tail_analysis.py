@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, ndtr, ndtri
+from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateDistributionError
 from .network_model import STREAM_SYNTHETIC, UnitSampleSet, entropy_prefix
@@ -490,9 +490,9 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     Uses only the positive half of each (symmetric) sample. With
     standardize=True each layer is divided by its empirical interquartile
     range, computed in log domain so deep layers cannot overflow. The
-    Gaussian reference curve is the exact standardized positive-half
-    survival 2 Phi_bar(1.34898 u) (or 2 Phi_bar(u / sigma) unstandardized
-    when gaussian_sigma is given).
+    Gaussian reference is the exact positive-half log-survival, log 2 +
+    log_ndtr(-1.34898 u) standardized or log 2 + log_ndtr(-u / sigma) when
+    gaussian_sigma is given: finite where 2 Phi_bar(u) underflows.
     """
     layers = sorted(sample_sets)
     if not layers:
@@ -529,9 +529,9 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
 
     ref = None
     if standardize:
-        ref = np.log(2.0 * ndtr(-_NORMAL_IQR * np.exp(grid_log)))
+        ref = math.log(2.0) + log_ndtr(-_NORMAL_IQR * np.exp(grid_log))
     elif gaussian_sigma is not None:
-        ref = np.log(2.0 * ndtr(-np.exp(grid_log) / gaussian_sigma))
+        ref = math.log(2.0) + log_ndtr(-np.exp(grid_log) / gaussian_sigma)
 
     return SurvivalCurves(layers=layers, grid_log=grid_log,
                           log_survival=log_surv, counts=counts,

@@ -2,10 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import log_ndtr
 
 from layertails.cli import main
 from layertails.manifest import RunManifest, sha256_file
@@ -172,8 +173,27 @@ class TestSurvivalCurvesCommand:
         rows = read_rows(out / "gaussian_reference.csv")
         log_x = np.array([float(r["log_x"]) for r in rows])
         got = np.array([float(r["log_survival"]) for r in rows])
-        want = np.log(2.0 * ndtr(-np.exp(log_x) / sigma1))
+        want = math.log(2.0) + log_ndtr(-np.exp(log_x) / sigma1)
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_unstandardized_reference_is_finite_in_the_far_tail(self,
+                                                                 tmp_path):
+        # deeper elu layers stretch the grid to hundreds of layer-1 scales,
+        # where 2 Phi_bar underflows to 0 but its log stays finite
+        cfg = NetworkConfig(input_dim=40, layer_widths=(40, 40, 40),
+                            nonlinearity=NonlinearitySpec("elu", (1.0,)))
+        write_config_file(tmp_path / "elu.ini", cfg)
+        out = tmp_path / "curves"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["survival-curves", "--config", str(tmp_path / "elu.ini"),
+                         "--standardize", "false", "--samples", "30000",
+                         "--seed", "2", "--out", str(out)])
+        assert code == 0
+        rows = read_rows(out / "gaussian_reference.csv")
+        got = np.array([float(r["log_survival"]) for r in rows])
+        assert np.all(np.isfinite(got))
+        assert np.min(got) < -745.0  # below log of the least positive double
 
     def test_grid_is_shared_across_layers(self, net_ini, tmp_path):
         out = tmp_path / "curves"
@@ -316,7 +336,29 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "covariance.csv: MISMATCH" in printed
-        assert "sampler version differs (manifest 3, this build 4)" in printed
+        assert ("sampler version differs (manifest 3, this build "
+                f"{SAMPLER_VERSION})") in printed
+
+    def test_version_4_elu_manifest_is_named(self, tmp_path, capsys):
+        # version 5 draws elu and selu layers by the half step, so a
+        # version-4 elu run cannot replay byte for byte
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("elu", (1.0,)))
+        write_config_file(tmp_path / "elu.ini", cfg)
+        out = tmp_path / "curves"
+        main(["survival-curves", "--config", str(tmp_path / "elu.ini"),
+              "--samples", "20000", "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        man["sampler"] = 4
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "survival_layer2.csv: MISMATCH" in printed
+        assert "sampler version differs (manifest 4, this build 5)" in printed
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: dict(m, extra=1), "unknown field 'extra'"),
@@ -326,7 +368,11 @@ class TestRerun:
         (lambda m: dict(m, params={k: v for k, v in m["params"].items()
                                    if k != "qs"}),
          "manifest params lack 'qs'"),
-    ], ids=["extra-field", "no-params", "list", "no-qs"])
+        (lambda m: dict(m, params=3), "field 'params' is not a JSON dict"),
+        (lambda m: dict(m, params=dict(m["params"], qs="ab")),
+         "manifest params of the wrong type: ['qs']"),
+    ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
+            "string-qs"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"

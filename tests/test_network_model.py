@@ -18,6 +18,7 @@ from layertails.tail_analysis import relu_norm_oracle
 RELU = NonlinearitySpec("relu")
 TANH = NonlinearitySpec("tanh")
 ELU = NonlinearitySpec("elu", (1.0,))
+SELU = NonlinearitySpec("selu")
 SIGMOID = NonlinearitySpec("sigmoid")
 
 
@@ -402,8 +403,8 @@ class TestZeroInput:
 
 class _EluNet:
     """Reruns a class's cfg20 tests on an elu net, which the conditional
-    sampler steps through the full-matrix path rather than the exact one.
-    Subclasses may name another activation of that path."""
+    sampler steps through the exact half step. Subclasses may name another
+    activation; tanh and sigmoid take the full-matrix path."""
 
     nonlinearity = ELU
 
@@ -425,6 +426,10 @@ class TestMatrixPathLaw(_EluNet, TestSamplerLaw):
     pass
 
 
+class TestTanhPathDeterminism(_EluNet, TestSamplerDeterminism):
+    nonlinearity = TANH
+
+
 class TestTanhPathLaw(_EluNet, TestSamplerLaw):
     nonlinearity = TANH
 
@@ -433,7 +438,7 @@ class TestSigmoidPathLaw(_EluNet, TestSamplerLaw):
     nonlinearity = SIGMOID
 
 
-MATRIX_FAMILIES = [ELU, NonlinearitySpec("selu"), TANH, SIGMOID]
+MATRIX_FAMILIES = [ELU, SELU, TANH, SIGMOID]
 
 
 def _all_rows_log_domain(monkeypatch):
@@ -442,9 +447,10 @@ def _all_rows_log_domain(monkeypatch):
 
 
 class TestMatrixStepFallback:
-    """The full-matrix step sums each row's norm in plain doubles and hands
-    rows out of double range to the log-domain reduction; both must give
-    the same draws up to rounding."""
+    """The full-matrix step (tanh, sigmoid) and the half step (elu, selu)
+    sum each row's norm in plain doubles and hand rows out of double range
+    to the log-domain reduction; both must give the same draws up to
+    rounding."""
 
     @pytest.mark.parametrize("nonlinearity", MATRIX_FAMILIES,
                              ids=lambda spec: spec.family)
@@ -525,13 +531,16 @@ PRELU = NonlinearitySpec("prelu", (0.25,))
 
 
 class TestExactSampler:
-    """The exact step for relu, prelu and identity against the direct
-    forward pass, the relu moment oracle, and the stream contracts."""
+    """The exact step for relu, prelu and identity, and its half step for
+    elu and selu, against the direct forward pass, the relu moment oracle,
+    and the stream contracts."""
 
     @pytest.mark.parametrize("nonlinearity,bias,std", [
         (RELU, False, 1.0),
         (PRELU, True, (0.8, 1.5, 1.2)),
         (NonlinearitySpec("identity"), False, 1.0),
+        (ELU, True, (0.8, 1.5, 1.2)),
+        (SELU, True, (1.2, 0.7, 1.0)),
     ])
     def test_agrees_with_direct_at_depth_3(self, nonlinearity, bias, std):
         cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
@@ -580,17 +589,54 @@ class TestExactSampler:
         assert abs(np.mean(g2) - want) <= 4 * se
 
     def test_prelu_stream_is_request_shape_and_worker_invariant(self):
-        cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
-                            nonlinearity=PRELU)
-        x = sample_input(20, 11)
-        n = 10_000
-        alone = sample_units(cfg, x, 2, 0, "pre", n, 11)
-        joint_s, joint_lm = sample_joint_units(cfg, x, 2, (0, 1, 2), "pre",
-                                               n, (11, STREAM_UNITS))
-        multi = sample_layer_units(cfg, x, (1, 2, 3), "pre", n, 11,
-                                   workers=3)
-        np.testing.assert_array_equal(alone.signs, joint_s[:, 0])
-        np.testing.assert_array_equal(alone.log_magnitudes, joint_lm[:, 0])
-        np.testing.assert_array_equal(alone.signs, multi[2].signs)
-        np.testing.assert_array_equal(alone.log_magnitudes,
-                                      multi[2].log_magnitudes)
+        _assert_request_shape_and_worker_invariant(NetworkConfig(
+            input_dim=20, layer_widths=(20, 20, 20), nonlinearity=PRELU))
+
+    @pytest.mark.parametrize("nonlinearity", [ELU, SELU],
+                             ids=lambda spec: spec.family)
+    def test_half_step_stream_is_request_shape_and_worker_invariant(
+            self, nonlinearity):
+        _assert_request_shape_and_worker_invariant(NetworkConfig(
+            input_dim=20, layer_widths=(20, 20, 20), nonlinearity=nonlinearity,
+            weight_std=(0.8, 1.5, 1.2), include_bias=True))
+
+
+def _assert_request_shape_and_worker_invariant(cfg):
+    x = sample_input(20, 11)
+    n = 10_000
+    alone = sample_units(cfg, x, 2, 0, "pre", n, 11)
+    joint_s, joint_lm = sample_joint_units(cfg, x, 2, (0, 1, 2), "pre", n,
+                                           (11, STREAM_UNITS))
+    multi = sample_layer_units(cfg, x, (1, 2, 3), "pre", n, 11, workers=3)
+    np.testing.assert_array_equal(alone.signs, joint_s[:, 0])
+    np.testing.assert_array_equal(alone.log_magnitudes, joint_lm[:, 0])
+    np.testing.assert_array_equal(alone.signs, multi[2].signs)
+    np.testing.assert_array_equal(alone.log_magnitudes, multi[2].log_magnitudes)
+
+
+@pytest.mark.parametrize("families", [
+    [ELU, NonlinearitySpec("elu", (0.3,)), SELU],
+    [RELU, NonlinearitySpec("prelu", (0.3,)), NonlinearitySpec("identity")],
+    [TANH, SIGMOID],
+], ids=["half-step", "exact-step", "matrix-step"])
+def test_returned_units_carry_the_norm_that_scales_the_next_layer(families):
+    # given every unit g1 of layer 1, g2 = s2 sqrt(||phi(g1)||^2 + 1) Z with
+    # Z from draws that depend on neither phi nor the scale; so g2 over that
+    # factor is one array for all families of one step and every weight_std,
+    # unless the returned units disagree with the norm the step carried on
+    x = sample_input(4, 9)
+    ts = []
+    for phi in families:
+        for std in (1.0, (0.6, 1.7)):
+            cfg = NetworkConfig(input_dim=4, layer_widths=(3, 3),
+                                nonlinearity=phi, weight_std=std,
+                                include_bias=True)
+            got = run_sampler(cfg, x, 5000, {1: [0, 1, 2], 2: [0]},
+                              (9, STREAM_UNITS))
+            g1 = got[1][0] * np.exp(got[1][1])
+            g2 = got[2][0][:, 0] * np.exp(got[2][1][:, 0])
+            scale = cfg.weight_std_for(2) * np.sqrt(
+                np.sum(apply(phi, g1) ** 2, axis=1) + 1.0)
+            ts.append(g2 / scale)
+    for t in ts[1:]:
+        np.testing.assert_allclose(t, ts[0], rtol=1e-12)

@@ -406,6 +406,17 @@ class TestSurvivalCurves:
         assert len(checks) == 1
         assert checks[0][-1], checks
 
+    def test_reference_is_finite_where_its_survival_underflows(
+            self, gaussian_sets):
+        # place the last grid point at u = 38, where ndtr(-u) underflows to
+        # 0; log 2 + log_ndtr(-38) = -725.864
+        grid = survival_curves(gaussian_sets, standardize=False).grid_log
+        ref = survival_curves(gaussian_sets, standardize=False,
+                              gaussian_sigma=math.exp(grid[-1]) / 38.0
+                              ).gaussian_log_survival
+        assert np.all(np.isfinite(ref))
+        assert ref[-1] == pytest.approx(-725.86, abs=0.005)
+
     def test_unstandardized_needs_sigma_for_reference(self, gaussian_sets):
         curves = survival_curves(gaussian_sets, standardize=False)
         assert curves.gaussian_log_survival is None
