@@ -19,27 +19,22 @@ cross-checks them.
 "conditional" (the default) rests on the exact identity that, given
 h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
-depth can overflow (and a zero input gives log r_1 = -inf, a dead row),
-and picks its layer step by the activation:
-
-* relu, prelu and identity are positively homogeneous, phi(r z) = r phi(z),
-  so ||h(l)||^2 = r_l^2 S_l with S_l = lam^2 chi2_N + a^2 chi2_{H-N}, where
-  N ~ Bin(H, 1/2) counts the positive units and lam and a are the slopes
-  of the two sides. The exact step draws N, S+ = chi2_N and S- = chi2_{H-N},
-  then only the requested units, by stick-breaking conditional on them: with
-  N' positives left among H' remaining units, a unit is positive with
-  probability N'/H', and its Z^2 is S' Beta(1/2, (K'-1)/2), where S' and K'
-  are the remaining sum and count of its group (all of S' when K' = 1).
-  A layer costs O(units requested) per draw, whatever its width.
-* elu and selu are linear on the positive side only. Their half step draws
-  N and S+ likewise, then in place of S- the |Z| of the H - N negative
-  units: ||h(l)||^2 = lam^2 r_l^2 S+ + sum_i phi(-r_l |Z_i|)^2, O(H - N)
-  per layer per draw. A requested negative unit takes its row's next
-  unused |Z_i|, which is exact because the group is exchangeable.
-* tanh and sigmoid draw the full (b, H) matrix of normals Z: O(H).
-These two sum in plain doubles; rows with |log r| of 300 or more, dead
-rows (r = 0) and rows whose sum is not a finite, positive, normal double
-apply phi in (sign, log-magnitude) form and sum by log-sum-exp instead.
+depth can overflow (and a zero input gives log r_1 = -inf, a dead row).
+The sign and magnitude of each Z are independent, so one layer step serves
+every activation: it draws N ~ Bin(H, 1/2) positive units, then per sign
+group S = chi2 of the group's size if phi is linear on that side with
+slope c (adding c^2 r_l^2 S to ||h(l)||^2), else the group's |Z|. Then it
+draws only the requested units, by stick-breaking: with N' positives left
+among H' remaining units, a unit is positive with probability N'/H'. In a
+chi-square group its Z^2 is S' Beta(1/2, (K'-1)/2), S' and K' being the
+group's remaining sum and count (all of S' when K' = 1); in a |Z| group it
+takes its row's next unused |Z_i|, exact as the group is exchangeable.
+relu, prelu and identity are linear on both sides, so a layer costs
+O(units requested) per draw whatever its width; elu and selu draw the |Z|
+of their H - N negative units, tanh and sigmoid all H. Those sum in plain
+doubles; rows with |log r| of 300 or more, dead rows (r = 0) and rows
+whose sum is not a finite, positive, normal double apply phi in (sign,
+log-magnitude) form and sum by log-sum-exp instead.
 
 "direct" draws a fresh weight matrix per layer per draw and runs the
 forward pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per
@@ -51,16 +46,15 @@ Streams. Samples are generated in fixed-size chunks: DEFAULT_CHUNK draws
 for the conditional method, _DIRECT_CHUNK for the direct one. An entropy
 prefix E is (seed, stream tag, fields of the operation), built by
 entropy_prefix, which accepts seeds in [0, 2^32) only. Chunk c of a
-request with entropy prefix E draws from SeedSequence(E + [c]), except in
-the exact step, where layer l of chunk c owns the child stream
-SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, S+ and S-
-(the half step: each row's negative |Z|), then per unit in index order a
-uniform (its sign group), a normal and a chi-square (its share of S+ or S-).
-So results are bit-identical for a given (config, x, seed) whatever the
-worker count, and unit m's draws are the same whether it is requested
-alone, with other units of its layer, or with other layers.
-SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests record
-it.
+request with entropy prefix E draws from SeedSequence(E + [c]) in the
+direct method; in the conditional one, layer l of chunk c owns the child
+stream SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, then
+per sign group S or its |Z|, then per unit in index order a uniform (its
+sign group), a normal and a chi-square (its share of S). So results are
+bit-identical for a given (config, x, seed) whatever the worker count, and
+unit m's draws are the same whether it is requested alone, with other
+units of its layer, or with other layers. SAMPLER_VERSION numbers this
+seed-to-draws mapping; run manifests record it.
 """
 
 from __future__ import annotations
@@ -87,7 +81,9 @@ from .nonlinearity import NonlinearitySpec, apply, apply_signed_log, side_slopes
 #    (seed, STREAM_COVARIANCE, m, m'); only covariance output bytes differ
 #    from version 3.
 # 5: half step for elu and selu; log 2 + log_ndtr Gaussian reference.
-SAMPLER_VERSION = 5
+# 6: one conditional step for every activation; tanh and sigmoid draw N,
+#    then the |Z| of each sign group; every other stream is version 5's.
+SAMPLER_VERSION = 6
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -109,10 +105,17 @@ _DIRECT_CHUNK = 256
 # smaller ones (seed 2^32's chunk 0 is seed 0's chunk 1).
 _MAX_SEED = 2**32
 
-# The full-matrix step sums a row in plain doubles while |log r| is below
-# this: r Z and the sum of H squares of phi(r Z) then stay far inside
-# double range (e^600 against about e^709).
+# The conditional step sums a row's norm in plain doubles while |log r| is
+# below this, unless phi is linear on both sides: r |Z| and the sum of H
+# squares of phi(r Z) then stay far inside double range (e^600 against
+# about e^709).
 _LINEAR_LOG_R = 300.0
+
+# JSON types of the NetworkConfig.to_dict fields and of their list items
+_FIELD_TYPES = {"input_dim": (int,), "layer_widths": (list,),
+                "nonlinearity": (str,), "weight_std": (float, int, list),
+                "include_bias": (bool,), "seed": (int,)}
+_ITEM_TYPES = {"layer_widths": (int,), "weight_std": (float, int)}
 
 
 @dataclass(frozen=True)
@@ -173,13 +176,19 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
+        """The inverse of to_dict; ValueError names the fields whose JSON
+        type is wrong (a bool is not a number here)."""
+        bad = [k for k, types in _FIELD_TYPES.items() if type(d[k]) not in types
+               or type(d[k]) is list and any(type(e) not in _ITEM_TYPES[k]
+                                             for e in d[k])]
+        if bad:
+            raise ValueError(f"network fields of the wrong type: {bad}")
         std = d["weight_std"]
-        return cls(input_dim=int(d["input_dim"]),
+        return cls(input_dim=d["input_dim"],
                    layer_widths=tuple(d["layer_widths"]),
                    nonlinearity=NonlinearitySpec.parse(d["nonlinearity"]),
                    weight_std=tuple(std) if isinstance(std, list) else float(std),
-                   include_bias=bool(d["include_bias"]),
-                   seed=int(d["seed"]))
+                   include_bias=d["include_bias"], seed=d["seed"])
 
     def config_hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
@@ -286,20 +295,10 @@ def _generator(key, spawn_key=()) -> np.random.Generator:
 def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
                        b: int, needs: dict[int, int]):
     """One chunk of the conditional sampler; returns pre arrays per layer.
-
-    key is the chunk's entropy (request prefix plus chunk index).
-    """
-    if side_slopes(config.nonlinearity)[0] is not None:
-        return _exact_chunk(config, log_q0, key, b, needs)
-    return _matrix_chunk(config, log_q0, _generator(key), b, needs)
-
-
-def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
-                 needs: dict[int, int]):
-    """Exact layer step of an activation with a linear positive side: per
-    layer, the positive count and the two chi-square sums (the negative
-    units' |Z| in the half step), then the requested units."""
-    lam, a = side_slopes(config.nonlinearity)
+    key is the chunk's entropy (request prefix plus chunk index). A layer
+    draws N, then for the positive and the negative group its chi-square
+    sum if side_slopes gives that side a slope, else its |Z| row after row."""
+    slopes = side_slopes(config.nonlinearity)
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
@@ -307,55 +306,53 @@ def _exact_chunk(config: NetworkConfig, log_q0: float, key: tuple, b: int,
         H = config.layer_widths[layer - 1]
         rng = _generator(key, spawn_key=(layer,))
         n_pos = rng.binomial(H, 0.5, size=b)
-        s_pos = 2.0 * rng.standard_gamma(0.5 * n_pos)
-        if a is None:  # the H - N negative units' |Z|, row after row
-            s_neg, z_neg = None, np.abs(rng.standard_normal(np.sum(H - n_pos)))
-        else:
-            s_neg, z_neg = 2.0 * rng.standard_gamma(0.5 * (H - n_pos)), None
+        counts = (n_pos, H - n_pos)
+        draws = [2.0 * rng.standard_gamma(0.5 * n) if c is not None
+                 else np.abs(rng.standard_normal(np.sum(n)))
+                 for c, n in zip(slopes, counts)]
         if layer in needs:
-            out[layer] = _stick_break(rng, log_r, H, n_pos, s_pos, s_neg,
-                                      z_neg, needs[layer])
+            out[layer] = _stick_break(rng, log_r, H, slopes, counts, draws,
+                                      needs[layer])
         if layer == top:
             break
-        if a is None:
-            log_sq = _half_log_sq_norm(config.nonlinearity, log_r, s_pos,
-                                       z_neg, H - n_pos)
-        else:
-            with np.errstate(divide="ignore"):
-                log_sq = 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
+        log_sq = _log_sq_norm(config.nonlinearity, log_r, counts, draws)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
         log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
     return out
 
 
-def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
-                 s_pos: np.ndarray, s_neg, z_neg, j: int):
+def _stick_break(rng, log_r: np.ndarray, H: int, slopes, counts, draws,
+                 j: int):
     """Units 0..j-1 of a layer of H units, drawn in index order given the
-    number of positive units and the sums of Z^2 over each sign group; in
-    the half step, a negative unit takes its row's next unused z_neg."""
+    size of each sign group and its draw: a unit of a chi-square group
+    takes a Beta share of the group's sum, a unit of a |Z| group its row's
+    next unused entry (exact, since the group is exchangeable)."""
     b = log_r.shape[0]
-    n_pos = n_pos.copy()
-    n_neg = H - n_pos
-    if z_neg is not None:  # padded, so rows with no |Z| left index in range
-        s_neg, ends, z_neg = np.zeros(b), np.cumsum(n_neg), np.append(z_neg, 0)
+    left = [n.copy() for n in counts]
+    sums = [d if c is not None else np.zeros(b) for c, d in zip(slopes, draws)]
+    # a |Z| group's next entry sits at ends - left; the padding keeps rows
+    # with none left in range
+    flats = [None if c is not None else (np.append(d, 0), np.cumsum(n))
+             for c, d, n in zip(slopes, draws, counts)]
     signs = np.empty((b, j), dtype=np.int8)
     logabs = np.empty((b, j))
     for i in range(j):
-        pos = rng.random(b) * (H - i) < n_pos
-        k = np.where(pos, n_pos, n_neg)
-        s = np.where(pos, s_pos, s_neg)
+        pos = rng.random(b) * (H - i) < left[0]
+        k = np.where(pos, *left)
+        s = np.where(pos, *sums)
         # Z^2 / S' ~ Beta(1/2, (K'-1)/2), drawn as chi2_1 / (chi2_1 +
         # chi2_{K'-1}); the last unit of a group takes all that is left.
         u = rng.standard_normal(b) ** 2
         rest = 2.0 * rng.standard_gamma(0.5 * (k - 1))
         z2 = np.where(k == 1, s, s * (u / (u + rest)))
-        if z_neg is not None:
-            z2 = np.where(pos, z2, z_neg[ends - n_neg] ** 2)
-        n_pos -= pos
-        n_neg -= ~pos
-        s_pos = np.where(pos, s_pos - z2, s_pos)
-        s_neg = np.where(pos, s_neg, s_neg - z2)
+        took = (pos, ~pos)
+        for t, n, flat in zip(took, left, flats):
+            if flat is not None:
+                z2 = np.where(t, flat[0][flat[1] - n] ** 2, z2)
+        for g, t in enumerate(took):
+            left[g] -= t
+            sums[g] = np.where(t, sums[g] - z2, sums[g])
         with np.errstate(divide="ignore"):
             logabs[:, i] = log_r + 0.5 * np.log(z2)
         signs[:, i] = np.where(pos, 1, -1)
@@ -363,95 +360,61 @@ def _stick_break(rng, log_r: np.ndarray, H: int, n_pos: np.ndarray,
     return signs, logabs
 
 
-def _half_log_sq_norm(phi: NonlinearitySpec, log_r, s_pos, z_neg, n_neg):
-    """_log_sq_norm for the half step: lam^2 r^2 S+ plus phi(-r z)^2 over
-    the row's n_neg entries z of the flat z_neg (reduceat skips empty rows,
-    giving them 0, not the next entry). Log-domain rows are reduced as
-    [sqrt(S+), -z..., 0...]: phi(r sqrt(S+))^2 = lam^2 r^2 S+, phi(0) = 0."""
-    lin = np.abs(log_r) < _LINEAR_LOG_R
-    r = np.exp(np.where(lin, log_r, 0.0))
-    full, neg_sq = n_neg > 0, np.zeros(r.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        h = apply(phi, np.repeat(-r, n_neg) * z_neg)
-        neg_sq[full] = np.add.reduceat(h * h, (np.cumsum(n_neg) - n_neg)[full])
-        sq = (side_slopes(phi)[0] * r) ** 2 * s_pos + neg_sq
-    ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
-    log_sq = np.log(np.where(ok, sq, 1.0))
-    if not np.all(ok):
-        rest, n = ~ok, n_neg[~ok]
-        V = np.zeros((n.size, 1 + np.max(n)))
-        V[:, 0] = np.sqrt(s_pos[rest])
-        V[:, 1:][np.arange(np.max(n)) < n[:, None]] = \
-            -z_neg[np.repeat(rest, n_neg)]
-        log_sq[rest] = _log_sq_norm_signed_log(phi, log_r[rest], V)
-    return log_sq
-
-
-def _matrix_chunk(config: NetworkConfig, log_q0: float, rng, b: int,
-                  needs: dict[int, int]):
-    """Full-matrix layer step for activations with no linear side (tanh,
-    sigmoid): every unit of every layer up to the deepest requested.
-
-    Each layer draws its (b, H) normals Z in one call. The requested units
-    are (sign, log r + log|Z|) of their columns; _log_sq_norm sums the
-    norm of h = phi(r Z).
+def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
+    """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's draws:
+    c^2 r^2 S for a group of slope c and sum S, and phi(+-r |Z_i|)^2 summed
+    over a |Z| group. With both sides linear that is
+    2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise a row sums in
+    plain doubles if |log r| is below _LINEAR_LOG_R and the sum is a
+    finite, positive, normal double (reduceat skips empty rows, giving them
+    0, not the next entry); the rest apply phi in (sign, log-magnitude)
+    form and sum by log-sum-exp, each row as its groups' entries
+    [+-sqrt(S) or +-|Z_i|...], as phi(+-r sqrt(S))^2 = c^2 r^2 S. Rows
+    differ in length only beside a linear side's one entry, and phi(0) = 0
+    when a side is linear, so the zeros that pad them add nothing.
     """
-    top = max(needs)
-    out = {}
-    log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
-    for layer in range(1, top + 1):
-        H = config.layer_widths[layer - 1]
-        Z = rng.standard_normal((b, H))
-        if layer in needs:
-            out[layer] = _scaled(log_r, Z[:, :needs[layer]])
-        if layer == top:
-            break
-        log_sq = _log_sq_norm(config.nonlinearity, log_r, Z)
-        if config.include_bias:
-            log_sq = np.logaddexp(log_sq, 0.0)
-        log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
-    return out
-
-
-def _scaled(log_r: np.ndarray, Z: np.ndarray):
-    """(sign, log|g|) of g = r Z row by row; every unit of a dead row
-    (log r = -inf) is zero."""
-    with np.errstate(divide="ignore"):
-        logabs = log_r[:, None] + np.log(np.abs(Z))
-    signs = np.sign(Z).astype(np.int8)
-    dead = np.isneginf(log_r)
-    signs[dead] = 0
-    logabs[dead] = -np.inf
-    return signs, logabs
-
-
-def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, Z: np.ndarray):
-    """log sum_i phi(r Z_i)^2 for each row of Z, where r = e^log_r: in plain
-    doubles for rows with |log r| below _LINEAR_LOG_R whose sum is a finite,
-    positive, normal double, else by _log_sq_norm_signed_log."""
+    slopes = side_slopes(phi)
+    if None not in slopes:
+        (lam, a), (s_pos, s_neg) = slopes, draws
+        with np.errstate(divide="ignore"):
+            return 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
+    groups = list(zip((1.0, -1.0), slopes, counts, draws))
     lin = np.abs(log_r) < _LINEAR_LOG_R
     r = np.exp(np.where(lin, log_r, 0.0))
-    with np.errstate(over="ignore"):
-        h = apply(phi, Z * r[:, None])
-        sq = np.einsum("ij,ij->i", h, h)
+    sq = np.zeros(r.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sign, c, n, d in groups:
+            if c is not None:
+                sq += (c * r) ** 2 * d
+                continue
+            h = apply(phi, np.repeat(sign * r, n) * d)
+            part, full = np.zeros_like(sq), n > 0
+            part[full] = np.add.reduceat(h * h, (np.cumsum(n) - n)[full])
+            sq += part
     ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
     log_sq = np.log(np.where(ok, sq, 1.0))
-    if not np.all(ok):
-        rest = ~ok
-        log_sq[rest] = _log_sq_norm_signed_log(phi, log_r[rest], Z[rest])
-    return log_sq
-
-
-def _log_sq_norm_signed_log(phi: NonlinearitySpec, log_r: np.ndarray,
-                            Z: np.ndarray):
-    """_log_sq_norm in (sign, log-magnitude) form, by log-sum-exp: finite
-    at any |log r|, and -inf for a dead row."""
-    _, logabs_h = apply_signed_log(phi, *_scaled(log_r, Z))
-    m = np.max(logabs_h, axis=1)
+    if np.all(ok):
+        return log_sq
+    rest = ~ok
+    sizes = [np.ones(np.sum(rest), int) if c is not None else n[rest]
+             for _, c, n, _ in groups]
+    col = np.arange(np.max(sum(sizes)))
+    V, start = np.zeros((sizes[0].size, col.size)), np.zeros_like(sizes[0])
+    for (sign, c, n, d), k in zip(groups, sizes):
+        cells = (col >= start[:, None]) & (col < (start + k)[:, None])
+        V[cells] = sign * (np.sqrt(d[rest]) if c is not None
+                           else d[np.repeat(rest, n)])
+        start = start + k
+    with np.errstate(divide="ignore"):
+        logabs = log_r[rest, None] + np.log(np.abs(V))
+    _, logabs = apply_signed_log(phi, np.sign(V).astype(np.int8), logabs)
+    m = np.max(logabs, axis=1)
     with np.errstate(invalid="ignore"):
-        log_sq = 2.0 * m + np.log(
-            np.sum(np.exp(2.0 * (logabs_h - m[:, None])), axis=1))
-    return np.where(np.isneginf(m), -np.inf, log_sq)
+        lse = 2.0 * m + np.log(np.sum(np.exp(2.0 * (logabs - m[:, None])),
+                                      axis=1))
+    # m = -inf where every phi(r V_i) is 0, as in a dead row of elu or tanh
+    log_sq[rest] = np.where(np.isneginf(m), -np.inf, lse)
+    return log_sq
 
 
 def _direct_chunk(config: NetworkConfig, x: np.ndarray, rng, b: int,

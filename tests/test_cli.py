@@ -15,6 +15,16 @@ from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
 from layertails.nonlinearity import NonlinearitySpec
 
 
+def _network_edit(**fields):
+    """A manifest edit that makes a survival-curves manifest whose
+    params.network is a valid (4; 3) relu network with fields replaced."""
+    net = NetworkConfig(input_dim=4, layer_widths=(3,),
+                        nonlinearity=NonlinearitySpec("relu")).to_dict()
+    params = {"seed": 0, "workers": 1, "network": dict(net, **fields),
+              "layers": [1], "samples": 20000, "standardize": True}
+    return lambda m: dict(m, command="survival-curves", params=params)
+
+
 @pytest.fixture()
 def net_ini(tmp_path):
     cfg = NetworkConfig(input_dim=30, layer_widths=(40, 40),
@@ -339,17 +349,20 @@ class TestRerun:
         assert ("sampler version differs (manifest 3, this build "
                 f"{SAMPLER_VERSION})") in printed
 
-    def test_version_4_elu_manifest_is_named(self, tmp_path, capsys):
-        # version 5 draws elu and selu layers by the half step, so a
-        # version-4 elu run cannot replay byte for byte
+    @pytest.mark.parametrize("family,version", [("elu", 4), ("tanh", 5)],
+                             ids=["elu-4", "tanh-5"])
+    def test_version_4_elu_manifest_is_named(self, family, version, tmp_path,
+                                             capsys):
+        # version 5 changed the elu and selu streams and version 6 the tanh
+        # and sigmoid ones, so runs of the version before cannot replay
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
-                            nonlinearity=NonlinearitySpec("elu", (1.0,)))
-        write_config_file(tmp_path / "elu.ini", cfg)
+                            nonlinearity=NonlinearitySpec(family))
+        write_config_file(tmp_path / "net.ini", cfg)
         out = tmp_path / "curves"
-        main(["survival-curves", "--config", str(tmp_path / "elu.ini"),
+        main(["survival-curves", "--config", str(tmp_path / "net.ini"),
               "--samples", "20000", "--out", str(out)])
         man = json.loads((out / "manifest.json").read_text())
-        man["sampler"] = 4
+        man["sampler"] = version
         man["files"] = {name: "0" * 64 for name in man["files"]}
         (out / "manifest.json").write_text(json.dumps(man))
         capsys.readouterr()
@@ -358,7 +371,8 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "survival_layer2.csv: MISMATCH" in printed
-        assert "sampler version differs (manifest 4, this build 5)" in printed
+        assert (f"sampler version differs (manifest {version}, this build "
+                f"{SAMPLER_VERSION})") in printed
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: dict(m, extra=1), "unknown field 'extra'"),
@@ -371,8 +385,21 @@ class TestRerun:
         (lambda m: dict(m, params=3), "field 'params' is not a JSON dict"),
         (lambda m: dict(m, params=dict(m["params"], qs="ab")),
          "manifest params of the wrong type: ['qs']"),
+        (_network_edit(weight_std={}),
+         "network fields of the wrong type: ['weight_std']"),
+        (_network_edit(seed=None),
+         "network fields of the wrong type: ['seed']"),
+        (_network_edit(layer_widths=4),
+         "network fields of the wrong type: ['layer_widths']"),
+        (_network_edit(nonlinearity=3),
+         "network fields of the wrong type: ['nonlinearity']"),
+        (_network_edit(include_bias="yes"),
+         "network fields of the wrong type: ['include_bias']"),
+        (_network_edit(input_dim=2.5),
+         "network fields of the wrong type: ['input_dim']"),
     ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
-            "string-qs"])
+            "string-qs", "dict-std", "null-seed", "int-widths", "int-phi",
+            "string-bias", "float-dim"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -402,9 +403,10 @@ class TestZeroInput:
 
 
 class _EluNet:
-    """Reruns a class's cfg20 tests on an elu net, which the conditional
-    sampler steps through the exact half step. Subclasses may name another
-    activation; tanh and sigmoid take the full-matrix path."""
+    """Reruns a class's cfg20 tests on an elu net, whose negative units the
+    conditional step draws as |Z| and whose norm it sums in plain doubles.
+    Subclasses may name another activation; tanh and sigmoid draw both
+    sign groups as |Z|."""
 
     nonlinearity = ELU
 
@@ -447,10 +449,10 @@ def _all_rows_log_domain(monkeypatch):
 
 
 class TestMatrixStepFallback:
-    """The full-matrix step (tanh, sigmoid) and the half step (elu, selu)
-    sum each row's norm in plain doubles and hand rows out of double range
-    to the log-domain reduction; both must give the same draws up to
-    rounding."""
+    """For activations not linear on both sides (elu, selu, tanh, sigmoid)
+    the conditional step sums each row's norm in plain doubles and hands
+    rows out of double range to the log-domain reduction; both must give
+    the same draws up to rounding."""
 
     @pytest.mark.parametrize("nonlinearity", MATRIX_FAMILIES,
                              ids=lambda spec: spec.family)
@@ -531,9 +533,10 @@ PRELU = NonlinearitySpec("prelu", (0.25,))
 
 
 class TestExactSampler:
-    """The exact step for relu, prelu and identity, and its half step for
-    elu and selu, against the direct forward pass, the relu moment oracle,
-    and the stream contracts."""
+    """The conditional step for every family (chi-square sums for relu,
+    prelu and identity; |Z| groups for elu, selu, tanh and sigmoid) against
+    the direct forward pass, the relu moment oracle, and the stream
+    contracts."""
 
     @pytest.mark.parametrize("nonlinearity,bias,std", [
         (RELU, False, 1.0),
@@ -541,6 +544,8 @@ class TestExactSampler:
         (NonlinearitySpec("identity"), False, 1.0),
         (ELU, True, (0.8, 1.5, 1.2)),
         (SELU, True, (1.2, 0.7, 1.0)),
+        (TANH, True, (0.8, 1.5, 1.2)),
+        (SIGMOID, True, (1.2, 0.7, 1.0)),
     ])
     def test_agrees_with_direct_at_depth_3(self, nonlinearity, bias, std):
         cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
@@ -592,7 +597,7 @@ class TestExactSampler:
         _assert_request_shape_and_worker_invariant(NetworkConfig(
             input_dim=20, layer_widths=(20, 20, 20), nonlinearity=PRELU))
 
-    @pytest.mark.parametrize("nonlinearity", [ELU, SELU],
+    @pytest.mark.parametrize("nonlinearity", [ELU, SELU, TANH, SIGMOID],
                              ids=lambda spec: spec.family)
     def test_half_step_stream_is_request_shape_and_worker_invariant(
             self, nonlinearity):
@@ -640,3 +645,62 @@ def test_returned_units_carry_the_norm_that_scales_the_next_layer(families):
             ts.append(g2 / scale)
     for t in ts[1:]:
         np.testing.assert_allclose(t, ts[0], rtol=1e-12)
+
+
+PIN_CONFIGS = {
+    "bias-depth3": dict(input_dim=20, layer_widths=(20, 20, 20),
+                        weight_std=(0.7, 1.5, 1.0), include_bias=True),
+    # elu and selu rows pass |log r| = _LINEAR_LOG_R near layer 53, so their
+    # deep layers mix plain-double and log-domain norms
+    "depth60-std100": dict(input_dim=10, layer_widths=(10,) * 60,
+                           weight_std=100.0),
+}
+
+# sha256 of run_sampler's (signs, log-magnitudes) bytes, layer by layer;
+# relu to selu are sampler version 5's, tanh and sigmoid version 6's
+PINNED_STREAMS = {
+    ("relu", "bias-depth3"):
+        "880710078e1bec911974ac7d4f310355a45b7e53b6f22e28a38dd501e9c2cfb4",
+    ("relu", "depth60-std100"):
+        "6b5fb97e0ca35a20b89923bb1c909763ce175844dc6723ad37ec2de522ad5396",
+    ("prelu(0.3)", "bias-depth3"):
+        "110da19e91ce1220c4c1537eb415d557d482931eee6485952fd675cc58929ceb",
+    ("prelu(0.3)", "depth60-std100"):
+        "2ff146caa45c59ac164235405cab1cc5a9b8ae3988a10ca15eac65e1d3f9ad0c",
+    ("identity", "bias-depth3"):
+        "09d475c33c2ff79b6efd8efd410a43d2c0620e5a4cda893242aa9ee6d7597ebd",
+    ("identity", "depth60-std100"):
+        "2772cd701b7fff502b565f8e4ee85449a7cbacf667b2b40a0024572c17a97580",
+    ("elu(1.0)", "bias-depth3"):
+        "700d47151e4bfa9bf113a06cb935512b168a1ab6a9ee1f903cc5ea54d9958c2b",
+    ("elu(1.0)", "depth60-std100"):
+        "398ef2d63af90b77e15c81887100f19020de5c998785c4f4315bedf87c7df5b4",
+    ("selu", "bias-depth3"):
+        "8ee88c5e402057fbddae11b24fea08dcf92f71ee2e98dcd56e3bb7f562a88819",
+    ("selu", "depth60-std100"):
+        "6fce2c8bc38c759c2138d3e10ab7c71004a67b0db9d27dc43f30c35cdf46a3f4",
+    ("tanh", "bias-depth3"):
+        "e01951fd67c91a3b31a7f25693b66aab1b83709478d727f9488a184ffa7c3fa3",
+    ("tanh", "depth60-std100"):
+        "0a24004bd8c8237dd4d05f2ce9f1d55c005cd03b8621ed528beed882621193d9",
+    ("sigmoid", "bias-depth3"):
+        "c49c035521bdf0de1ce4fd1f7f0db651abea4366f8df424825693401d987304b",
+    ("sigmoid", "depth60-std100"):
+        "9d59b7771b7f4a33f529a2e0d65fc4e552380b047565ef29f84eba34c9c79d91",
+}
+
+
+@pytest.mark.parametrize("family,config", sorted(PINNED_STREAMS))
+def test_conditional_stream_is_pinned_bit_for_bit(family, config):
+    # the seed -> output-bytes contract: a change here is a new
+    # SAMPLER_VERSION, not a new digest
+    cfg = NetworkConfig(nonlinearity=NonlinearitySpec.parse(family),
+                        **PIN_CONFIGS[config])
+    got = run_sampler(cfg, sample_input(cfg.input_dim, 13), 3000,
+                      {1: [0], 2: [0, 1, 2], cfg.depth: [0, 4]},
+                      (13, STREAM_UNITS))
+    digest = hashlib.sha256()
+    for layer in sorted(got):
+        digest.update(got[layer][0].tobytes())
+        digest.update(got[layer][1].tobytes())
+    assert digest.hexdigest() == PINNED_STREAMS[family, config]
