@@ -8,6 +8,12 @@ Config and I/O problems exit 2, as do requests that no draws could
 satisfy and runs whose tables share a file name; such a run creates no
 --out directory.
 
+Each subcommand's row in _COMMANDS gives its runner and the JSON type of
+every parameter the runner reads. A run takes those parameters from the
+parsed arguments and records them as the manifest's params; rerun checks
+a manifest's params against the same row, with exact JSON types (a bool
+is not a number), and exits 2 before any work if one is missing or wrong.
+
 Subcommands:
   tail-sweep       moment curves, tail estimates (both estimators), recursion verdicts
   survival-curves  per-layer log-survival of pre-nonlinearity units on a shared grid
@@ -30,8 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .covariance_verifier import sweep
-from .errors import ConfigFileError
-from .manifest import RunManifest, build_manifest, sha256_file
+from .errors import ConfigFileError, is_json_type
+from .manifest import RunManifest, build_manifest
 from .network_model import (NetworkConfig, parse_config_file, sample_input,
                             sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
@@ -66,14 +72,6 @@ def _write_rows(path: Path, comments: list[str], header: str, rows) -> None:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _resolve_layers(requested, config: NetworkConfig) -> list[int]:
-    layers = sorted(set(requested)) if requested else list(range(1, config.depth + 1))
-    bad = [l for l in layers if not 1 <= l <= config.depth]
-    if bad:
-        raise ConfigFileError(f"layers {bad} out of range 1..{config.depth}")
-    return layers
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +286,20 @@ def _run_oracle_check(params: dict):
     return [table], worst <= 0.02, lines
 
 
-# JSON types of the runner parameters and list items, checked by rerun
-_PARAM_TYPES = {"seed": int, "workers": int, "samples": int, "k_min": int,
-                "k_max": int, "n_points": int, "kind": str, "network": dict,
-                "standardize": bool, "tail_fraction": float, "t": float,
-                "layers": list, "families": list, "qs": list}
-_ITEM_TYPES = {"layers": int, "families": str, "qs": float}
-
-_RUNNERS = {
-    "tail-sweep": _run_tail_sweep,
-    "survival-curves": _run_survival_curves,
-    "covariance": _run_covariance,
-    "envelope": _run_envelope,
-    "contours": _run_contours,
-    "oracle-check": _run_oracle_check,
+# subcommand -> (runner, {parameter: JSON type, as errors.is_json_type reads it})
+_COMMON = {"seed": int, "workers": int}
+_NETWORK = {**_COMMON, "network": dict, "layers": [int], "samples": int}
+_COMMANDS = {
+    "tail-sweep": (_run_tail_sweep, {**_NETWORK, "kind": str, "k_min": int,
+                                     "k_max": int, "tail_fraction": float}),
+    "survival-curves": (_run_survival_curves,
+                        {**_NETWORK, "standardize": bool}),
+    "covariance": (_run_covariance, _NETWORK),
+    "envelope": (_run_envelope, {**_COMMON, "families": [str]}),
+    "contours": (_run_contours, {**_COMMON, "qs": [float], "t": float,
+                                 "n_points": int}),
+    "oracle-check": (_run_oracle_check, {**_COMMON, "samples": int,
+                                         "k_max": int}),
 }
 
 
@@ -383,6 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("contours", help="L^q ball contour data")
     co.add_argument("qs", nargs="*", type=float, default=list(DEFAULT_QS),
                     help="contour exponents (default: 2 1 2/3 0.2)")
+    co.set_defaults(t=1.0, n_points=400)
     _add_common(co)
 
     oc = sub.add_parser("oracle-check",
@@ -403,30 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
-    cmd = args.command
-    params: dict = {"seed": args.seed, "workers": args.workers}
-    if cmd in ("tail-sweep", "survival-curves", "covariance"):
+    names = _COMMANDS[args.command][1]
+    if "network" in names:
         config = parse_config_file(args.config)
-        params["network"] = config.to_dict()
-        params["layers"] = _resolve_layers(args.layers, config)
-        params["samples"] = args.samples
-    if cmd == "tail-sweep":
-        params.update(kind=args.kind, k_min=args.k_min, k_max=args.k_max,
-                      tail_fraction=args.tail_fraction)
-    elif cmd == "survival-curves":
-        params["standardize"] = args.standardize
-    elif cmd == "envelope":
-        params["families"] = list(args.families)
-    elif cmd == "contours":
-        params.update(qs=[float(q) for q in args.qs], t=1.0, n_points=400)
-    elif cmd == "oracle-check":
-        params.update(samples=args.samples, k_max=args.k_max)
-    return params
+        args.network = config.to_dict()
+        # all layers by default; run_sampler rejects one out of range
+        args.layers = sorted(set(args.layers or range(1, config.depth + 1)))
+    return {name: getattr(args, name) for name in names}
 
 
 def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bool, list[str]]:
     t0 = time.monotonic()
-    tables, ok, lines = _RUNNERS[command](params)
+    tables, ok, lines = _COMMANDS[command][0](params)
     names = [table[0] for table in tables]
     repeated = sorted({n for n in names if names.count(n) > 1})
     if repeated:
@@ -434,9 +421,8 @@ def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bo
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, comments, header, rows in tables:
         _write_rows(out_dir / name, comments, header, rows)
-    duration = time.monotonic() - t0
-    man = build_manifest(command, params, params.get("seed", 0),
-                         {n: out_dir / n for n in names}, duration)
+    man = build_manifest(command, params, params["seed"],
+                         {n: out_dir / n for n in names}, time.monotonic() - t0)
     man.write(out_dir / "manifest.json")
     return man, ok, lines
 
@@ -444,23 +430,20 @@ def _execute(command: str, params: dict, out_dir: Path) -> tuple[RunManifest, bo
 def _cmd_rerun(args: argparse.Namespace) -> int:
     src = Path(args.manifest)
     old = RunManifest.load(src)
-    if old.command not in _RUNNERS:
+    if old.command not in _COMMANDS:
         raise ConfigFileError(f"manifest names unknown command {old.command!r}")
+    types = _COMMANDS[old.command][1]
     params = dict(old.params)
-    bad = [k for k, v in params.items()
-           if not isinstance(v, _PARAM_TYPES.get(k, object))
-           or k in _ITEM_TYPES and not all(isinstance(e, _ITEM_TYPES[k])
-                                           for e in v)]
+    missing = ", ".join(repr(k) for k in types if k not in params)
+    if missing:
+        raise ConfigFileError(f"manifest params lack {missing}")
+    bad = [k for k, t in types.items() if not is_json_type(params[k], t)]
     if bad:
         raise ConfigFileError(f"manifest params of the wrong type: {bad}")
     if args.workers is not None:
         params["workers"] = args.workers
     out_dir = Path(args.out) if args.out else src.parent / "rerun"
-    try:
-        new, _, _ = _execute(old.command, params, out_dir)
-    except KeyError as exc:
-        # the runners read every parameter they need from params
-        raise ConfigFileError(f"manifest params lack {exc}") from exc
+    new, _, _ = _execute(old.command, params, out_dir)
     mismatched = []
     for name in sorted(set(old.files) | set(new.files)):
         want = old.files.get(name)
@@ -483,11 +466,9 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.workers is not None and args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}",
-              file=sys.stderr)
-        return 2
     try:
+        if args.workers is not None and args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         if args.command == "rerun":
             return _cmd_rerun(args)
         params = _params_from_args(args)

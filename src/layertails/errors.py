@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one JSON type rule
+that every reader of a run manifest applies.
 
 Invalid arguments raise plain ValueError; the classes here cover failure
 modes that callers may want to catch and handle separately from bad input.
@@ -32,3 +33,14 @@ class LayerOverflowError(FloatingPointError):
 
 class ConfigFileError(ValueError):
     """A network config file is missing, unreadable, or malformed."""
+
+
+def is_json_type(value, kind) -> bool:
+    """Whether value, as json.load gives it, has the JSON type kind: a
+    type matches exactly (a bool is not an int), [t] is a list of t, and a
+    tuple lists alternatives."""
+    if isinstance(kind, tuple):
+        return any(is_json_type(value, k) for k in kind)
+    if isinstance(kind, list):
+        return type(value) is list and all(is_json_type(e, kind[0]) for e in value)
+    return type(value) is kind

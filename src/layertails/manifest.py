@@ -17,6 +17,7 @@ import json
 import time
 from dataclasses import dataclass
 
+from .errors import is_json_type
 from .network_model import SAMPLER_VERSION
 
 
@@ -46,7 +47,8 @@ class RunManifest:
     @classmethod
     def load(cls, path) -> "RunManifest":
         """Read a manifest; raises ValueError when the file is not a JSON
-        object with the manifest's fields and their types."""
+        object with the manifest's fields and their exact JSON types (a
+        bool is not an int)."""
         with open(path) as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
@@ -60,7 +62,7 @@ class RunManifest:
                        and f.name not in payload]
                     + [f"field {f.name!r} is not a JSON {f.type}" for f in fields
                        if f.name in payload
-                       and not isinstance(payload[f.name], types[f.type])])
+                       and not is_json_type(payload[f.name], types[f.type])])
         if problems:
             raise ValueError(f"manifest {path}: {', '.join(problems)}")
         return cls(**payload)

@@ -69,7 +69,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigFileError, LayerOverflowError
+from .errors import ConfigFileError, LayerOverflowError, is_json_type
 from .nonlinearity import NonlinearitySpec, apply, apply_signed_log, side_slopes
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
@@ -111,16 +111,17 @@ _MAX_SEED = 2**32
 # about e^709).
 _LINEAR_LOG_R = 300.0
 
-# JSON types of the NetworkConfig.to_dict fields and of their list items
-_FIELD_TYPES = {"input_dim": (int,), "layer_widths": (list,),
-                "nonlinearity": (str,), "weight_std": (float, int, list),
-                "include_bias": (bool,), "seed": (int,)}
-_ITEM_TYPES = {"layer_widths": (int,), "weight_std": (float, int)}
+# JSON types of the NetworkConfig.to_dict fields (see errors.is_json_type)
+_FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
+                "weight_std": (float, int, [(float, int)]),
+                "include_bias": bool, "seed": int}
 
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture, prior scale, nonlinearity, and base seed."""
+    """Architecture, prior scale and nonlinearity. seed is serialized (by
+    to_dict, in the INI file and in config_hash) but selects no draw: the
+    samplers take their seed as an argument, the CLI's --seed."""
 
     input_dim: int
     layer_widths: tuple[int, ...]
@@ -130,16 +131,19 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.input_dim < 1:
-            raise ValueError("input_dim must be >= 1")
+        if not isinstance(self.input_dim, (int, np.integer)) or self.input_dim < 1:
+            raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
+        if not isinstance(self.include_bias, (bool, np.bool_)):
+            raise ValueError(f"include_bias must be a bool, got {self.include_bias!r}")
+        object.__setattr__(self, "input_dim", int(self.input_dim))
+        object.__setattr__(self, "include_bias", bool(self.include_bias))
         widths = tuple(int(w) for w in self.layer_widths)
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) == 0 or any(w < 1 for w in widths):
             raise ValueError("layer_widths must be non-empty with all widths >= 1")
         std = self.weight_std
         if isinstance(std, (int, float)):
-            std = float(std)
-            stds = (std,) * len(widths)
+            stds = (float(std),) * len(widths)
         else:
             stds = tuple(float(s) for s in std)
             object.__setattr__(self, "weight_std", stds)
@@ -176,16 +180,16 @@ class NetworkConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
-        """The inverse of to_dict; ValueError names the fields whose JSON
-        type is wrong (a bool is not a number here)."""
-        bad = [k for k, types in _FIELD_TYPES.items() if type(d[k]) not in types
-               or type(d[k]) is list and any(type(e) not in _ITEM_TYPES[k]
-                                             for e in d[k])]
+        """The inverse of to_dict; ValueError names the fields that are
+        missing or whose JSON type is wrong (a bool is not a number here)."""
+        missing = [k for k in _FIELD_TYPES if k not in d]
+        if missing:
+            raise ValueError(f"network fields missing: {missing}")
+        bad = [k for k, t in _FIELD_TYPES.items() if not is_json_type(d[k], t)]
         if bad:
             raise ValueError(f"network fields of the wrong type: {bad}")
         std = d["weight_std"]
-        return cls(input_dim=d["input_dim"],
-                   layer_widths=tuple(d["layer_widths"]),
+        return cls(input_dim=d["input_dim"], layer_widths=d["layer_widths"],
                    nonlinearity=NonlinearitySpec.parse(d["nonlinearity"]),
                    weight_std=tuple(std) if isinstance(std, list) else float(std),
                    include_bias=d["include_bias"], seed=d["seed"])

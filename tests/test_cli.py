@@ -15,12 +15,14 @@ from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
 from layertails.nonlinearity import NonlinearitySpec
 
 
-def _network_edit(**fields):
+def _network_edit(drop=None, **fields):
     """A manifest edit that makes a survival-curves manifest whose
-    params.network is a valid (4; 3) relu network with fields replaced."""
+    params.network is a valid (4; 3) relu network with fields replaced,
+    and the field named by drop removed."""
     net = NetworkConfig(input_dim=4, layer_widths=(3,),
                         nonlinearity=NonlinearitySpec("relu")).to_dict()
-    params = {"seed": 0, "workers": 1, "network": dict(net, **fields),
+    net = {k: v for k, v in dict(net, **fields).items() if k != drop}
+    params = {"seed": 0, "workers": 1, "network": net,
               "layers": [1], "samples": 20000, "standardize": True}
     return lambda m: dict(m, command="survival-curves", params=params)
 
@@ -124,9 +126,13 @@ class TestTailSweepCommand:
         assert main(["tail-sweep", "--config", str(tmp_path / "no.ini"),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_out_of_range_layers_exit_2(self, net_ini, tmp_path):
-        assert main(["tail-sweep", "--config", str(net_ini), "--layers", "5",
-                     "--out", str(tmp_path / "o")]) == 2
+    def test_out_of_range_layers_exit_2(self, net_ini, tmp_path, capsys):
+        code = main(["tail-sweep", "--config", str(net_ini), "--layers", "5",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: layer 5 out of range 1..2"]
+        assert not (tmp_path / "o").exists()
 
     def test_assert_mode_fails_on_flat_recursion(self, net_ini, tmp_path):
         # at width 40 the deep-layer tail step stays far below 0.5 for the
@@ -397,9 +403,16 @@ class TestRerun:
          "network fields of the wrong type: ['include_bias']"),
         (_network_edit(input_dim=2.5),
          "network fields of the wrong type: ['input_dim']"),
+        (lambda m: dict(m, params=dict(m["params"], seed=True)),
+         "manifest params of the wrong type: ['seed']"),
+        (lambda m: dict(m, params=dict(m["params"], workers=True)),
+         "manifest params of the wrong type: ['workers']"),
+        (lambda m: dict(m, sampler=True), "field 'sampler' is not a JSON int"),
+        (_network_edit(drop="seed"), "network fields missing: ['seed']"),
     ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
             "string-qs", "dict-std", "null-seed", "int-widths", "int-phi",
-            "string-bias", "float-dim"])
+            "string-bias", "float-dim", "bool-seed", "bool-workers",
+            "bool-sampler", "network-without-seed"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"
@@ -413,6 +426,31 @@ class TestRerun:
         assert len(err) == 1
         assert err[0].startswith("error: ") and message in err[0]
         assert not (tmp_path / "replay").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["tail-sweep", "--samples", "2000", "--layers", "2"],
+        ["survival-curves", "--samples", "20000"],
+        ["covariance", "--samples", "10000", "--layers", "1"],
+        ["envelope", "relu", "elu(1.0)"],
+        ["contours", "0.5", "2"],
+        ["oracle-check", "--samples", "1000", "--k-max", "3"],
+    ], ids=lambda args: args[0])
+    def test_every_subcommand_replays_byte_identical(self, args, net_ini,
+                                                     tmp_path, capsys):
+        # a run passes its runner only the params of the subcommand's
+        # table row, and rerun replays from those alone
+        if args[0] in ("tail-sweep", "survival-curves", "covariance"):
+            args = args + ["--config", str(net_ini)]
+        out, replay = tmp_path / "run", tmp_path / "replay"
+        assert main(args + ["--seed", "5", "--out", str(out)]) == 0
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out", str(replay)])
+        assert code == 0
+        assert "byte-identical" in capsys.readouterr().out
+        files = RunManifest.load(out / "manifest.json").files
+        assert files
+        for name in files:
+            assert (replay / name).read_bytes() == (out / name).read_bytes()
 
     def test_rerun_is_self_contained(self, net_ini, tmp_path):
         # the manifest embeds the network; the original config can vanish

@@ -48,6 +48,8 @@ class TestNetworkConfig:
         dict(weight_std=float("inf")),
         dict(seed=-1),
         dict(seed=2**32),
+        dict(input_dim=2.5),
+        dict(include_bias="no"),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
