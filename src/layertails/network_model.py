@@ -31,10 +31,13 @@ group's remaining sum and count (all of S' when K' = 1); in a |Z| group it
 takes its row's next unused |Z_i|, exact as the group is exchangeable.
 relu, prelu and identity are linear on both sides, so a layer costs
 O(units requested) per draw whatever its width; elu and selu draw the |Z|
-of their H - N negative units, tanh and sigmoid all H. Those sum in plain
-doubles; rows with |log r| of 300 or more, dead rows (r = 0) and rows
-whose sum is not a finite, positive, normal double apply phi in (sign,
-log-magnitude) form and sum by log-sum-exp instead.
+of their H - N negative units, tanh and sigmoid all H, so their layers
+cost O(H) per draw. A |Z| group sums in plain doubles in one buffer,
+little more than the work of its normal draws: r |Z_i| with the group's
+sign, phi's one-sided form in place (nonlinearity.apply_side), its
+square, then one reduceat per row. Rows with |log r| of 300 or more, dead
+rows (r = 0) and rows whose sum is not a finite, positive, normal double
+apply phi in (sign, log-magnitude) form and sum by log-sum-exp instead.
 
 "direct" draws a fresh weight matrix per layer per draw and runs the
 forward pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per
@@ -70,7 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigFileError, LayerOverflowError, is_json_type
-from .nonlinearity import NonlinearitySpec, apply, apply_signed_log, side_slopes
+from .nonlinearity import (NonlinearitySpec, apply, apply_side,
+                           apply_signed_log, side_slopes)
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -117,6 +121,16 @@ _FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
                 "include_bias": bool, "seed": int}
 
 
+def _is_int(v) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A Python or numpy integer or float; a bool is not one."""
+    return _is_int(v) or isinstance(v, (float, np.floating))
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture, prior scale and nonlinearity. seed is serialized (by
@@ -131,28 +145,33 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.input_dim, (int, np.integer)) or self.input_dim < 1:
+        if not _is_int(self.input_dim) or self.input_dim < 1:
             raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
         if not isinstance(self.include_bias, (bool, np.bool_)):
             raise ValueError(f"include_bias must be a bool, got {self.include_bias!r}")
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "include_bias", bool(self.include_bias))
-        widths = tuple(int(w) for w in self.layer_widths)
+        widths = tuple(self.layer_widths)
+        if len(widths) == 0 or not all(_is_int(w) and w >= 1 for w in widths):
+            raise ValueError("layer_widths must be non-empty integers >= 1, "
+                             f"got {widths!r}")
+        widths = tuple(int(w) for w in widths)
         object.__setattr__(self, "layer_widths", widths)
-        if len(widths) == 0 or any(w < 1 for w in widths):
-            raise ValueError("layer_widths must be non-empty with all widths >= 1")
         std = self.weight_std
-        if isinstance(std, (int, float)):
-            stds = (float(std),) * len(widths)
-        else:
-            stds = tuple(float(s) for s in std)
+        per_layer = isinstance(std, (tuple, list, np.ndarray))
+        stds = tuple(std) if per_layer else (std,) * len(widths)
+        if not all(_is_real(s) for s in stds):
+            raise ValueError("weight_std must be a number or a sequence of "
+                             f"numbers, got {std!r}")
+        stds = tuple(float(s) for s in stds)
+        if per_layer:
             object.__setattr__(self, "weight_std", stds)
             if len(stds) != len(widths):
                 raise ValueError("per-layer weight_std must match layer count")
         if any(not (s > 0 and math.isfinite(s)) for s in stds):
             raise ValueError("weight_std entries must be strictly positive and finite")
-        if not (0 <= int(self.seed) < _MAX_SEED):
-            raise ValueError(f"seed must be in [0, 2^32), got {self.seed}")
+        if not (_is_int(self.seed) and 0 <= self.seed < _MAX_SEED):
+            raise ValueError(f"seed must be an integer in [0, 2^32), got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -311,9 +330,15 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
         rng = _generator(key, spawn_key=(layer,))
         n_pos = rng.binomial(H, 0.5, size=b)
         counts = (n_pos, H - n_pos)
-        draws = [2.0 * rng.standard_gamma(0.5 * n) if c is not None
-                 else np.abs(rng.standard_normal(np.sum(n)))
-                 for c, n in zip(slopes, counts)]
+        draws = []
+        for c, n in zip(slopes, counts):
+            if c is not None:
+                d = rng.standard_gamma(0.5 * n)
+                d *= 2.0
+            else:
+                d = rng.standard_normal(np.sum(n))
+                np.abs(d, out=d)
+            draws.append(d)
         if layer in needs:
             out[layer] = _stick_break(rng, log_r, H, slopes, counts, draws,
                                       needs[layer])
@@ -335,9 +360,11 @@ def _stick_break(rng, log_r: np.ndarray, H: int, slopes, counts, draws,
     b = log_r.shape[0]
     left = [n.copy() for n in counts]
     sums = [d if c is not None else np.zeros(b) for c, d in zip(slopes, draws)]
-    # a |Z| group's next entry sits at ends - left; the padding keeps rows
-    # with none left in range
-    flats = [None if c is not None else (np.append(d, 0), np.cumsum(n))
+    # a |Z| group's next entry sits at ends - left; rows with none left
+    # never take one, so clipping their index past the last entry is safe,
+    # and an empty group (all of a chunk's units on the other side) has
+    # nothing to read
+    flats = [None if c is not None or d.size == 0 else (d, np.cumsum(n))
              for c, d, n in zip(slopes, draws, counts)]
     signs = np.empty((b, j), dtype=np.int8)
     logabs = np.empty((b, j))
@@ -353,7 +380,8 @@ def _stick_break(rng, log_r: np.ndarray, H: int, slopes, counts, draws,
         took = (pos, ~pos)
         for t, n, flat in zip(took, left, flats):
             if flat is not None:
-                z2 = np.where(t, flat[0][flat[1] - n] ** 2, z2)
+                z2 = np.where(t, flat[0].take(flat[1] - n, mode="clip") ** 2,
+                              z2)
         for g, t in enumerate(took):
             left[g] -= t
             sums[g] = np.where(t, sums[g] - z2, sums[g])
@@ -391,9 +419,12 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
             if c is not None:
                 sq += (c * r) ** 2 * d
                 continue
-            h = apply(phi, np.repeat(sign * r, n) * d)
+            # one buffer: r |Z_i| with the group's sign, phi of it, squared
+            h = np.repeat(sign * r, n)
+            h *= d
+            h = np.square(apply_side(phi, h, sign), out=h)
             part, full = np.zeros_like(sq), n > 0
-            part[full] = np.add.reduceat(h * h, (np.cumsum(n) - n)[full])
+            part[full] = np.add.reduceat(h, (np.cumsum(n) - n)[full])
             sq += part
     ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
     log_sq = np.log(np.where(ok, sq, 1.0))

@@ -2,11 +2,15 @@
 
 Each activation family is defined once, by its entry in _TABLE: default
 parameters (their number is the parameter count) and their check, the
-linear form phi(u), the slopes of phi's linear sides, and the log form of
-a bounded negative side (elu, selu) or of the whole line (tanh, sigmoid).
-apply, apply_signed_log, the spec checks and the samplers' choice of
-layer step read only the entry. Adding a family means one entry plus its
-line in the test suite's ALL_SPECS.
+linear form phi(u), the slopes of phi's linear sides, the one-sided form
+of each side where phi is not linear, and the log form of a bounded
+negative side (elu, selu) or of the whole line (tanh, sigmoid). A
+one-sided form evaluates phi in place on input of known sign, with fewer
+operations than the linear form and the same values (elu: alpha expm1(u)
+for u <= 0; sigmoid: one exp instead of two); apply_side calls it.
+apply, apply_side, apply_signed_log, the spec checks and the samplers'
+choice of layer step read only the entry. Adding a family means one entry
+plus its line in the test suite's ALL_SPECS.
 
 An activation phi has the extended envelope property when
 
@@ -46,6 +50,23 @@ def _elu(alpha, u):
     return np.maximum(u, 0.0) + alpha * np.expm1(np.minimum(u, 0.0))
 
 
+def _elu_neg(alpha, u):
+    # alpha expm1(u) in place: _elu's value on u <= 0 bit for bit, since
+    # its max(u, 0) term is an exact zero there
+    u = np.expm1(u, out=u)
+    u *= alpha
+    return u
+
+
+def _sigmoid_side(p, u, sign):
+    # e^u / (1 + e^u) for u <= 0 and 1 / (1 + e^-u) for u >= 0: the linear
+    # form's two exps, one of which is e^0 = 1, in one
+    if sign > 0:
+        np.negative(u, out=u)
+    e = np.exp(u, out=u)
+    return np.divide(e if sign < 0 else 1.0, 1.0 + e, out=u)
+
+
 def _elu_neg_log(c, lm):
     """log|phi(u)| for u < 0 of phi(u) = c expm1(u), from lm = log|u|:
     log c + log(1 - e^-|u|), and the asymptote log c past e^_EXP_CAP."""
@@ -78,6 +99,9 @@ class _Family(NamedTuple):
     check: Callable = lambda p: True
     check_msg: str = ""
     slopes: Callable = lambda p: (None, None)  # (p) -> (lam, a)
+    # (p, u, sign) -> phi(u) in place, for u all of that sign, on each side
+    # where slopes gives None
+    side: Callable | None = None
     neg_log: Callable | None = None  # (p, log|u|) -> log|phi(u)| for u < 0
     signed_log: Callable | None = None  # (signs, lm) -> (signs, lm)
 
@@ -94,6 +118,7 @@ _TABLE = {
                    defaults=(1.0,), check=lambda p: p[0] > 0,
                    check_msg="elu alpha must be > 0",
                    slopes=lambda p: (1.0, None),
+                   side=lambda p, u, sign: _elu_neg(p[0], u),
                    neg_log=lambda p, lm: _elu_neg_log(p[0], lm)),
     # the defaults are the standard self-normalizing (lambda, alpha)
     "selu": _Family(lambda p, u: p[0] * _elu(p[1], u),
@@ -101,13 +126,17 @@ _TABLE = {
                     check=lambda p: p[0] > 0 and p[1] > 0,
                     check_msg="selu lambda and alpha must be > 0",
                     slopes=lambda p: (p[0], None),
+                    side=lambda p, u, sign: np.multiply(_elu_neg(p[1], u),
+                                                        p[0], out=u),
                     neg_log=lambda p, lm: _elu_neg_log(p[0] * p[1], lm)),
-    "tanh": _Family(lambda p, u: np.tanh(u), signed_log=_tanh_signed_log),
+    "tanh": _Family(lambda p, u: np.tanh(u),
+                    side=lambda p, u, sign: np.tanh(u, out=u),
+                    signed_log=_tanh_signed_log),
     # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
     # per-element branch, and overflows on neither side
     "sigmoid": _Family(lambda p, u: (np.exp(np.minimum(u, 0.0))
                                      / (1.0 + np.exp(-np.abs(u)))),
-                       signed_log=_sigmoid_signed_log),
+                       side=_sigmoid_side, signed_log=_sigmoid_signed_log),
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -158,6 +187,16 @@ def apply(spec: NonlinearitySpec, u):
         raise ValueError("apply requires finite input")
     out = _TABLE[spec.family].linear(spec.params, arr)
     return float(out) if np.ndim(u) == 0 else out
+
+
+def apply_side(spec: NonlinearitySpec, u: np.ndarray, sign: float) -> np.ndarray:
+    """apply on a float array u whose entries all have the given sign (+1
+    or -1; zeros count as either) on a side where phi is not linear. Writes
+    phi(u) into u and returns it. The values equal apply's (a zero may
+    carry the other sign), so their squares are apply's bit for bit."""
+    if not np.all(np.isfinite(u)):
+        raise ValueError("apply requires finite input")
+    return _TABLE[spec.family].side(spec.params, u, sign)
 
 
 def apply_signed_log(spec: NonlinearitySpec, signs, logmags):

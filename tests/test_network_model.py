@@ -50,6 +50,9 @@ class TestNetworkConfig:
         dict(seed=2**32),
         dict(input_dim=2.5),
         dict(include_bias="no"),
+        dict(layer_widths=(2.5, 3.9, 4)),
+        dict(seed=7.9),
+        dict(weight_std=True),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ValueError):
@@ -706,3 +709,48 @@ def test_conditional_stream_is_pinned_bit_for_bit(family, config):
         digest.update(got[layer][0].tobytes())
         digest.update(got[layer][1].tobytes())
     assert digest.hexdigest() == PINNED_STREAMS[family, config]
+
+
+# sha256 of each request's bytes, as PINNED_STREAMS; generated at sampler
+# version 6. A one-row chunk of a width-1 net (all of n = 1, the last
+# chunk of n = 4097) has an empty sign group at every layer
+EMPTY_GROUP_STREAMS = {
+    ("elu(1.0)", 1):
+        "730f97c6d3265dc0bbaa0b521b89ce6e2faea093f7f009d4b1e9934f07e6847b",
+    ("elu(1.0)", 4097):
+        "5001d9092936aecd1e2e1e74b3eaebce493910b015e7183bb5592a6d1a545e55",
+    ("tanh", 1):
+        "a1df59e7ec9b7d6916bee63f4cf384e0fec3281db4f66c939b9fc5d501b1dadc",
+    ("tanh", 4097):
+        "ff26678aa168fddb0f6b0c7bf4f7ca62b9263115d647fd42a11e7596e2deb6a8",
+}
+
+
+def _stream_digest(got):
+    digest = hashlib.sha256()
+    for layer in sorted(got):
+        digest.update(got[layer][0].tobytes())
+        digest.update(got[layer][1].tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("family,n", sorted(EMPTY_GROUP_STREAMS))
+def test_width_one_stream_with_empty_sign_groups_is_pinned(family, n):
+    cfg = NetworkConfig(input_dim=3, layer_widths=(1, 1, 1),
+                        nonlinearity=NonlinearitySpec.parse(family))
+    got = run_sampler(cfg, sample_input(3, 13), n, {1: [0], 2: [0], 3: [0]},
+                      (13, STREAM_UNITS))
+    assert _stream_digest(got) == EMPTY_GROUP_STREAMS[family, n]
+
+
+def test_benchmark_elu_stream_is_pinned_bit_for_bit():
+    # the stream shape of perfbench's elu_survival workload at 3000 draws:
+    # a bias-free width-100 elu(1.0) net of depth 10, unit 0 of layers
+    # 1, 2, 3 and 10 from one pass
+    cfg = NetworkConfig(input_dim=100, layer_widths=(100,) * 10,
+                        nonlinearity=NonlinearitySpec.parse("elu(1.0)"))
+    got = sample_layer_units(cfg, sample_input(100, 3), (1, 2, 3, 10), "pre",
+                             3000, 3)
+    assert _stream_digest({l: (s.signs, s.log_magnitudes)
+                           for l, s in got.items()}) == \
+        "acbf1651cacc6261fe90c000228c9bbb5081ee42534eb98f1420211caee2ef70"

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from layertails.nonlinearity import (BOUNDED_D_MIN, SEARCH_GRID, EnvelopeGrid,
                                      EnvelopeWitness, NonlinearitySpec, apply,
-                                     apply_signed_log,
-                                     is_positively_homogeneous,
+                                     apply_side, apply_signed_log,
+                                     is_positively_homogeneous, side_slopes,
                                      search_envelope_constants,
                                      verify_envelope)
 
@@ -102,6 +102,47 @@ class TestApply:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             apply(RELU, np.array([1.0, np.nan]))
+
+
+# edge inputs of the negative side; the positive side takes their negation
+SIDE_EDGES = [-0.0, 0.0, -1e-320, -5e-324, -1e-300, -36.7, -700.0, -745.2,
+              -1e300]
+
+
+class TestApplySide:
+    """The one-sided forms the sampler's |Z| groups use equal apply."""
+
+    @pytest.mark.parametrize("spec", [
+        NonlinearitySpec("elu", (1.0,)), NonlinearitySpec("elu", (0.37,)),
+        NonlinearitySpec("selu"), NonlinearitySpec("selu", (1.0, 2.0)),
+        TANH, SIGMOID], ids=str)
+    def test_equals_apply_on_each_nonlinear_side(self, spec):
+        rng = np.random.default_rng(5)
+        mags = rng.standard_normal(10**6) * rng.exponential(5.0, 10**6)
+        neg = -np.abs(np.concatenate([SIDE_EDGES, mags]))
+        neg[:len(SIDE_EDGES)] = SIDE_EDGES
+        sides = [(sign, u) for sign, u, c in zip(
+            (1.0, -1.0), (-neg, neg), side_slopes(spec)) if c is None]
+        assert sides
+        for sign, u in sides:
+            want = apply(spec, u)
+            got = apply_side(spec, u.copy(), sign)
+            # equal values, and equal squares bit for bit: only a zero may
+            # carry the other sign (elu's 0 + alpha expm1(-0.0) is +0.0)
+            np.testing.assert_array_equal(got, want)
+            assert (got * got).tobytes() == (want * want).tobytes()
+            np.testing.assert_array_equal(np.signbit(got[want != 0]),
+                                          np.signbit(want[want != 0]))
+
+    def test_writes_into_its_input(self):
+        u = np.array([-2.0, -0.5, 0.0])
+        got = apply_side(NonlinearitySpec("elu", (1.0,)), u, -1.0)
+        assert got is u
+        np.testing.assert_array_equal(u, np.expm1([-2.0, -0.5, 0.0]))
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            apply_side(TANH, np.array([1.0, np.inf]), 1.0)
 
 
 def _encode(values):
