@@ -8,12 +8,11 @@ from .conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
 from .covariance_verifier import (CovarianceReport, SweepResult,
                                   estimate_unit_covariance, sweep)
 from .errors import (ConfigFileError, DegenerateDistributionError,
-                     LayerOverflowError, MomentOverflowError)
+                     MomentOverflowError)
 from .manifest import RunManifest, build_manifest, sha256_file
 from .network_model import (NetworkConfig, UnitSampleSet, parse_config_file,
                             sample_input, sample_joint_units,
-                            sample_layer_units, sample_units,
-                            write_config_file)
+                            sample_layer_units, write_config_file)
 from .nonlinearity import (SEARCH_GRID, EnvelopeGrid, EnvelopeWitness,
                            NonlinearitySpec, apply, apply_signed_log,
                            is_positively_homogeneous,
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigFileError", "ContourSet", "CovarianceReport",
     "DegenerateDistributionError", "EnvelopeGrid", "EnvelopeWitness",
-    "LayerOverflowError", "MomentCurve",
-    "MomentOverflowError", "NetworkConfig", "NonlinearitySpec", "PoolCheck",
-    "PoolingSpec", "PenaltyBreakdown", "RecursionVerdict", "RunManifest",
+    "MomentCurve", "MomentOverflowError", "NetworkConfig", "NonlinearitySpec",
+    "PoolCheck", "PoolingSpec", "PenaltyBreakdown", "RecursionVerdict",
+    "RunManifest",
     "SEARCH_GRID", "SurvivalCurves", "SweepResult", "TailEstimate",
     "UnitSampleSet", "apply", "apply_signed_log",
     "build_manifest", "contour", "empirical_log_norm",
@@ -46,7 +45,7 @@ __all__ = [
     "pool_signed_log", "pooled_tail_check", "recursion_check",
     "relu_norm_oracle",
     "sample_input", "sample_joint_units", "sample_layer_units",
-    "sample_units", "search_envelope_constants",
+    "search_envelope_constants",
     "sha256_file", "survival_curves", "sweep", "synthetic_values",
     "unit_penalty", "verify_envelope", "weight_decay", "write_config_file",
 ]

@@ -19,18 +19,6 @@ class MomentOverflowError(FloatingPointError):
     """
 
 
-class LayerOverflowError(FloatingPointError):
-    """Forward propagation produced a non-finite value.
-
-    Carries the 1-based index of the first offending layer so deep-network
-    runs can report where the magnitude blew up.
-    """
-
-    def __init__(self, layer: int, message: str | None = None):
-        self.layer = layer
-        super().__init__(message or f"non-finite values in layer {layer}")
-
-
 class ConfigFileError(ValueError):
     """A network config file is missing, unreadable, or malformed."""
 

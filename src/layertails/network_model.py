@@ -10,14 +10,10 @@ unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
 Sampling. run_sampler is the one sampler pass: it validates a request
 (units per layer, before or after the nonlinearity), draws it in chunks
-and returns the requested columns. sample_units, sample_layer_units,
-sample_joint_units and covariance_verifier.sweep call it directly. It has
-two methods. Both produce the same joint law of the requested units; they
-are different pseudorandom mappings from the seed, and the test suite
-cross-checks them.
-
-"conditional" (the default) rests on the exact identity that, given
-h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
+and returns the requested columns. sample_layer_units, sample_joint_units
+and covariance_verifier.sweep call it directly. It never materializes a
+weight matrix: it rests on the exact identity that, given h(l-1), the
+H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
 depth can overflow (and a zero input gives log r_1 = -inf, a dead row).
 The sign and magnitude of each Z are independent, so one layer step serves
@@ -38,26 +34,21 @@ sign, phi's one-sided form in place (nonlinearity.apply_side), its
 square, then one reduceat per row. Rows with |log r| of 300 or more, dead
 rows (r = 0) and rows whose sum is not a finite, positive, normal double
 apply phi in (sign, log-magnitude) form and sum by log-sum-exp instead.
+The test suite checks this sampler in law against a literal forward pass
+with a fresh weight matrix per layer per draw.
 
-"direct" draws a fresh weight matrix per layer per draw and runs the
-forward pass literally, in linear arithmetic: O(H_l H_{l-1}) normals per
-layer per draw, and deep configurations can overflow (LayerOverflowError).
-It is the ground-truth oracle; it is reached through
-sample_units(..., method="direct") and run_sampler.
-
-Streams. Samples are generated in fixed-size chunks: DEFAULT_CHUNK draws
-for the conditional method, _DIRECT_CHUNK for the direct one. An entropy
-prefix E is (seed, stream tag, fields of the operation), built by
-entropy_prefix, which accepts seeds in [0, 2^32) only. Chunk c of a
-request with entropy prefix E draws from SeedSequence(E + [c]) in the
-direct method; in the conditional one, layer l of chunk c owns the child
-stream SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, then
+Streams. Samples are generated in chunks of DEFAULT_CHUNK draws. An
+entropy prefix E is (seed, stream tag, fields of the operation), built by
+entropy_prefix, which accepts seeds in [0, 2^32) only. Layer l of chunk c
+of a request with prefix E owns the child stream
+SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, then
 per sign group S or its |Z|, then per unit in index order a uniform (its
 sign group), a normal and a chi-square (its share of S). So results are
 bit-identical for a given (config, x, seed) whatever the worker count, and
 unit m's draws are the same whether it is requested alone, with other
 units of its layer, or with other layers. SAMPLER_VERSION numbers this
-seed-to-draws mapping; run manifests record it.
+seed-to-draws mapping; run manifests record it. Stream tag 7 is held by
+the test suite's forward-pass oracle.
 """
 
 from __future__ import annotations
@@ -72,9 +63,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigFileError, LayerOverflowError, is_json_type
-from .nonlinearity import (NonlinearitySpec, apply, apply_side,
-                           apply_signed_log, side_slopes)
+from .errors import ConfigFileError, is_json_type
+from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
+                           side_slopes)
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -95,14 +86,10 @@ STREAM_UNITS = 1
 STREAM_COVARIANCE = 2
 STREAM_POOLING = 3
 STREAM_INPUT = 5
-STREAM_DIRECT = 7
 STREAM_SYNTHETIC = 8
 
-# The fixed chunking policy, part of the seed-to-draws mapping. The direct
-# method materializes (chunk, H, H_prev) weight blocks, so its chunks are
-# smaller, to bound memory.
+# The fixed chunking policy, part of the seed-to-draws mapping.
 DEFAULT_CHUNK = 4096
-_DIRECT_CHUNK = 256
 
 # SeedSequence splits an integer of 2^32 or more into 32-bit words and
 # ignores trailing zero words, so a larger seed would alias the streams of
@@ -118,7 +105,7 @@ _LINEAR_LOG_R = 300.0
 # JSON types of the NetworkConfig.to_dict fields (see errors.is_json_type)
 _FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
                 "weight_std": (float, int, [(float, int)]),
-                "include_bias": bool, "seed": int}
+                "include_bias": bool}
 
 
 def _is_int(v) -> bool:
@@ -133,16 +120,14 @@ def _is_real(v) -> bool:
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Architecture, prior scale and nonlinearity. seed is serialized (by
-    to_dict, in the INI file and in config_hash) but selects no draw: the
-    samplers take their seed as an argument, the CLI's --seed."""
+    """Architecture, prior scale and nonlinearity. It holds no seed: the
+    samplers take theirs as an argument, the CLI's --seed."""
 
     input_dim: int
     layer_widths: tuple[int, ...]
     nonlinearity: NonlinearitySpec
     weight_std: float | tuple[float, ...] = 1.0
     include_bias: bool = False
-    seed: int = 0
 
     def __post_init__(self):
         if not _is_int(self.input_dim) or self.input_dim < 1:
@@ -170,9 +155,6 @@ class NetworkConfig:
                 raise ValueError("per-layer weight_std must match layer count")
         if any(not (s > 0 and math.isfinite(s)) for s in stds):
             raise ValueError("weight_std entries must be strictly positive and finite")
-        if not (_is_int(self.seed) and 0 <= self.seed < _MAX_SEED):
-            raise ValueError(f"seed must be an integer in [0, 2^32), got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def depth(self) -> int:
@@ -194,13 +176,16 @@ class NetworkConfig:
             "nonlinearity": str(self.nonlinearity),
             "weight_std": list(std) if isinstance(std, tuple) else float(std),
             "include_bias": self.include_bias,
-            "seed": self.seed,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkConfig":
         """The inverse of to_dict; ValueError names the fields that are
-        missing or whose JSON type is wrong (a bool is not a number here)."""
+        unknown, missing or whose JSON type is wrong (a bool is not a
+        number here)."""
+        unknown = sorted(set(d) - set(_FIELD_TYPES))
+        if unknown:
+            raise ValueError(f"network fields unknown: {unknown}")
         missing = [k for k in _FIELD_TYPES if k not in d]
         if missing:
             raise ValueError(f"network fields missing: {missing}")
@@ -211,7 +196,7 @@ class NetworkConfig:
         return cls(input_dim=d["input_dim"], layer_widths=d["layer_widths"],
                    nonlinearity=NonlinearitySpec.parse(d["nonlinearity"]),
                    weight_std=tuple(std) if isinstance(std, list) else float(std),
-                   include_bias=d["include_bias"], seed=d["seed"])
+                   include_bias=d["include_bias"])
 
     def config_hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
@@ -235,8 +220,8 @@ def write_config_file(path, config: NetworkConfig) -> None:
 
 def parse_config_file(path) -> NetworkConfig:
     """Read a [network] section config file; its keys are those of
-    NetworkConfig.to_dict, and every key but input_dim and layer_widths
-    has a default."""
+    NetworkConfig.to_dict, every key but input_dim and layer_widths has a
+    default, and other keys are ignored."""
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -256,7 +241,6 @@ def parse_config_file(path) -> NetworkConfig:
             "nonlinearity": sec.get("nonlinearity", "relu"),
             "weight_std": std[0] if len(std) == 1 else std,
             "include_bias": sec.getboolean("include_bias", fallback=False),
-            "seed": int(sec.get("seed", "0")),
         })
     except (KeyError, ValueError) as exc:
         raise ConfigFileError(f"bad config file {path}: {exc}") from exc
@@ -452,32 +436,6 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     return log_sq
 
 
-def _direct_chunk(config: NetworkConfig, x: np.ndarray, rng, b: int,
-                  needs: dict[int, int]):
-    """One chunk of the direct sampler: fresh weights per draw, literal
-    forward pass, then encode to sign/log form."""
-    top = max(needs)
-    out = {}
-    h = np.broadcast_to(x, (b, x.shape[0]))
-    for layer in range(1, top + 1):
-        H = config.layer_widths[layer - 1]
-        hin = (np.concatenate([h, np.ones((b, 1))], axis=1)
-               if config.include_bias else h)
-        W = config.weight_std_for(layer) * rng.standard_normal((b, H, hin.shape[1]))
-        g = np.einsum("bij,bj->bi", W, hin)
-        if not np.all(np.isfinite(g)):
-            raise LayerOverflowError(layer)
-        if layer in needs:
-            j = needs[layer]
-            gj = g[:, :j]
-            with np.errstate(divide="ignore"):
-                out[layer] = (np.sign(gj).astype(np.int8), np.log(np.abs(gj)))
-        if layer == top:
-            break
-        h = apply(config.nonlinearity, g)
-    return out
-
-
 def worker_threads(workers: int, n_chunks: int) -> int:
     """Threads for one sampler pass: at most the workers asked for, the
     machine's cores and the number of chunks."""
@@ -488,10 +446,9 @@ def worker_threads(workers: int, n_chunks: int) -> int:
 
 def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
                 needs: dict[int, list[int]], entropy: tuple[int, ...],
-                kind: str = "pre", method: str = "conditional",
+                kind: str = "pre",
                 workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The one sampler pass: validates the request, runs the chunks of its
-    method ("conditional" or "direct", each with its fixed chunk size) and
+    """The one sampler pass: validates the request, runs its chunks and
     returns the requested units.
 
     needs maps 1-based layers to lists of distinct 0-based unit indices.
@@ -507,13 +464,13 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         raise ValueError("input has non-finite entries")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if method not in ("conditional", "direct"):
-        raise ValueError(f"unknown sampling method {method!r}")
     if kind not in ("pre", "post"):
         raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
     for layer, units in needs.items():
         if not (1 <= layer <= config.depth):
             raise ValueError(f"layer {layer} out of range 1..{config.depth}")
+        if not units:
+            raise ValueError(f"no units requested for layer {layer}")
         if len(set(units)) != len(units):
             raise ValueError("unit indices must be distinct")
         if any(not (0 <= i < config.layer_widths[layer - 1]) for i in units):
@@ -524,9 +481,8 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     # the chunk steps draw the leading units of a layer up to the last one
     # requested, in index order
     counts = {layer: max(units) + 1 for layer, units in needs.items()}
-    size = _DIRECT_CHUNK if method == "direct" else DEFAULT_CHUNK
-    chunks = [(i, min(size, n_samples - start))
-              for i, start in enumerate(range(0, n_samples, size))]
+    chunks = [(i, min(DEFAULT_CHUNK, n_samples - start))
+              for i, start in enumerate(range(0, n_samples, DEFAULT_CHUNK))]
     q0 = float(np.dot(x, x)) + (1.0 if config.include_bias else 0.0)
     if q0 >= np.finfo(float).tiny:
         log_q0 = math.log(q0)
@@ -537,10 +493,7 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
 
     def one_chunk(task):
         idx, b = task
-        key = (*entropy, idx)
-        if method == "conditional":
-            return _conditional_chunk(config, log_q0, key, b, counts)
-        return _direct_chunk(config, x, _generator(key), b, counts)
+        return _conditional_chunk(config, log_q0, (*entropy, idx), b, counts)
 
     threads = worker_threads(workers, len(chunks))
     if threads > 1:
@@ -563,24 +516,6 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
             signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
         out[layer] = (signs, lms)
     return out
-
-
-def sample_units(config: NetworkConfig, x: np.ndarray, layer: int,
-                 unit_index: int, kind: str, n_samples: int, seed: int,
-                 method: str = "conditional",
-                 workers: int = 1) -> UnitSampleSet:
-    """Draw n_samples of one unit, each draw from an independent prior
-    weight set (up to the sampling method's reparametrization).
-
-    unit_index is 0-based. kind "pre" gives g(l)_m, "post" gives
-    phi(g(l)_m).
-    """
-    stream = STREAM_UNITS if method == "conditional" else STREAM_DIRECT
-    signs, lms = run_sampler(config, x, n_samples, {layer: [unit_index]},
-                             entropy_prefix(seed, stream), kind, method,
-                             workers)[layer]
-    return UnitSampleSet(layer=layer, kind=kind, unit_index=unit_index,
-                         signs=signs[:, 0], log_magnitudes=lms[:, 0])
 
 
 def sample_layer_units(config: NetworkConfig, x: np.ndarray, layers,

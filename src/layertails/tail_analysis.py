@@ -35,7 +35,8 @@ import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateDistributionError
-from .network_model import STREAM_SYNTHETIC, UnitSampleSet, entropy_prefix
+from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _generator,
+                            entropy_prefix)
 
 # Additive slack in recursion_check, per estimator.
 METHOD_TOLERANCE = {"moment-slope": 0.15, "survival-slope": 0.2}
@@ -75,8 +76,7 @@ def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
     codes = {"gaussian": 0, "exponential": 1, "weibull": 2}
     if family not in codes:
         raise ValueError(f"unknown synthetic family {family!r}")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
-        entropy_prefix(seed, STREAM_SYNTHETIC, codes[family]))))
+    rng = _generator(entropy_prefix(seed, STREAM_SYNTHETIC, codes[family]))
     if family == "gaussian":
         v = sigma * rng.standard_normal(n)
     elif family == "exponential":

@@ -42,7 +42,6 @@ from layertails import (
     recursion_check,
     sample_input,
     sample_layer_units,
-    sample_units,
     search_envelope_constants,
     survival_curves,
     sweep,
@@ -81,7 +80,7 @@ def test_criterion_1_layer1_gaussian_base():
                         nonlinearity=NonlinearitySpec("relu"))
     x = sample_input(100, SEED)
     t0 = time.monotonic()
-    units = sample_units(cfg, x, 1, 0, "pre", 100_000, SEED)
+    units = sample_layer_units(cfg, x, [1], "pre", 100_000, SEED)[1]
     sigma2 = float(x @ x)
     stat, pvalue = ks_gaussian_test(units, math.sqrt(sigma2))
     variance = float(np.var(units.decode()))

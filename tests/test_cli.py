@@ -393,8 +393,7 @@ class TestRerun:
          "manifest params of the wrong type: ['qs']"),
         (_network_edit(weight_std={}),
          "network fields of the wrong type: ['weight_std']"),
-        (_network_edit(seed=None),
-         "network fields of the wrong type: ['seed']"),
+        (_network_edit(seed=0), "network fields unknown: ['seed']"),
         (_network_edit(layer_widths=4),
          "network fields of the wrong type: ['layer_widths']"),
         (_network_edit(nonlinearity=3),
@@ -408,11 +407,12 @@ class TestRerun:
         (lambda m: dict(m, params=dict(m["params"], workers=True)),
          "manifest params of the wrong type: ['workers']"),
         (lambda m: dict(m, sampler=True), "field 'sampler' is not a JSON int"),
-        (_network_edit(drop="seed"), "network fields missing: ['seed']"),
+        (_network_edit(drop="include_bias"),
+         "network fields missing: ['include_bias']"),
     ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
-            "string-qs", "dict-std", "null-seed", "int-widths", "int-phi",
-            "string-bias", "float-dim", "bool-seed", "bool-workers",
-            "bool-sampler", "network-without-seed"])
+            "string-qs", "dict-std", "network-with-seed", "int-widths",
+            "int-phi", "string-bias", "float-dim", "bool-seed",
+            "bool-workers", "bool-sampler", "network-without-bias"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"

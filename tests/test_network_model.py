@@ -6,14 +6,13 @@ import pytest
 from scipy import stats
 
 from layertails import network_model
-from layertails.errors import ConfigFileError, LayerOverflowError
-from layertails.network_model import (STREAM_DIRECT, STREAM_UNITS,
-                                      NetworkConfig, UnitSampleSet,
-                                      parse_config_file, run_sampler,
-                                      sample_input, sample_joint_units,
-                                      sample_layer_units, sample_units,
+from layertails.errors import ConfigFileError
+from layertails.network_model import (STREAM_UNITS, NetworkConfig,
+                                      UnitSampleSet, parse_config_file,
+                                      run_sampler, sample_input,
+                                      sample_joint_units, sample_layer_units,
                                       worker_threads, write_config_file)
-from layertails.nonlinearity import NonlinearitySpec, apply
+from layertails.nonlinearity import NonlinearitySpec, apply, apply_signed_log
 from layertails.tail_analysis import relu_norm_oracle
 
 RELU = NonlinearitySpec("relu")
@@ -46,12 +45,12 @@ class TestNetworkConfig:
         dict(weight_std=0.0),
         dict(weight_std=(1.0, 1.0)),  # wrong length for 3 layers
         dict(weight_std=float("inf")),
-        dict(seed=-1),
-        dict(seed=2**32),
+        dict(input_dim=True),
+        dict(layer_widths=(4, True, 4)),
         dict(input_dim=2.5),
         dict(include_bias="no"),
         dict(layer_widths=(2.5, 3.9, 4)),
-        dict(seed=7.9),
+        dict(weight_std=(1.0, float("nan"), 1.0)),
         dict(weight_std=True),
     ])
     def test_rejects(self, kw):
@@ -64,7 +63,7 @@ class TestNetworkConfig:
         assert a.config_hash() == b.config_hash()
         others = [small_config(weight_std=1.5),
                   small_config(weight_std=(1.0, 1.0, 1.0)),
-                  small_config(include_bias=True), small_config(seed=1),
+                  small_config(include_bias=True),
                   small_config(nonlinearity=TANH),
                   small_config(layer_widths=(6, 5, 5)),
                   small_config(input_dim=9)]
@@ -74,23 +73,23 @@ class TestNetworkConfig:
     def test_config_file_round_trip(self, tmp_path):
         cfg = NetworkConfig(input_dim=12, layer_widths=(3, 9),
                             nonlinearity=NonlinearitySpec.parse("prelu(0.3)"),
-                            weight_std=(0.5, 1.25), include_bias=True, seed=42)
+                            weight_std=(0.5, 1.25), include_bias=True)
         path = tmp_path / "net.ini"
         write_config_file(path, cfg)
         assert parse_config_file(path) == cfg
 
     # The dict form is what run manifests record as params.network, and the
-    # INI text is what earlier builds wrote; both are pinned so that old
-    # manifests and config files still load and replay.
+    # INI text is what write_config_file writes; both are pinned so that a
+    # change to either is a deliberate format change.
     PRELU_DICT = {"input_dim": 12, "layer_widths": [3, 9],
                   "nonlinearity": "prelu(0.3)", "weight_std": [0.5, 1.25],
-                  "include_bias": True, "seed": 42}
+                  "include_bias": True}
     PRELU_INI = ("[network]\ninput_dim = 12\nlayer_widths = 3,9\n"
                  "nonlinearity = prelu(0.3)\nweight_std = 0.5,1.25\n"
-                 "include_bias = true\nseed = 42\n\n")
+                 "include_bias = true\n\n")
     SCALAR_INI = ("[network]\ninput_dim = 8\nlayer_widths = 6,5,4\n"
                   "nonlinearity = relu\nweight_std = 1.0\n"
-                  "include_bias = false\nseed = 0\n\n")
+                  "include_bias = false\n\n")
 
     def test_dict_form_is_the_manifest_form(self):
         cfg = NetworkConfig.from_dict(self.PRELU_DICT)
@@ -98,11 +97,26 @@ class TestNetworkConfig:
         assert cfg == NetworkConfig(
             input_dim=12, layer_widths=(3, 9),
             nonlinearity=NonlinearitySpec.parse("prelu(0.3)"),
-            weight_std=(0.5, 1.25), include_bias=True, seed=42)
-        scalar = small_config(weight_std=2, seed=7)
+            weight_std=(0.5, 1.25), include_bias=True)
+        scalar = small_config(weight_std=2)
         assert scalar.to_dict()["weight_std"] == 2.0
         for c in (cfg, scalar, small_config(nonlinearity=ELU)):
             assert NetworkConfig.from_dict(c.to_dict()) == c
+
+    def test_dict_form_names_unknown_fields(self):
+        # manifests of earlier builds carry a network seed that selected no
+        # draw; loading one names the field instead of dropping it
+        with pytest.raises(ValueError,
+                           match=r"network fields unknown: \['seed'\]"):
+            NetworkConfig.from_dict(dict(self.PRELU_DICT, seed=42))
+
+    def test_config_file_ignores_keys_it_does_not_read(self, tmp_path):
+        # INI files of earlier builds carry a seed key; it is ignored
+        with_seed, without = tmp_path / "a.ini", tmp_path / "b.ini"
+        with_seed.write_text(self.PRELU_INI.replace("\n\n", "\nseed = 5\n"))
+        without.write_text(self.PRELU_INI)
+        assert parse_config_file(with_seed) == parse_config_file(without) \
+            == NetworkConfig.from_dict(self.PRELU_DICT)
 
     def test_config_file_text_is_unchanged(self, tmp_path):
         path = tmp_path / "net.ini"
@@ -140,23 +154,22 @@ class TestInputsAndWeights:
         # SeedSequence reads 2^32 as the words (0, 1) and drops trailing
         # zero words, so seed 2^32's chunk 0 would be seed 0's chunk 1
         with pytest.raises(ValueError, match="2\\^32"):
-            sample_units(cfg20, x20, 2, 0, "pre", 8192, 2**32)
+            sample_layer_units(cfg20, x20, [2], "pre", 8192, 2**32)
         with pytest.raises(ValueError):
             sample_layer_units(cfg20, x20, (1, 2), "pre", 100, 2**32)
         with pytest.raises(ValueError):
             sample_input(4, 2**32)
         with pytest.raises(ValueError):
             sample_input(4, -1)
-        top = sample_units(cfg20, x20, 2, 0, "pre", 100, 2**32 - 1)
+        top = sample_layer_units(cfg20, x20, [2], "pre", 100, 2**32 - 1)[2]
         assert np.all(np.isfinite(top.log_magnitudes))
 
-    @pytest.mark.parametrize("method", ["conditional", "direct"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_input_rejected(self, cfg20, method, bad):
+    def test_non_finite_input_rejected(self, cfg20, bad):
         x = np.ones(cfg20.input_dim)
         x[1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            sample_units(cfg20, x, 2, 0, "pre", 100, 0, method=method)
+            sample_layer_units(cfg20, x, [2], "pre", 100, 0)
 
 
 class TestUnitSampleSet:
@@ -191,20 +204,20 @@ def x20(cfg20):
 
 class TestSamplerDeterminism:
     def test_same_arguments_same_samples(self, cfg20, x20):
-        a = sample_units(cfg20, x20, 2, 0, "pre", 3000, 11)
-        b = sample_units(cfg20, x20, 2, 0, "pre", 3000, 11)
+        a = sample_layer_units(cfg20, x20, [2], "pre", 3000, 11)[2]
+        b = sample_layer_units(cfg20, x20, [2], "pre", 3000, 11)[2]
         np.testing.assert_array_equal(a.signs, b.signs)
         np.testing.assert_array_equal(a.log_magnitudes, b.log_magnitudes)
 
     def test_worker_count_does_not_change_the_stream(self, cfg20, x20):
-        a = sample_units(cfg20, x20, 2, 0, "pre", 10_000, 11, workers=1)
-        b = sample_units(cfg20, x20, 2, 0, "pre", 10_000, 11, workers=4)
-        np.testing.assert_array_equal(a.log_magnitudes, b.log_magnitudes)
+        a = sample_layer_units(cfg20, x20, [2], "pre", 10_000, 11, workers=1)
+        b = sample_layer_units(cfg20, x20, [2], "pre", 10_000, 11, workers=4)
+        np.testing.assert_array_equal(a[2].log_magnitudes, b[2].log_magnitudes)
 
     def test_unit_stream_is_request_shape_invariant(self, cfg20, x20):
         # drawing unit 0 alone, with a sibling, or with deeper layers in the
         # same pass must yield the identical stream
-        alone = sample_units(cfg20, x20, 2, 0, "pre", 2000, 11)
+        alone = sample_layer_units(cfg20, x20, [2], "pre", 2000, 11)[2]
         joint_s, joint_lm = sample_joint_units(cfg20, x20, 2, (0, 1), "pre",
                                                2000, (11, STREAM_UNITS))
         multi = sample_layer_units(cfg20, x20, (1, 2), "pre", 2000, 11)
@@ -213,40 +226,88 @@ class TestSamplerDeterminism:
                                       multi[2].log_magnitudes)
 
     def test_post_is_the_transformed_pre(self, cfg20, x20):
-        from layertails.nonlinearity import apply_signed_log
-        pre = sample_units(cfg20, x20, 2, 0, "pre", 2000, 11)
-        post = sample_units(cfg20, x20, 2, 0, "post", 2000, 11)
+        pre = sample_layer_units(cfg20, x20, [2], "pre", 2000, 11)[2]
+        post = sample_layer_units(cfg20, x20, [2], "post", 2000, 11)[2]
         s, lm = apply_signed_log(cfg20.nonlinearity, pre.signs,
                                  pre.log_magnitudes)
         np.testing.assert_array_equal(post.signs, s)
         np.testing.assert_array_equal(post.log_magnitudes, lm)
 
     def test_seeds_are_not_shared_across_methods(self, cfg20, x20):
-        a = sample_units(cfg20, x20, 1, 0, "pre", 2000, 11, method="conditional")
-        b = sample_units(cfg20, x20, 1, 0, "pre", 2000, 11, method="direct")
-        assert not np.array_equal(a.log_magnitudes, b.log_magnitudes)
+        a = sample_layer_units(cfg20, x20, [1], "pre", 2000, 11)[1]
+        b = direct_oracle(cfg20, x20, 2000, {1: [0]}, 11)[1][1]
+        assert not np.array_equal(a.log_magnitudes, b[:, 0])
 
     def test_out_of_range_requests_rejected(self, cfg20, x20):
         with pytest.raises(ValueError):
-            sample_units(cfg20, x20, 3, 0, "pre", 1000, 0)
+            sample_layer_units(cfg20, x20, [3], "pre", 1000, 0)
         with pytest.raises(ValueError):
-            sample_units(cfg20, x20, 2, 20, "pre", 1000, 0)
+            sample_joint_units(cfg20, x20, 2, (20,), "pre", 1000, (0,))
         with pytest.raises(ValueError):
             sample_layer_units(cfg20, x20, (0, 1), "pre", 1000, 0)
         with pytest.raises(ValueError):
             sample_joint_units(cfg20, x20, 2, (0, 0), "pre", 1000, (0,))
+        with pytest.raises(ValueError, match="layer 2"):
+            sample_joint_units(cfg20, x20, 2, (), "pre", 1000, (0,))
+        with pytest.raises(ValueError, match="layer 2"):
+            run_sampler(cfg20, x20, 1000, {1: [0], 2: []}, (0,))
 
 
-def _direct_weights(cfg, n, seed):
-    """The weight matrices of the direct sampler's one chunk of n draws,
-    regenerated from its stream: one (n, width, fan_in) array per layer."""
-    rng = network_model._generator((seed, STREAM_DIRECT, 0))
+# The direct oracle: a fresh weight matrix per layer per draw and a literal
+# forward pass in linear arithmetic, O(H_l H_{l-1}) normals per layer per
+# draw. It is the ground truth for the package's sampler, which never draws
+# a weight. Chunk c of its draws comes from the stream (seed, ORACLE_STREAM,
+# c), a tag that no sampling operation of the package uses.
+ORACLE_STREAM = 7
+ORACLE_CHUNK = 256
+
+
+def _direct_weights(cfg, seed, c, b, top):
+    """One (b, width, fan_in) weight array per layer 1..top: the weights
+    of the oracle's chunk c of b draws, in the order its stream yields."""
+    rng = network_model._generator((seed, ORACLE_STREAM, c))
     weights, cols = [], cfg.input_dim + cfg.include_bias
-    for layer, width in enumerate(cfg.layer_widths, start=1):
+    for layer in range(1, top + 1):
+        width = cfg.layer_widths[layer - 1]
         weights.append(cfg.weight_std_for(layer)
-                       * rng.standard_normal((n, width, cols)))
+                       * rng.standard_normal((b, width, cols)))
         cols = width + cfg.include_bias
     return weights
+
+
+def direct_oracle(cfg, x, n, needs, seed, kind="pre"):
+    """run_sampler's request ({layer: units}) and return form ({layer:
+    (signs, log_magnitudes)}), drawn by the literal forward pass."""
+    top = max(needs)
+    cols = {layer: [] for layer in needs}
+    for c, start in enumerate(range(0, n, ORACLE_CHUNK)):
+        b = min(ORACLE_CHUNK, n - start)
+        h = np.broadcast_to(x, (b, x.shape[0]))
+        for layer, W in enumerate(_direct_weights(cfg, seed, c, b, top),
+                                  start=1):
+            if cfg.include_bias:
+                h = np.concatenate([h, np.ones((b, 1))], axis=1)
+            g = np.einsum("bij,bj->bi", W, h)
+            assert np.all(np.isfinite(g)), f"layer {layer} overflows"
+            if layer in needs:
+                cols[layer].append(g[:, needs[layer]])
+            if layer < top:
+                h = apply(cfg.nonlinearity, g)
+    out = {}
+    for layer, parts in cols.items():
+        g = np.concatenate(parts)
+        with np.errstate(divide="ignore"):
+            signs, lms = np.sign(g).astype(np.int8), np.log(np.abs(g))
+        if kind == "post":
+            signs, lms = apply_signed_log(cfg.nonlinearity, signs, lms)
+        out[layer] = (signs, lms)
+    return out
+
+
+def _direct_unit0(cfg, x, layer, n, seed):
+    """The oracle's draws of g(layer)_0, decoded."""
+    signs, lms = direct_oracle(cfg, x, n, {layer: [0]}, seed)[layer]
+    return signs[:, 0] * np.exp(lms[:, 0])
 
 
 class TestForward:
@@ -256,13 +317,11 @@ class TestForward:
         n, seed = 20, 5
         cfg = small_config(nonlinearity=TANH)
         x = sample_input(8, seed)
-        weights = _direct_weights(cfg, n, seed)
+        weights = _direct_weights(cfg, seed, 0, n, cfg.depth)
         needs = {layer: list(range(width))
                  for layer, width in enumerate(cfg.layer_widths, start=1)}
-        got = run_sampler(cfg, x, n, needs, (seed, STREAM_DIRECT),
-                          method="direct")
-        post = [sample_units(cfg, x, layer, 0, "post", n, seed,
-                             method="direct").decode()
+        got = direct_oracle(cfg, x, n, needs, seed)
+        post = [direct_oracle(cfg, x, n, {layer: [0]}, seed, "post")[layer]
                 for layer in range(1, cfg.depth + 1)]
         for i in range(n):
             h = x
@@ -272,37 +331,37 @@ class TestForward:
                 np.testing.assert_allclose(signs[i] * np.exp(lms[i]), g,
                                            rtol=1e-12)
                 h = np.tanh(g)
-                assert post[layer - 1][i] == pytest.approx(h[0], rel=1e-12)
+                signs, lms = post[layer - 1]
+                assert signs[i, 0] * np.exp(lms[i, 0]) == pytest.approx(
+                    h[0], rel=1e-12)
 
     def test_bias_column_is_appended(self):
         n, seed = 20, 5
         cfg = small_config(include_bias=True)
         x = sample_input(8, seed)
-        W1 = _direct_weights(cfg, n, seed)[0]
+        W1 = _direct_weights(cfg, seed, 0, n, 1)[0]
         assert W1.shape == (n, 6, 9)
-        signs, lms = run_sampler(cfg, x, n, {1: list(range(6))},
-                                 (seed, STREAM_DIRECT),
-                                 method="direct")[1]
+        signs, lms = direct_oracle(cfg, x, n, {1: list(range(6))}, seed)[1]
         g1 = W1 @ np.concatenate([x, [1.0]])
         np.testing.assert_allclose(signs * np.exp(lms), g1, rtol=1e-12)
 
 
 class TestSamplerLaw:
-    """Distributional checks tying the fast conditional sampler to ground
-    truth. The conditional path never materializes weight matrices, so
-    agreement with the direct path is the key correctness evidence."""
+    """Distributional checks tying the conditional sampler to ground
+    truth. The sampler never materializes weight matrices, so agreement
+    with the direct oracle is the key correctness evidence."""
 
     def test_layer1_matches_gaussian_exactly_in_law(self, cfg20, x20):
-        s = sample_units(cfg20, x20, 1, 0, "pre", 50_000, 3)
+        s = sample_layer_units(cfg20, x20, [1], "pre", 50_000, 3)[1]
         sigma = math.sqrt(float(x20 @ x20))
         d, p = stats.kstest(s.decode(), "norm", args=(0, sigma))
         assert p > 0.01
 
     def test_conditional_agrees_with_direct_at_depth(self, cfg20, x20):
         n = 30_000
-        cond = sample_units(cfg20, x20, 2, 0, "pre", n, 3, method="conditional")
-        direct = sample_units(cfg20, x20, 2, 0, "pre", n, 3, method="direct")
-        d, p = stats.ks_2samp(cond.decode(), direct.decode())
+        cond = sample_layer_units(cfg20, x20, [2], "pre", n, 3)[2]
+        direct = _direct_unit0(cfg20, x20, 2, n, 3)
+        d, p = stats.ks_2samp(cond.decode(), direct)
         assert p > 0.001
 
     def test_bias_enters_the_variance(self):
@@ -310,23 +369,22 @@ class TestSamplerLaw:
         cfg = NetworkConfig(input_dim=5, layer_widths=(5,), nonlinearity=RELU,
                             weight_std=1.0, include_bias=True)
         x = sample_input(5, 21)
-        s = sample_units(cfg, x, 1, 0, "pre", 200_000, 21)
+        s = sample_layer_units(cfg, x, [1], "pre", 200_000, 21)[1]
         want = float(x @ x) + 1.0
         assert np.var(s.decode()) == pytest.approx(want, rel=0.02)
 
     def test_direct_matches_forward_exactly(self, cfg20):
-        # the direct sampler is a batched literal forward pass: regenerate
-        # the weights of its one chunk and propagate each draw on its own
+        # the oracle is a batched literal forward pass: regenerate the
+        # weights of its one chunk and propagate each draw on its own
         n, seed = 40, 13
         x = sample_input(8, seed)
         for bias in (False, True):
             cfg = small_config(nonlinearity=cfg20.nonlinearity,
                                weight_std=(0.7, 1.5, 1.0), include_bias=bias)
-            got = run_sampler(cfg, x, n, {1: list(range(6)),
-                                          2: list(range(5)),
-                                          3: list(range(4))},
-                              (seed, STREAM_DIRECT), method="direct")
-            weights = _direct_weights(cfg, n, seed)
+            got = direct_oracle(cfg, x, n, {1: list(range(6)),
+                                            2: list(range(5)),
+                                            3: list(range(4))}, seed)
+            weights = _direct_weights(cfg, seed, 0, n, cfg.depth)
             for i in range(n):
                 h = x
                 for layer, W in enumerate(weights, start=1):
@@ -335,23 +393,34 @@ class TestSamplerLaw:
                     np.testing.assert_allclose(signs[i] * np.exp(lms[i]), g,
                                                rtol=1e-12, atol=1e-12)
                     h = apply(cfg.nonlinearity, g)
-            unit = sample_units(cfg, x, 3, 1, "pre", n, seed, method="direct")
-            np.testing.assert_array_equal(unit.log_magnitudes, got[3][1][:, 1])
+            unit = direct_oracle(cfg, x, n, {3: [1]}, seed)[3]
+            np.testing.assert_array_equal(unit[1][:, 0], got[3][1][:, 1])
+
+
+# sha256 of the oracle's (signs, log-magnitudes) bytes, as PINNED_STREAMS,
+# on a biased, per-layer-std net; generated by run_sampler(...,
+# method="direct") before the oracle moved into the tests, so the KS tests
+# compare against the draws they always did
+ORACLE_STREAMS = {
+    ("elu(1.0)", "pre"):
+        "6c9e9dd1de920c7d4cea04996af8eb1a2008b0e6f6b1c50a895029a07c06ea48",
+    ("tanh", "post"):
+        "766a0831653877177940ab20147790b1ece1995f63f5dbe0d06937f9520216bf",
+}
 
 
 class TestDirectOracle:
-    def test_overflow_names_the_layer(self):
-        cfg = NetworkConfig(input_dim=4, layer_widths=(4, 4, 4),
-                            nonlinearity=RELU, weight_std=1e200)
-        with pytest.raises(LayerOverflowError) as ei:
-            sample_units(cfg, sample_input(4, 0), 3, 0, "pre", 10, 0,
-                         method="direct")
-        assert ei.value.layer in (2, 3)
+    @pytest.mark.parametrize("family,kind", sorted(ORACLE_STREAMS))
+    def test_stream_is_pinned_bit_for_bit(self, family, kind):
+        cfg = NetworkConfig(nonlinearity=NonlinearitySpec.parse(family),
+                            **PIN_CONFIGS["bias-depth3"])
+        got = direct_oracle(cfg, sample_input(20, 13), 3000,
+                            {1: [0], 2: [0, 1, 2], 3: [0, 4]}, 13, kind)
+        assert _stream_digest(got) == ORACLE_STREAMS[family, kind]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sample_units(small_config(), np.zeros(9), 1, 0, "pre", 10, 0,
-                         method="direct")
+            sample_layer_units(small_config(), np.zeros(9), [1], "pre", 10, 0)
 
 
 class TestZeroInput:
@@ -400,11 +469,11 @@ class TestZeroInput:
         cfg = self._cfg(SIGMOID, std=(1.0, 1.3, 1.0))
         n = 20_000
         x = np.zeros(5)
-        cond = sample_units(cfg, x, 2, 0, "pre", n, 3)
-        direct = sample_units(cfg, x, 2, 0, "pre", n, 3, method="direct")
+        cond = sample_layer_units(cfg, x, [2], "pre", n, 3)[2]
+        direct = _direct_unit0(cfg, x, 2, n, 3)
         sigma = 1.3 * math.sqrt(self.WIDTHS[0] / 4)
         assert stats.kstest(cond.decode(), "norm", args=(0, sigma)).pvalue > 0.01
-        assert stats.ks_2samp(cond.decode(), direct.decode()).pvalue > 0.001
+        assert stats.ks_2samp(cond.decode(), direct).pvalue > 0.001
 
 
 class _EluNet:
@@ -487,13 +556,13 @@ class TestMatrixStepFallback:
         cfg = NetworkConfig(input_dim=10, layer_widths=(10,) * 200,
                             nonlinearity=nonlinearity, weight_std=std)
         x = sample_input(10, 2)
-        s = sample_units(cfg, x, 200, 0, "pre", 2000, 2)
+        s = sample_layer_units(cfg, x, [200], "pre", 2000, 2)[200]
         lm = s.log_magnitudes
         assert np.all(np.isfinite(lm))
         assert np.all(s.signs != 0)
         assert np.max(np.abs(lm)) > 709.0
         _all_rows_log_domain(monkeypatch)
-        logdom = sample_units(cfg, x, 200, 0, "pre", 2000, 2)
+        logdom = sample_layer_units(cfg, x, [200], "pre", 2000, 2)[200]
         np.testing.assert_array_equal(s.signs, logdom.signs)
         np.testing.assert_allclose(lm, logdom.log_magnitudes, rtol=1e-12)
 
@@ -507,9 +576,9 @@ class TestMatrixStepFallback:
                             nonlinearity=nonlinearity, weight_std=std)
         x = sample_input(4, 6)
         monkeypatch.setattr(network_model, "_LINEAR_LOG_R", np.inf)
-        unlimited = sample_units(cfg, x, 2, 0, "pre", 3000, 6)
+        unlimited = sample_layer_units(cfg, x, [2], "pre", 3000, 6)[2]
         _all_rows_log_domain(monkeypatch)
-        logdom = sample_units(cfg, x, 2, 0, "pre", 3000, 6)
+        logdom = sample_layer_units(cfg, x, [2], "pre", 3000, 6)[2]
         assert np.all(np.isfinite(unlimited.log_magnitudes))
         np.testing.assert_array_equal(unlimited.signs, logdom.signs)
         np.testing.assert_allclose(unlimited.log_magnitudes,
@@ -558,9 +627,9 @@ class TestExactSampler:
                             include_bias=bias)
         x = sample_input(20, 5)
         n = 20_000
-        exact = sample_units(cfg, x, 3, 0, "pre", n, 5)
-        direct = sample_units(cfg, x, 3, 0, "pre", n, 5, method="direct")
-        d, p = stats.ks_2samp(exact.decode(), direct.decode())
+        exact = sample_layer_units(cfg, x, [3], "pre", n, 5)[3]
+        direct = _direct_unit0(cfg, x, 3, n, 5)
+        d, p = stats.ks_2samp(exact.decode(), direct)
         assert p > 0.001
 
     def test_width_one_relu_dies_half_the_time(self):
@@ -568,7 +637,7 @@ class TestExactSampler:
         cfg = NetworkConfig(input_dim=4, layer_widths=(1, 1),
                             nonlinearity=RELU)
         n = 40_000
-        s = sample_units(cfg, sample_input(4, 7), 2, 0, "pre", n, 7)
+        s = sample_layer_units(cfg, sample_input(4, 7), [2], "pre", n, 7)[2]
         dead = s.signs == 0
         assert abs(dead.mean() - 0.5) <= 4 * 0.5 / math.sqrt(n)
         assert np.all(np.isneginf(s.log_magnitudes[dead]))
@@ -578,7 +647,8 @@ class TestExactSampler:
     def test_depth_200_stays_finite_in_log_domain(self):
         cfg = NetworkConfig(input_dim=10, layer_widths=(10,) * 200,
                             nonlinearity=RELU, weight_std=100.0)
-        s = sample_units(cfg, sample_input(10, 2), 200, 0, "pre", 2000, 2)
+        s = sample_layer_units(cfg, sample_input(10, 2), [200], "pre", 2000,
+                               2)[200]
         live = s.signs != 0
         assert not np.any(np.isnan(s.log_magnitudes))
         assert np.all(np.isfinite(s.log_magnitudes[live]))
@@ -592,7 +662,8 @@ class TestExactSampler:
                             nonlinearity=RELU)
         x = sample_input(5, 17)
         n = 200_000
-        g2 = sample_units(cfg, x, layer, 0, "pre", n, 17).decode() ** 2
+        g2 = sample_layer_units(cfg, x, [layer], "pre", n, 17)[layer].decode()
+        g2 = g2 ** 2
         want = relu_norm_oracle(cfg.layer_widths, layer, 2,
                                 scale=math.sqrt(float(x @ x))) ** 2
         se = np.std(g2) / math.sqrt(n)
@@ -614,7 +685,7 @@ class TestExactSampler:
 def _assert_request_shape_and_worker_invariant(cfg):
     x = sample_input(20, 11)
     n = 10_000
-    alone = sample_units(cfg, x, 2, 0, "pre", n, 11)
+    alone = sample_layer_units(cfg, x, [2], "pre", n, 11)[2]
     joint_s, joint_lm = sample_joint_units(cfg, x, 2, (0, 1, 2), "pre", n,
                                            (11, STREAM_UNITS))
     multi = sample_layer_units(cfg, x, (1, 2, 3), "pre", n, 11, workers=3)
