@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
                             entropy_prefix, sample_joint_units)
 from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
@@ -27,8 +28,8 @@ class PoolingSpec:
     def __post_init__(self):
         if self.kind not in ("max", "average"):
             raise ValueError(f"pooling kind must be 'max' or 'average', got {self.kind!r}")
-        if self.region_size < 1:
-            raise ValueError("region_size must be >= 1")
+        if not (is_int(self.region_size) and self.region_size >= 1):
+            raise ValueError("region_size must be an integer >= 1")
 
 
 def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
@@ -86,9 +87,6 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     difference. Passes iff |theta_after - theta_before| is within the sum
     of the two standard errors plus 0.1.
     """
-    region = [int(r) for r in region]
-    if len(set(region)) != len(region):
-        raise ValueError("region indices must be distinct")
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
     entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)

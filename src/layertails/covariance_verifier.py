@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network_model
-from .errors import MomentOverflowError
+from .errors import MomentOverflowError, is_int
 from .network_model import (STREAM_COVARIANCE, NetworkConfig, entropy_prefix,
                             sample_joint_units)
 
@@ -62,17 +62,14 @@ def _verdict(estimate: float, se: float) -> str:
 
 
 def _check_powers(s: int, t: int) -> None:
-    if s < 1 or t < 1 or int(s) != s or int(t) != t:
+    if not (is_int(s) and is_int(t) and s >= 1 and t >= 1):
         raise ValueError("powers s, t must be integers >= 1")
 
 
 def _check_request(pair, n_samples: int) -> tuple[int, int]:
-    m, mp = int(pair[0]), int(pair[1])
-    if m == mp:
-        raise ValueError("pair must name two distinct units")
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10^4")
-    return m, mp
+    return pair
 
 
 def _cell(signs: np.ndarray, lms: np.ndarray, layer: int,
@@ -80,7 +77,6 @@ def _cell(signs: np.ndarray, lms: np.ndarray, layer: int,
     """Cov[(h_m)^s, (h_m')^t] of one layer's joint draws, given as
     (n, 2) signs and log-magnitudes of the pair's post units."""
     _check_powers(s, t)
-    s, t = int(s), int(t)
     n_samples = signs.shape[0]
     lm_a, lm_b = lms[:, 0], lms[:, 1]
     top_a = float(np.max(lm_a))
@@ -119,7 +115,6 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
     draws are those of the same pair and layer in sweep, so the report
     equals the matching sweep cell exactly.
     """
-    _check_powers(s, t)
     m, mp = _check_request(pair, n_samples)
     signs, lms = sample_joint_units(
         config, x, layer, (m, mp), "post", n_samples,
@@ -155,12 +150,11 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
     sweep share draws and are not independent of each other; each cell's
     batch-mean standard error stays valid, and no check relies on
     independence between cells. Request problems (equal units, too few
-    samples, units or layers out of range, a bad seed) raise ValueError
-    before any draw; per-cell problems (moment overflow at large powers,
-    invalid powers) are recorded and the sweep continues.
+    samples, no layers, units or layers not integers in range, a bad seed)
+    raise ValueError before any draw; per-cell problems (moment overflow,
+    invalid powers) are recorded. A repeated layer is scored once.
     """
     m, mp = _check_request(pair, n_samples)
-    layers = [int(layer) for layer in layers]
     # looked up on the module, so a wrapped run_sampler sees this pass too
     draws = network_model.run_sampler(
         config, x, n_samples, {layer: [m, mp] for layer in layers},
@@ -168,10 +162,10 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
         workers=workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
-    for layer in layers:
+    for layer, cell in draws.items():
         for s, t in powers:
             try:
-                reports.append(_cell(*draws[layer], layer, (m, mp), s, t))
+                reports.append(_cell(*cell, layer, (m, mp), s, t))
             except (MomentOverflowError, ValueError) as exc:
-                errors.append((layer, int(s), int(t), str(exc)))
+                errors.append((layer, s, t, str(exc)))
     return SweepResult(reports=reports, errors=errors)

@@ -1,9 +1,11 @@
-"""Exception types shared across the toolkit, and the one JSON type rule
-that every reader of a run manifest applies.
+"""Exception types shared across the toolkit, and its two type rules:
+is_int for counts, indices, orders and seeds, is_json_type for manifests.
 
 Invalid arguments raise plain ValueError; the classes here cover failure
 modes that callers may want to catch and handle separately from bad input.
 """
+
+import numpy as np
 
 
 class DegenerateDistributionError(ValueError):
@@ -21,6 +23,11 @@ class MomentOverflowError(FloatingPointError):
 
 class ConfigFileError(ValueError):
     """A network config file is missing, unreadable, or malformed."""
+
+
+def is_int(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_json_type(value, kind) -> bool:

@@ -10,8 +10,11 @@ unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
 Sampling. run_sampler is the one sampler pass: it validates a request
 (units per layer, before or after the nonlinearity), draws it in chunks
-and returns the requested columns. sample_layer_units, sample_joint_units
-and covariance_verifier.sweep call it directly. It never materializes a
+and returns the requested columns. Its draw count, layers and unit
+indices, like every seed, are Python or numpy integers (errors.is_int),
+used as given: a float or bool raises ValueError, as does a request for
+no layers. sample_layer_units, sample_joint_units and
+covariance_verifier.sweep call it directly. It never materializes a
 weight matrix: it rests on the exact identity that, given h(l-1), the
 H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
@@ -63,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigFileError, is_json_type
+from .errors import ConfigFileError, is_int, is_json_type
 from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
                            side_slopes)
 
@@ -108,16 +111,6 @@ _FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
                 "include_bias": bool}
 
 
-def _is_int(v) -> bool:
-    """A Python or numpy integer; a bool is not one."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A Python or numpy integer or float; a bool is not one."""
-    return _is_int(v) or isinstance(v, (float, np.floating))
-
-
 @dataclass(frozen=True)
 class NetworkConfig:
     """Architecture, prior scale and nonlinearity. It holds no seed: the
@@ -130,14 +123,14 @@ class NetworkConfig:
     include_bias: bool = False
 
     def __post_init__(self):
-        if not _is_int(self.input_dim) or self.input_dim < 1:
+        if not is_int(self.input_dim) or self.input_dim < 1:
             raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
         if not isinstance(self.include_bias, (bool, np.bool_)):
             raise ValueError(f"include_bias must be a bool, got {self.include_bias!r}")
         object.__setattr__(self, "input_dim", int(self.input_dim))
         object.__setattr__(self, "include_bias", bool(self.include_bias))
         widths = tuple(self.layer_widths)
-        if len(widths) == 0 or not all(_is_int(w) and w >= 1 for w in widths):
+        if len(widths) == 0 or not all(is_int(w) and w >= 1 for w in widths):
             raise ValueError("layer_widths must be non-empty integers >= 1, "
                              f"got {widths!r}")
         widths = tuple(int(w) for w in widths)
@@ -145,7 +138,8 @@ class NetworkConfig:
         std = self.weight_std
         per_layer = isinstance(std, (tuple, list, np.ndarray))
         stds = tuple(std) if per_layer else (std,) * len(widths)
-        if not all(_is_real(s) for s in stds):
+        if not all(is_int(s) or isinstance(s, (float, np.floating))
+                   for s in stds):
             raise ValueError("weight_std must be a number or a sequence of "
                              f"numbers, got {std!r}")
         stds = tuple(float(s) for s in stds)
@@ -248,17 +242,20 @@ def parse_config_file(path) -> NetworkConfig:
 
 def entropy_prefix(seed: int, stream: int, *fields: int) -> tuple[int, ...]:
     """The entropy prefix of one sampling operation: the seed, the
-    operation's stream tag, then fields of its own. Raises ValueError for
-    a seed outside [0, 2^32), which would alias other seeds' streams."""
-    if not (0 <= int(seed) < _MAX_SEED):
-        raise ValueError(f"seed must be in [0, 2^32), got {seed}")
-    return (int(seed), stream, *(int(f) for f in fields))
+    operation's stream tag, then integer fields of its own. Raises
+    ValueError for a seed outside the integers [0, 2^32): 2^32 and up
+    would alias other seeds' streams."""
+    if not (is_int(seed) and 0 <= seed < _MAX_SEED):
+        raise ValueError(f"seed must be in [0, 2^32), got {seed!r}")
+    if not all(is_int(f) for f in fields):
+        raise ValueError(f"entropy fields must be integers, got {fields!r}")
+    return (seed, stream, *fields)
 
 
 def sample_input(dim: int, seed: int) -> np.ndarray:
     """Standard-normal input vector, drawn once for all weight draws."""
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
+    if not (is_int(dim) and dim >= 1):
+        raise ValueError(f"dim must be an integer >= 1, got {dim!r}")
     return _generator(entropy_prefix(seed, STREAM_INPUT)).standard_normal(dim)
 
 
@@ -439,8 +436,8 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
 def worker_threads(workers: int, n_chunks: int) -> int:
     """Threads for one sampler pass: at most the workers asked for, the
     machine's cores and the number of chunks."""
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    if not (is_int(workers) and workers >= 1):
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     return min(workers, os.cpu_count() or 1, n_chunks)
 
 
@@ -451,32 +448,35 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     """The one sampler pass: validates the request, runs its chunks and
     returns the requested units.
 
-    needs maps 1-based layers to lists of distinct 0-based unit indices.
-    Returns, per requested layer, (signs, log_magnitudes) arrays of shape
-    (n_samples, len(units)), columns in the order given; kind "pre" gives
-    g(l), "post" applies the nonlinearity to them. The draws of a unit do
-    not depend on which other units and layers are requested.
+    needs maps 1-based layers to lists of distinct 0-based unit indices;
+    n_samples, layers and indices are integers (errors.is_int), and an
+    empty needs raises "no layers requested". Returns, per requested
+    layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
+    columns in the order given; kind "pre" gives g(l), "post" applies the
+    nonlinearity to them. The draws of a unit do not depend on which other
+    units and layers are requested.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (config.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
     if not np.all(np.isfinite(x)):
         raise ValueError("input has non-finite entries")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if not (is_int(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
     if kind not in ("pre", "post"):
         raise ValueError(f"kind must be 'pre' or 'post', got {kind!r}")
+    if not needs:
+        raise ValueError("no layers requested")
     for layer, units in needs.items():
-        if not (1 <= layer <= config.depth):
-            raise ValueError(f"layer {layer} out of range 1..{config.depth}")
-        if not units:
+        if not (is_int(layer) and 1 <= layer <= config.depth):
+            raise ValueError(f"layer {layer!r} out of range 1..{config.depth}")
+        if len(units) == 0:
             raise ValueError(f"no units requested for layer {layer}")
         if len(set(units)) != len(units):
             raise ValueError("unit indices must be distinct")
-        if any(not (0 <= i < config.layer_widths[layer - 1]) for i in units):
-            raise ValueError(f"unit indices out of range for layer {layer}")
-    if not needs:
-        return {}
+        H = config.layer_widths[layer - 1]
+        if not all(is_int(i) and 0 <= i < H for i in units):
+            raise ValueError(f"unit indices {units!r} out of range for layer {layer}")
 
     # the chunk steps draw the leading units of a layer up to the last one
     # requested, in index order
@@ -522,7 +522,7 @@ def sample_layer_units(config: NetworkConfig, x: np.ndarray, layers,
                        kind: str, n_samples: int, seed: int,
                        workers: int = 1) -> dict[int, UnitSampleSet]:
     """Unit 0 of several layers from a single propagation pass."""
-    needs = {layer: [0] for layer in sorted(set(int(l) for l in layers))}
+    needs = {layer: [0] for layer in sorted(set(layers))}
     got = run_sampler(config, x, n_samples, needs,
                       entropy_prefix(seed, STREAM_UNITS), kind, workers=workers)
     return {layer: UnitSampleSet(layer=layer, kind=kind, unit_index=0,
@@ -538,6 +538,5 @@ def sample_joint_units(config: NetworkConfig, x: np.ndarray, layer: int,
     Returns (signs, log_magnitudes) of shape (n_samples, len(unit_indices)),
     columns in the order given. Callers own the entropy prefix.
     """
-    units = [int(i) for i in unit_indices]
-    return run_sampler(config, x, n_samples, {layer: units}, entropy, kind,
-                       workers=workers)[layer]
+    return run_sampler(config, x, n_samples, {layer: unit_indices}, entropy,
+                       kind, workers=workers)[layer]

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, log_ndtr, ndtr, ndtri
 
-from .errors import DegenerateDistributionError
+from .errors import DegenerateDistributionError, is_int
 from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _generator,
                             entropy_prefix)
 
@@ -53,7 +53,7 @@ _NORMAL_IQR = 2.0 * float(ndtri(0.75))
 _SURVIVAL_GRID = 400
 
 
-def as_sample_set(obj, kind: str = "pre") -> UnitSampleSet:
+def as_sample_set(obj) -> UnitSampleSet:
     """Coerce a raw value array into a UnitSampleSet (layer 0, synthetic)."""
     if isinstance(obj, UnitSampleSet):
         return obj
@@ -62,7 +62,7 @@ def as_sample_set(obj, kind: str = "pre") -> UnitSampleSet:
         raise ValueError("sample values must be a 1-d array")
     with np.errstate(divide="ignore"):
         lm = np.log(np.abs(v))
-    return UnitSampleSet(layer=0, kind=kind, unit_index=0,
+    return UnitSampleSet(layer=0, kind="pre", unit_index=0,
                          signs=np.sign(v).astype(np.int8), log_magnitudes=lm)
 
 
@@ -76,6 +76,8 @@ def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
     codes = {"gaussian": 0, "exponential": 1, "weibull": 2}
     if family not in codes:
         raise ValueError(f"unknown synthetic family {family!r}")
+    if not (is_int(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = _generator(entropy_prefix(seed, STREAM_SYNTHETIC, codes[family]))
     if family == "gaussian":
         v = sigma * rng.standard_normal(n)
@@ -169,9 +171,9 @@ def empirical_log_norm(samples, k: int) -> tuple[float, float]:
     is finite even when the 2k-th moment is dominated by one sample.
     """
     s = as_sample_set(samples)
-    if int(k) != k or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    return _log_norms(s, [int(k)])[0]
+    if not (is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    return _log_norms(s, [k])[0]
 
 
 def gaussian_norm_oracle(sigma: float, k: int) -> float:
@@ -182,9 +184,8 @@ def gaussian_norm_oracle(sigma: float, k: int) -> float:
     """
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
-    if int(k) != k or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    k = int(k)
+    if not (is_int(k) and k >= 1):
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     log_moment = 0.5 * k * math.log(2.0) + float(gammaln((k + 1) / 2.0)) \
         - 0.5 * math.log(math.pi)
     return sigma * math.exp(log_moment / k)
@@ -206,12 +207,12 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
     a finite sum in which the N = 0 term vanishes. Evaluated in log domain,
     so k in the thousands is fine.
     """
-    widths = tuple(int(w) for w in widths)
-    if not 1 <= layer <= len(widths):
-        raise ValueError(f"layer {layer} out of range 1..{len(widths)}")
-    if int(k) != k or k < 1:
-        raise ValueError("k must be an integer >= 1")
-    k = int(k)
+    widths = tuple(widths)
+    if not all(is_int(w) and w >= 1 for w in widths):
+        raise ValueError(f"widths must be integers >= 1, got {widths!r}")
+    if not (is_int(layer) and 1 <= layer <= len(widths)):
+        raise ValueError(f"layer {layer!r} out of range 1..{len(widths)}")
+    # gaussian_norm_oracle checks k before any use of it
     log_moment = k * math.log(gaussian_norm_oracle(scale, k))
     for H in widths[:layer - 1]:
         n = np.arange(1, H + 1)
@@ -223,13 +224,13 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
 
 
 def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
-    if not (1 <= k_min < k_max):
-        raise ValueError("need 1 <= k_min < k_max")
+    if not (is_int(k_min) and is_int(k_max) and 1 <= k_min < k_max):
+        raise ValueError(f"need integers 1 <= k_min < k_max, got {k_min!r}, {k_max!r}")
     s = as_sample_set(samples)
-    ks = np.arange(int(k_min), int(k_max) + 1)
-    pairs = _log_norms(s, [int(k) for k in ks])
+    ks = range(k_min, k_max + 1)
+    pairs = _log_norms(s, ks)
     src = f"layer={s.layer} kind={s.kind} unit={s.unit_index}"
-    return MomentCurve(ks=ks,
+    return MomentCurve(ks=np.array(ks),
                        log_norms=np.array([p[0] for p in pairs]),
                        ses=np.array([p[1] for p in pairs]),
                        n_samples=s.n_samples,

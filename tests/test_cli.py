@@ -27,6 +27,14 @@ def _network_edit(drop=None, **fields):
     return lambda m: dict(m, command="survival-curves", params=params)
 
 
+def _covariance_without_layers(m):
+    """A manifest edit that makes a covariance manifest of the same
+    network whose layers list is empty."""
+    params = dict(_network_edit()(m)["params"], layers=[])
+    del params["standardize"]
+    return dict(m, command="covariance", params=params)
+
+
 @pytest.fixture()
 def net_ini(tmp_path):
     cfg = NetworkConfig(input_dim=30, layer_widths=(40, 40),
@@ -409,10 +417,12 @@ class TestRerun:
         (lambda m: dict(m, sampler=True), "field 'sampler' is not a JSON int"),
         (_network_edit(drop="include_bias"),
          "network fields missing: ['include_bias']"),
+        (_covariance_without_layers, "error: no layers requested"),
     ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
             "string-qs", "dict-std", "network-with-seed", "int-widths",
             "int-phi", "string-bias", "float-dim", "bool-seed",
-            "bool-workers", "bool-sampler", "network-without-bias"])
+            "bool-workers", "bool-sampler", "network-without-bias",
+            "no-layers"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"

@@ -51,6 +51,25 @@ def test_harness_attribute_exists(module, attr):
     assert callable(getattr(module, attr))
 
 
+# perfbench/child.py makes these calls, positionally as here
+CALLS = [
+    (network_model.sample_layer_units,
+     ("config", "x", (1, 2, 3), "pre", "n", "seed")),
+    (conv_pooling.pooled_tail_check,
+     ("config", "x", "layer", "region", "spec", "n", "seed")),
+    (layertails.PoolingSpec, ("kind", "size")),
+    (network_model.sample_input, ("dim", "seed")),
+    (network_model.parse_config_file, ("path",)),
+]
+
+
+@pytest.mark.parametrize("fn,args", CALLS,
+                         ids=[fn.__name__ for fn, _ in CALLS])
+def test_harness_calls_bind(fn, args):
+    # a signature slip fails here, not in a benchmark run
+    inspect.signature(fn).bind(*args)
+
+
 def test_traced_arguments_bind_by_name():
     # the tracer's run_sampler counter reads these arguments by name, and
     # groups spans by the config's hash
