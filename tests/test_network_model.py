@@ -825,3 +825,96 @@ def test_benchmark_elu_stream_is_pinned_bit_for_bit():
     assert _stream_digest({l: (s.signs, s.log_magnitudes)
                            for l, s in got.items()}) == \
         "acbf1651cacc6261fe90c000228c9bbb5081ee42534eb98f1420211caee2ef70"
+
+
+# Configurations whose rows reach the log-domain norm: tanh and sigmoid
+# shrink |g| below e^-300 at once (weight_std 1e-200) or tanh over about
+# 90 layers (1e-2); elu(0.3) grows past e^300 near layer 53 (100); selu
+# starts there (1e200). tanh at depth 40 stays in plain doubles.
+LOG_DOMAIN_CONFIGS = {
+    "tanh-std1e-200": ("tanh", dict(input_dim=3, layer_widths=(3, 3, 3),
+                                    weight_std=1e-200)),
+    "sigmoid-std1e-200": ("sigmoid", dict(input_dim=3, layer_widths=(3, 3, 3),
+                                          weight_std=1e-200)),
+    "tanh-depth40-std1e-2": ("tanh", dict(input_dim=10,
+                                          layer_widths=(10,) * 40,
+                                          weight_std=1e-2)),
+    "tanh-depth100-std1e-2": ("tanh", dict(input_dim=10,
+                                           layer_widths=(10,) * 100,
+                                           weight_std=1e-2)),
+    "elu(0.3)-depth60-std100": ("elu(0.3)", dict(input_dim=10,
+                                                 layer_widths=(10,) * 60,
+                                                 weight_std=100.0)),
+    "selu-std1e200-bias": ("selu", dict(input_dim=20, layer_widths=(20, 20),
+                                        weight_std=1e200, include_bias=True)),
+}
+
+# sha256 of run_sampler's bytes, as PINNED_STREAMS, for units
+# {1: [0], 2: [0, 1], depth: [0, 2]} (at depth 2 the last entry wins);
+# generated at sampler version 6
+LOG_DOMAIN_STREAMS = {
+    ("elu(0.3)-depth60-std100", "post"):
+        "df6b5063f69929fe8ac31db78800957ab7b483fe2da28c8983c3704e2a1b7bfa",
+    ("elu(0.3)-depth60-std100", "pre"):
+        "2c1e2d250456157fd8de180b0b7eb765ffcf6ab45d0de617ca3769ee08400d13",
+    ("selu-std1e200-bias", "post"):
+        "8d43c1bf786e8c42a0dabd4b1f2e8f32cbc11f77231291c8874ce58141e63c54",
+    ("selu-std1e200-bias", "pre"):
+        "de5c8724bc429b1b37736ffe7e12d469a8e93d362aa94cadc973bf21368ef07a",
+    ("sigmoid-std1e-200", "post"):
+        "44bb076c266a34403b00638e5e751a9bebdf74c7b703bc9acc4382b8d866adad",
+    ("sigmoid-std1e-200", "pre"):
+        "2c44931916091c5beb92b9dd1e12527128b152617c400c950238f62947e9ec38",
+    ("tanh-depth100-std1e-2", "post"):
+        "25d3d378861f6cccaf665f41677dd9a248f70de4093a37a1701e872377691a7a",
+    ("tanh-depth100-std1e-2", "pre"):
+        "807146f8cc4501ef550dc77889b1808ffbd92eaac25fc241dc6a1bdd3f839d1a",
+    ("tanh-depth40-std1e-2", "post"):
+        "bde57354c10346517be9df7fbfe6ab91e20ca1df96ca09f91ce89752b0fa8d3b",
+    ("tanh-depth40-std1e-2", "pre"):
+        "8f43d742d2ae06dad2f3b0a0400e0c682ddcc88768d690844be7bc1f7b360722",
+    ("tanh-std1e-200", "post"):
+        "a1021a42c471df60de078fe11a3c1720df821db95d576dacca000117f80c1bd9",
+    ("tanh-std1e-200", "pre"):
+        "830ac89b92afa71717df4a418ecf969d514f278e9b5fe850538805cdb0dfacd4",
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(LOG_DOMAIN_STREAMS))
+def test_log_domain_stream_is_pinned_bit_for_bit(name, kind):
+    family, kw = LOG_DOMAIN_CONFIGS[name]
+    cfg = NetworkConfig(nonlinearity=NonlinearitySpec.parse(family), **kw)
+    got = run_sampler(cfg, sample_input(cfg.input_dim, 13), 3000,
+                      {1: [0], 2: [0, 1], cfg.depth: [0, 2]},
+                      (13, STREAM_UNITS), kind)
+    assert _stream_digest(got) == LOG_DOMAIN_STREAMS[name, kind]
+
+
+# sha256 of the PINNED_STREAMS request on bias-depth3 with kind "post";
+# generated at sampler version 6
+POST_STREAMS = {
+    "elu(1.0)":
+        "3c25281f80964c371fd88158b2462fcd19ce10a3bccb6f79ef00add582218382",
+    "identity":
+        "09d475c33c2ff79b6efd8efd410a43d2c0620e5a4cda893242aa9ee6d7597ebd",
+    "prelu(0.3)":
+        "eb7230ded5b4c0eeca0f988c149040c07374b139aa6d211d9b0adab9a9311420",
+    "relu":
+        "80c2a6275e62167794597bd0a53536266bd304a9b864221cfe16f9f9491365e6",
+    "selu":
+        "0ff89777155a2bb4cdcf452270c035705e10d5ede74e1a99232432c3d176cb18",
+    "sigmoid":
+        "b745b8fe6f8cf5de44556b2d37a013853f767b43ec8d4f04b981addbcf13b24c",
+    "tanh":
+        "c11525202c2d2140818895207b4fef1df7fce89caede0fc0de6b27aa71f40c24",
+}
+
+
+@pytest.mark.parametrize("family", sorted(POST_STREAMS))
+def test_post_stream_is_pinned_bit_for_bit(family):
+    cfg = NetworkConfig(nonlinearity=NonlinearitySpec.parse(family),
+                        **PIN_CONFIGS["bias-depth3"])
+    got = run_sampler(cfg, sample_input(cfg.input_dim, 13), 3000,
+                      {1: [0], 2: [0, 1, 2], cfg.depth: [0, 4]},
+                      (13, STREAM_UNITS), "post")
+    assert _stream_digest(got) == POST_STREAMS[family]
