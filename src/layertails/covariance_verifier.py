@@ -67,6 +67,8 @@ def _check_powers(s: int, t: int) -> None:
 
 
 def _check_request(pair, n_samples: int) -> tuple[int, int]:
+    if len(pair) != 2:
+        raise ValueError(f"pair must be two unit indices, got {pair!r}")
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10^4")
     return pair
@@ -147,11 +149,11 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
     One sampler pass draws the pair at every requested layer, and every
     (layer, s, t) cell is scored from those draws, so each cell equals
     estimate_unit_covariance of the same arguments exactly. Cells of one
-    sweep share draws and are not independent of each other; each cell's
-    batch-mean standard error stays valid, and no check relies on
-    independence between cells. Request problems (equal units, too few
+    sweep share draws, so they are not independent; each cell's batch-mean
+    standard error stays valid, and no check relies on independence between
+    cells. Request problems (a pair not of two distinct units, too few
     samples, no layers, units or layers not integers in range, a bad seed)
-    raise ValueError before any draw; per-cell problems (moment overflow,
+    raise ValueError before any draw; per-cell ones (moment overflow,
     invalid powers) are recorded. A repeated layer is scored once.
     """
     m, mp = _check_request(pair, n_samples)

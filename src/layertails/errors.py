@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and its two type rules:
-is_int for counts, indices, orders and seeds, is_json_type for manifests.
+"""Exception types shared across the toolkit, and its value rules: is_int
+for counts, indices, orders and seeds, is_json_type for manifests and
+check_positive for scales.
 
 Invalid arguments raise plain ValueError; the classes here cover failure
 modes that callers may want to catch and handle separately from bad input.
@@ -39,3 +40,10 @@ def is_json_type(value, kind) -> bool:
     if isinstance(kind, list):
         return type(value) is list and all(is_json_type(e, kind[0]) for e in value)
     return type(value) is kind
+
+
+def check_positive(**values) -> None:
+    """Raise ValueError naming a value that is not positive and finite."""
+    for name, v in values.items():
+        if not 0 < v < np.inf:  # also false for NaN
+            raise ValueError(f"{name} must be positive and finite, got {v}")

@@ -36,7 +36,7 @@ little more than the work of its normal draws: r |Z_i| with the group's
 sign, phi's one-sided form in place (nonlinearity.apply_side), its
 square, then one reduceat per row. Rows with |log r| of 300 or more, dead
 rows (r = 0) and rows whose sum is not a finite, positive, normal double
-apply phi in (sign, log-magnitude) form and sum by log-sum-exp instead.
+pass log r + log|Z_i| through phi's log form and sum by log-sum-exp.
 The test suite checks this sampler in law against a literal forward pass
 with a fresh weight matrix per layer per draw.
 
@@ -68,7 +68,7 @@ import numpy as np
 
 from .errors import ConfigFileError, is_int, is_json_type
 from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
-                           side_slopes)
+                           sides)
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -301,8 +301,8 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
     """One chunk of the conditional sampler; returns pre arrays per layer.
     key is the chunk's entropy (request prefix plus chunk index). A layer
     draws N, then for the positive and the negative group its chi-square
-    sum if side_slopes gives that side a slope, else its |Z| row after row."""
-    slopes = side_slopes(config.nonlinearity)
+    sum if that side of phi is a slope, else its |Z| row after row."""
+    curved = [side.slope is None for side in sides(config.nonlinearity)]
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
@@ -312,16 +312,16 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
         n_pos = rng.binomial(H, 0.5, size=b)
         counts = (n_pos, H - n_pos)
         draws = []
-        for c, n in zip(slopes, counts):
-            if c is not None:
-                d = rng.standard_gamma(0.5 * n)
-                d *= 2.0
-            else:
+        for c, n in zip(curved, counts):
+            if c:
                 d = rng.standard_normal(np.sum(n))
                 np.abs(d, out=d)
+            else:
+                d = rng.standard_gamma(0.5 * n)
+                d *= 2.0
             draws.append(d)
         if layer in needs:
-            out[layer] = _stick_break(rng, log_r, H, slopes, counts, draws,
+            out[layer] = _stick_break(rng, log_r, H, curved, counts, draws,
                                       needs[layer])
         if layer == top:
             break
@@ -332,21 +332,20 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
     return out
 
 
-def _stick_break(rng, log_r: np.ndarray, H: int, slopes, counts, draws,
+def _stick_break(rng, log_r: np.ndarray, H: int, curved, counts, draws,
                  j: int):
     """Units 0..j-1 of a layer of H units, drawn in index order given the
     size of each sign group and its draw: a unit of a chi-square group
-    takes a Beta share of the group's sum, a unit of a |Z| group its row's
-    next unused entry (exact, since the group is exchangeable)."""
+    takes a Beta share of the group's sum, a unit of a |Z| group (curved)
+    its row's next unused entry (exact, since the group is exchangeable)."""
     b = log_r.shape[0]
     left = [n.copy() for n in counts]
-    sums = [d if c is not None else np.zeros(b) for c, d in zip(slopes, draws)]
+    sums = [np.zeros(b) if c else d for c, d in zip(curved, draws)]
     # a |Z| group's next entry sits at ends - left; rows with none left
     # never take one, so clipping their index past the last entry is safe,
-    # and an empty group (all of a chunk's units on the other side) has
-    # nothing to read
-    flats = [None if c is not None or d.size == 0 else (d, np.cumsum(n))
-             for c, d, n in zip(slopes, draws, counts)]
+    # and an empty group (all units on the other side) has nothing to read
+    flats = [(d, np.cumsum(n)) if c and d.size else None
+             for c, d, n in zip(curved, draws, counts)]
     signs = np.empty((b, j), dtype=np.int8)
     logabs = np.empty((b, j))
     for i in range(j):
@@ -376,29 +375,26 @@ def _stick_break(rng, log_r: np.ndarray, H: int, slopes, counts, draws,
 def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's draws:
     c^2 r^2 S for a group of slope c and sum S, and phi(+-r |Z_i|)^2 summed
-    over a |Z| group. With both sides linear that is
+    over a |Z| group. With both sides slopes that is
     2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise a row sums in
     plain doubles if |log r| is below _LINEAR_LOG_R and the sum is a
     finite, positive, normal double (reduceat skips empty rows, giving them
-    0, not the next entry); the rest apply phi in (sign, log-magnitude)
-    form and sum by log-sum-exp, each row as its groups' entries
-    [+-sqrt(S) or +-|Z_i|...], as phi(+-r sqrt(S))^2 = c^2 r^2 S. Rows
-    differ in length only beside a linear side's one entry, and phi(0) = 0
-    when a side is linear, so the zeros that pad them add nothing.
+    0, not the next entry); the rest sum log|phi(+-r e)| by log-sum-exp,
+    log r + log e through the side's log form for each entry e of a group,
+    sqrt(S) of a slope's or each |Z_i|, in a matrix padded with -inf.
     """
-    slopes = side_slopes(phi)
-    if None not in slopes:
-        (lam, a), (s_pos, s_neg) = slopes, draws
+    groups = list(zip((1.0, -1.0), sides(phi), counts, draws))
+    if all(side.slope is not None for _, side, _, _ in groups):
         with np.errstate(divide="ignore"):
-            return 2.0 * log_r + np.log(lam**2 * s_pos + a**2 * s_neg)
-    groups = list(zip((1.0, -1.0), slopes, counts, draws))
+            return 2.0 * log_r + np.log(sum(side.slope**2 * d
+                                            for _, side, _, d in groups))
     lin = np.abs(log_r) < _LINEAR_LOG_R
     r = np.exp(np.where(lin, log_r, 0.0))
     sq = np.zeros(r.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for sign, c, n, d in groups:
-            if c is not None:
-                sq += (c * r) ** 2 * d
+        for sign, side, n, d in groups:
+            if side.slope is not None:
+                sq += (side.slope * r) ** 2 * d
                 continue
             # one buffer: r |Z_i| with the group's sign, phi of it, squared
             h = np.repeat(sign * r, n)
@@ -412,23 +408,23 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     if np.all(ok):
         return log_sq
     rest = ~ok
-    sizes = [np.ones(np.sum(rest), int) if c is not None else n[rest]
-             for _, c, n, _ in groups]
+    sizes = [np.ones(np.sum(rest), int) if side.slope is not None else n[rest]
+             for _, side, n, _ in groups]
     col = np.arange(np.max(sum(sizes)))
-    V, start = np.zeros((sizes[0].size, col.size)), np.zeros_like(sizes[0])
-    for (sign, c, n, d), k in zip(groups, sizes):
+    logabs = np.full((sizes[0].size, col.size), -np.inf)
+    start = np.zeros_like(sizes[0])
+    for (sign, side, n, d), k in zip(groups, sizes):
         cells = (col >= start[:, None]) & (col < (start + k)[:, None])
-        V[cells] = sign * (np.sqrt(d[rest]) if c is not None
-                           else d[np.repeat(rest, n)])
+        e = np.sqrt(d[rest]) if side.slope is not None else d[np.repeat(rest, n)]
+        with np.errstate(divide="ignore"):
+            lm = np.repeat(log_r[rest], k) + np.log(e)
+        logabs[cells] = side.log(sign, lm)[1]
         start = start + k
-    with np.errstate(divide="ignore"):
-        logabs = log_r[rest, None] + np.log(np.abs(V))
-    _, logabs = apply_signed_log(phi, np.sign(V).astype(np.int8), logabs)
     m = np.max(logabs, axis=1)
     with np.errstate(invalid="ignore"):
         lse = 2.0 * m + np.log(np.sum(np.exp(2.0 * (logabs - m[:, None])),
                                       axis=1))
-    # m = -inf where every phi(r V_i) is 0, as in a dead row of elu or tanh
+    # m = -inf where every phi(r e) is 0, as in a dead row of elu or tanh
     log_sq[rest] = np.where(np.isneginf(m), -np.inf, lse)
     return log_sq
 

@@ -1,16 +1,15 @@
 """Activation functions and numerical certification of the envelope property.
 
 Each activation family is defined once, by its entry in _TABLE: default
-parameters (their number is the parameter count) and their check, the
-linear form phi(u), the slopes of phi's linear sides, the one-sided form
-of each side where phi is not linear, and the log form of a bounded
-negative side (elu, selu) or of the whole line (tanh, sigmoid). A
-one-sided form evaluates phi in place on input of known sign, with fewer
-operations than the linear form and the same values (elu: alpha expm1(u)
-for u <= 0; sigmoid: one exp instead of two); apply_side calls it.
-apply, apply_side, apply_signed_log, the spec checks and the samplers'
-choice of layer step read only the entry. Adding a family means one entry
-plus its line in the test suite's ALL_SPECS.
+parameters (their number is the parameter count) and their check, the linear
+form phi(u) that apply evaluates, and phi's two sides, u > 0 and u < 0. A
+Side is a slope c (phi(u) = c u) or a curve, and has an in-place value form
+for input of its sign (a curve's takes fewer operations than the linear form
+for the same values: elu alpha expm1(u) for u <= 0, sigmoid one exp instead
+of two) and a log form, (sign, log|u|) to (sign, log|phi(u)|). All but apply
+read the sides; apply stays apart because its zero signs (relu +0.0,
+prelu(0.0) -0.0) do not follow from the slopes. Adding a family means one
+entry plus its line in the test suite's ALL_SPECS.
 
 An activation phi has the extended envelope property when
 
@@ -50,93 +49,94 @@ def _elu(alpha, u):
     return np.maximum(u, 0.0) + alpha * np.expm1(np.minimum(u, 0.0))
 
 
-def _elu_neg(alpha, u):
-    # alpha expm1(u) in place: _elu's value on u <= 0 bit for bit, since
-    # its max(u, 0) term is an exact zero there
-    u = np.expm1(u, out=u)
-    u *= alpha
-    return u
+class Side(NamedTuple):
+    """One side of phi: value writes phi(u) into u, a float array of the
+    side's sign; log maps (signs, log|u|) to (signs, log|phi(u)|) for such
+    u, elementwise and safe on any u; slope is c if phi(u) = c u, else None."""
+
+    value: Callable
+    log: Callable
+    slope: float | None = None
 
 
-def _sigmoid_side(p, u, sign):
-    # e^u / (1 + e^u) for u <= 0 and 1 / (1 + e^-u) for u >= 0: the linear
-    # form's two exps, one of which is e^0 = 1, in one
-    if sign > 0:
-        np.negative(u, out=u)
-    e = np.exp(u, out=u)
-    return np.divide(e if sign < 0 else 1.0, 1.0 + e, out=u)
+def _slope(c):
+    # c u in place; log|u| + log c, or sign 0 and -inf for c = 0
+    return Side(lambda u: np.multiply(u, c, out=u),
+                lambda s, lm: (s, lm + math.log(c)) if c else (0, -np.inf), c)
 
 
-def _elu_neg_log(c, lm):
-    """log|phi(u)| for u < 0 of phi(u) = c expm1(u), from lm = log|u|:
-    log c + log(1 - e^-|u|), and the asymptote log c past e^_EXP_CAP."""
-    with np.errstate(divide="ignore"):
-        shape = np.log(-np.expm1(-np.exp(np.minimum(lm, _EXP_CAP))))
-    return np.where(lm > _EXP_CAP, math.log(c), math.log(c) + shape)
+def _elu_neg(lam, alpha):
+    """lam elu_alpha for u <= 0: lam (alpha expm1(u)) in that order, _elu's
+    value bit for bit (its max(u, 0) term is an exact zero there). Its log
+    is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past e^_EXP_CAP."""
+
+    def value(u):
+        u = np.multiply(np.expm1(u, out=u), alpha, out=u)
+        return u if lam == 1.0 else np.multiply(u, lam, out=u)
+
+    def log(s, lm):
+        with np.errstate(divide="ignore"):
+            shape = np.log(-np.expm1(-np.exp(np.minimum(lm, _EXP_CAP))))
+        c = math.log(lam * alpha)
+        return s, np.where(lm > _EXP_CAP, c, c + shape)
+
+    return Side(value, log)
 
 
-def _tanh_signed_log(signs, lm):
+def _tanh_log(s, lm):
     mag = np.exp(np.minimum(lm, _EXP_CAP))
     with np.errstate(divide="ignore"):
-        out_lm = np.where(lm > _EXP_CAP, 0.0, np.log(np.tanh(mag)))
-    return signs.astype(np.int8), np.where(signs == 0, -np.inf, out_lm)
+        return s, np.where(lm > _EXP_CAP, 0.0, np.log(np.tanh(mag)))
 
 
-def _sigmoid_signed_log(signs, lm):
-    # sigmoid is positive everywhere, including at u = 0 where it is 1/2
-    u = signs * np.exp(np.minimum(lm, _EXP_CAP))
-    big = lm > _EXP_CAP
-    out_lm = np.where(big & (signs > 0), 0.0, -np.logaddexp(0.0, -u))
-    out_lm = np.where(big & (signs < 0), -np.inf, out_lm)
-    return np.ones_like(signs, dtype=np.int8), out_lm
+def _sigmoid_side(sign):
+    """sigmoid for u of one sign: e^u / (1 + e^u) for u <= 0, 1 / (1 + e^-u)
+    for u >= 0, the linear form's two exps in one. Its log, of sign +1, is
+    -log(1 + e^-u), and past e^_EXP_CAP 0 (u > 0) or -inf (u < 0)."""
+
+    def value(u):
+        e = np.exp(np.negative(u, out=u) if sign > 0 else u, out=u)
+        return np.divide(e if sign < 0 else 1.0, 1.0 + e, out=u)
+
+    def log(s, lm):
+        u = sign * np.exp(np.minimum(lm, _EXP_CAP))
+        return 1, np.where(lm > _EXP_CAP, 0.0 if sign > 0 else -np.inf,
+                           -np.logaddexp(0.0, -u))
+
+    return Side(value, log)
 
 
 class _Family(NamedTuple):
     """One _TABLE entry; p is always the spec's parameter tuple."""
 
     linear: Callable  # (p, u) -> phi(u) on a float array
+    sides: Callable  # (p) -> (positive, negative), each a slope or a Side
     defaults: tuple[float, ...] = ()  # their number is the parameter count
-    check: Callable = lambda p: True
-    check_msg: str = ""
-    slopes: Callable = lambda p: (None, None)  # (p) -> (lam, a)
-    # (p, u, sign) -> phi(u) in place, for u all of that sign, on each side
-    # where slopes gives None
-    side: Callable | None = None
-    neg_log: Callable | None = None  # (p, log|u|) -> log|phi(u)| for u < 0
-    signed_log: Callable | None = None  # (signs, lm) -> (signs, lm)
+    check: tuple[Callable, str] | None = None  # (p) -> valid, and else why
 
 
 _TABLE = {
-    "identity": _Family(lambda p, u: u.copy(), slopes=lambda p: (1.0, 1.0)),
-    "relu": _Family(lambda p, u: np.maximum(u, 0.0),
-                    slopes=lambda p: (1.0, 0.0)),
+    "identity": _Family(lambda p, u: u.copy(), lambda p: (1.0, 1.0)),
+    "relu": _Family(lambda p, u: np.maximum(u, 0.0), lambda p: (1.0, 0.0)),
     "prelu": _Family(lambda p, u: np.where(u > 0, u, p[0] * u),
-                     defaults=(0.25,), check=lambda p: p[0] >= 0,
-                     check_msg="prelu slope must be >= 0",
-                     slopes=lambda p: (1.0, p[0])),
+                     lambda p: (1.0, p[0]), defaults=(0.25,),
+                     check=(lambda p: p[0] >= 0, "prelu slope must be >= 0")),
     "elu": _Family(lambda p, u: _elu(p[0], u),
-                   defaults=(1.0,), check=lambda p: p[0] > 0,
-                   check_msg="elu alpha must be > 0",
-                   slopes=lambda p: (1.0, None),
-                   side=lambda p, u, sign: _elu_neg(p[0], u),
-                   neg_log=lambda p, lm: _elu_neg_log(p[0], lm)),
+                   lambda p: (1.0, _elu_neg(1.0, p[0])), defaults=(1.0,),
+                   check=(lambda p: p[0] > 0, "elu alpha must be > 0")),
     # the defaults are the standard self-normalizing (lambda, alpha)
     "selu": _Family(lambda p, u: p[0] * _elu(p[1], u),
+                    lambda p: (p[0], _elu_neg(*p)),
                     defaults=(1.0507009873554805, 1.6732632423543772),
-                    check=lambda p: p[0] > 0 and p[1] > 0,
-                    check_msg="selu lambda and alpha must be > 0",
-                    slopes=lambda p: (p[0], None),
-                    side=lambda p, u, sign: np.multiply(_elu_neg(p[1], u),
-                                                        p[0], out=u),
-                    neg_log=lambda p, lm: _elu_neg_log(p[0] * p[1], lm)),
+                    check=(lambda p: p[0] > 0 and p[1] > 0,
+                           "selu lambda and alpha must be > 0")),
     "tanh": _Family(lambda p, u: np.tanh(u),
-                    side=lambda p, u, sign: np.tanh(u, out=u),
-                    signed_log=_tanh_signed_log),
+                    lambda p: (Side(lambda u: np.tanh(u, out=u), _tanh_log),) * 2),
     # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
     # per-element branch, and overflows on neither side
     "sigmoid": _Family(lambda p, u: (np.exp(np.minimum(u, 0.0))
                                      / (1.0 + np.exp(-np.abs(u)))),
-                       side=_sigmoid_side, signed_log=_sigmoid_signed_log),
+                       lambda p: (_sigmoid_side(1.0), _sigmoid_side(-1.0))),
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -161,8 +161,8 @@ class NonlinearitySpec:
                              f"parameter(s), got {len(params)}")
         if not all(math.isfinite(p) for p in params):
             raise ValueError("nonlinearity parameters must be finite")
-        if not fam.check(params):
-            raise ValueError(fam.check_msg)
+        if fam.check is not None and not fam.check[0](params):
+            raise ValueError(fam.check[1])
 
     @classmethod
     def parse(cls, text: str) -> "NonlinearitySpec":
@@ -189,51 +189,47 @@ def apply(spec: NonlinearitySpec, u):
     return float(out) if np.ndim(u) == 0 else out
 
 
+def sides(spec: NonlinearitySpec) -> tuple[Side, Side]:
+    """phi's (positive, negative) Sides; a table slope c becomes c u's."""
+    return tuple(c if isinstance(c, Side) else _slope(c)
+                 for c in _TABLE[spec.family].sides(spec.params))
+
+
+def side_slopes(spec: NonlinearitySpec) -> tuple[float | None, float | None]:
+    """(lam, a): phi(u) = lam u for u > 0, a u for u < 0; None if not so."""
+    return tuple(side.slope for side in sides(spec))
+
+
+def is_positively_homogeneous(spec: NonlinearitySpec) -> bool:
+    """True when phi(c*u) = c*phi(u) for c > 0: both sides are linear."""
+    return None not in side_slopes(spec)
+
+
 def apply_side(spec: NonlinearitySpec, u: np.ndarray, sign: float) -> np.ndarray:
     """apply on a float array u whose entries all have the given sign (+1
-    or -1; zeros count as either) on a side where phi is not linear. Writes
-    phi(u) into u and returns it. The values equal apply's (a zero may
-    carry the other sign), so their squares are apply's bit for bit."""
+    or -1; zeros count as either). Writes phi(u) into u and returns it.
+    The values equal apply's (a zero may carry the other sign), so their
+    squares are apply's bit for bit."""
     if not np.all(np.isfinite(u)):
         raise ValueError("apply requires finite input")
-    return _TABLE[spec.family].side(spec.params, u, sign)
+    return sides(spec)[sign < 0].value(u)
 
 
 def apply_signed_log(spec: NonlinearitySpec, signs, logmags):
     """Apply the activation to values stored as (sign, log|value|) pairs.
 
     Returns new (sign, log-magnitude) arrays without ever forming values
-    whose magnitude exceeds double-precision range: a linear side shifts
-    log|u| by the log of its slope, and a bounded side takes its
-    asymptote for inputs beyond exp(700).
+    whose magnitude exceeds double-precision range. Each side's log form
+    runs on every entry, which is cheaper than gathering its own, and an
+    entry keeps its side's result, zeros the positive side's. A slope
+    shifts log|u| by its log; a bounded side takes its asymptote beyond
+    exp(700).
     """
     signs = np.asarray(signs)
     lm = np.asarray(logmags, dtype=float)
-    fam = _TABLE[spec.family]
-    if fam.signed_log is not None:
-        return fam.signed_log(signs, lm)
-    lam, a = fam.slopes(spec.params)
-    out_s = signs.astype(np.int8)
-    out_lm = np.asarray(lm + math.log(lam))  # an array for 0-d input too
-    neg = signs < 0
-    if a is None:
-        out_lm[neg] = fam.neg_log(spec.params, lm[neg])
-    elif a == 0.0:
-        out_s = np.maximum(out_s, 0)
-        out_lm[neg] = -np.inf
-    elif a != 1.0:
-        out_lm = np.where(neg, lm + math.log(a), out_lm)
-    return out_s, out_lm
-
-
-def side_slopes(spec: NonlinearitySpec) -> tuple[float | None, float | None]:
-    """(lam, a): phi(u) = lam u for u > 0, a u for u < 0; None if not so."""
-    return _TABLE[spec.family].slopes(spec.params)
-
-
-def is_positively_homogeneous(spec: NonlinearitySpec) -> bool:
-    """True when phi(c*u) = c*phi(u) for c > 0: both sides are linear."""
-    return None not in side_slopes(spec)
+    (sp, lp), (sn, ln) = (side.log(signs, lm) for side in sides(spec))
+    pos = signs >= 0
+    return np.where(pos, sp, sn).astype(np.int8), np.where(pos, lp, ln)
 
 
 @dataclass(frozen=True)

@@ -16,18 +16,14 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .errors import check_positive
+
 CONTOUR_RTOL = 1e-9
-
-
-def _check_positive(**values) -> None:
-    for name, v in values.items():
-        if not 0 < v < math.inf:  # also false for NaN
-            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def lq_penalty(v, q: float) -> float:
     """Sum_i |v_i|^q, the q-th power of the L^q quasi-norm (any q > 0)."""
-    _check_positive(q=q)
+    check_positive(q=q)
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("penalty input must be finite")
@@ -88,7 +84,7 @@ def unit_penalty(units, weights: Sequence[np.ndarray] | None = None
 
 def equal_coordinate(q: float, t: float) -> float:
     """Coordinate c of the point (c, c) on the contour |x|^q + |y|^q = t^q."""
-    _check_positive(q=q, t=t)
+    check_positive(q=q, t=t)
     return t * 2.0 ** (-1.0 / q)
 
 
@@ -100,7 +96,7 @@ class ContourSet:
     points: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _check_positive(q=self.q, t=self.t)
+        check_positive(q=self.q, t=self.t)
         if self.points.ndim != 2 or self.points.shape[1] != 2:
             raise ValueError("points must be (n, 2)")
         if self.phis.shape != (self.points.shape[0],):
@@ -124,7 +120,7 @@ def contour(q: float, t: float, n_points: int = 400) -> ContourSet:
     over n_points equally spaced phi in [0, 2pi). Small q pinches the
     contour toward the axes (star shape), large q flattens it to a square.
     """
-    _check_positive(q=q, t=t)
+    check_positive(q=q, t=t)
     if n_points < 4:
         raise ValueError("need at least 4 points")
     phis = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, log_ndtr, ndtr, ndtri
 
-from .errors import DegenerateDistributionError, is_int
+from .errors import DegenerateDistributionError, check_positive, is_int
 from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _generator,
                             entropy_prefix)
 
@@ -182,8 +182,7 @@ def gaussian_norm_oracle(sigma: float, k: int) -> float:
     E|X|^k = sigma^k 2^(k/2) Gamma((k+1)/2) / sqrt(pi), evaluated through
     log-Gamma and exponentiated after the k-th root.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    check_positive(sigma=sigma)
     if not (is_int(k) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
     log_moment = 0.5 * k * math.log(2.0) + float(gammaln((k + 1) / 2.0)) \
@@ -212,7 +211,7 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
         raise ValueError(f"widths must be integers >= 1, got {widths!r}")
     if not (is_int(layer) and 1 <= layer <= len(widths)):
         raise ValueError(f"layer {layer!r} out of range 1..{len(widths)}")
-    # gaussian_norm_oracle checks k before any use of it
+    # gaussian_norm_oracle checks k, and scale as sigma, before any use
     log_moment = k * math.log(gaussian_norm_oracle(scale, k))
     for H in widths[:layer - 1]:
         n = np.arange(1, H + 1)
@@ -369,8 +368,7 @@ def recursion_check(est_prev: TailEstimate, est_next: TailEstimate) -> Recursion
 def ks_gaussian_test(samples, sigma: float) -> tuple[float, float]:
     """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2),
     with the asymptotic p-value kolmogorov(sqrt(n) D)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    check_positive(sigma=sigma)
     s = as_sample_set(samples)
     n = s.n_samples
     if n < 1000:
@@ -500,6 +498,8 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     layers = sorted(sample_sets)
     if not layers:
         raise ValueError("no sample sets given")
+    if gaussian_sigma is not None:
+        check_positive(gaussian_sigma=gaussian_sigma)
     std_logs = {}
     log_iqrs = {}
     for l in layers:

@@ -82,6 +82,13 @@ class TestEstimate:
                                      args["s"], args["t"], args["n_samples"],
                                      args["seed"])
 
+    @pytest.mark.parametrize("pair", [(0, 1, 2), (1,)], ids=str)
+    def test_pair_of_other_length_is_named(self, cfg, x, pair):
+        with pytest.raises(ValueError, match="pair must be two unit indices"):
+            estimate_unit_covariance(cfg, x, 1, pair, 1, 1, 10_000, 0)
+        with pytest.raises(ValueError, match="pair must be two unit indices"):
+            sweep(cfg, x, (1, 2), POWERS, 10_000, 0, pair=pair)
+
     def test_deterministic_per_cell(self, cfg, x):
         a = estimate_unit_covariance(cfg, x, 2, (0, 1), 1, 2, 20_000, 5)
         b = estimate_unit_covariance(cfg, x, 2, (0, 1), 1, 2, 20_000, 5,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layertails.nonlinearity import (BOUNDED_D_MIN, SEARCH_GRID, EnvelopeGrid,
+from layertails.nonlinearity import (_TABLE, BOUNDED_D_MIN, SEARCH_GRID,
+                                     EnvelopeGrid,
                                      EnvelopeWitness, NonlinearitySpec, apply,
                                      apply_side, apply_signed_log,
                                      is_positively_homogeneous, side_slopes,
@@ -26,6 +27,11 @@ ALL_SPECS = [
     TANH,
     SIGMOID,
 ]
+
+
+def test_all_specs_cover_every_family():
+    # adding a family means one _TABLE entry plus its line in ALL_SPECS
+    assert {spec.family for spec in ALL_SPECS} == set(_TABLE)
 
 
 class TestSpecParsing:
@@ -131,6 +137,20 @@ class TestApplySide:
             # carry the other sign (elu's 0 + alpha expm1(-0.0) is +0.0)
             np.testing.assert_array_equal(got, want)
             assert (got * got).tobytes() == (want * want).tobytes()
+            np.testing.assert_array_equal(np.signbit(got[want != 0]),
+                                          np.signbit(want[want != 0]))
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_equals_apply_on_both_sides_of_every_family(self, spec):
+        # a slope side too: it multiplies in place
+        mags = np.random.default_rng(6).exponential(5.0, 10**4)
+        neg = np.concatenate([SIDE_EDGES, -mags])
+        for sign, u in ((1.0, -neg), (-1.0, neg)):
+            want = apply(spec, u)
+            got = apply_side(spec, u.copy(), sign)
+            np.testing.assert_array_equal(got, want)
+            with np.errstate(over="ignore"):  # a slope side squares 1e300
+                assert (got * got).tobytes() == (want * want).tobytes()
             np.testing.assert_array_equal(np.signbit(got[want != 0]),
                                           np.signbit(want[want != 0]))
 

@@ -431,3 +431,26 @@ class TestSurvivalCurves:
         with np.errstate(divide="ignore"):
             np.testing.assert_allclose(curves.log_survival[l],
                                        np.log(c / n), rtol=1e-12)
+
+
+SCALE_CASES = {
+    "oracle-nan": lambda sets: gaussian_norm_oracle(math.nan, 2),
+    "oracle-inf": lambda sets: gaussian_norm_oracle(math.inf, 2),
+    "oracle-zero": lambda sets: gaussian_norm_oracle(0.0, 2),
+    "ks-nan": lambda sets: ks_gaussian_test(sets[1], math.nan),
+    "ks-inf": lambda sets: ks_gaussian_test(sets[1], math.inf),
+    "survival-negative": lambda sets: survival_curves(
+        sets, standardize=False, gaussian_sigma=-1.0),
+    "survival-zero": lambda sets: survival_curves(
+        sets, standardize=False, gaussian_sigma=0.0),
+    "survival-nan": lambda sets: survival_curves(
+        sets, standardize=False, gaussian_sigma=math.nan),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALE_CASES))
+def test_scale_must_be_positive_and_finite(gaussian_sets, case):
+    # a NaN, infinite or non-positive scale once gave a NaN result or a
+    # reference curve above log 1 that gaussian_match then passed
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        SCALE_CASES[case](gaussian_sets)
