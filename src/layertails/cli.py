@@ -158,12 +158,19 @@ def _run_survival_curves(params: dict):
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)
     layers = params["layers"]
-    sets = sample_layer_units(config, x, layers, "pre", params["samples"],
-                              seed, workers=params["workers"])
     sigma1 = None
     if not params["standardize"]:
         q0 = float(np.sum(x * x)) + (1.0 if config.include_bias else 0.0)
         sigma1 = config.weight_std_for(1) * math.sqrt(q0)
+        if not 0.0 < sigma1 < math.inf:
+            x_norm = "|(x, 1)|" if config.include_bias else "|x|"
+            raise ValueError(
+                f"the layer-1 scale weight_std * {x_norm} = {sigma1} is not a "
+                f"positive finite double (weight_std = "
+                f"{config.weight_std_for(1)}, {x_norm} = {math.sqrt(q0)}); "
+                "use --standardize true")
+    sets = sample_layer_units(config, x, layers, "pre", params["samples"],
+                              seed, workers=params["workers"])
     curves = survival_curves(sets, standardize=params["standardize"],
                              gaussian_sigma=sigma1)
     tables, lines = [], []

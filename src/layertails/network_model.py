@@ -19,18 +19,23 @@ weight matrix: it rests on the exact identity that, given h(l-1), the
 H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
 depth can overflow (and a zero input gives log r_1 = -inf, a dead row).
-The sign and magnitude of each Z are independent, so one layer step serves
-every activation: it draws N ~ Bin(H, 1/2) positive units, then per sign
+The units are i.i.d. given r_l, so a layer step first draws unit 0 as
+Z_0 ~ N(0, 1): g(l)_0 = r_l Z_0 exactly, and a top layer asked for unit 0
+alone stops there. The sign and magnitude of each other Z are
+independent, so one step serves every activation: it draws
+N ~ Bin(H - 1, 1/2) positive units among the other H - 1, then per sign
 group S = chi2 of the group's size if phi is linear on that side with
-slope c (adding c^2 r_l^2 S to ||h(l)||^2), else the group's |Z|. Then it
-draws only the requested units, by stick-breaking: with N' positives left
-among H' remaining units, a unit is positive with probability N'/H'. In a
+slope c (adding c^2 r_l^2 S to ||h(l)||^2), else the group's |Z|. Unit 0
+joins the norm as one more group per side: Z_0^2 or 0 on a slope side,
+a |Z| group of 0 or 1 entries on a curved one. Then it draws only the
+requested units 1.., by stick-breaking: with N' positives left among H'
+remaining units, a unit is positive with probability N'/H'. In a
 chi-square group its Z^2 is S' Beta(1/2, (K'-1)/2), S' and K' being the
 group's remaining sum and count (all of S' when K' = 1); in a |Z| group it
 takes its row's next unused |Z_i|, exact as the group is exchangeable.
 relu, prelu and identity are linear on both sides, so a layer costs
 O(units requested) per draw whatever its width; elu and selu draw the |Z|
-of their H - N negative units, tanh and sigmoid all H, so their layers
+of their negative units, tanh and sigmoid all H - 1, so their layers
 cost O(H) per draw. A |Z| group sums in plain doubles in one buffer,
 little more than the work of its normal draws: r |Z_i| with the group's
 sign, phi's one-sided form in place (nonlinearity.apply_side), its
@@ -44,9 +49,10 @@ Streams. Samples are generated in chunks of DEFAULT_CHUNK draws. An
 entropy prefix E is (seed, stream tag, fields of the operation), built by
 entropy_prefix, which accepts seeds in [0, 2^32) only. Layer l of chunk c
 of a request with prefix E owns the child stream
-SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields N, then
-per sign group S or its |Z|, then per unit in index order a uniform (its
-sign group), a normal and a chi-square (its share of S). So results are
+SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields Z_0, then
+N', then per sign group S or its |Z|, then per unit 1, 2, .. in index
+order a uniform (its sign group), a normal and a chi-square (its share of
+S). Every layer draws Z_0, requested or not. So results are
 bit-identical for a given (config, x, seed) whatever the worker count, and
 unit m's draws are the same whether it is requested alone, with other
 units of its layer, or with other layers. SAMPLER_VERSION numbers this
@@ -81,7 +87,9 @@ from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
 # 5: half step for elu and selu; log 2 + log_ndtr Gaussian reference.
 # 6: one conditional step for every activation; tanh and sigmoid draw N,
 #    then the |Z| of each sign group; every other stream is version 5's.
-SAMPLER_VERSION = 6
+# 7: unit 0 first: every layer draws its Z as a plain normal, then N' of
+#    the other H - 1 units; a top layer asked for unit 0 alone stops there.
+SAMPLER_VERSION = 7
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -300,8 +308,10 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
                        b: int, needs: dict[int, int]):
     """One chunk of the conditional sampler; returns pre arrays per layer.
     key is the chunk's entropy (request prefix plus chunk index). A layer
-    draws N, then for the positive and the negative group its chi-square
-    sum if that side of phi is a slope, else its |Z| row after row."""
+    draws unit 0's Z, then N' of its other H - 1 units, then for the
+    positive and the negative group its chi-square sum if that side of phi
+    is a slope, else its |Z| row after row. The top layer stops after Z
+    when unit 0 is all it is asked for."""
     curved = [side.slope is None for side in sides(config.nonlinearity)]
     top = max(needs)
     out = {}
@@ -309,8 +319,17 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
     for layer in range(1, top + 1):
         H = config.layer_widths[layer - 1]
         rng = _generator(key, spawn_key=(layer,))
-        n_pos = rng.binomial(H, 0.5, size=b)
-        counts = (n_pos, H - n_pos)
+        z0 = rng.standard_normal(b)
+        if layer in needs:
+            with np.errstate(divide="ignore"):
+                logabs = (log_r + np.log(np.abs(z0)))[:, None]
+            signs = np.sign(z0).astype(np.int8)[:, None]
+            signs[np.isneginf(logabs)] = 0
+            out[layer] = signs, logabs
+        if layer == top and needs[layer] == 1:
+            break
+        n_pos = rng.binomial(H - 1, 0.5, size=b)
+        counts = (n_pos, H - 1 - n_pos)
         draws = []
         for c, n in zip(curved, counts):
             if c:
@@ -320,11 +339,19 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
                 d = rng.standard_gamma(0.5 * n)
                 d *= 2.0
             draws.append(d)
-        if layer in needs:
-            out[layer] = _stick_break(rng, log_r, H, curved, counts, draws,
-                                      needs[layer])
+        if needs.get(layer, 1) > 1:
+            rest = _stick_break(rng, log_r, H - 1, curved, counts, draws,
+                                needs[layer] - 1)
+            out[layer] = tuple(np.hstack(p) for p in zip(out[layer], rest))
         if layer == top:
             break
+        # unit 0 joins the norm as one more group per side: z0^2 or 0 on a
+        # slope side, a |Z| group of 0 or 1 entries on a curved one
+        pos0 = z0 > 0
+        n0 = pos0.astype(int)
+        counts += (n0, 1 - n0)
+        draws += [np.abs(z0[t]) if c else np.where(t, z0 * z0, 0.0)
+                  for c, t in zip(curved, (pos0, ~pos0))]
         log_sq = _log_sq_norm(config.nonlinearity, log_r, counts, draws)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
@@ -375,7 +402,9 @@ def _stick_break(rng, log_r: np.ndarray, H: int, curved, counts, draws,
 def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's draws:
     c^2 r^2 S for a group of slope c and sum S, and phi(+-r |Z_i|)^2 summed
-    over a |Z| group. With both sides slopes that is
+    over a |Z| group. counts and draws list the groups in sign order
+    (positive, negative), then again for unit 0's own pair of groups; the
+    sides and signs repeat with them. With both sides slopes that is
     2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise a row sums in
     plain doubles if |log r| is below _LINEAR_LOG_R and the sum is a
     finite, positive, normal double (reduceat skips empty rows, giving them
@@ -383,7 +412,7 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     log r + log e through the side's log form for each entry e of a group,
     sqrt(S) of a slope's or each |Z_i|, in a matrix padded with -inf.
     """
-    groups = list(zip((1.0, -1.0), sides(phi), counts, draws))
+    groups = list(zip((1.0, -1.0) * 2, sides(phi) * 2, counts, draws))
     if all(side.slope is not None for _, side, _, _ in groups):
         with np.errstate(divide="ignore"):
             return 2.0 * log_r + np.log(sum(side.slope**2 * d

@@ -493,7 +493,8 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     range, computed in log domain so deep layers cannot overflow. The
     Gaussian reference is the exact positive-half log-survival, log 2 +
     log_ndtr(-1.34898 u) standardized or log 2 + log_ndtr(-u / sigma) when
-    gaussian_sigma is given: finite where 2 Phi_bar(u) underflows.
+    gaussian_sigma is given: finite where 2 Phi_bar(u) underflows. u / sigma
+    is formed as e^(log u - log sigma), so no scale overflows it.
     """
     layers = sorted(sample_sets)
     if not layers:
@@ -534,7 +535,8 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     if standardize:
         ref = math.log(2.0) + log_ndtr(-_NORMAL_IQR * np.exp(grid_log))
     elif gaussian_sigma is not None:
-        ref = math.log(2.0) + log_ndtr(-np.exp(grid_log) / gaussian_sigma)
+        ref = math.log(2.0) + log_ndtr(
+            -np.exp(grid_log - math.log(gaussian_sigma)))
 
     return SurvivalCurves(layers=layers, grid_log=grid_log,
                           log_survival=log_surv, counts=counts,

@@ -219,6 +219,49 @@ class TestSurvivalCurvesCommand:
         assert np.all(np.isfinite(got))
         assert np.min(got) < -745.0  # below log of the least positive double
 
+    @pytest.mark.parametrize("std", [1e200, [1e305, 1.0]],
+                             ids=["1e200", "1e305-then-1"])
+    def test_unstandardized_reference_divides_in_log_domain(self, std,
+                                                            tmp_path):
+        # the grid reaches e^925 at weight_std 1e200 (layer 2) and e^706 at
+        # (1e305, 1), past what exp can return, while u = e^x / sigma1 stays
+        # below e^464; log 2 Phi_bar(u) is then a double wherever -u^2 / 2
+        # is, that is for log u below about 354 (all of the second grid)
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("relu"),
+                            weight_std=std)
+        write_config_file(tmp_path / "net.ini", cfg)
+        out = tmp_path / "curves"
+        code = main(["survival-curves", "--config", str(tmp_path / "net.ini"),
+                     "--standardize", "false", "--samples", "20000",
+                     "--out", str(out)])
+        assert code == 0
+        x = sample_input(10, 0)
+        sigma1 = cfg.weight_std_for(1) * math.sqrt(float(x @ x))
+        rows = read_rows(out / "gaussian_reference.csv")
+        log_u = np.array([float(r["log_x"]) for r in rows]) - math.log(sigma1)
+        got = np.array([float(r["log_survival"]) for r in rows])
+        assert np.max(log_u) + math.log(sigma1) > 700.0
+        assert np.all(np.isfinite(got[log_u < 354.0]))
+        assert np.all(np.isneginf(got[log_u > 355.0]))
+
+    def test_overflowing_layer1_scale_names_weight_std_and_x(self, tmp_path,
+                                                              capsys):
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("relu"),
+                            weight_std=1e308)
+        write_config_file(tmp_path / "net.ini", cfg)
+        out = tmp_path / "curves"
+        code = main(["survival-curves", "--config", str(tmp_path / "net.ini"),
+                     "--standardize", "false", "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1
+        assert err[0].startswith("error: the layer-1 scale weight_std * |x| "
+                                 "= inf is not a positive finite double "
+                                 "(weight_std = 1e+308, |x| = ")
+        assert not out.exists()
+
     def test_grid_is_shared_across_layers(self, net_ini, tmp_path):
         out = tmp_path / "curves"
         main(["survival-curves", "--config", str(net_ini), "--samples",
@@ -363,8 +406,9 @@ class TestRerun:
         assert ("sampler version differs (manifest 3, this build "
                 f"{SAMPLER_VERSION})") in printed
 
-    @pytest.mark.parametrize("family,version", [("elu", 4), ("tanh", 5)],
-                             ids=["elu-4", "tanh-5"])
+    @pytest.mark.parametrize("family,version",
+                             [("elu", 4), ("tanh", 5), ("relu", 6)],
+                             ids=["elu-4", "tanh-5", "relu-6"])
     def test_version_4_elu_manifest_is_named(self, family, version, tmp_path,
                                              capsys):
         # version 5 changed the elu and selu streams and version 6 the tanh

@@ -669,6 +669,38 @@ class TestExactSampler:
         se = np.std(g2) / math.sqrt(n)
         assert abs(np.mean(g2) - want) <= 4 * se
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_wide_relu_moments_match_oracle_at_layer_3(self, k):
+        cfg = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
+                            nonlinearity=RELU)
+        x = sample_input(100, 19)
+        n = 200_000
+        g = sample_layer_units(cfg, x, [3], "pre", n, 19)[3].decode()
+        gk = np.abs(g) ** k
+        want = relu_norm_oracle(cfg.layer_widths, 3, k,
+                                scale=math.sqrt(float(x @ x))) ** k
+        se = np.std(gk) / math.sqrt(n)
+        assert abs(np.mean(gk) - want) <= 4 * se
+
+    @pytest.mark.parametrize("needs", [{1: [0]}, {1: [0, 1, 2], 3: [0]}],
+                             ids=["alone", "with-others"])
+    @pytest.mark.parametrize("phi", [RELU, TANH], ids=["relu", "tanh"])
+    def test_unit_0_is_the_first_normal_of_its_layer_stream(self, phi, needs):
+        # g(1)_0 = sigma_1 |x| Z bit for bit, Z the first standard_normal(b)
+        # of each chunk's layer-1 stream, whatever else is requested
+        cfg = NetworkConfig(input_dim=5, layer_widths=(8, 8, 8),
+                            nonlinearity=phi, weight_std=(0.7, 1.3, 1.0))
+        x = sample_input(5, 4)
+        n = network_model.DEFAULT_CHUNK + 900
+        signs, lms = run_sampler(cfg, x, n, needs, (4, STREAM_UNITS))[1]
+        z = np.concatenate([
+            network_model._generator((4, STREAM_UNITS, c), spawn_key=(1,))
+            .standard_normal(b)
+            for c, b in enumerate((network_model.DEFAULT_CHUNK, 900))])
+        log_r = math.log(0.7) + 0.5 * math.log(float(np.dot(x, x)))
+        np.testing.assert_array_equal(lms[:, 0], log_r + np.log(np.abs(z)))
+        np.testing.assert_array_equal(signs[:, 0], np.sign(z))
+
     def test_prelu_stream_is_request_shape_and_worker_invariant(self):
         _assert_request_shape_and_worker_invariant(NetworkConfig(
             input_dim=20, layer_widths=(20, 20, 20), nonlinearity=PRELU))
@@ -733,36 +765,36 @@ PIN_CONFIGS = {
 }
 
 # sha256 of run_sampler's (signs, log-magnitudes) bytes, layer by layer;
-# relu to selu are sampler version 5's, tanh and sigmoid version 6's
+# generated at sampler version 7
 PINNED_STREAMS = {
     ("relu", "bias-depth3"):
-        "880710078e1bec911974ac7d4f310355a45b7e53b6f22e28a38dd501e9c2cfb4",
+        "02750aa6dfa1aaeee472886de6659b80141bf5d7d5821a0f56656a69989940de",
     ("relu", "depth60-std100"):
-        "6b5fb97e0ca35a20b89923bb1c909763ce175844dc6723ad37ec2de522ad5396",
+        "e58a256794d9ef7d9d11f184f9e02a4b8cd2e48a1542707855ee95515e66ef0f",
     ("prelu(0.3)", "bias-depth3"):
-        "110da19e91ce1220c4c1537eb415d557d482931eee6485952fd675cc58929ceb",
+        "2071f0aef6a1af40aa6f2b678fd1aa07923f0f4231dd8c3e123510275fb72db6",
     ("prelu(0.3)", "depth60-std100"):
-        "2ff146caa45c59ac164235405cab1cc5a9b8ae3988a10ca15eac65e1d3f9ad0c",
+        "0f19d046f2a5d67ebab55e7d2816267b50e706ec87a668f21cba01ee6e4103a2",
     ("identity", "bias-depth3"):
-        "09d475c33c2ff79b6efd8efd410a43d2c0620e5a4cda893242aa9ee6d7597ebd",
+        "529753fa9b80894204f6304095a88aed32ba4c781e958bf8a495a0da8ba4d48a",
     ("identity", "depth60-std100"):
-        "2772cd701b7fff502b565f8e4ee85449a7cbacf667b2b40a0024572c17a97580",
+        "c7dde7252e41da7103ece782b381371db5703d80a8890df69fca6965365da29a",
     ("elu(1.0)", "bias-depth3"):
-        "700d47151e4bfa9bf113a06cb935512b168a1ab6a9ee1f903cc5ea54d9958c2b",
+        "76b56ed22e6a6575bf1c2a0990b2607d7d755269c1036143bbe91220979f40cd",
     ("elu(1.0)", "depth60-std100"):
-        "398ef2d63af90b77e15c81887100f19020de5c998785c4f4315bedf87c7df5b4",
+        "f69588d7e6cdab978523403491d60f98f69ed566a64466251fc4c996bcad427d",
     ("selu", "bias-depth3"):
-        "8ee88c5e402057fbddae11b24fea08dcf92f71ee2e98dcd56e3bb7f562a88819",
+        "2da3d8991e1e81fcc5f8dbe25c316bf32fbfcfc3aadd965149b20ef9d80eb230",
     ("selu", "depth60-std100"):
-        "6fce2c8bc38c759c2138d3e10ab7c71004a67b0db9d27dc43f30c35cdf46a3f4",
+        "97efa06bd298497c42a0d4ead41e5a4197e0885906ecafe669ab07f4658292b0",
     ("tanh", "bias-depth3"):
-        "e01951fd67c91a3b31a7f25693b66aab1b83709478d727f9488a184ffa7c3fa3",
+        "0c5745d50f5e5ee8755732df09e321a0d8ec660e546ad1c037d56177c864dc5c",
     ("tanh", "depth60-std100"):
-        "0a24004bd8c8237dd4d05f2ce9f1d55c005cd03b8621ed528beed882621193d9",
+        "82d8395cf610c8de2a2895b5da47e96faa5121be2bdc5029b868c7b290426391",
     ("sigmoid", "bias-depth3"):
-        "c49c035521bdf0de1ce4fd1f7f0db651abea4366f8df424825693401d987304b",
+        "a0811df0d8eb80cd8fac87abe8526ebd542585d9572d3da7660fb1ea2768ea8a",
     ("sigmoid", "depth60-std100"):
-        "9d59b7771b7f4a33f529a2e0d65fc4e552380b047565ef29f84eba34c9c79d91",
+        "8063db10d471bbb7b400b08e3ad90ec9061245a7bb91fc364fb0c0f73c98a32d",
 }
 
 
@@ -783,17 +815,19 @@ def test_conditional_stream_is_pinned_bit_for_bit(family, config):
 
 
 # sha256 of each request's bytes, as PINNED_STREAMS; generated at sampler
-# version 6. A one-row chunk of a width-1 net (all of n = 1, the last
-# chunk of n = 4097) has an empty sign group at every layer
+# version 7. A width-1 net has no unit but unit 0, so both sign groups of
+# the other H - 1 units are empty at every layer below the top, and one
+# of unit 0's own; a one-row chunk (all of n = 1, the last chunk of
+# n = 4097) has one row of each
 EMPTY_GROUP_STREAMS = {
     ("elu(1.0)", 1):
-        "730f97c6d3265dc0bbaa0b521b89ce6e2faea093f7f009d4b1e9934f07e6847b",
+        "1a38c8e8cb0c1eb9d01e051620a92d99f546720ad92eed8274f1a03fbbc05658",
     ("elu(1.0)", 4097):
-        "5001d9092936aecd1e2e1e74b3eaebce493910b015e7183bb5592a6d1a545e55",
+        "a21ee3eb349699a1f6954ad204c5e925f028874d419d62a4cde9191f89e4a968",
     ("tanh", 1):
-        "a1df59e7ec9b7d6916bee63f4cf384e0fec3281db4f66c939b9fc5d501b1dadc",
+        "fb01e30e0474f1c2fd4fc22986f2ad4f738d2d22901a1f0179c020ed078d3e6a",
     ("tanh", 4097):
-        "ff26678aa168fddb0f6b0c7bf4f7ca62b9263115d647fd42a11e7596e2deb6a8",
+        "133b63b77b8c2b452f7146a7de866df1d76f2bb169497cbbe014f5ab5f50fade",
 }
 
 
@@ -817,14 +851,14 @@ def test_width_one_stream_with_empty_sign_groups_is_pinned(family, n):
 def test_benchmark_elu_stream_is_pinned_bit_for_bit():
     # the stream shape of perfbench's elu_survival workload at 3000 draws:
     # a bias-free width-100 elu(1.0) net of depth 10, unit 0 of layers
-    # 1, 2, 3 and 10 from one pass
+    # 1, 2, 3 and 10 from one pass; generated at sampler version 7
     cfg = NetworkConfig(input_dim=100, layer_widths=(100,) * 10,
                         nonlinearity=NonlinearitySpec.parse("elu(1.0)"))
     got = sample_layer_units(cfg, sample_input(100, 3), (1, 2, 3, 10), "pre",
                              3000, 3)
     assert _stream_digest({l: (s.signs, s.log_magnitudes)
                            for l, s in got.items()}) == \
-        "acbf1651cacc6261fe90c000228c9bbb5081ee42534eb98f1420211caee2ef70"
+        "156260fe6275874dfcfa4a7c22cac73701aa296f1e933a4be40715addd7f220f"
 
 
 # Configurations whose rows reach the log-domain norm: tanh and sigmoid
@@ -851,32 +885,32 @@ LOG_DOMAIN_CONFIGS = {
 
 # sha256 of run_sampler's bytes, as PINNED_STREAMS, for units
 # {1: [0], 2: [0, 1], depth: [0, 2]} (at depth 2 the last entry wins);
-# generated at sampler version 6
+# generated at sampler version 7
 LOG_DOMAIN_STREAMS = {
     ("elu(0.3)-depth60-std100", "post"):
-        "df6b5063f69929fe8ac31db78800957ab7b483fe2da28c8983c3704e2a1b7bfa",
+        "c38a8d57de7f47a777828adda30231ee66d5b7fb2e1671803cc9c335dc100714",
     ("elu(0.3)-depth60-std100", "pre"):
-        "2c1e2d250456157fd8de180b0b7eb765ffcf6ab45d0de617ca3769ee08400d13",
+        "3611d3acee73cd793b0d180dbf2dc6af763194ec1be050efcbad7ba015a86915",
     ("selu-std1e200-bias", "post"):
-        "8d43c1bf786e8c42a0dabd4b1f2e8f32cbc11f77231291c8874ce58141e63c54",
+        "cf994fd771fc72326a46320b67ae3507fc3ee02e68d96965d33b8154cc0b5097",
     ("selu-std1e200-bias", "pre"):
-        "de5c8724bc429b1b37736ffe7e12d469a8e93d362aa94cadc973bf21368ef07a",
+        "a38003faec8e74f8877127bb7f3b5794b6cc9965ce0f688cfb029f40bc5255a0",
     ("sigmoid-std1e-200", "post"):
         "44bb076c266a34403b00638e5e751a9bebdf74c7b703bc9acc4382b8d866adad",
     ("sigmoid-std1e-200", "pre"):
-        "2c44931916091c5beb92b9dd1e12527128b152617c400c950238f62947e9ec38",
+        "d5e8a15e15be058dcd3766b4b87c971295cf10f6e721d9610d06e9d50a08485f",
     ("tanh-depth100-std1e-2", "post"):
-        "25d3d378861f6cccaf665f41677dd9a248f70de4093a37a1701e872377691a7a",
+        "b7414464810b6896f1bcfdc0a6a1f020bac16b6f737ce935859b935d0ffa9072",
     ("tanh-depth100-std1e-2", "pre"):
-        "807146f8cc4501ef550dc77889b1808ffbd92eaac25fc241dc6a1bdd3f839d1a",
+        "de566aafedfed85cf274f55753ee5a024afd98dbbe445bf9ae212427c986b01a",
     ("tanh-depth40-std1e-2", "post"):
-        "bde57354c10346517be9df7fbfe6ab91e20ca1df96ca09f91ce89752b0fa8d3b",
+        "6b96cde3e47e54dab3f7c7b06b27b3ee4a2b39ad2339415e6a5b48fdbe8c4916",
     ("tanh-depth40-std1e-2", "pre"):
-        "8f43d742d2ae06dad2f3b0a0400e0c682ddcc88768d690844be7bc1f7b360722",
+        "fba209e1fa39d5725a8779d74e8bbbf3dfa6d1ecac24a8588950f17073cf24c8",
     ("tanh-std1e-200", "post"):
-        "a1021a42c471df60de078fe11a3c1720df821db95d576dacca000117f80c1bd9",
+        "40168e299f10f2b3ed8bce6e93edbcabf6d90e66ad9f03d38ee131fbe144f0d0",
     ("tanh-std1e-200", "pre"):
-        "830ac89b92afa71717df4a418ecf969d514f278e9b5fe850538805cdb0dfacd4",
+        "7d3e1d0559a1f4aced07ee11196d2502bd82929e09c3857edc7255c3dcd0a4e3",
 }
 
 
@@ -891,22 +925,22 @@ def test_log_domain_stream_is_pinned_bit_for_bit(name, kind):
 
 
 # sha256 of the PINNED_STREAMS request on bias-depth3 with kind "post";
-# generated at sampler version 6
+# generated at sampler version 7
 POST_STREAMS = {
     "elu(1.0)":
-        "3c25281f80964c371fd88158b2462fcd19ce10a3bccb6f79ef00add582218382",
+        "995c4224359f1ca6675eb66b19102453c023849119f09d0ec3633a6aac40170c",
     "identity":
-        "09d475c33c2ff79b6efd8efd410a43d2c0620e5a4cda893242aa9ee6d7597ebd",
+        "529753fa9b80894204f6304095a88aed32ba4c781e958bf8a495a0da8ba4d48a",
     "prelu(0.3)":
-        "eb7230ded5b4c0eeca0f988c149040c07374b139aa6d211d9b0adab9a9311420",
+        "7f446d3011e26d3d7dc03bc2122444bca6787a5fb5a8cca4b9654c534881b963",
     "relu":
-        "80c2a6275e62167794597bd0a53536266bd304a9b864221cfe16f9f9491365e6",
+        "766829c09af650ee7388dffa69054c55071e759fe8150c14349df109aea35a18",
     "selu":
-        "0ff89777155a2bb4cdcf452270c035705e10d5ede74e1a99232432c3d176cb18",
+        "65b251c79607f52cdbe24e8fa7a7de0670893114eae6a9dee2d40d09c8e28c1f",
     "sigmoid":
-        "b745b8fe6f8cf5de44556b2d37a013853f767b43ec8d4f04b981addbcf13b24c",
+        "da3e14a20bae25a6fbf92fe15e5a4304de3a17c8604f35f69b4bcaa3e50c4453",
     "tanh":
-        "c11525202c2d2140818895207b4fef1df7fce89caede0fc0de6b27aa71f40c24",
+        "8c9361d6c656145a3278cf64f2d95a97a177ef5021614ff857ec0faae641a6cd",
 }
 
 
