@@ -411,8 +411,9 @@ class TestRerun:
                              ids=["elu-4", "tanh-5", "relu-6"])
     def test_version_4_elu_manifest_is_named(self, family, version, tmp_path,
                                              capsys):
-        # version 5 changed the elu and selu streams and version 6 the tanh
-        # and sigmoid ones, so runs of the version before cannot replay
+        # version 5 changed the elu and selu streams, version 6 the tanh
+        # and sigmoid ones and version 7 every one, so runs of the version
+        # before cannot replay
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec(family))
         write_config_file(tmp_path / "net.ini", cfg)
