@@ -52,12 +52,15 @@ of a request with prefix E owns the child stream
 SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields Z_0, then
 N', then per sign group S or its |Z|, then per unit 1, 2, .. in index
 order a uniform (its sign group), a normal and a chi-square (its share of
-S). Every layer draws Z_0, requested or not. So results are
-bit-identical for a given (config, x, seed) whatever the worker count, and
-unit m's draws are the same whether it is requested alone, with other
-units of its layer, or with other layers. SAMPLER_VERSION numbers this
-seed-to-draws mapping; run manifests record it. Stream tag 7 is held by
-the test suite's forward-pass oracle.
+S). Every layer draws Z_0, requested or not. The stream stops after the
+last group that is read: a group on a slope-0 side (relu's negative one)
+adds +0.0 to the norm, so only a stick-broken unit of its layer reads it,
+and it is drawn only then or when a later group of the stream is. So
+results are bit-identical for a given (config, x, seed) whatever the
+worker count, and unit m's draws are the same whether it is requested
+alone, with other units of its layer, or with other layers.
+SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests record
+it. Stream tag 7 is held by the test suite's forward-pass oracle.
 """
 
 from __future__ import annotations
@@ -310,9 +313,11 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
     key is the chunk's entropy (request prefix plus chunk index). A layer
     draws unit 0's Z, then N' of its other H - 1 units, then for the
     positive and the negative group its chi-square sum if that side of phi
-    is a slope, else its |Z| row after row. The top layer stops after Z
-    when unit 0 is all it is asked for."""
+    is a slope, else its |Z| row after row; trailing slope-0 groups only
+    when units 1.. are asked for. The top layer stops after Z when unit 0
+    is all it is asked for."""
     curved = [side.slope is None for side in sides(config.nonlinearity)]
+    zero = [side.slope == 0 for side in sides(config.nonlinearity)]
     top = max(needs)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
@@ -331,8 +336,12 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
         n_pos = rng.binomial(H - 1, 0.5, size=b)
         counts = (n_pos, H - 1 - n_pos)
         draws = []
-        for c, n in zip(curved, counts):
-            if c:
+        for g, (c, n) in enumerate(zip(curved, counts)):
+            if needs.get(layer, 1) == 1 and all(zero[g:]):
+                # a slope-0 group adds +0.0 to the norm and no group after
+                # it is drawn, so only stick-broken units would read it
+                d = np.zeros(b)
+            elif c:
                 d = rng.standard_normal(np.sum(n))
                 np.abs(d, out=d)
             else:

@@ -701,6 +701,23 @@ class TestExactSampler:
         np.testing.assert_array_equal(lms[:, 0], log_r + np.log(np.abs(z)))
         np.testing.assert_array_equal(signs[:, 0], np.sign(z))
 
+    @pytest.mark.parametrize("family", ["relu", "prelu(0.3)", "identity"])
+    def test_siblings_on_a_lower_layer_leave_the_next_layer_alone(
+            self, family):
+        # units 1.. of layer 1 read every sign group of its stream, unit 0
+        # alone only the groups up to the last one with a nonzero slope;
+        # layer 2's r must come out the same either way
+        cfg = NetworkConfig(input_dim=6, layer_widths=(6, 6),
+                            nonlinearity=NonlinearitySpec.parse(family),
+                            weight_std=(0.8, 1.3), include_bias=True)
+        x = sample_input(6, 12)
+        n = network_model.DEFAULT_CHUNK + 300
+        alone = run_sampler(cfg, x, n, {2: [0]}, (12, STREAM_UNITS))[2]
+        with_siblings = run_sampler(cfg, x, n, {1: [0, 1], 2: [0]},
+                                    (12, STREAM_UNITS))[2]
+        np.testing.assert_array_equal(alone[0], with_siblings[0])
+        np.testing.assert_array_equal(alone[1], with_siblings[1])
+
     def test_prelu_stream_is_request_shape_and_worker_invariant(self):
         _assert_request_shape_and_worker_invariant(NetworkConfig(
             input_dim=20, layer_widths=(20, 20, 20), nonlinearity=PRELU))
