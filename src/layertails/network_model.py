@@ -92,7 +92,9 @@ from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
 #    then the |Z| of each sign group; every other stream is version 5's.
 # 7: unit 0 first: every layer draws its Z as a plain normal, then N' of
 #    the other H - 1 units; a top layer asked for unit 0 alone stops there.
-SAMPLER_VERSION = 7
+# 8: the survival-slope fit by centered sums, without BLAS; only the last
+#    digits of tail-sweep's survival-slope rows differ from version 7.
+SAMPLER_VERSION = 8
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.

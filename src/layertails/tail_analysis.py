@@ -308,7 +308,9 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
 
     Empirical survival uses Hazen plotting positions (j - 1/2)/n for the
     j-th largest magnitude; theta_hat is the reciprocal slope of
-    log(-log S) on log x.
+    log(-log S) on log x. The least-squares slope and its standard error
+    come from centered sums (plain numpy reductions, no BLAS call), so
+    the result does not depend on the BLAS thread count.
     """
     s = as_sample_set(samples)
     n = s.n_samples
@@ -323,23 +325,22 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
                                           "distinct points")
     surv = (np.arange(1, m + 1) - 0.5) / n
     y = np.log(-np.log(surv))
-    X = np.column_stack([np.ones(m), top])
-    beta, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < 2:
+    ym = np.mean(y)
+    xc = top - np.mean(top)
+    sxx = float(np.sum(xc * xc))
+    if not sxx > 0:
         raise DegenerateDistributionError("survival regression is singular")
-    resid = y - X @ beta
-    dof = m - 2
-    sigma2 = float(resid @ resid) / dof
-    xc = top - top.mean()
-    se_slope = math.sqrt(sigma2 / float(xc @ xc))
-    slope = float(beta[1])
+    slope = float(np.sum(xc * (y - ym))) / sxx
+    resid = y - (ym + slope * xc)
+    rss = float(np.sum(resid * resid))
+    se_slope = math.sqrt(rss / (m - 2) / sxx)
     if slope <= 0:
         raise DegenerateDistributionError("survival slope is not positive")
     theta = 1.0 / slope
     se_theta = se_slope / slope ** 2
     return TailEstimate(theta_hat=theta, se_theta=se_theta,
                         method="survival-slope", tail_fraction=tail_fraction,
-                        diagnostics={"n_tail": m, "rss": float(resid @ resid)})
+                        diagnostics={"n_tail": m, "rss": rss})
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,16 @@
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import log_ndtr
 
+import layertails
 from layertails.cli import main
 from layertails.manifest import RunManifest, sha256_file
 from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
@@ -407,13 +410,14 @@ class TestRerun:
                 f"{SAMPLER_VERSION})") in printed
 
     @pytest.mark.parametrize("family,version",
-                             [("elu", 4), ("tanh", 5), ("relu", 6)],
-                             ids=["elu-4", "tanh-5", "relu-6"])
+                             [("elu", 4), ("tanh", 5), ("relu", 6),
+                              ("relu", 7)],
+                             ids=["elu-4", "tanh-5", "relu-6", "relu-7"])
     def test_version_4_elu_manifest_is_named(self, family, version, tmp_path,
                                              capsys):
         # version 5 changed the elu and selu streams, version 6 the tanh
-        # and sigmoid ones and version 7 every one, so runs of the version
-        # before cannot replay
+        # and sigmoid ones, version 7 every one and version 8 the
+        # survival-slope fit, so runs of the version before cannot replay
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec(family))
         write_config_file(tmp_path / "net.ini", cfg)
@@ -544,3 +548,35 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tail-sweep" in proc.stdout
+
+
+def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """tail-sweep writes the same CSV bytes at 1 and 2 OpenBLAS threads.
+
+    2e5 draws give the survival fit 2e4 rows. A BLAS least-squares solve of
+    that size runs threaded, and at seed 3 its se values differed in their
+    last digits between 1 and 2 threads. OPENBLAS_NUM_THREADS is set for the two child processes only. OpenBLAS
+    caps its threads at the CPU count, so on a 1-CPU machine both children
+    run one thread and this test cannot fail there.
+    """
+    cfg = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
+                        nonlinearity=NonlinearitySpec("relu"))
+    write_config_file(tmp_path / "net.ini", cfg)
+    src = str(Path(layertails.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "layertails.cli", "tail-sweep", "--config",
+             str(tmp_path / "net.ini"), "--samples", "200000", "--seed", "3",
+             "--out", str(out)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert "theta_summary.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
+            name

@@ -201,6 +201,23 @@ class TestThetaFromSurvival:
             est = estimate_theta_survival(v, 0.1)
             assert est.theta_hat == pytest.approx(theta, rel=0.12), shape
 
+    @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
+    def test_fit_matches_a_least_squares_oracle(self, shape):
+        # the Weibull-plot regression by lstsq on the design [1, log x],
+        # with the slope's se from sigma^2 (X'X)^-1
+        v = synthetic_values("weibull", 100_000, 9, shape=shape)
+        est = estimate_theta_survival(v, 0.1)
+        n, m = v.n_samples, est.diagnostics["n_tail"]
+        top = np.sort(v.log_magnitudes)[::-1][:m]
+        y = np.log(-np.log((np.arange(1, m + 1) - 0.5) / n))
+        X = np.column_stack([np.ones(m), top])
+        beta, rss, _, _ = np.linalg.lstsq(X, y, rcond=None)
+        se_slope = math.sqrt(rss[0] / (m - 2) * np.linalg.inv(X.T @ X)[1, 1])
+        assert est.theta_hat == pytest.approx(1.0 / beta[1], rel=1e-12)
+        assert est.se_theta == pytest.approx(se_slope / beta[1] ** 2,
+                                             rel=1e-12)
+        assert est.diagnostics["rss"] == pytest.approx(rss[0], rel=1e-12)
+
     def test_scale_invariance(self):
         v = synthetic_values("weibull", 100_000, 8, shape=1.0)
         a = estimate_theta_survival(v)
