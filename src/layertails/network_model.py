@@ -92,8 +92,10 @@ from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
 #    then the |Z| of each sign group; every other stream is version 5's.
 # 7: unit 0 first: every layer draws its Z as a plain normal, then N' of
 #    the other H - 1 units; a top layer asked for unit 0 alone stops there.
-# 8: the survival-slope fit by centered sums, without BLAS; only the last
-#    digits of tail-sweep's survival-slope rows differ from version 7.
+# 8: no BLAS call between seed and output bytes: the survival-slope fit by
+#    centered sums (the last digits of tail-sweep's survival-slope rows
+#    move) and ||x||^2 by math.fsum, not np.dot (the layer-1 scale may move
+#    by its last bit, and every draw with it); the streams are version 7's.
 SAMPLER_VERSION = 8
 
 # Entropy stream tags; every sampling operation owns a tag so streams
@@ -519,7 +521,9 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     counts = {layer: max(units) + 1 for layer, units in needs.items()}
     chunks = [(i, min(DEFAULT_CHUNK, n_samples - start))
               for i, start in enumerate(range(0, n_samples, DEFAULT_CHUNK))]
-    q0 = float(np.dot(x, x)) + (1.0 if config.include_bias else 0.0)
+    # not np.dot: OpenBLAS threads it above 1e4 entries, and its last bit,
+    # which scales every draw, then depends on the core count
+    q0 = math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
     if q0 >= np.finfo(float).tiny:
         log_q0 = math.log(q0)
     else:

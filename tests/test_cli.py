@@ -416,8 +416,8 @@ class TestRerun:
     def test_version_4_elu_manifest_is_named(self, family, version, tmp_path,
                                              capsys):
         # version 5 changed the elu and selu streams, version 6 the tanh
-        # and sigmoid ones, version 7 every one and version 8 the
-        # survival-slope fit, so runs of the version before cannot replay
+        # and sigmoid ones, version 7 every one and version 8 the rounding
+        # of |x|^2, so runs of the version before cannot replay
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec(family))
         write_config_file(tmp_path / "net.ini", cfg)

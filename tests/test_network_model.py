@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -697,7 +701,7 @@ class TestExactSampler:
             network_model._generator((4, STREAM_UNITS, c), spawn_key=(1,))
             .standard_normal(b)
             for c, b in enumerate((network_model.DEFAULT_CHUNK, 900))])
-        log_r = math.log(0.7) + 0.5 * math.log(float(np.dot(x, x)))
+        log_r = math.log(0.7) + 0.5 * math.log(math.fsum(x * x))
         np.testing.assert_array_equal(lms[:, 0], log_r + np.log(np.abs(z)))
         np.testing.assert_array_equal(signs[:, 0], np.sign(z))
 
@@ -868,15 +872,54 @@ def test_width_one_stream_with_empty_sign_groups_is_pinned(family, n):
 def test_benchmark_elu_stream_is_pinned_bit_for_bit():
     # the stream shape of perfbench's elu_survival workload at 3000 draws:
     # a bias-free width-100 elu(1.0) net of depth 10, unit 0 of layers
-    # 1, 2, 3 and 10 from one pass; generated at sampler version 7
+    # 1, 2, 3 and 10 from one pass; generated at sampler version 8
     cfg = NetworkConfig(input_dim=100, layer_widths=(100,) * 10,
                         nonlinearity=NonlinearitySpec.parse("elu(1.0)"))
     got = sample_layer_units(cfg, sample_input(100, 3), (1, 2, 3, 10), "pre",
                              3000, 3)
     assert _stream_digest({l: (s.signs, s.log_magnitudes)
                            for l, s in got.items()}) == \
-        "156260fe6275874dfcfa4a7c22cac73701aa296f1e933a4be40715addd7f220f"
+        "ec9876edf43fd644d147c37ac3ca12ac69fe58a4a42a41cbbab21330938decae"
 
+
+# prints the digest of a relu request at input dimension 10001, where
+# OpenBLAS threads a dot product of x with itself
+_WIDE_INPUT_CHILD = """
+import hashlib
+from layertails.network_model import (STREAM_UNITS, NetworkConfig,
+                                      run_sampler, sample_input)
+from layertails.nonlinearity import NonlinearitySpec
+cfg = NetworkConfig(input_dim=10001, layer_widths=(5, 5),
+                    nonlinearity=NonlinearitySpec("relu"))
+got = run_sampler(cfg, sample_input(10001, 3), 1000, {1: [0], 2: [0, 1]},
+                  (3, STREAM_UNITS))
+digest = hashlib.sha256()
+for layer in sorted(got):
+    digest.update(got[layer][0].tobytes())
+    digest.update(got[layer][1].tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_wide_input_draws_do_not_depend_on_blas_threads():
+    """run_sampler at input_dim 10001 gives the same bytes at 1 and 2
+    OpenBLAS threads; np.dot(x, x) at that size differed in its last bit.
+
+    OPENBLAS_NUM_THREADS is set for the two child processes only. OpenBLAS
+    caps its threads at the CPU count, so on a 1-CPU machine both children
+    run one thread and this test cannot fail there.
+    """
+    src = str(Path(network_model.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", _WIDE_INPUT_CHILD],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
 
 # Configurations whose rows reach the log-domain norm: tanh and sigmoid
 # shrink |g| below e^-300 at once (weight_std 1e-200) or tanh over about
