@@ -33,8 +33,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .covariance_verifier import sweep
 from .errors import ConfigFileError, is_json_type
 from .manifest import RunManifest, build_manifest
@@ -160,7 +158,8 @@ def _run_survival_curves(params: dict):
     layers = params["layers"]
     sigma1 = None
     if not params["standardize"]:
-        q0 = float(np.sum(x * x)) + (1.0 if config.include_bias else 0.0)
+        # the sampler's own reduction, so the reference has its exact scale
+        q0 = math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
         sigma1 = config.weight_std_for(1) * math.sqrt(q0)
         if not 0.0 < sigma1 < math.inf:
             x_norm = "|(x, 1)|" if config.include_bias else "|x|"

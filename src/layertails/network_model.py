@@ -337,11 +337,12 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
             out[layer] = signs, logabs
         if layer == top and needs[layer] == 1:
             break
+        stick = needs.get(layer, 1) > 1
         n_pos = rng.binomial(H - 1, 0.5, size=b)
         counts = (n_pos, H - 1 - n_pos)
         draws = []
         for g, (c, n) in enumerate(zip(curved, counts)):
-            if needs.get(layer, 1) == 1 and all(zero[g:]):
+            if not stick and all(zero[g:]):
                 # a slope-0 group adds +0.0 to the norm and no group after
                 # it is drawn, so only stick-broken units would read it
                 d = np.zeros(b)
@@ -352,7 +353,7 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
                 d = rng.standard_gamma(0.5 * n)
                 d *= 2.0
             draws.append(d)
-        if needs.get(layer, 1) > 1:
+        if stick:
             rest = _stick_break(rng, log_r, H - 1, curved, counts, draws,
                                 needs[layer] - 1)
             out[layer] = tuple(np.hstack(p) for p in zip(out[layer], rest))
