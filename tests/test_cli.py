@@ -555,9 +555,10 @@ def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
 
     2e5 draws give the survival fit 2e4 rows. A BLAS least-squares solve of
     that size runs threaded, and at seed 3 its se values differed in their
-    last digits between 1 and 2 threads. OPENBLAS_NUM_THREADS is set for the two child processes only. OpenBLAS
-    caps its threads at the CPU count, so on a 1-CPU machine both children
-    run one thread and this test cannot fail there.
+    last digits between 1 and 2 threads. OPENBLAS_NUM_THREADS is set for
+    the two child processes only. OpenBLAS caps its threads at the CPU
+    count, so on a 1-CPU machine both children run one thread and this
+    test cannot fail there.
     """
     cfg = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
                         nonlinearity=NonlinearitySpec("relu"))
