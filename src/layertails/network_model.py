@@ -345,7 +345,7 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
             if not stick and all(zero[g:]):
                 # a slope-0 group adds +0.0 to the norm and no group after
                 # it is drawn, so only stick-broken units would read it
-                d = np.zeros(b)
+                d = None
             elif c:
                 d = rng.standard_normal(np.sum(n))
                 np.abs(d, out=d)
@@ -360,12 +360,14 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
         if layer == top:
             break
         # unit 0 joins the norm as one more group per side: z0^2 or 0 on a
-        # slope side, a |Z| group of 0 or 1 entries on a curved one
+        # slope side, a |Z| group of 0 or 1 entries on a curved one, nothing
+        # on a slope-0 side, which the norm leaves out
         pos0 = z0 > 0
         n0 = pos0.astype(int)
         counts += (n0, 1 - n0)
-        draws += [np.abs(z0[t]) if c else np.where(t, z0 * z0, 0.0)
-                  for c, t in zip(curved, (pos0, ~pos0))]
+        draws += [None if z else np.abs(z0[t]) if c
+                  else np.where(t, z0 * z0, 0.0)
+                  for c, z, t in zip(curved, zero, (pos0, ~pos0))]
         log_sq = _log_sq_norm(config.nonlinearity, log_r, counts, draws)
         if config.include_bias:
             log_sq = np.logaddexp(log_sq, 0.0)
@@ -418,7 +420,8 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     c^2 r^2 S for a group of slope c and sum S, and phi(+-r |Z_i|)^2 summed
     over a |Z| group. counts and draws list the groups in sign order
     (positive, negative), then again for unit 0's own pair of groups; the
-    sides and signs repeat with them. With both sides slopes that is
+    sides and signs repeat with them. A group of slope 0 adds +0.0 and is
+    left out (its draw may be None). With both sides slopes that is
     2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise a row sums in
     plain doubles if |log r| is below _LINEAR_LOG_R and the sum is a
     finite, positive, normal double (reduceat skips empty rows, giving them
@@ -426,7 +429,8 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
     log r + log e through the side's log form for each entry e of a group,
     sqrt(S) of a slope's or each |Z_i|, in a matrix padded with -inf.
     """
-    groups = list(zip((1.0, -1.0) * 2, sides(phi) * 2, counts, draws))
+    groups = [g for g in zip((1.0, -1.0) * 2, sides(phi) * 2, counts, draws)
+              if g[1].slope != 0]
     if all(side.slope is not None for _, side, _, _ in groups):
         with np.errstate(divide="ignore"):
             return 2.0 * log_r + np.log(sum(side.slope**2 * d
