@@ -23,11 +23,15 @@ The units are i.i.d. given r_l, so a layer step first draws unit 0 as
 Z_0 ~ N(0, 1): g(l)_0 = r_l Z_0 exactly, and a top layer asked for unit 0
 alone stops there. The sign and magnitude of each other Z are
 independent, so one step serves every activation: it draws
-N ~ Bin(H - 1, 1/2) positive units among the other H - 1, then per sign
+N ~ Bin(H - 1, 1/2) positive units among the other H - 1, from an exact
+Walker alias table of that law built once per width (one uniform per
+row, O(1) whatever H; the table's masses are exact binomial
+coefficients over 2^(H - 1), correctly rounded), then per sign
 group S = chi2 of the group's size if phi is linear on that side with
 slope c (adding c^2 r_l^2 S to ||h(l)||^2), else the group's |Z|. Unit 0
 joins the norm as one more group per side: Z_0^2 or 0 on a slope side,
-a |Z| group of 0 or 1 entries on a curved one. Then it draws only the
+a |Z| group of 0 or 1 entries on a curved one; the norm leaves out every
+group on a slope-0 side, which adds +0.0. Then it draws only the
 requested units 1.., by stick-breaking: with N' positives left among H'
 remaining units, a unit is positive with probability N'/H'. In a
 chi-square group its Z^2 is S' Beta(1/2, (K'-1)/2), S' and K' being the
@@ -50,7 +54,8 @@ entropy prefix E is (seed, stream tag, fields of the operation), built by
 entropy_prefix, which accepts seeds in [0, 2^32) only. Layer l of chunk c
 of a request with prefix E owns the child stream
 SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields Z_0, then
-N', then per sign group S or its |Z|, then per unit 1, 2, .. in index
+one uniform per row for N' (none in a width-1 layer, where N' = 0), then
+per sign group S or its |Z|, then per unit 1, 2, .. in index
 order a uniform (its sign group), a normal and a chi-square (its share of
 S). Every layer draws Z_0, requested or not. The stream stops after the
 last group that is read: a group on a slope-0 side (relu's negative one)
@@ -66,6 +71,7 @@ it. Stream tag 7 is held by the test suite's forward-pass oracle.
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import json
 import math
@@ -96,7 +102,10 @@ from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
 #    centered sums (the last digits of tail-sweep's survival-slope rows
 #    move) and ||x||^2 by math.fsum, not np.dot (the layer-1 scale may move
 #    by its last bit, and every draw with it); the streams are version 7's.
-SAMPLER_VERSION = 8
+# 9: N' from an exact alias table of Bin(H - 1, 1/2), one uniform per row,
+#    instead of rng.binomial; the same law and slot, a new stream for every
+#    family (width-1 layers, which draw no N', keep theirs).
+SAMPLER_VERSION = 9
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -311,6 +320,57 @@ def _generator(key, spawn_key=()) -> np.random.Generator:
         np.random.SeedSequence(list(key), spawn_key=spawn_key)))
 
 
+@functools.lru_cache(maxsize=None)
+def _fair_table(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Walker's alias table of Bin(n, 1/2): (lo, prob, alias) over the
+    counts lo .. n - lo, the arrays read-only.
+
+    Each column's mass C(n, k) m / 2^n (m columns) is one exact integer
+    division, so it is correctly rounded; Walker's small/large pairing then
+    runs in plain Python floats. So the table is the same on every IEEE
+    machine and rests on no libm call. By Hoeffding, C(n, k) / 2^n is below
+    e^-(746 + log(n + 1)), which rounds to 0.0, where |2k - n| exceeds
+    sqrt(2n (746 + log(n + 1))); those counts get no column, so lo = 0 up
+    to n = 1500 and the table has about 39 sqrt(n) columns beyond."""
+    lo = max(0, (n - math.isqrt(2 * n * (746 + (n + 1).bit_length())) + 1) // 2)
+    m, total, c = n + 1 - 2 * lo, 1 << n, math.comb(n, lo)
+    half = []
+    for k in range(lo, n // 2 + 1):
+        half.append(c * m / total)
+        c = c * (n - k) // (k + 1)
+    # C(n, k) = C(n, n - k); an even n's middle column appears once
+    scaled = half + half[::-1][1 - n % 2:]
+    prob, alias = [1.0] * m, list(range(m))
+    small = [i for i, p in enumerate(scaled) if p < 1.0]
+    large = [i for i, p in enumerate(scaled) if p >= 1.0]
+    while small and large:
+        s, g = small.pop(), large.pop()
+        prob[s], alias[s] = scaled[s], g
+        scaled[g] = (scaled[g] + scaled[s]) - 1.0
+        (small if scaled[g] < 1.0 else large).append(g)
+    # the columns left over are full (1.0 up to rounding), their own alias
+    prob, alias = np.array(prob), np.array(alias, dtype=np.intp)
+    prob.flags.writeable = alias.flags.writeable = False
+    return lo, prob, alias
+
+
+def _fair_count(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
+    """b draws of Bin(n, 1/2), one uniform U each, from _fair_table: with
+    x = U m and i = floor x, lo + i if x - i < prob[i], else lo + alias[i].
+    n = 0 draws nothing, as rng.binomial did."""
+    if n == 0:
+        return np.zeros(b, dtype=np.intp)
+    lo, prob, alias = _fair_table(n)
+    x = rng.random(b)
+    x *= prob.size
+    # U <= 1 - 2^-53, and (1 - 2^-53) m rounds below m for every integer
+    # m < 2^53 (m 2^-53 is more than half the spacing of doubles below m),
+    # so i <= m - 1 needs no clip
+    i = x.astype(np.intp)
+    x -= i
+    return np.where(x < prob[i], i, alias[i]) + lo
+
+
 def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
                        b: int, needs: dict[int, int]):
     """One chunk of the conditional sampler; returns pre arrays per layer.
@@ -338,7 +398,7 @@ def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
         if layer == top and needs[layer] == 1:
             break
         stick = needs.get(layer, 1) > 1
-        n_pos = rng.binomial(H - 1, 0.5, size=b)
+        n_pos = _fair_count(rng, H - 1, b)
         counts = (n_pos, H - 1 - n_pos)
         draws = []
         for g, (c, n) in enumerate(zip(curved, counts)):

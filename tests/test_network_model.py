@@ -610,6 +610,76 @@ class TestWorkerThreads:
 PRELU = NonlinearitySpec("prelu", (0.25,))
 
 
+def _exact_pmf(n):
+    """C(n, k) / 2^n for k = 0..n, each correctly rounded."""
+    total, c, pmf = 1 << n, 1, []
+    for k in range(n + 1):
+        pmf.append(c / total)
+        c = c * (n - k) // (k + 1)
+    return np.array(pmf)
+
+
+class _AlmostOne:
+    """A generator stand-in whose uniforms are all 1 - 2^-53."""
+
+    def random(self, size):
+        return np.full(size, 1.0 - 2.0**-53)
+
+
+class TestFairCount:
+    """The alias table behind every layer's sign count N' ~ Bin(n, 1/2)."""
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 63, 64, 99, 999, 1600, 9999])
+    def test_table_holds_the_exact_pmf(self, n):
+        lo, prob, alias = network_model._fair_table(n)
+        m = prob.size
+        assert m == n + 1 - 2 * lo
+        mass = np.array(prob, dtype=float)
+        np.add.at(mass, alias, 1.0 - prob)
+        mass /= m
+        pmf = _exact_pmf(n)
+        np.testing.assert_allclose(mass, pmf[lo:n + 1 - lo], rtol=1e-12,
+                                   atol=1e-300)
+        # the counts without a column carry no double's worth of mass
+        assert np.all(pmf[:lo] == 0.0) and np.all(pmf[n + 1 - lo:] == 0.0)
+
+    def test_table_is_cached_and_read_only(self):
+        lo, prob, alias = network_model._fair_table(99)
+        assert network_model._fair_table(99)[1] is prob
+        with pytest.raises(ValueError):
+            prob[0] = 0.5
+        with pytest.raises(ValueError):
+            alias[0] = 1
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 99, 999])
+    def test_draws_fit_the_exact_pmf(self, n):
+        draws = network_model._fair_count(np.random.default_rng(n), n,
+                                          1_000_000)
+        observed = np.bincount(draws, minlength=n + 1)
+        assert observed.size == n + 1
+        expected = _exact_pmf(n) * draws.size
+        # pool each tail into one cell of 5 or more expected draws
+        keep = np.flatnonzero(expected >= 5.0)
+        a, b = keep[0], keep[-1]
+        cells_obs = np.r_[observed[:a + 1].sum(), observed[a + 1:b],
+                          observed[b:].sum()]
+        cells_exp = np.r_[expected[:a + 1].sum(), expected[a + 1:b],
+                          expected[b:].sum()]
+        assert stats.chisquare(cells_obs, cells_exp).pvalue > 1e-3
+
+    def test_width_one_layer_counts_zero_and_draws_nothing(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert np.all(network_model._fair_count(rng, 0, 100) == 0)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 99, 999, 9999])
+    def test_uniform_next_to_one_stays_in_range(self, n):
+        lo = network_model._fair_table(n)[0]
+        got = network_model._fair_count(_AlmostOne(), n, 3)
+        assert np.all((lo <= got) & (got <= n - lo))
+
+
 class TestExactSampler:
     """The conditional step for every family (chi-square sums for relu,
     prelu and identity; |Z| groups for elu, selu, tanh and sigmoid) against
@@ -786,36 +856,36 @@ PIN_CONFIGS = {
 }
 
 # sha256 of run_sampler's (signs, log-magnitudes) bytes, layer by layer;
-# generated at sampler version 7
+# generated at sampler version 9
 PINNED_STREAMS = {
     ("relu", "bias-depth3"):
-        "02750aa6dfa1aaeee472886de6659b80141bf5d7d5821a0f56656a69989940de",
+        "18817bbba39731491c60a853ee79b95b29058dc6a6babb5fd8bd2e87677f566f",
     ("relu", "depth60-std100"):
-        "e58a256794d9ef7d9d11f184f9e02a4b8cd2e48a1542707855ee95515e66ef0f",
+        "31425e63aad9bfe3273be6245177d6fd71acbc6a664e7c7fc978cd39a13365c5",
     ("prelu(0.3)", "bias-depth3"):
-        "2071f0aef6a1af40aa6f2b678fd1aa07923f0f4231dd8c3e123510275fb72db6",
+        "1bea391a1beefb9f53d32779372c6e72ba4f85cc5795323f3043a6f3966d83c2",
     ("prelu(0.3)", "depth60-std100"):
-        "0f19d046f2a5d67ebab55e7d2816267b50e706ec87a668f21cba01ee6e4103a2",
+        "d2461cf77c9a8032e8fa513878e557cbc2cd4b55f820577336973a6ae76244fd",
     ("identity", "bias-depth3"):
-        "529753fa9b80894204f6304095a88aed32ba4c781e958bf8a495a0da8ba4d48a",
+        "80370bd14aaf681b1f729b33af3a0072ad3ae7f283dca39008eb4c8fa1456a97",
     ("identity", "depth60-std100"):
-        "c7dde7252e41da7103ece782b381371db5703d80a8890df69fca6965365da29a",
+        "77dde3bd3cbf51948b1b8a1d510df35f5d5ad43d1a5d82c16f95e94bdc46a7b3",
     ("elu(1.0)", "bias-depth3"):
-        "76b56ed22e6a6575bf1c2a0990b2607d7d755269c1036143bbe91220979f40cd",
+        "cd5669d0922de62429a8ee23dc41783a4192fbb479fb1d3fd231e46caac5c3ba",
     ("elu(1.0)", "depth60-std100"):
-        "f69588d7e6cdab978523403491d60f98f69ed566a64466251fc4c996bcad427d",
+        "3d60ef36bcd68e6cc13781d09d0222146b13bb568af294f9620292257ba183c7",
     ("selu", "bias-depth3"):
-        "2da3d8991e1e81fcc5f8dbe25c316bf32fbfcfc3aadd965149b20ef9d80eb230",
+        "733d778a88241d101a576b444ebe06c3bf398cb67921daa6efcafded90165f75",
     ("selu", "depth60-std100"):
-        "97efa06bd298497c42a0d4ead41e5a4197e0885906ecafe669ab07f4658292b0",
+        "c41e996430ddef2ac47318aeda29a70b4923691f5054c55dd4ec4027b708cd36",
     ("tanh", "bias-depth3"):
-        "0c5745d50f5e5ee8755732df09e321a0d8ec660e546ad1c037d56177c864dc5c",
+        "361a428b86f09d0b6e7d7c6d42e5429a303fed89aa2c87c12117f34b21a23d99",
     ("tanh", "depth60-std100"):
-        "82d8395cf610c8de2a2895b5da47e96faa5121be2bdc5029b868c7b290426391",
+        "a28045e55f5dadbba3dfaf48c83ef384e497cb4503526fda34bdf21eb3dbda32",
     ("sigmoid", "bias-depth3"):
-        "a0811df0d8eb80cd8fac87abe8526ebd542585d9572d3da7660fb1ea2768ea8a",
+        "1acdf9da7f1ab3abd95652c10bc29a1f3e57aef8ed65236970c08d35f90ccf0f",
     ("sigmoid", "depth60-std100"):
-        "8063db10d471bbb7b400b08e3ad90ec9061245a7bb91fc364fb0c0f73c98a32d",
+        "185c4c71f3a9146070027b8b8ca1c0e8c485c7fe795ee58e786f0c914f33b4e3",
 }
 
 
@@ -872,14 +942,14 @@ def test_width_one_stream_with_empty_sign_groups_is_pinned(family, n):
 def test_benchmark_elu_stream_is_pinned_bit_for_bit():
     # the stream shape of perfbench's elu_survival workload at 3000 draws:
     # a bias-free width-100 elu(1.0) net of depth 10, unit 0 of layers
-    # 1, 2, 3 and 10 from one pass; generated at sampler version 8
+    # 1, 2, 3 and 10 from one pass; generated at sampler version 9
     cfg = NetworkConfig(input_dim=100, layer_widths=(100,) * 10,
                         nonlinearity=NonlinearitySpec.parse("elu(1.0)"))
     got = sample_layer_units(cfg, sample_input(100, 3), (1, 2, 3, 10), "pre",
                              3000, 3)
     assert _stream_digest({l: (s.signs, s.log_magnitudes)
                            for l, s in got.items()}) == \
-        "ec9876edf43fd644d147c37ac3ca12ac69fe58a4a42a41cbbab21330938decae"
+        "69f4790a567a6a85139d93f818ea4ca93465c58f576e27797799f0f0b3f105eb"
 
 
 # prints the digest of a relu request at input dimension 10001, where
@@ -945,32 +1015,32 @@ LOG_DOMAIN_CONFIGS = {
 
 # sha256 of run_sampler's bytes, as PINNED_STREAMS, for units
 # {1: [0], 2: [0, 1], depth: [0, 2]} (at depth 2 the last entry wins);
-# generated at sampler version 7
+# generated at sampler version 9
 LOG_DOMAIN_STREAMS = {
     ("elu(0.3)-depth60-std100", "post"):
-        "c38a8d57de7f47a777828adda30231ee66d5b7fb2e1671803cc9c335dc100714",
+        "a203ce6f1d852a59695e4655b44ef9d92d543def841cf3a5c83863e703aafee2",
     ("elu(0.3)-depth60-std100", "pre"):
-        "3611d3acee73cd793b0d180dbf2dc6af763194ec1be050efcbad7ba015a86915",
+        "c9cff293461ae2deb89268754f2858da9494f77810ab2823cdd4326a7f1019b0",
     ("selu-std1e200-bias", "post"):
-        "cf994fd771fc72326a46320b67ae3507fc3ee02e68d96965d33b8154cc0b5097",
+        "d64e1182b767982ad445594ba8c5ef721751ce885b064ef36dcc9c89a268c914",
     ("selu-std1e200-bias", "pre"):
-        "a38003faec8e74f8877127bb7f3b5794b6cc9965ce0f688cfb029f40bc5255a0",
+        "10574ab3ca72bcb164a72721892b78024b9d16406a282e8ea2eef011d5d06abb",
     ("sigmoid-std1e-200", "post"):
         "44bb076c266a34403b00638e5e751a9bebdf74c7b703bc9acc4382b8d866adad",
     ("sigmoid-std1e-200", "pre"):
-        "d5e8a15e15be058dcd3766b4b87c971295cf10f6e721d9610d06e9d50a08485f",
+        "d5e8a217755f190a63ea0d569693a7aefc5a626fc49b7845f7bca9f6073513df",
     ("tanh-depth100-std1e-2", "post"):
-        "b7414464810b6896f1bcfdc0a6a1f020bac16b6f737ce935859b935d0ffa9072",
+        "65f46ef565596d5d7d4a29ca7bf5c581f82d985780fa4637e007ac80ed1f0142",
     ("tanh-depth100-std1e-2", "pre"):
-        "de566aafedfed85cf274f55753ee5a024afd98dbbe445bf9ae212427c986b01a",
+        "aa1d98cee3a6b3a6015a6c42b837df4f7a5710f4fa29d5efcbff3c84a48c2571",
     ("tanh-depth40-std1e-2", "post"):
-        "6b96cde3e47e54dab3f7c7b06b27b3ee4a2b39ad2339415e6a5b48fdbe8c4916",
+        "7c0ed67bba3d7f681324e70cab1f32eab7ad369aab2893f975ba4c6a839eb4bf",
     ("tanh-depth40-std1e-2", "pre"):
-        "fba209e1fa39d5725a8779d74e8bbbf3dfa6d1ecac24a8588950f17073cf24c8",
+        "ba00a6dd63c7ba350b07c2551671aeb4c07b6204f061c36b53eada15c1e9ef30",
     ("tanh-std1e-200", "post"):
-        "40168e299f10f2b3ed8bce6e93edbcabf6d90e66ad9f03d38ee131fbe144f0d0",
+        "703ff95c4d2cca405dacbe5108ed12e541a0bfc2c313c8de073502c11367568f",
     ("tanh-std1e-200", "pre"):
-        "7d3e1d0559a1f4aced07ee11196d2502bd82929e09c3857edc7255c3dcd0a4e3",
+        "7e72c7478b7aa841885a39a13ea4235f31e77ba38def1bb0196414158c455b36",
 }
 
 
@@ -985,22 +1055,22 @@ def test_log_domain_stream_is_pinned_bit_for_bit(name, kind):
 
 
 # sha256 of the PINNED_STREAMS request on bias-depth3 with kind "post";
-# generated at sampler version 7
+# generated at sampler version 9
 POST_STREAMS = {
     "elu(1.0)":
-        "995c4224359f1ca6675eb66b19102453c023849119f09d0ec3633a6aac40170c",
+        "78e4f1d22829491797f56ff40f553451e23982f98156c636519e393623be5c86",
     "identity":
-        "529753fa9b80894204f6304095a88aed32ba4c781e958bf8a495a0da8ba4d48a",
+        "80370bd14aaf681b1f729b33af3a0072ad3ae7f283dca39008eb4c8fa1456a97",
     "prelu(0.3)":
-        "7f446d3011e26d3d7dc03bc2122444bca6787a5fb5a8cca4b9654c534881b963",
+        "6a1aefa26bd5b1ea5eb58741ea7869d4f977b0c2542bf1bfa2ce1c514a21625a",
     "relu":
-        "766829c09af650ee7388dffa69054c55071e759fe8150c14349df109aea35a18",
+        "2d31c8d24c63a435e0cbd663f83cfdc77a43330777ea89103ee70bae5171523a",
     "selu":
-        "65b251c79607f52cdbe24e8fa7a7de0670893114eae6a9dee2d40d09c8e28c1f",
+        "de1decb20c0ac8190f2579cf76cc5dc05a81c9d4674e2cb39d1bb854ec3943d9",
     "sigmoid":
-        "da3e14a20bae25a6fbf92fe15e5a4304de3a17c8604f35f69b4bcaa3e50c4453",
+        "160b183b623d3f752efb0c514dda8a6ede12387ec3f356b3be6b617e0abe1677",
     "tanh":
-        "8c9361d6c656145a3278cf64f2d95a97a177ef5021614ff857ec0faae641a6cd",
+        "8d4af7000336cebb9f5c54df4398d6751b589f1a4c28e5022112808264721267",
 }
 
 
