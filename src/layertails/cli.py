@@ -464,6 +464,10 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
         if old.sampler != new.sampler:
             print(f"sampler version differs (manifest {old.sampler}, "
                   f"this build {new.sampler})")
+        numpy_then = old.versions.get("numpy")
+        if numpy_then is not None and numpy_then != new.versions["numpy"]:
+            print(f"numpy version differs (manifest {numpy_then}, "
+                  f"this build {new.versions['numpy']})")
         print(f"rerun of {old.command}: {len(mismatched)} file(s) differ")
         return 1
     print(f"rerun of {old.command}: all {len(old.files)} file(s) byte-identical")

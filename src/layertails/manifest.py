@@ -7,6 +7,10 @@ byte for byte.
 The manifest also records the version of the sampler's seed-to-draws
 mapping (`sampler`). Manifests written before the field existed load as
 version 1, so `rerun` can say why a replay under another version differs.
+`versions` records the layertails, numpy, scipy and python versions of the
+build that wrote it (empty in manifests written before the field existed);
+the streams rest on numpy's generators, so `rerun` names a numpy change
+when files differ, but never compares the field.
 """
 
 from __future__ import annotations
@@ -14,8 +18,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
+import scipy
 
 from .errors import is_json_type
 from .network_model import SAMPLER_VERSION
@@ -38,6 +46,7 @@ class RunManifest:
     duration_s: float
     created: str = ""
     sampler: int = 1
+    versions: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -59,6 +68,7 @@ class RunManifest:
                      in sorted(set(payload) - {f.name for f in fields})]
                     + [f"missing field {f.name!r}" for f in fields
                        if f.default is dataclasses.MISSING
+                       and f.default_factory is dataclasses.MISSING
                        and f.name not in payload]
                     + [f"field {f.name!r} is not a JSON {f.type}" for f in fields
                        if f.name in payload
@@ -71,8 +81,13 @@ class RunManifest:
 def build_manifest(command: str, params: dict, seed: int, file_paths: dict,
                    duration_s: float) -> RunManifest:
     """file_paths maps emitted file names to their on-disk paths."""
+    from . import __version__  # the package imports this module first
     files = {name: sha256_file(path) for name, path in sorted(file_paths.items())}
     return RunManifest(command=command, params=params, seed=int(seed),
                        files=files, duration_s=float(duration_s),
                        created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                       sampler=SAMPLER_VERSION)
+                       sampler=SAMPLER_VERSION,
+                       versions={"layertails": __version__,
+                                 "numpy": np.__version__,
+                                 "scipy": scipy.__version__,
+                                 "python": platform.python_version()})

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from scipy.special import log_ndtr
 
 import layertails
@@ -436,6 +438,86 @@ class TestRerun:
         assert "survival_layer2.csv: MISMATCH" in printed
         assert (f"sampler version differs (manifest {version}, this build "
                 f"{SAMPLER_VERSION})") in printed
+
+    def test_version_8_relu_manifest_is_named(self, tmp_path, capsys):
+        # version 9 draws each sign count from an alias table, not
+        # rng.binomial; these are the files a version-8 build wrote for
+        # this run
+        v8_files = {
+            "gaussian_reference.csv": "f12f64bf5b7e94cd87874aad09bcd494"
+                                      "9ee3247a7b3f41fd13a3523734c90670",
+            "ordering.csv": "f6d4bc6a7783786977bfcb1813b833d5"
+                            "a16077073ca5fff9e94f58449070a574",
+            "survival_layer1.csv": "b415413a1021dad120e08945bb8de369"
+                                   "00c9b121939e736baa12c96d5ce8e881",
+            "survival_layer2.csv": "5ab43f7e4144779924a78b3a4dcce0ee"
+                                   "a641721507058f88d75f504978318b61",
+        }
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("relu"))
+        write_config_file(tmp_path / "net.ini", cfg)
+        out = tmp_path / "curves"
+        main(["survival-curves", "--config", str(tmp_path / "net.ini"),
+              "--samples", "20000", "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(man["files"]) == sorted(v8_files)
+        man["sampler"] = 8
+        man["files"] = v8_files
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "survival_layer2.csv: MISMATCH" in printed
+        assert "sampler version differs (manifest 8, this build 9)" in printed
+        assert "numpy version differs" not in printed
+
+    def test_manifest_records_versions_that_rerun_never_compares(
+            self, net_ini, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        main(["tail-sweep", "--config", str(net_ini), "--samples", "20000",
+              "--out", str(out), "--seed", "3"])
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["versions"] == {"layertails": layertails.__version__,
+                                   "numpy": np.__version__,
+                                   "scipy": scipy.__version__,
+                                   "python": platform.python_version()}
+        # another build's versions: the bytes still match, so rerun passes
+        man["versions"] = dict(man["versions"], numpy="1.26.4",
+                               scipy="1.11.0", python="3.9.0")
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "same")]) == 0
+        assert "version differs" not in capsys.readouterr().out
+        # when the bytes differ, a numpy change is named beside the sampler
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "differ")]) == 1
+        printed = capsys.readouterr().out
+        assert (f"numpy version differs (manifest 1.26.4, this build "
+                f"{np.__version__})") in printed
+        assert "sampler version differs" not in printed
+
+    def test_manifest_without_versions_loads_and_replays(self, net_ini,
+                                                         tmp_path, capsys):
+        out = tmp_path / "sweep"
+        main(["tail-sweep", "--config", str(net_ini), "--samples", "20000",
+              "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        del man["versions"]
+        (out / "manifest.json").write_text(json.dumps(man))
+        assert RunManifest.load(out / "manifest.json").versions == {}
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")]) == 0
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "differ")]) == 1
+        assert "numpy version differs" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("edit,message", [
         (lambda m: dict(m, extra=1), "unknown field 'extra'"),
