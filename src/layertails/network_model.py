@@ -328,10 +328,11 @@ def _fair_table(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     Each column's mass C(n, k) m / 2^n (m columns) is one exact integer
     division, so it is correctly rounded; Walker's small/large pairing then
     runs in plain Python floats. So the table is the same on every IEEE
-    machine and rests on no libm call. By Hoeffding, C(n, k) / 2^n is below
-    e^-(746 + log(n + 1)), which rounds to 0.0, where |2k - n| exceeds
-    sqrt(2n (746 + log(n + 1))); those counts get no column, so lo = 0 up
-    to n = 1500 and the table has about 39 sqrt(n) columns beyond."""
+    machine and rests on no libm call. By Hoeffding, C(n, k) m / 2^n is
+    below e^-746, so it rounds to 0.0, where |2k - n| exceeds
+    sqrt(2n (746 + B)), B the bit length of n + 1 (B > log(n + 1) >= log m);
+    those counts get no column. So lo = 0 up to n = 1514, and the table has
+    about 39 sqrt(n) columns beyond."""
     lo = max(0, (n - math.isqrt(2 * n * (746 + (n + 1).bit_length())) + 1) // 2)
     m, total, c = n + 1 - 2 * lo, 1 << n, math.comb(n, lo)
     half = []
