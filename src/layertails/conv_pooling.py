@@ -10,14 +10,16 @@ deep-layer samples never leave log domain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            entropy_prefix, sample_joint_units)
-from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
+                            entropy_prefix, sample_joint_units,
+                            worker_threads)
+from .tail_analysis import (MIN_ORDERS, TailEstimate, estimate_theta_moments,
+                            moment_curve)
 
 
 @dataclass(frozen=True)
@@ -76,6 +78,72 @@ class PoolCheck:
     budget: float
 
 
+# The last request's (key, signs, lms, before), or None: the max and
+# average checks of one region make the same request, so the second one
+# only pools
+_last_request = None
+
+
+def _request_key(config: NetworkConfig, x, entropy, layer, region, n_samples,
+                 k_min, k_max, workers) -> tuple:
+    """The request's values, once every check that sample_joint_units,
+    moment_curve and estimate_theta_moments would make has passed.
+    entropy_prefix has already checked that the seed, layer and region
+    are integers.
+
+    The checks come first because 0.0 == 0 and True == 1 compare and hash
+    alike: only is_int tells them apart, and a float or bool must raise
+    even when the integer request was the last one.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.shape != (config.input_dim,):
+        raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("input has non-finite entries")
+    if not (is_int(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not 1 <= layer <= config.depth:
+        raise ValueError(f"layer {layer!r} out of range 1..{config.depth}")
+    if len(set(region)) != len(region):
+        raise ValueError("unit indices must be distinct")
+    if not all(0 <= i < config.layer_widths[layer - 1] for i in region):
+        raise ValueError(f"unit indices {region!r} out of range for layer {layer}")
+    worker_threads(workers, 1)
+    if not (is_int(k_min) and is_int(k_max) and 1 <= k_min
+            and k_max - k_min + 1 >= MIN_ORDERS):
+        raise ValueError(f"need integers 1 <= k_min and at least {MIN_ORDERS} "
+                         f"orders in [k_min, k_max], got {k_min!r}, {k_max!r}")
+    return (config, x.shape, x.tobytes(), tuple(int(v) for v in entropy),
+            int(n_samples), int(k_min), int(k_max), int(workers))
+
+
+def _draws_and_before(config, x, layer, region, n_samples, seed, k_min, k_max,
+                      workers):
+    """The joint draws of a pooling request, read-only, and the "before"
+    estimate of its first unit; from _last_request when it is the same
+    request."""
+    global _last_request
+    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
+    key = _request_key(config, x, entropy, layer, region, n_samples, k_min,
+                       k_max, workers)
+    last = _last_request
+    if last is not None and last[0] == key:
+        _, signs, lms, before = last
+    else:
+        _last_request = None  # free the old draws before drawing new ones
+        signs, lms = sample_joint_units(config, x, layer, region, "post",
+                                        n_samples, entropy, workers=workers)
+        signs.flags.writeable = lms.flags.writeable = False
+        before_set = UnitSampleSet(layer=layer, kind="post",
+                                   unit_index=region[0],
+                                   signs=signs[:, 0].copy(),
+                                   log_magnitudes=lms[:, 0].copy())
+        before = estimate_theta_moments(moment_curve(before_set, k_min, k_max))
+        _last_request = (key, signs, lms, before)
+    # each caller gets its own diagnostics dict
+    return signs, lms, replace(before, diagnostics=dict(before.diagnostics))
+
+
 def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
                       region, spec: PoolingSpec, n_samples: int, seed: int,
                       k_min: int = 2, k_max: int = 10,
@@ -86,20 +154,27 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     first of the region), which correlates them and tightens the
     difference. Passes iff |theta_after - theta_before| is within the sum
     of the two standard errors plus 0.1.
+
+    Every argument is checked before anything is drawn, k_min and k_max
+    included: integers, 1 <= k_min, and at least MIN_ORDERS orders.
+    The draws and the "before" estimate do not depend on spec, so the
+    module keeps those of the last request, keyed on every other argument,
+    one request at a time: a second call that differs only in spec
+    (average after max, say) pools those draws and fits "after" alone. After a call the entry holds
+    n_samples x len(region) int8 signs and float64 log-magnitudes: 3.6 MB
+    at 10^5 draws of 4 units, 7.2 MB at 2 * 10^5. A call with any other
+    argument changed frees it before drawing. Results never depend on it:
+    each call returns the same values, bit for bit, whatever came before.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
-    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
-    signs, lms = sample_joint_units(config, x, layer, region, "post",
-                                    n_samples, entropy, workers=workers)
-    before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],
-                               signs=signs[:, 0].copy(),
-                               log_magnitudes=lms[:, 0].copy())
+    signs, lms, before = _draws_and_before(config, x, layer, region,
+                                           n_samples, seed, k_min, k_max,
+                                           workers)
     ps, plm = pool_signed_log(signs, lms, spec)
     after_set = UnitSampleSet(layer=layer, kind=f"pooled-{spec.kind}",
                               unit_index=region[0], signs=ps,
                               log_magnitudes=plm)
-    before = estimate_theta_moments(moment_curve(before_set, k_min, k_max))
     after = estimate_theta_moments(moment_curve(after_set, k_min, k_max))
     budget = before.se_theta + after.se_theta + 0.1
     passes = abs(after.theta_hat - before.theta_hat) <= budget

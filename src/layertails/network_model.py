@@ -332,7 +332,11 @@ def _fair_table(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     below e^-746, so it rounds to 0.0, where |2k - n| exceeds
     sqrt(2n (746 + B)), B the bit length of n + 1 (B > log(n + 1) >= log m);
     those counts get no column. So lo = 0 up to n = 1514, and the table has
-    about 39 sqrt(n) columns beyond."""
+    about 39 sqrt(n) columns beyond.
+
+    The big-integer coefficients cost about n^1.5 to build, once per n and
+    process. On one core of a 2-core Xeon: about 1 ms at n = 10^3, 16-21 ms
+    at 10^4, 0.5-0.7 s at 10^5 and 24-30 s at 10^6."""
     lo = max(0, (n - math.isqrt(2 * n * (746 + (n + 1).bit_length())) + 1) // 2)
     m, total, c = n + 1 - 2 * lo, 1 << n, math.comb(n, lo)
     half = []

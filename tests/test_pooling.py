@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layertails import conv_pooling
 from layertails.conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
                                      pooled_tail_check)
 from layertails.network_model import NetworkConfig, sample_input
@@ -113,3 +114,100 @@ class TestPooledTailCheck:
             pooled_tail_check(cfg, x, 2, (0, 1), MAX4, 10_000, 29)
         with pytest.raises(ValueError):
             pooled_tail_check(cfg, x, 2, (0, 0, 1, 2), MAX4, 10_000, 29)
+
+
+MAX2 = PoolingSpec("max", 2)
+AVG2 = PoolingSpec("average", 2)
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """Empties the module's last-request entry and counts the sampler
+    passes pooled_tail_check makes through its module global."""
+    monkeypatch.setattr(conv_pooling, "_last_request", None)
+    calls = []
+    real = conv_pooling.sample_joint_units
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(conv_pooling, "sample_joint_units", counted)
+    return calls
+
+
+def _numbers(chk):
+    return (chk.before.theta_hat, chk.before.se_theta, chk.after.theta_hat,
+            chk.after.se_theta, chk.budget, chk.passes)
+
+
+class TestLastRequest:
+    # each bad value compares and hashes equal to the good one
+    @pytest.mark.parametrize("name,good,bad", [
+        ("region", (0, 1), (0.0, 1.0)), ("n_samples", 10_000, 10_000.0),
+        ("layer", 1, 1.0), ("seed", 1, True)],
+        ids=["region", "n_samples", "layer", "seed"])
+    def test_repeated_request_still_validates(self, cfg, x, draws, name,
+                                              good, bad):
+        args = dict(config=cfg, x=x, layer=2, region=(0, 1), spec=MAX2,
+                    n_samples=10_000, seed=29)
+        pooled_tail_check(**{**args, name: good})
+        with pytest.raises(ValueError):
+            pooled_tail_check(**{**args, name: bad})
+        assert len(draws) == 1
+
+    @pytest.mark.parametrize("k_min,k_max", [(2.5, 10), (2, 10.0), (2, 4),
+                                             (0, 10), (True, 10)])
+    def test_bad_orders_raise_before_drawing(self, cfg, x, draws, k_min,
+                                             k_max):
+        with pytest.raises(ValueError, match="k_min"):
+            pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29,
+                              k_min=k_min, k_max=k_max)
+        assert draws == []
+
+    def test_warm_calls_equal_cold_calls(self, cfg, x, draws):
+        cold = {}
+        for spec in (MAX2, AVG2):
+            conv_pooling._last_request = None
+            cold[spec.kind] = _numbers(
+                pooled_tail_check(cfg, x, 2, (0, 1), spec, 20_000, 29))
+        assert len(draws) == 2
+        conv_pooling._last_request = None
+        first = pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 20_000, 29)
+        first.before.diagnostics["n_samples"] = -1  # a caller's own copy
+        warm = {"max": _numbers(first),
+                "average": _numbers(
+                    pooled_tail_check(cfg, x, 2, (0, 1), AVG2, 20_000, 29))}
+        assert len(draws) == 3
+        assert warm == cold
+        assert warm["max"][:2] == warm["average"][:2]
+        again = pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 20_000, 29)
+        assert again.before.diagnostics["n_samples"] == 20_000
+
+    def test_input_changed_in_place_draws_again(self, cfg, x, draws):
+        x = x.copy()
+        pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
+        x[0] += 1.0
+        changed = _numbers(pooled_tail_check(cfg, x, 2, (0, 1), MAX2,
+                                             10_000, 29))
+        assert len(draws) == 2
+        conv_pooling._last_request = None
+        assert _numbers(pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000,
+                                          29)) == changed
+
+    def test_one_request_is_kept(self, cfg, x, draws):
+        pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
+        pooled_tail_check(cfg, x, 2, (0, 1), AVG2, 10_000, 29)
+        assert len(draws) == 1
+        pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 30)
+        pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
+        assert len(draws) == 3
+
+    def test_kept_arrays_are_read_only(self, cfg, x, draws):
+        pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
+        _, signs, lms, _ = conv_pooling._last_request
+        assert signs.shape == lms.shape == (10_000, 2)
+        for a in (signs, lms):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
