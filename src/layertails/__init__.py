@@ -1,6 +1,7 @@
 """Tail behaviour of wide feedforward networks under Gaussian weight
 priors: prior simulation, tail-parameter estimation, covariance sign
-checks, pooling invariance, and the induced penalty geometry.
+checks, pooling invariance, and contours of the L^(2/l) penalty balls
+the priors induce.
 """
 
 from .conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
@@ -12,14 +13,11 @@ from .errors import (ConfigFileError, DegenerateDistributionError,
 from .manifest import RunManifest, build_manifest, sha256_file
 from .network_model import (NetworkConfig, UnitSampleSet, parse_config_file,
                             sample_input, sample_joint_units,
-                            sample_layer_units, write_config_file)
+                            sample_layer_units)
 from .nonlinearity import (SEARCH_GRID, EnvelopeGrid, EnvelopeWitness,
                            NonlinearitySpec, apply, apply_signed_log,
-                           is_positively_homogeneous,
                            search_envelope_constants, verify_envelope)
-from .penalty_geometry import (ContourSet, PenaltyBreakdown, contour,
-                               equal_coordinate, lq_penalty, unit_penalty,
-                               weight_decay)
+from .penalty_geometry import ContourSet, contour, equal_coordinate
 from .tail_analysis import (MomentCurve, RecursionVerdict, SurvivalCurves,
                             TailEstimate, empirical_log_norm,
                             estimate_theta_moments, estimate_theta_survival,
@@ -33,19 +31,17 @@ __all__ = [
     "ConfigFileError", "ContourSet", "CovarianceReport",
     "DegenerateDistributionError", "EnvelopeGrid", "EnvelopeWitness",
     "MomentCurve", "MomentOverflowError", "NetworkConfig", "NonlinearitySpec",
-    "PoolCheck", "PoolingSpec", "PenaltyBreakdown", "RecursionVerdict",
-    "RunManifest",
+    "PoolCheck", "PoolingSpec", "RecursionVerdict", "RunManifest",
     "SEARCH_GRID", "SurvivalCurves", "SweepResult", "TailEstimate",
     "UnitSampleSet", "apply", "apply_signed_log",
     "build_manifest", "contour", "empirical_log_norm",
     "equal_coordinate", "estimate_theta_moments", "estimate_theta_survival",
-    "estimate_unit_covariance", "gaussian_norm_oracle",
-    "is_positively_homogeneous", "ks_gaussian_test",
-    "lq_penalty", "moment_curve", "parse_config_file",
+    "estimate_unit_covariance", "gaussian_norm_oracle", "ks_gaussian_test",
+    "moment_curve", "parse_config_file",
     "pool_signed_log", "pooled_tail_check", "recursion_check",
     "relu_norm_oracle",
     "sample_input", "sample_joint_units", "sample_layer_units",
     "search_envelope_constants",
     "sha256_file", "survival_curves", "sweep", "synthetic_values",
-    "unit_penalty", "verify_envelope", "weight_decay", "write_config_file",
+    "verify_envelope",
 ]

@@ -36,8 +36,8 @@ from pathlib import Path
 from .covariance_verifier import sweep
 from .errors import ConfigFileError, is_json_type
 from .manifest import RunManifest, build_manifest
-from .network_model import (NetworkConfig, parse_config_file, sample_input,
-                            sample_layer_units)
+from .network_model import (NetworkConfig, layer1_sq_norm, parse_config_file,
+                            sample_input, sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
 from .penalty_geometry import contour
 from .tail_analysis import (check_tail_request, empirical_log_norm,
@@ -159,7 +159,7 @@ def _run_survival_curves(params: dict):
     sigma1 = None
     if not params["standardize"]:
         # the sampler's own reduction, so the reference has its exact scale
-        q0 = math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
+        q0 = layer1_sq_norm(config, x)
         sigma1 = config.weight_std_for(1) * math.sqrt(q0)
         if not 0.0 < sigma1 < math.inf:
             x_norm = "|(x, 1)|" if config.include_bias else "|x|"
@@ -412,8 +412,10 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     if "network" in names:
         config = parse_config_file(args.config)
         args.network = config.to_dict()
-        # all layers by default; run_sampler rejects one out of range
-        args.layers = sorted(set(args.layers or range(1, config.depth + 1)))
+        # all layers when --layers is omitted; run_sampler rejects an
+        # empty list and a layer out of range
+        every = range(1, config.depth + 1)
+        args.layers = sorted(set(every if args.layers is None else args.layers))
     return {name: getattr(args, name) for name in names}
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            entropy_prefix, sample_joint_units,
-                            worker_threads)
-from .tail_analysis import (MIN_ORDERS, TailEstimate, estimate_theta_moments,
-                            moment_curve)
+                            check_request, entropy_prefix,
+                            sample_joint_units)
+from .tail_analysis import (TailEstimate, check_orders,
+                            estimate_theta_moments, moment_curve)
 
 
 @dataclass(frozen=True)
@@ -86,33 +86,15 @@ _last_request = None
 
 def _request_key(config: NetworkConfig, x, entropy, layer, region, n_samples,
                  k_min, k_max, workers) -> tuple:
-    """The request's values, once every check that sample_joint_units,
-    moment_curve and estimate_theta_moments would make has passed.
-    entropy_prefix has already checked that the seed, layer and region
-    are integers.
+    """The request's values, once it passes run_sampler's checks and the
+    order-window check; entropy_prefix has checked the seed.
 
     The checks come first because 0.0 == 0 and True == 1 compare and hash
     alike: only is_int tells them apart, and a float or bool must raise
     even when the integer request was the last one.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (config.input_dim,):
-        raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input has non-finite entries")
-    if not (is_int(n_samples) and n_samples >= 1):
-        raise ValueError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    if not 1 <= layer <= config.depth:
-        raise ValueError(f"layer {layer!r} out of range 1..{config.depth}")
-    if len(set(region)) != len(region):
-        raise ValueError("unit indices must be distinct")
-    if not all(0 <= i < config.layer_widths[layer - 1] for i in region):
-        raise ValueError(f"unit indices {region!r} out of range for layer {layer}")
-    worker_threads(workers, 1)
-    if not (is_int(k_min) and is_int(k_max) and 1 <= k_min
-            and k_max - k_min + 1 >= MIN_ORDERS):
-        raise ValueError(f"need integers 1 <= k_min and at least {MIN_ORDERS} "
-                         f"orders in [k_min, k_max], got {k_min!r}, {k_max!r}")
+    x = check_request(config, x, n_samples, {layer: region}, "post", workers)
+    check_orders(k_min, k_max)
     return (config, x.shape, x.tobytes(), tuple(int(v) for v in entropy),
             int(n_samples), int(k_min), int(k_max), int(workers))
 
@@ -155,16 +137,17 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     difference. Passes iff |theta_after - theta_before| is within the sum
     of the two standard errors plus 0.1.
 
-    Every argument is checked before anything is drawn, k_min and k_max
-    included: integers, 1 <= k_min, and at least MIN_ORDERS orders.
-    The draws and the "before" estimate do not depend on spec, so the
-    module keeps those of the last request, keyed on every other argument,
-    one request at a time: a second call that differs only in spec
-    (average after max, say) pools those draws and fits "after" alone. After a call the entry holds
-    n_samples x len(region) int8 signs and float64 log-magnitudes: 3.6 MB
-    at 10^5 draws of 4 units, 7.2 MB at 2 * 10^5. A call with any other
-    argument changed frees it before drawing. Results never depend on it:
-    each call returns the same values, bit for bit, whatever came before.
+    Every argument is checked before anything is drawn: the sampler's
+    request (network_model.check_request) and the order window
+    (tail_analysis.check_orders). The draws and the "before" estimate do
+    not depend on spec, so the module keeps those of the last request,
+    keyed on every other argument, one request at a time: a second call
+    that differs only in spec (average after max, say) pools those draws
+    and fits "after" alone. After a call the entry holds n_samples x
+    len(region) int8 signs and float64 log-magnitudes: 3.6 MB at 10^5
+    draws of 4 units, 7.2 MB at 2 * 10^5. A call with any other argument
+    changed frees it before drawing. Results never depend on it: each
+    call returns the same values, bit for bit, whatever came before.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")

@@ -98,10 +98,12 @@ from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
 #    then the |Z| of each sign group; every other stream is version 5's.
 # 7: unit 0 first: every layer draws its Z as a plain normal, then N' of
 #    the other H - 1 units; a top layer asked for unit 0 alone stops there.
-# 8: no BLAS call between seed and output bytes: the survival-slope fit by
+# 8: BLAS out of the sampler and the survival-slope fit: that fit by
 #    centered sums (the last digits of tail-sweep's survival-slope rows
 #    move) and ||x||^2 by math.fsum, not np.dot (the layer-1 scale may move
 #    by its last bit, and every draw with it); the streams are version 7's.
+#    The moment-slope fit (tail_analysis._wls) still calls BLAS, pinned by
+#    test_tail_sweep_bytes_do_not_depend_on_blas_threads.
 # 9: N' from an exact alias table of Bin(H - 1, 1/2), one uniform per row,
 #    instead of rng.binomial; the same law and slot, a new stream for every
 #    family (width-1 layers, which draw no N', keep theirs).
@@ -219,21 +221,6 @@ class NetworkConfig:
     def config_hash(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
-def _ini_value(v) -> str:
-    if isinstance(v, list):
-        return ",".join(repr(e) for e in v)
-    if isinstance(v, bool):
-        return str(v).lower()
-    return v if isinstance(v, str) else repr(v)
-
-
-def write_config_file(path, config: NetworkConfig) -> None:
-    parser = configparser.ConfigParser()
-    parser["network"] = {k: _ini_value(v) for k, v in config.to_dict().items()}
-    with open(path, "w") as fh:
-        parser.write(fh)
 
 
 def parse_config_file(path) -> NetworkConfig:
@@ -549,21 +536,12 @@ def worker_threads(workers: int, n_chunks: int) -> int:
     return min(workers, os.cpu_count() or 1, n_chunks)
 
 
-def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
-                needs: dict[int, list[int]], entropy: tuple[int, ...],
-                kind: str = "pre",
-                workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The one sampler pass: validates the request, runs its chunks and
-    returns the requested units.
-
-    needs maps 1-based layers to lists of distinct 0-based unit indices;
-    n_samples, layers and indices are integers (errors.is_int), and an
-    empty needs raises "no layers requested". Returns, per requested
-    layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
-    columns in the order given; kind "pre" gives g(l), "post" applies the
-    nonlinearity to them. The draws of a unit do not depend on which other
-    units and layers are requested.
-    """
+def check_request(config: NetworkConfig, x, n_samples: int,
+                  needs: dict[int, list[int]], kind: str,
+                  workers: int) -> np.ndarray:
+    """run_sampler's request checks, made before any draw: x, n_samples,
+    kind, each layer and its unit indices, then workers; ValueError names
+    the first that fails. Returns x as a float array."""
     x = np.asarray(x, dtype=float)
     if x.shape != (config.input_dim,):
         raise ValueError(f"input has shape {x.shape}, expected ({config.input_dim},)")
@@ -585,15 +563,39 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         H = config.layer_widths[layer - 1]
         if not all(is_int(i) and 0 <= i < H for i in units):
             raise ValueError(f"unit indices {units!r} out of range for layer {layer}")
+    worker_threads(workers, 1)
+    return x
 
+
+def layer1_sq_norm(config: NetworkConfig, x: np.ndarray) -> float:
+    """||x||^2, plus 1 with a bias: the layer-1 scale r_1^2 / sigma_1^2."""
+    # not np.dot: OpenBLAS threads it above 1e4 entries, and its last bit,
+    # which scales every draw, then depends on the core count
+    return math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
+
+
+def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
+                needs: dict[int, list[int]], entropy: tuple[int, ...],
+                kind: str = "pre",
+                workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The one sampler pass: validates the request (check_request), runs
+    its chunks and returns the requested units.
+
+    needs maps 1-based layers to lists of distinct 0-based unit indices;
+    n_samples, layers and indices are integers (errors.is_int), and an
+    empty needs raises "no layers requested". Returns, per requested
+    layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
+    columns in the order given; kind "pre" gives g(l), "post" applies the
+    nonlinearity to them. The draws of a unit do not depend on which other
+    units and layers are requested.
+    """
+    x = check_request(config, x, n_samples, needs, kind, workers)
     # the chunk steps draw the leading units of a layer up to the last one
     # requested, in index order
     counts = {layer: max(units) + 1 for layer, units in needs.items()}
     chunks = [(i, min(DEFAULT_CHUNK, n_samples - start))
               for i, start in enumerate(range(0, n_samples, DEFAULT_CHUNK))]
-    # not np.dot: OpenBLAS threads it above 1e4 entries, and its last bit,
-    # which scales every draw, then depends on the core count
-    q0 = math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
+    q0 = layer1_sq_norm(config, x)
     if q0 >= np.finfo(float).tiny:
         log_q0 = math.log(q0)
     else:

@@ -195,16 +195,6 @@ def sides(spec: NonlinearitySpec) -> tuple[Side, Side]:
                  for c in _TABLE[spec.family].sides(spec.params))
 
 
-def side_slopes(spec: NonlinearitySpec) -> tuple[float | None, float | None]:
-    """(lam, a): phi(u) = lam u for u > 0, a u for u < 0; None if not so."""
-    return tuple(side.slope for side in sides(spec))
-
-
-def is_positively_homogeneous(spec: NonlinearitySpec) -> bool:
-    """True when phi(c*u) = c*phi(u) for c > 0: both sides are linear."""
-    return None not in side_slopes(spec)
-
-
 def apply_side(spec: NonlinearitySpec, u: np.ndarray, sign: float) -> np.ndarray:
     """apply on a float array u whose entries all have the given sign (+1
     or -1; zeros count as either). Writes phi(u) into u and returns it.

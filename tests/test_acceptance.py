@@ -46,8 +46,9 @@ from layertails import (
     survival_curves,
     sweep,
     synthetic_values,
-    write_config_file,
 )
+
+from conftest import write_ini
 
 SEED = 20260814
 
@@ -301,7 +302,7 @@ def test_criterion_10_contour_files(tmp_path):
 
 def test_criterion_11_rerun_determinism(tmp_path):
     cfg_path = tmp_path / "net.ini"
-    write_config_file(cfg_path, NetworkConfig(
+    write_ini(cfg_path, NetworkConfig(
         input_dim=30, layer_widths=(40, 40),
         nonlinearity=NonlinearitySpec("relu")))
     first = tmp_path / "run1"

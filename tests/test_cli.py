@@ -16,8 +16,10 @@ import layertails
 from layertails.cli import main
 from layertails.manifest import RunManifest, sha256_file
 from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
-                                      sample_input, write_config_file)
+                                      sample_input)
 from layertails.nonlinearity import NonlinearitySpec
+
+from conftest import write_ini
 
 
 def _network_edit(drop=None, **fields):
@@ -45,7 +47,7 @@ def net_ini(tmp_path):
     cfg = NetworkConfig(input_dim=30, layer_widths=(40, 40),
                         nonlinearity=NonlinearitySpec("relu"), weight_std=1.0)
     path = tmp_path / "net.ini"
-    write_config_file(path, cfg)
+    write_ini(path, cfg)
     return path
 
 
@@ -159,7 +161,7 @@ class TestTailSweepCommand:
         # in a (1, 1, 1, 1) relu net about 1/16 of the layer-4 post draws
         # are non-zero, fewer than the top 10% the survival slope fits
         ini = tmp_path / "tiny.ini"
-        write_config_file(ini, NetworkConfig(
+        write_ini(ini, NetworkConfig(
             input_dim=1, layer_widths=(1, 1, 1, 1),
             nonlinearity=NonlinearitySpec("relu")))
         args = ["tail-sweep", "--config", str(ini), "--kind", "post",
@@ -211,7 +213,7 @@ class TestSurvivalCurvesCommand:
         # where 2 Phi_bar underflows to 0 but its log stays finite
         cfg = NetworkConfig(input_dim=40, layer_widths=(40, 40, 40),
                             nonlinearity=NonlinearitySpec("elu", (1.0,)))
-        write_config_file(tmp_path / "elu.ini", cfg)
+        write_ini(tmp_path / "elu.ini", cfg)
         out = tmp_path / "curves"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -235,7 +237,7 @@ class TestSurvivalCurvesCommand:
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec("relu"),
                             weight_std=std)
-        write_config_file(tmp_path / "net.ini", cfg)
+        write_ini(tmp_path / "net.ini", cfg)
         out = tmp_path / "curves"
         code = main(["survival-curves", "--config", str(tmp_path / "net.ini"),
                      "--standardize", "false", "--samples", "20000",
@@ -255,7 +257,7 @@ class TestSurvivalCurvesCommand:
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec("relu"),
                             weight_std=1e308)
-        write_config_file(tmp_path / "net.ini", cfg)
+        write_ini(tmp_path / "net.ini", cfg)
         out = tmp_path / "curves"
         code = main(["survival-curves", "--config", str(tmp_path / "net.ini"),
                      "--standardize", "false", "--out", str(out)])
@@ -318,19 +320,21 @@ class TestCovarianceCommand:
      "tail_fraction must be in (0, 0.5)"),
     (["contours", "nan"], "q must be positive and finite, got nan"),
     (["oracle-check", "--k-max", "0"], "need k_max >= 1, got 0"),
+    # an empty --layers is no request; only an omitted one means all layers
+    (["covariance", "--layers", ","], "no layers requested"),
 ], ids=["samples", "k-order", "k-count", "tail-count", "tail-fraction",
-        "contour-nan", "oracle-k-max"])
+        "contour-nan", "oracle-k-max", "empty-layers"])
 def test_bad_request_exits_2_before_writing(args, message, net_ini, tmp_path,
                                             capsys):
     # a request no data could satisfy is a usage error, not an error row
-    if args[0] == "tail-sweep":
+    if args[0] in ("tail-sweep", "covariance"):
         args = args + ["--config", str(net_ini)]
     out = tmp_path / "o"
     code = main(args + ["--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [f"error: {message}"]
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
 
 
 def test_seed_of_2_to_the_32_exits_2(net_ini, tmp_path, capsys):
@@ -422,7 +426,7 @@ class TestRerun:
         # of |x|^2, so runs of the version before cannot replay
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec(family))
-        write_config_file(tmp_path / "net.ini", cfg)
+        write_ini(tmp_path / "net.ini", cfg)
         out = tmp_path / "curves"
         main(["survival-curves", "--config", str(tmp_path / "net.ini"),
               "--samples", "20000", "--out", str(out)])
@@ -455,7 +459,7 @@ class TestRerun:
         }
         cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
                             nonlinearity=NonlinearitySpec("relu"))
-        write_config_file(tmp_path / "net.ini", cfg)
+        write_ini(tmp_path / "net.ini", cfg)
         out = tmp_path / "curves"
         main(["survival-curves", "--config", str(tmp_path / "net.ini"),
               "--samples", "20000", "--out", str(out)])
@@ -644,7 +648,7 @@ def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     """
     cfg = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
                         nonlinearity=NonlinearitySpec("relu"))
-    write_config_file(tmp_path / "net.ini", cfg)
+    write_ini(tmp_path / "net.ini", cfg)
     src = str(Path(layertails.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):

@@ -15,9 +15,11 @@ from layertails.network_model import (STREAM_UNITS, NetworkConfig,
                                       UnitSampleSet, parse_config_file,
                                       run_sampler, sample_input,
                                       sample_joint_units, sample_layer_units,
-                                      worker_threads, write_config_file)
+                                      worker_threads)
 from layertails.nonlinearity import NonlinearitySpec, apply, apply_signed_log
 from layertails.tail_analysis import relu_norm_oracle
+
+from conftest import write_ini
 
 RELU = NonlinearitySpec("relu")
 TANH = NonlinearitySpec("tanh")
@@ -79,12 +81,12 @@ class TestNetworkConfig:
                             nonlinearity=NonlinearitySpec.parse("prelu(0.3)"),
                             weight_std=(0.5, 1.25), include_bias=True)
         path = tmp_path / "net.ini"
-        write_config_file(path, cfg)
+        write_ini(path, cfg)
         assert parse_config_file(path) == cfg
 
     # The dict form is what run manifests record as params.network, and the
-    # INI text is what write_config_file writes; both are pinned so that a
-    # change to either is a deliberate format change.
+    # INI text is what the test helper write_ini writes; both are pinned so
+    # that a change to either is a deliberate format change.
     PRELU_DICT = {"input_dim": 12, "layer_widths": [3, 9],
                   "nonlinearity": "prelu(0.3)", "weight_std": [0.5, 1.25],
                   "include_bias": True}
@@ -124,9 +126,9 @@ class TestNetworkConfig:
 
     def test_config_file_text_is_unchanged(self, tmp_path):
         path = tmp_path / "net.ini"
-        write_config_file(path, NetworkConfig.from_dict(self.PRELU_DICT))
+        write_ini(path, NetworkConfig.from_dict(self.PRELU_DICT))
         assert path.read_text() == self.PRELU_INI
-        write_config_file(path, small_config())
+        write_ini(path, small_config())
         assert path.read_text() == self.SCALAR_INI
 
     def test_missing_file_is_config_error(self, tmp_path):

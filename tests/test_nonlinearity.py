@@ -9,8 +9,7 @@ from layertails.nonlinearity import (_TABLE, BOUNDED_D_MIN, SEARCH_GRID,
                                      EnvelopeGrid,
                                      EnvelopeWitness, NonlinearitySpec, apply,
                                      apply_side, apply_signed_log,
-                                     is_positively_homogeneous, side_slopes,
-                                     search_envelope_constants,
+                                     search_envelope_constants, sides,
                                      verify_envelope)
 
 RELU = NonlinearitySpec("relu")
@@ -127,10 +126,10 @@ class TestApplySide:
         mags = rng.standard_normal(10**6) * rng.exponential(5.0, 10**6)
         neg = -np.abs(np.concatenate([SIDE_EDGES, mags]))
         neg[:len(SIDE_EDGES)] = SIDE_EDGES
-        sides = [(sign, u) for sign, u, c in zip(
-            (1.0, -1.0), (-neg, neg), side_slopes(spec)) if c is None]
-        assert sides
-        for sign, u in sides:
+        curved = [(sign, u) for sign, u, side in zip(
+            (1.0, -1.0), (-neg, neg), sides(spec)) if side.slope is None]
+        assert curved
+        for sign, u in curved:
             want = apply(spec, u)
             got = apply_side(spec, u.copy(), sign)
             # equal values, and equal squares bit for bit: only a zero may
@@ -397,20 +396,25 @@ def test_apply_is_pinned_bit_for_bit(spec):
     assert [float(v).hex() for v in out] == _hexes(PINNED_APPLY[str(spec)])
 
 
+def _both_sides_slopes(spec):
+    # phi(c u) = c phi(u) for c > 0 exactly when both sides are slopes
+    return all(side.slope is not None for side in sides(spec))
+
+
 class TestHomogeneity:
     def test_flags(self):
-        assert is_positively_homogeneous(RELU)
-        assert is_positively_homogeneous(NonlinearitySpec("prelu", (0.3,)))
-        assert is_positively_homogeneous(NonlinearitySpec("identity"))
-        assert not is_positively_homogeneous(TANH)
-        assert not is_positively_homogeneous(NonlinearitySpec("elu", (1.0,)))
+        assert _both_sides_slopes(RELU)
+        assert _both_sides_slopes(NonlinearitySpec("prelu", (0.3,)))
+        assert _both_sides_slopes(NonlinearitySpec("identity"))
+        assert not _both_sides_slopes(TANH)
+        assert not _both_sides_slopes(NonlinearitySpec("elu", (1.0,)))
 
     @given(st.floats(min_value=1e-3, max_value=1e3),
            st.floats(min_value=-100, max_value=100))
     @settings(max_examples=100, deadline=None)
     def test_flag_is_truthful(self, c, u):
         for spec in ALL_SPECS:
-            if is_positively_homogeneous(spec):
+            if _both_sides_slopes(spec):
                 assert apply(spec, c * u) == pytest.approx(c * apply(spec, u),
                                                            rel=1e-9, abs=1e-12)
 

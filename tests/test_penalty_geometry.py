@@ -2,91 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from layertails.cli import main
-from layertails.penalty_geometry import (ContourSet, PenaltyBreakdown,
-                                         contour, equal_coordinate,
-                                         lq_penalty, unit_penalty,
-                                         weight_decay)
-
-
-class TestLqPenalty:
-    def test_basis_vector_is_one_for_any_q(self):
-        for q in (0.2, 2 / 3, 1.0, 2.0, 7.0):
-            assert lq_penalty((1.0, 0.0), q) == pytest.approx(1.0)
-
-    def test_lasso_and_weight_decay_rows(self):
-        assert lq_penalty((1.0, 1.0), 1.0) == pytest.approx(2.0)
-        assert lq_penalty((3.0, 4.0), 2.0) == pytest.approx(25.0)
-
-    def test_fractional_exponent(self):
-        assert lq_penalty((8.0,), 2 / 3) == pytest.approx(4.0)
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            lq_penalty((1.0, float("nan")), 1.0)
-        with pytest.raises(ValueError):
-            lq_penalty((1.0,), 0.0)
-        with pytest.raises(ValueError):
-            lq_penalty((1.0,), math.nan)
-
-    @given(st.lists(st.floats(min_value=-100, max_value=100,
-                              allow_nan=False), min_size=1, max_size=30))
-    @settings(max_examples=100, deadline=None)
-    def test_q2_is_squared_l2(self, v):
-        assert lq_penalty(v, 2.0) == pytest.approx(float(np.sum(np.square(v))),
-                                                   rel=1e-9, abs=1e-9)
-
-
-def weight_matrices(shapes, seed):
-    rng = np.random.default_rng(seed)
-    return [rng.standard_normal(shape) for shape in shapes]
-
-
-class TestWeightDecay:
-    def test_equals_sum_of_layer_l2_penalties(self):
-        ws = weight_matrices([(5, 6), (4, 5), (3, 4)], 3)
-        want = sum(lq_penalty(w.ravel(), 2.0) for w in ws)
-        assert weight_decay(ws) == pytest.approx(want, rel=1e-12)
-
-
-class TestUnitPenalty:
-    def test_single_layer_is_plain_l2(self):
-        got = unit_penalty([(1.0, 1.0)])
-        assert got.layer_exponents == (2.0,)
-        assert got.layer_penalties[0] == pytest.approx(2.0)
-        assert got.total_unit_penalty == pytest.approx(2.0)
-
-    def test_layer2_is_lasso(self):
-        got = unit_penalty([(0.0, 0.0), (1.0, 1.0)])
-        assert got.layer_exponents[1] == 1.0
-        assert got.layer_penalties[1] == pytest.approx(2.0)
-
-    def test_layer3_axis_point(self):
-        units = [(0.0,), (0.0,), (1.0, 0.0, 0.0)]
-        got = unit_penalty(units)
-        assert got.layer_exponents[2] == pytest.approx(2 / 3)
-        assert got.layer_penalties[2] == pytest.approx(1.0)
-
-    def test_copula_exclusion_is_recorded_and_mandatory(self):
-        got = unit_penalty([(1.0,)])
-        assert got.copula_excluded
-        with pytest.raises(ValueError):
-            PenaltyBreakdown(layer_exponents=(2.0,), layer_penalties=(1.0,),
-                             total_unit_penalty=1.0, copula_excluded=False)
-
-    def test_optional_weight_term(self):
-        ws = weight_matrices([(3, 4)], 0)
-        got = unit_penalty([(1.0, 2.0, 3.0)], weights=ws)
-        assert got.weight_penalty == pytest.approx(weight_decay(ws))
-        report = got.describe()
-        assert "layer 1" in report and "weight decay" in report
-
-    def test_needs_at_least_one_layer(self):
-        with pytest.raises(ValueError):
-            unit_penalty([])
+from layertails.penalty_geometry import ContourSet, contour, equal_coordinate
 
 
 class TestContours:
@@ -160,4 +78,4 @@ class TestEqualCoordinate:
     def test_matches_the_contour_diagonal(self):
         for q in (2.0, 1.0, 2 / 3):
             c = equal_coordinate(q, 3.0)
-            assert lq_penalty((c, c), q) == pytest.approx(3.0 ** q, rel=1e-12)
+            assert 2.0 * c ** q == pytest.approx(3.0 ** q, rel=1e-12)

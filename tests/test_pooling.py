@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layertails import conv_pooling
+from layertails import conv_pooling, network_model
 from layertails.conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
                                      pooled_tail_check)
 from layertails.network_model import NetworkConfig, sample_input
@@ -211,3 +211,26 @@ class TestLastRequest:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0, 0] = 0
+
+
+class TestRequestChecks:
+    # each request is bad in one argument of the (50; 50, 50) net
+    @pytest.mark.parametrize("bad", [
+        dict(x=np.ones(49)), dict(x=np.r_[np.nan, np.ones(49)]),
+        dict(n_samples=0), dict(layer=3), dict(region=(0, 50)),
+        dict(workers=0)],
+        ids=["x-shape", "x-nan", "n_samples", "layer", "unit", "workers"])
+    def test_raises_the_samplers_message_before_drawing(self, cfg, x, draws,
+                                                         bad):
+        req = {"x": x, "layer": 2, "region": (0, 1), "n_samples": 10_000,
+               "workers": 1, **bad}
+        with pytest.raises(ValueError) as want:
+            network_model.run_sampler(
+                cfg, req["x"], req["n_samples"], {req["layer"]: req["region"]},
+                (29,), "post", req["workers"])
+        with pytest.raises(ValueError) as got:
+            pooled_tail_check(cfg, req["x"], req["layer"], req["region"],
+                              MAX2, req["n_samples"], 29,
+                              workers=req["workers"])
+        assert str(got.value) == str(want.value)
+        assert draws == []
