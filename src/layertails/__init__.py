@@ -21,8 +21,8 @@ from .penalty_geometry import ContourSet, contour, equal_coordinate
 from .tail_analysis import (MomentCurve, RecursionVerdict, SurvivalCurves,
                             TailEstimate, empirical_log_norm,
                             estimate_theta_moments, estimate_theta_survival,
-                            gaussian_norm_oracle, ks_gaussian_test,
-                            moment_curve, recursion_check, relu_norm_oracle,
+                            gaussian_norm_oracle, moment_curve,
+                            recursion_check, relu_norm_oracle,
                             survival_curves, synthetic_values)
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "UnitSampleSet", "apply", "apply_signed_log",
     "build_manifest", "contour", "empirical_log_norm",
     "equal_coordinate", "estimate_theta_moments", "estimate_theta_survival",
-    "estimate_unit_covariance", "gaussian_norm_oracle", "ks_gaussian_test",
+    "estimate_unit_covariance", "gaussian_norm_oracle",
     "moment_curve", "parse_config_file",
     "pool_signed_log", "pooled_tail_check", "recursion_check",
     "relu_norm_oracle",

@@ -22,7 +22,8 @@ Subcommands:
   contours         superellipse contour data for L^q balls
   oracle-check     moment estimator against exact Gaussian norms
   rerun            replay a manifest and verify byte-identical outputs;
-                   names a sampler version change when files differ
+                   names a sampler version or output format change
+                   when files differ
 """
 
 from __future__ import annotations
@@ -466,6 +467,9 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
         if old.sampler != new.sampler:
             print(f"sampler version differs (manifest {old.sampler}, "
                   f"this build {new.sampler})")
+        if old.format != new.format:
+            print(f"output format differs (manifest {old.format}, "
+                  f"this build {new.format})")
         numpy_then = old.versions.get("numpy")
         if numpy_then is not None and numpy_then != new.versions["numpy"]:
             print(f"numpy version differs (manifest {numpy_then}, "

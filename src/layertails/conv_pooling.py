@@ -84,10 +84,11 @@ class PoolCheck:
 _last_request = None
 
 
-def _request_key(config: NetworkConfig, x, entropy, layer, region, n_samples,
+def _request_key(config: NetworkConfig, x, seed, layer, region, n_samples,
                  k_min, k_max, workers) -> tuple:
-    """The request's values, once it passes run_sampler's checks and the
-    order-window check; entropy_prefix has checked the seed.
+    """The request's entropy and values, once it passes run_sampler's
+    checks, the order-window check and entropy_prefix's seed check, in
+    that order, so a bad layer or unit is named as run_sampler names it.
 
     The checks come first because 0.0 == 0 and True == 1 compare and hash
     alike: only is_int tells them apart, and a float or bool must raise
@@ -95,8 +96,10 @@ def _request_key(config: NetworkConfig, x, entropy, layer, region, n_samples,
     """
     x = check_request(config, x, n_samples, {layer: region}, "post", workers)
     check_orders(k_min, k_max)
-    return (config, x.shape, x.tobytes(), tuple(int(v) for v in entropy),
-            int(n_samples), int(k_min), int(k_max), int(workers))
+    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
+    return entropy, (config, x.shape, x.tobytes(),
+                     tuple(int(v) for v in entropy), int(n_samples),
+                     int(k_min), int(k_max), int(workers))
 
 
 def _draws_and_before(config, x, layer, region, n_samples, seed, k_min, k_max,
@@ -105,9 +108,8 @@ def _draws_and_before(config, x, layer, region, n_samples, seed, k_min, k_max,
     estimate of its first unit; from _last_request when it is the same
     request."""
     global _last_request
-    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
-    key = _request_key(config, x, entropy, layer, region, n_samples, k_min,
-                       k_max, workers)
+    entropy, key = _request_key(config, x, seed, layer, region, n_samples,
+                                k_min, k_max, workers)
     last = _last_request
     if last is not None and last[0] == key:
         _, signs, lms, before = last

@@ -5,9 +5,11 @@ reproduce the outputs without the original config file and verify them
 byte for byte.
 
 The manifest also records the version of the sampler's seed-to-draws
-mapping (`sampler`). Manifests written before the field existed load as
-version 1, so `rerun` can say why a replay under another version differs.
-`versions` records the layertails, numpy, scipy and python versions of the
+mapping (`sampler`) and the output format (`format`), which changes when
+the files move with the draws unchanged. Manifests written before either
+field existed load as version 1 and format 1, so `rerun` can say why a
+replay under another version or format differs.
+`versions` records the layertails, numpy and python versions of the
 build that wrote it (empty in manifests written before the field existed);
 the streams rest on numpy's generators, so `rerun` names a numpy change
 when files differ, but never compares the field.
@@ -23,10 +25,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import is_json_type
 from .network_model import SAMPLER_VERSION
+
+# The output format, for bytes that move while the draws do not:
+# 1: every build before this field.
+# 2: the Gaussian reference (gaussian_reference.csv) and the exact norms
+#    (oracle.csv) from the standard library's erfc and lgamma, not scipy.
+OUTPUT_FORMAT = 2
 
 
 def sha256_file(path) -> str:
@@ -46,6 +53,7 @@ class RunManifest:
     duration_s: float
     created: str = ""
     sampler: int = 1
+    format: int = 1
     versions: dict = field(default_factory=dict)
 
     def write(self, path) -> None:
@@ -86,8 +94,7 @@ def build_manifest(command: str, params: dict, seed: int, file_paths: dict,
     return RunManifest(command=command, params=params, seed=int(seed),
                        files=files, duration_s=float(duration_s),
                        created=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-                       sampler=SAMPLER_VERSION,
+                       sampler=SAMPLER_VERSION, format=OUTPUT_FORMAT,
                        versions={"layertails": __version__,
                                  "numpy": np.__version__,
-                                 "scipy": scipy.__version__,
                                  "python": platform.python_version()})

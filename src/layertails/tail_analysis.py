@@ -24,15 +24,19 @@ statistics regress log(-log S(x)) on log x; the slope estimates 1/theta.
 
 All moment arithmetic runs in log domain (log-sum-exp), so samples whose
 k-th powers overflow double precision are handled exactly.
+
+The exact references (log-Gamma ratios, the Gaussian log-survival and
+binomial tails of grid counts) use numpy and the standard library's math
+only; the tests check each one against scipy over its whole domain of use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import bdtr, bdtrc, gammaln, kolmogorov, log_ndtr, ndtr, ndtri
 
 from .errors import DegenerateDistributionError, check_positive, is_int
 from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _generator,
@@ -47,7 +51,10 @@ MIN_ORDERS = 4
 MIN_TAIL = 200
 
 # IQR of the standard normal, 2 * Phi^{-1}(3/4).
-_NORMAL_IQR = 2.0 * float(ndtri(0.75))
+_NORMAL_IQR = 2.0 * NormalDist().inv_cdf(0.75)
+
+# The two-sided 3-sigma rate 2 Phi_bar(3).
+_THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 
 # Points of the shared survival grid.
 _SURVIVAL_GRID = 400
@@ -185,7 +192,7 @@ def gaussian_norm_oracle(sigma: float, k: int) -> float:
     check_positive(sigma=sigma)
     if not (is_int(k) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    log_moment = 0.5 * k * math.log(2.0) + float(gammaln((k + 1) / 2.0)) \
+    log_moment = 0.5 * k * math.log(2.0) + math.lgamma((k + 1) / 2.0) \
         - 0.5 * math.log(math.pi)
     return sigma * math.exp(log_moment / k)
 
@@ -204,7 +211,8 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
         E[S^(k/2)] = sum_N P(N) 2^(k/2) Gamma((N+k)/2) / Gamma(N/2),
 
     a finite sum in which the N = 0 term vanishes. Evaluated in log domain,
-    so k in the thousands is fine.
+    so k in the thousands is fine. log P(N) sums the ratios
+    C(H, N) / C(H, N - 1) = (H - N + 1) / N.
     """
     widths = tuple(widths)
     if not all(is_int(w) and w >= 1 for w in widths):
@@ -215,11 +223,25 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
     log_moment = k * math.log(gaussian_norm_oracle(scale, k))
     for H in widths[:layer - 1]:
         n = np.arange(1, H + 1)
-        log_pmf = (gammaln(H + 1) - gammaln(n + 1) - gammaln(H - n + 1)
-                   - H * math.log(2.0))
+        log_pmf = np.cumsum(np.log((H - n + 1) / n)) - H * math.log(2.0)
         log_moment += _logsumexp(log_pmf + 0.5 * k * math.log(2.0)
-                                 + gammaln((n + k) / 2.0) - gammaln(n / 2.0))
+                                 + _log_gamma_ratios(H, k))
     return math.exp(log_moment / k)
+
+
+def _log_gamma_ratios(H: int, k: int) -> np.ndarray:
+    """log Gamma((N + k) / 2) - log Gamma(N / 2) for N = 1..H.
+
+    Four lgamma calls give N = 1 and 2; from N to N + 2 the difference
+    grows by log((N + k) / N), since Gamma(x + 1) = x Gamma(x). The two
+    chains are the columns of one running sum.
+    """
+    terms = np.empty(H + H % 2)
+    terms[0] = math.lgamma((1 + k) / 2.0) - math.lgamma(0.5)
+    terms[1] = math.lgamma((2 + k) / 2.0) - math.lgamma(1.0)
+    n = np.arange(1.0, H + H % 2 - 1)
+    terms[2:] = np.log((n + k) / n)
+    return np.cumsum(terms.reshape(-1, 2), axis=0).ravel()[:H]
 
 
 def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
@@ -375,26 +397,6 @@ def recursion_check(est_prev: TailEstimate, est_next: TailEstimate) -> Recursion
                             difference=diff, tolerance=tol)
 
 
-def ks_gaussian_test(samples, sigma: float) -> tuple[float, float]:
-    """One-sample Kolmogorov-Smirnov statistic against N(0, sigma^2),
-    with the asymptotic p-value kolmogorov(sqrt(n) D)."""
-    check_positive(sigma=sigma)
-    s = as_sample_set(samples)
-    n = s.n_samples
-    if n < 1000:
-        raise ValueError("need at least 1000 samples")
-    v = np.sort(s.decode())
-    if not np.all(np.isfinite(v)):
-        raise ValueError("samples exceed double-precision range; "
-                         "KS needs linear-domain values")
-    F = ndtr(v / sigma)
-    i = np.arange(1, n + 1)
-    d_plus = float(np.max(i / n - F))
-    d_minus = float(np.max(F - (i - 1) / n))
-    D = max(d_plus, d_minus)
-    return D, float(kolmogorov(math.sqrt(n) * D))
-
-
 def _signed_quantile(signs: np.ndarray, lms: np.ndarray, p: float):
     """Order statistic of sign*exp(lm) values at probability p, returned
     as a (sign, log-magnitude) pair so no exponentiation is needed."""
@@ -429,6 +431,65 @@ def _log_iqr(signs: np.ndarray, lms: np.ndarray) -> float:
     if hi <= lo:
         raise DegenerateDistributionError("interquartile range is zero")
     return hi + math.log1p(-math.exp(lo - hi))
+
+
+def _binomial_tails_reach(c: np.ndarray, n: int, log_q: np.ndarray,
+                          floor: float) -> bool:
+    """Whether min(P(X <= c_i), P(X >= c_i)) >= floor at every point i,
+    for X ~ Bin(n, q_i), q_i = e^log_q_i and 0 < c_i < n.
+
+    A tail is at least its own term P(X = c_i), so only points whose term
+    is below floor can fail. Only those are summed, rarest term first, and
+    the first tail below floor decides. The sum runs over the side away
+    from the mean, outward from c_i, each term the last times the ratio of
+    neighbouring terms; the other side is 1 - that sum + P(X = c_i).
+    """
+    log_p = np.log1p(-np.exp(log_q))  # log(1 - q)
+    lgamma = math.lgamma
+    log_pmf = (lgamma(n + 1) + c * log_q + (n - c) * log_p
+               - np.array([lgamma(k + 1) + lgamma(n - k + 1)
+                           for k in c.tolist()]))
+    log_floor = math.log(floor)
+    for i in np.argsort(log_pmf):
+        if log_pmf[i] >= log_floor + 1e-9:  # slack for the lgamma rounding
+            break
+        k, lq, lp = int(c[i]), float(log_q[i]), float(log_p[i])
+        if k < n * math.exp(lq):  # P(X <= k): j -> j - 1 for j = k..1
+            j = np.arange(k, 0, -1)
+            steps = np.log(j / (n - j + 1)) + (lp - lq)
+        else:  # P(X >= k): j -> j + 1 for j = k..n - 1
+            j = np.arange(k, n)
+            steps = np.log((n - j) / (j + 1)) + (lq - lp)
+        side = log_pmf[i] + _logsumexp(np.r_[0.0, np.cumsum(steps)])
+        other = math.log1p(math.exp(log_pmf[i]) - math.exp(side))
+        if min(side, other) < log_floor:
+            return False
+    return True
+
+
+def _log_gaussian_sf(u: np.ndarray) -> np.ndarray:
+    """log Phi_bar(u) = log P(Z > u) for u >= 0, elementwise.
+
+    log(erfc(u / sqrt 2) / 2) up to u = 20; beyond, where erfc heads for
+    underflow, the asymptotic series Phi_bar(u) = phi(u) / u
+    * (1 - 1/u^2 + 3/u^4 - ...) cut after twelve terms (the first one
+    left out is below 1e-20 at u = 20). -inf once u^2 / 2 overflows.
+    """
+    u = np.asarray(u, dtype=float)
+    out = np.empty(u.shape)
+    near = u <= 20.0
+    t = (u[near] / math.sqrt(2.0)).tolist()
+    out[near] = np.log(0.5 * np.array([math.erfc(v) for v in t]))
+    far = u[~near]
+    with np.errstate(over="ignore"):
+        w = 1.0 / (far * far)
+        term, series = np.ones_like(far), np.zeros_like(far)
+        for i in range(1, 13):
+            term = -(2 * i - 1) * w * term
+            series += term
+        out[~near] = (-0.5 * far * far - np.log(far)
+                      - 0.5 * math.log(2.0 * math.pi) + np.log1p(series))
+    return out
 
 
 @dataclass
@@ -487,10 +548,9 @@ class SurvivalCurves:
         good = (c > 0) & (c < n)
         z = np.abs((ls[good] - ref[good]) / se[good])
         zmax = float(np.max(z))
-        c, q = c[good], np.exp(ref[good])
-        tail = np.minimum(bdtr(c, n, q), bdtrc(c - 1, n, q))
-        p_adj = min(1.0, 2.0 * float(np.min(tail)) * c.size)
-        return zmax, bool(p_adj >= 2.0 * float(ndtr(-3.0)))
+        # Bonferroni: 2 * tail * (number of points) >= 2 Phi_bar(3)
+        floor = _THREE_SIGMA_RATE / (2.0 * int(np.count_nonzero(good)))
+        return zmax, _binomial_tails_reach(c[good], n, ref[good], floor)
 
 
 def survival_curves(sample_sets: dict[int, UnitSampleSet],
@@ -502,9 +562,9 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     standardize=True each layer is divided by its empirical interquartile
     range, computed in log domain so deep layers cannot overflow. The
     Gaussian reference is the exact positive-half log-survival, log 2 +
-    log_ndtr(-1.34898 u) standardized or log 2 + log_ndtr(-u / sigma) when
-    gaussian_sigma is given: finite where 2 Phi_bar(u) underflows. u / sigma
-    is formed as e^(log u - log sigma), so no scale overflows it.
+    log Phi_bar(1.34898 u) standardized or log 2 + log Phi_bar(u / sigma)
+    when gaussian_sigma is given: finite where 2 Phi_bar(u) underflows.
+    u / sigma is formed as e^(log u - log sigma), so no scale overflows it.
     """
     layers = sorted(sample_sets)
     if not layers:
@@ -543,10 +603,10 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
 
     ref = None
     if standardize:
-        ref = math.log(2.0) + log_ndtr(-_NORMAL_IQR * np.exp(grid_log))
+        ref = math.log(2.0) + _log_gaussian_sf(_NORMAL_IQR * np.exp(grid_log))
     elif gaussian_sigma is not None:
-        ref = math.log(2.0) + log_ndtr(
-            -np.exp(grid_log - math.log(gaussian_sigma)))
+        ref = math.log(2.0) + _log_gaussian_sf(
+            np.exp(grid_log - math.log(gaussian_sigma)))
 
     return SurvivalCurves(layers=layers, grid_log=grid_log,
                           log_survival=log_surv, counts=counts,

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from scipy.special import log_ndtr
 
 import layertails
@@ -477,6 +476,51 @@ class TestRerun:
         assert "sampler version differs (manifest 8, this build 9)" in printed
         assert "numpy version differs" not in printed
 
+    @pytest.mark.parametrize("command,changed,format1_files", [
+        ("survival-curves", "gaussian_reference.csv", {
+            "gaussian_reference.csv": "80dc44d4a7ef1c911eb71cf7a5aa6a26"
+                                      "535ca9d38e53f18ec50e6c4813d0c1b1",
+            "ordering.csv": "410987c0bad224f1e3b7618afa794b50"
+                            "6465d9803674b46a5ac76544326308eb",
+            "survival_layer1.csv": "07aec9e50524b7659ecea4a63656aea2"
+                                   "747f7209f756e8dc0e7269fc0f580043",
+            "survival_layer2.csv": "945c18e089e8e409e5acb260ad15daa4"
+                                   "8e09445ab4fd0d4735faff0181bb3740"}),
+        ("oracle-check", "oracle.csv", {
+            "oracle.csv": "9c8e4bd9302f77c1dcb82b0d43142485"
+                          "ef7871339046268c2410df6f8d69d1b8"})],
+        ids=["survival-curves", "oracle-check"])
+    def test_format_1_manifest_is_named(self, command, changed,
+                                        format1_files, tmp_path, capsys):
+        # format 2 takes the Gaussian reference and the exact norms from
+        # the standard library, not scipy; the draws are unchanged, so only
+        # gaussian_reference.csv and oracle.csv differ from the files a
+        # format-1 build wrote for these runs
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("relu"))
+        write_ini(tmp_path / "net.ini", cfg)
+        out = tmp_path / "run"
+        args = [command, "--samples", "20000", "--out", str(out)]
+        if command == "survival-curves":
+            args += ["--config", str(tmp_path / "net.ini")]
+        assert main(args) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 2)
+        assert sorted(man["files"]) == sorted(format1_files)
+        del man["format"]
+        man["files"] = format1_files
+        (out / "manifest.json").write_text(json.dumps(man))
+        assert RunManifest.load(out / "manifest.json").format == 1
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
+            f"{changed}: MISMATCH"]
+        assert "output format differs (manifest 1, this build 2)" in printed
+        assert "sampler version differs" not in printed
+
     def test_manifest_records_versions_that_rerun_never_compares(
             self, net_ini, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -485,11 +529,10 @@ class TestRerun:
         man = json.loads((out / "manifest.json").read_text())
         assert man["versions"] == {"layertails": layertails.__version__,
                                    "numpy": np.__version__,
-                                   "scipy": scipy.__version__,
                                    "python": platform.python_version()}
         # another build's versions: the bytes still match, so rerun passes
         man["versions"] = dict(man["versions"], numpy="1.26.4",
-                               scipy="1.11.0", python="3.9.0")
+                               python="3.9.0")
         (out / "manifest.json").write_text(json.dumps(man))
         capsys.readouterr()
         assert main(["rerun", str(out / "manifest.json"), "--out",
@@ -634,6 +677,44 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "tail-sweep" in proc.stdout
+
+
+# Runs every subcommand at a tiny size with scipy made unimportable before
+# layertails is imported, and prints "exit <command> <code>" for each.
+_NO_SCIPY_CHILD = """
+import sys
+sys.modules["scipy"] = None  # importing scipy or a submodule now fails
+from layertails.cli import main
+out, ini = sys.argv[1:]
+network = ["--config", ini, "--samples", "10000"]
+runs = {"tail-sweep": network, "survival-curves": network,
+        "covariance": network, "envelope": ["relu", "tanh"],
+        "contours": ["1"], "oracle-check": ["--samples", "4000"]}
+for name, args in runs.items():
+    print("exit", name, main([name, *args, "--out", f"{out}/{name}"]))
+print("exit rerun", main(["rerun", f"{out}/tail-sweep/manifest.json"]))
+"""
+
+
+def test_runtime_needs_no_scipy(net_ini, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(layertails.__file__).resolve().parents[1]),
+         os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, layertails, layertails.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_CHILD, str(tmp_path), str(net_ini)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    codes = dict(line.split()[1:] for line in proc.stdout.splitlines()
+                 if line.startswith("exit "))
+    assert sorted(codes) == sorted(["tail-sweep", "survival-curves",
+                                    "covariance", "envelope", "contours",
+                                    "oracle-check", "rerun"])
+    assert set(codes.values()) <= {"0", "1"}, proc.stdout
 
 
 def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):

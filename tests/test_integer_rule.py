@@ -64,7 +64,7 @@ BAD = {
     "pooling-float-region": (
         lambda: pooled_tail_check(CFG, X, 1, (0.0, 1.0),
                                   PoolingSpec("max", 2), N, 0),
-        "entropy fields"),
+        r"unit indices \(0\.0, 1\.0\) out of range"),
     "moments-float-kmin": (lambda: moment_curve(V, 2.5, 10), "k_min"),
     "norm-float-k": (lambda: empirical_log_norm(V, 2.0), "k must"),
     "gaussian-oracle-float-k": (

@@ -218,8 +218,9 @@ class TestRequestChecks:
     @pytest.mark.parametrize("bad", [
         dict(x=np.ones(49)), dict(x=np.r_[np.nan, np.ones(49)]),
         dict(n_samples=0), dict(layer=3), dict(region=(0, 50)),
-        dict(workers=0)],
-        ids=["x-shape", "x-nan", "n_samples", "layer", "unit", "workers"])
+        dict(workers=0), dict(layer=2.0), dict(region=(0, 1.0))],
+        ids=["x-shape", "x-nan", "n_samples", "layer", "unit", "workers",
+             "layer-float", "unit-float"])
     def test_raises_the_samplers_message_before_drawing(self, cfg, x, draws,
                                                          bad):
         req = {"x": x, "layer": 2, "region": (0, 1), "n_samples": 10_000,

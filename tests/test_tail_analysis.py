@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import bdtr, bdtrc, gamma, gammaln, log_ndtr, ndtr
 
 from layertails.errors import DegenerateDistributionError
 from layertails.network_model import UnitSampleSet
 from layertails.tail_analysis import (MomentCurve, TailEstimate,
-                                      _log_iqr, _signed_quantile,
-                                      check_tail_request, empirical_log_norm,
+                                      _log_gaussian_sf, _log_iqr,
+                                      _signed_quantile, check_tail_request,
+                                      empirical_log_norm,
                                       estimate_theta_moments,
                                       estimate_theta_survival,
-                                      gaussian_norm_oracle, ks_gaussian_test,
-                                      moment_curve, recursion_check,
-                                      relu_norm_oracle, survival_curves,
-                                      synthetic_values)
+                                      gaussian_norm_oracle, moment_curve,
+                                      recursion_check, relu_norm_oracle,
+                                      survival_curves, synthetic_values)
 
 
 def encode(values, layer=0, kind="pre"):
@@ -326,23 +326,6 @@ def test_width_100_exact_slopes_explain_the_deep_layer_xfails():
     assert large_k == pytest.approx([1.0, 1.5], abs=0.01)
 
 
-class TestKSTest:
-    def test_gaussian_sample_passes(self):
-        v = synthetic_values("gaussian", 20_000, 12, sigma=2.0)
-        d, p = ks_gaussian_test(v, 2.0)
-        assert p > 0.01
-
-    def test_wrong_scale_fails(self):
-        v = synthetic_values("gaussian", 20_000, 12, sigma=2.0)
-        _, p = ks_gaussian_test(v, 1.0)
-        assert p < 1e-6
-
-    def test_non_gaussian_fails(self):
-        v = synthetic_values("exponential", 20_000, 12)
-        _, p = ks_gaussian_test(v, 1.0)
-        assert p < 1e-6
-
-
 class TestSignedQuantiles:
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6,
                               allow_nan=False), min_size=8, max_size=200),
@@ -454,8 +437,6 @@ SCALE_CASES = {
     "oracle-nan": lambda sets: gaussian_norm_oracle(math.nan, 2),
     "oracle-inf": lambda sets: gaussian_norm_oracle(math.inf, 2),
     "oracle-zero": lambda sets: gaussian_norm_oracle(0.0, 2),
-    "ks-nan": lambda sets: ks_gaussian_test(sets[1], math.nan),
-    "ks-inf": lambda sets: ks_gaussian_test(sets[1], math.inf),
     "survival-negative": lambda sets: survival_curves(
         sets, standardize=False, gaussian_sigma=-1.0),
     "survival-zero": lambda sets: survival_curves(
@@ -471,3 +452,79 @@ def test_scale_must_be_positive_and_finite(gaussian_sets, case):
     # reference curve above log 1 that gaussian_match then passed
     with pytest.raises(ValueError, match="sigma must be positive and finite"):
         SCALE_CASES[case](gaussian_sets)
+
+
+class TestAgainstScipy:
+    """Each standard-library form against the scipy function it replaced,
+    over its whole domain of use."""
+
+    def test_log_gaussian_sf_matches_log_ndtr(self):
+        # the survival grid's u runs from about e^-2 up past 1.9e154, where
+        # u^2 / 2 overflows and both give -inf; dense around the switch to
+        # the asymptotic series at u = 20
+        u = np.concatenate([np.geomspace(1e-8, 1e160, 20_001),
+                            np.linspace(19.0, 21.0, 2001)])
+        got, want = _log_gaussian_sf(u), log_ndtr(-u)
+        fin = np.isfinite(want)
+        assert np.count_nonzero(~fin) > 100
+        assert np.array_equal(np.isneginf(got), ~fin)
+        np.testing.assert_allclose(got[fin], want[fin], rtol=1e-14, atol=0)
+
+    @staticmethod
+    def log_gaussian_moment(k):
+        return (0.5 * k * math.log(2.0) + gammaln((k + 1) / 2.0)
+                - 0.5 * math.log(math.pi))
+
+    def test_gaussian_norm_oracle_matches_its_gammaln_form(self):
+        for k in [*range(1, 40), 100, 1000, 10_000]:
+            want = math.exp(self.log_gaussian_moment(k) / k)
+            assert gaussian_norm_oracle(1.0, k) == pytest.approx(want,
+                                                                 rel=1e-13)
+
+    @pytest.mark.parametrize("H", [1, 2, 3, 4, 7, 10, 30, 100])
+    def test_relu_norm_oracle_matches_its_gammaln_form(self, H):
+        # widths up to 100, where the exact slopes are read; at H = 1000
+        # the gammaln form itself is off by 1e-12 at k = 1 (40-digit check)
+        n = np.arange(1, H + 1)
+        log_pmf = (gammaln(H + 1) - gammaln(n + 1) - gammaln(H - n + 1)
+                   - H * math.log(2.0))
+        for k in (1, 2, 3, 5, 10, 33, 100, 1000, 10_000):
+            log_s = float(np.logaddexp.reduce(
+                log_pmf + 0.5 * k * math.log(2.0) + gammaln((n + k) / 2.0)
+                - gammaln(n / 2.0)))
+            for layer in (2, 3):
+                want = math.exp((self.log_gaussian_moment(k)
+                                 + (layer - 1) * log_s) / k)
+                assert relu_norm_oracle((H, H, H), layer, k) == \
+                    pytest.approx(want, rel=1e-13), (layer, k)
+
+
+def _bdtr_verdict(curves, layer):
+    """gaussian_match's verdict in its scipy form: every compared point's
+    two-sided binomial tail, Bonferroni over the points, against 3 sigma."""
+    j = curves.p999_index[layer]
+    c = curves.counts[layer][: j + 1]
+    q = np.exp(curves.gaussian_log_survival[: j + 1])
+    n = curves.n_positive[layer]
+    good = (c > 0) & (c < n)
+    c, q = c[good], q[good]
+    tail = np.minimum(bdtr(c, n, q), bdtrc(c - 1, n, q))
+    return min(1.0, 2.0 * float(np.min(tail)) * c.size) >= 2.0 * ndtr(-3.0)
+
+
+def test_gaussian_match_verdict_equals_the_bdtr_form_on_a_census():
+    # 1800 curves of 3e4 draws: seeds 0-299, scale 2, 2.04 and 2.06 against
+    # a reference of scale 2, standardized and not; normal(0, s) draws are
+    # s times normal(0, 1) draws, bit for bit
+    same = failed = 0
+    for seed in range(300):
+        z = np.random.default_rng(seed).normal(0.0, 1.0, 30_000)
+        for scale in (2.0, 2.04, 2.06):
+            sets = {1: encode(scale * z)}
+            for std in (True, False):
+                curves = survival_curves(sets, standardize=std,
+                                         gaussian_sigma=None if std else 2.0)
+                ok = curves.gaussian_match(1)[1]
+                same += ok == _bdtr_verdict(curves, 1)
+                failed += not ok
+    assert (same, failed) == (1800, 295)
