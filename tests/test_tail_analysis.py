@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -233,6 +234,18 @@ class TestThetaFromSurvival:
         with pytest.raises(DegenerateDistributionError):
             estimate_theta_survival(encode(np.ones(10_000)), 0.1)
 
+    @pytest.mark.parametrize("distinct", [9, 10])
+    def test_tail_needs_ten_distinct_points(self, distinct):
+        # the top 200 of 2000 draws take `distinct` values, all above the rest
+        top = 100.0 + np.arange(200) % distinct
+        v = encode(np.concatenate([top, np.linspace(1.0, 50.0, 1800)]))
+        if distinct < 10:
+            with pytest.raises(DegenerateDistributionError,
+                               match="fewer than 10 distinct"):
+                estimate_theta_survival(v, 0.1)
+        else:
+            assert estimate_theta_survival(v, 0.1).diagnostics["n_tail"] == 200
+
     def test_tail_fraction_bounds(self):
         v = synthetic_values("gaussian", 10_000, 8)
         with pytest.raises(ValueError):
@@ -431,6 +444,85 @@ class TestSurvivalCurves:
         with np.errstate(divide="ignore"):
             np.testing.assert_allclose(curves.log_survival[l],
                                        np.log(c / n), rtol=1e-12)
+
+
+def _relu_post_sets():
+    # relu of Gaussian draws: about half the entries are exact zeros, so the
+    # 25% quantile falls in the zero block
+    return {l: encode(np.maximum(synthetic_values("gaussian", 50_000, seed,
+                                                  sigma=sigma).decode(), 0.0),
+                      layer=l, kind="post")
+            for l, seed, sigma in ((1, 40, 1.0), (2, 41, 50.0))}
+
+
+def _sha(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+def _curves_digest(curves):
+    arrays = [curves.grid_log]
+    for l in curves.layers:
+        arrays += [curves.log_survival[l], curves.counts[l],
+                   curves.se_log_survival[l],
+                   np.array([curves.log_iqr[l]]),
+                   np.array([curves.p999_index[l], curves.n_positive[l]])]
+    if curves.gaussian_log_survival is not None:
+        arrays.append(curves.gaussian_log_survival)
+    return _sha(*arrays)
+
+
+def _theta_digest(sets):
+    return _sha(*(np.array([e.theta_hat, e.se_theta]) for e in
+                  (estimate_theta_survival(sets[l]) for l in sorted(sets))))
+
+
+def _moments_digest(sets):
+    arrays = []
+    for l in sorted(sets):
+        c = moment_curve(sets[l])
+        arrays += [c.ks, c.log_norms, c.ses]
+    return _sha(*arrays)
+
+
+PIN_OUTPUTS = {
+    "curves-standardized": lambda sets: _curves_digest(
+        survival_curves(sets, standardize=True)),
+    "curves-sigma": lambda sets: _curves_digest(
+        survival_curves(sets, standardize=False, gaussian_sigma=1.0)),
+    "theta-survival": _theta_digest,
+    "moment-curve": _moments_digest,
+}
+
+# sha256 of each output's bytes (every SurvivalCurves array, log_iqr,
+# p999_index and n_positive; theta_hat and se_theta; the moment curves'
+# ks, log-norms and ses), layer by layer
+PINNED_OUTPUTS = {
+    ("gaussian", "curves-sigma"):
+        "aab3acc09a1d1e7885b0821f6b360e0925e2ab38e98b895c3fcac175631efdcf",
+    ("gaussian", "curves-standardized"):
+        "eefd70ca60a7c5bfdc421597c9842a21efa5360e5a232668af048bd8687462c5",
+    ("gaussian", "moment-curve"):
+        "718efb13db303640a2fa138e94cf044b8100f282c05d95cf9d6602b787330880",
+    ("gaussian", "theta-survival"):
+        "4a615e8c8acf644ade5fb86931c8ba5cc84ff2f71d0f509dc03868df3e5cd026",
+    ("relu-post", "curves-sigma"):
+        "b693395d260ad39670649b440dadd98850612a8e3feae426ed53d5e619d7fe68",
+    ("relu-post", "curves-standardized"):
+        "477db07323f8b2b8864d474aa6374308515a8836ac3ac40690eb92060fd2b1dc",
+    ("relu-post", "moment-curve"):
+        "07046ab107e3d59d548399456f4a82f87af3f80af8c91438f23ddb50910521d1",
+    ("relu-post", "theta-survival"):
+        "2b50ce6ddc0d160d5ad01b974b919faddeea8f0e5bbe4102eb36c8b0cfb05c6a",
+}
+
+
+@pytest.mark.parametrize("data,output", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned_bit_for_bit(gaussian_sets, data, output):
+    sets = gaussian_sets if data == "gaussian" else _relu_post_sets()
+    assert PIN_OUTPUTS[output](sets) == PINNED_OUTPUTS[data, output]
 
 
 SCALE_CASES = {
