@@ -42,7 +42,7 @@ O(units requested) per draw whatever its width; elu and selu draw the |Z|
 of their negative units, tanh and sigmoid all H - 1, so their layers
 cost O(H) per draw. A |Z| group sums in plain doubles in one buffer,
 little more than the work of its normal draws: r |Z_i| with the group's
-sign, phi's one-sided form in place (nonlinearity.apply_side), its
+sign, phi's one-sided form in place (the side's Side.value), its
 square, then one reduceat per row. Rows with |log r| of 300 or more, dead
 rows (r = 0) and rows whose sum is not a finite, positive, normal double
 pass log r + log|Z_i| through phi's log form and sum by log-sum-exp.
@@ -82,8 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigFileError, is_int, is_json_type
-from .nonlinearity import (NonlinearitySpec, apply_side, apply_signed_log,
-                           sides)
+from .nonlinearity import NonlinearitySpec, apply_signed_log, sides
 
 # Version of the seed-to-draws mapping, recorded in run manifests.
 # 1: full-matrix conditional step for every activation.
@@ -498,7 +497,7 @@ def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
             # one buffer: r |Z_i| with the group's sign, phi of it, squared
             h = np.repeat(sign * r, n)
             h *= d
-            h = np.square(apply_side(phi, h, sign), out=h)
+            h = np.square(side.value(h), out=h)
             part, full = np.zeros_like(sq), n > 0
             part[full] = np.add.reduceat(h, (np.cumsum(n) - n)[full])
             sq += part

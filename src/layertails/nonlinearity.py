@@ -195,16 +195,6 @@ def sides(spec: NonlinearitySpec) -> tuple[Side, Side]:
                  for c in _TABLE[spec.family].sides(spec.params))
 
 
-def apply_side(spec: NonlinearitySpec, u: np.ndarray, sign: float) -> np.ndarray:
-    """apply on a float array u whose entries all have the given sign (+1
-    or -1; zeros count as either). Writes phi(u) into u and returns it.
-    The values equal apply's (a zero may carry the other sign), so their
-    squares are apply's bit for bit."""
-    if not np.all(np.isfinite(u)):
-        raise ValueError("apply requires finite input")
-    return sides(spec)[sign < 0].value(u)
-
-
 def apply_signed_log(spec: NonlinearitySpec, signs, logmags):
     """Apply the activation to values stored as (sign, log|value|) pairs.
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from layertails.nonlinearity import (_TABLE, BOUNDED_D_MIN, SEARCH_GRID,
                                      EnvelopeGrid,
                                      EnvelopeWitness, NonlinearitySpec, apply,
-                                     apply_side, apply_signed_log,
+                                     apply_signed_log,
                                      search_envelope_constants, sides,
                                      verify_envelope)
 
@@ -131,7 +131,7 @@ class TestApplySide:
         assert curved
         for sign, u in curved:
             want = apply(spec, u)
-            got = apply_side(spec, u.copy(), sign)
+            got = sides(spec)[sign < 0].value(u.copy())
             # equal values, and equal squares bit for bit: only a zero may
             # carry the other sign (elu's 0 + alpha expm1(-0.0) is +0.0)
             np.testing.assert_array_equal(got, want)
@@ -146,7 +146,7 @@ class TestApplySide:
         neg = np.concatenate([SIDE_EDGES, -mags])
         for sign, u in ((1.0, -neg), (-1.0, neg)):
             want = apply(spec, u)
-            got = apply_side(spec, u.copy(), sign)
+            got = sides(spec)[sign < 0].value(u.copy())
             np.testing.assert_array_equal(got, want)
             with np.errstate(over="ignore"):  # a slope side squares 1e300
                 assert (got * got).tobytes() == (want * want).tobytes()
@@ -155,13 +155,9 @@ class TestApplySide:
 
     def test_writes_into_its_input(self):
         u = np.array([-2.0, -0.5, 0.0])
-        got = apply_side(NonlinearitySpec("elu", (1.0,)), u, -1.0)
+        got = sides(NonlinearitySpec("elu", (1.0,)))[1].value(u)  # u <= 0
         assert got is u
         np.testing.assert_array_equal(u, np.expm1([-2.0, -0.5, 0.0]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            apply_side(TANH, np.array([1.0, np.inf]), 1.0)
 
 
 def _encode(values):
