@@ -66,12 +66,17 @@ def _check_powers(s: int, t: int) -> None:
         raise ValueError("powers s, t must be integers >= 1")
 
 
-def _check_request(pair, n_samples: int) -> tuple[int, int]:
-    if len(pair) != 2:
+def _check_request(config: NetworkConfig, x, layers, pair, n_samples: int,
+                   workers: int) -> dict:
+    """The sampler's needs {layer: pair}, once pair has two entries, then
+    run_sampler's checks and n_samples >= 10^4 pass; before any entropy."""
+    if np.shape(pair) != (2,):
         raise ValueError(f"pair must be two unit indices, got {pair!r}")
+    needs = {layer: tuple(pair) for layer in layers}
+    network_model.check_request(config, x, n_samples, needs, "post", workers)
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10^4")
-    return pair
+    return needs
 
 
 def _cell(signs: np.ndarray, lms: np.ndarray, layer: int,
@@ -117,11 +122,11 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
     draws are those of the same pair and layer in sweep, so the report
     equals the matching sweep cell exactly.
     """
-    m, mp = _check_request(pair, n_samples)
+    _check_request(config, x, (layer,), pair, n_samples, workers)
     signs, lms = sample_joint_units(
-        config, x, layer, (m, mp), "post", n_samples,
-        entropy_prefix(seed, STREAM_COVARIANCE, m, mp), workers=workers)
-    return _cell(signs, lms, layer, (m, mp), s, t)
+        config, x, layer, pair, "post", n_samples,
+        entropy_prefix(seed, STREAM_COVARIANCE, *pair), workers=workers)
+    return _cell(signs, lms, layer, tuple(pair), s, t)
 
 
 @dataclass
@@ -156,18 +161,18 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
     raise ValueError before any draw; per-cell ones (moment overflow,
     invalid powers) are recorded. A repeated layer is scored once.
     """
-    m, mp = _check_request(pair, n_samples)
+    needs = _check_request(config, x, layers, pair, n_samples, workers)
     # looked up on the module, so a wrapped run_sampler sees this pass too
     draws = network_model.run_sampler(
-        config, x, n_samples, {layer: [m, mp] for layer in layers},
-        entropy_prefix(seed, STREAM_COVARIANCE, m, mp), "post",
+        config, x, n_samples, needs,
+        entropy_prefix(seed, STREAM_COVARIANCE, *pair), "post",
         workers=workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
     for layer, cell in draws.items():
         for s, t in powers:
             try:
-                reports.append(_cell(*cell, layer, (m, mp), s, t))
+                reports.append(_cell(*cell, layer, tuple(pair), s, t))
             except (MomentOverflowError, ValueError) as exc:
                 errors.append((layer, s, t, str(exc)))
     return SweepResult(reports=reports, errors=errors)

@@ -126,7 +126,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("kw", [
         dict(pair=(1, 1)), dict(pair=(0, 20)), dict(n_samples=100),
-        dict(layers=(1, 3)), dict(seed=2**32),
+        dict(layers=(1, 3)), dict(seed=2**32), dict(n_samples="10000"),
+        dict(n_samples=None), dict(pair=5),
     ])
     def test_request_errors_raise_before_any_draw(self, cfg, x, kw,
                                                   monkeypatch):

@@ -54,7 +54,7 @@ BAD = {
     "workers-float": (lambda: worker_threads(2.0, 10), "workers"),
     "covariance-float-pair": (
         lambda: estimate_unit_covariance(CFG, X, 1, (0.5, 1.2), 1, 1, N, 0),
-        "entropy fields"),
+        r"unit indices \(0\.5, 1\.2\) out of range"),
     "covariance-float-power": (
         lambda: estimate_unit_covariance(CFG, X, 1, (0, 1), 2.0, 1, N, 0),
         "powers"),
