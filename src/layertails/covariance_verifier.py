@@ -68,8 +68,8 @@ def _check_powers(s: int, t: int) -> None:
 
 def _check_request(config: NetworkConfig, x, layers, pair, n_samples: int,
                    workers: int) -> dict:
-    """The sampler's needs {layer: pair}, once pair has two entries, then
-    run_sampler's checks and n_samples >= 10^4 pass; before any entropy."""
+    """{layer: pair} for run_sampler, once the pair's shape, its request
+    checks and n_samples >= 10^4 pass; run before any entropy prefix."""
     if np.shape(pair) != (2,):
         raise ValueError(f"pair must be two unit indices, got {pair!r}")
     needs = {layer: tuple(pair) for layer in layers}
