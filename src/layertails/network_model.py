@@ -9,63 +9,32 @@ N(0, sigma_l^2). The object of study is the prior distribution of a single
 unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
 Sampling. run_sampler is the one sampler pass: it validates a request
-(units per layer, before or after the nonlinearity), draws it in chunks
-and returns the requested columns. Its draw count, layers and unit
-indices, like every seed, are Python or numpy integers (errors.is_int),
-used as given: a float or bool raises ValueError, as does a request for
-no layers. sample_layer_units, sample_joint_units and
-covariance_verifier.sweep call it directly. It never materializes a
-weight matrix: it rests on the exact identity that, given h(l-1), the
-H_l entries of g(l) are i.i.d. N(0, r_l^2) with
+(units per layer, before or after the nonlinearity), draws it in chunks,
+each written straight into the request's arrays, and returns them. Its
+draw count, layers and unit indices, like every seed, are Python or numpy
+integers (errors.is_int), used as given: a float or bool raises
+ValueError, as does a request for no layers. sample_layer_units,
+sample_joint_units and covariance_verifier.sweep call it directly. It
+never materializes a weight matrix: it rests on the exact identity that,
+given h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
 depth can overflow (and a zero input gives log r_1 = -inf, a dead row).
-The units are i.i.d. given r_l, so a layer step first draws unit 0 as
-Z_0 ~ N(0, 1): g(l)_0 = r_l Z_0 exactly, and a top layer asked for unit 0
-alone stops there. The sign and magnitude of each other Z are
-independent, so one step serves every activation: it draws
-N ~ Bin(H - 1, 1/2) positive units among the other H - 1, from an exact
-Walker alias table of that law built once per width (one uniform per
-row, O(1) whatever H; the table's masses are exact binomial
-coefficients over 2^(H - 1), correctly rounded), then per sign
-group S = chi2 of the group's size if phi is linear on that side with
-slope c (adding c^2 r_l^2 S to ||h(l)||^2), else the group's |Z|. Unit 0
-joins the norm as one more group per side: Z_0^2 or 0 on a slope side,
-a |Z| group of 0 or 1 entries on a curved one; the norm leaves out every
-group on a slope-0 side, which adds +0.0. Then it draws only the
-requested units 1.., by stick-breaking: with N' positives left among H'
-remaining units, a unit is positive with probability N'/H'. In a
-chi-square group its Z^2 is S' Beta(1/2, (K'-1)/2), S' and K' being the
-group's remaining sum and count (all of S' when K' = 1); in a |Z| group it
-takes its row's next unused |Z_i|, exact as the group is exchangeable.
-relu, prelu and identity are linear on both sides, so a layer costs
-O(units requested) per draw whatever its width; elu and selu draw the |Z|
-of their negative units, tanh and sigmoid all H - 1, so their layers
-cost O(H) per draw. A |Z| group sums in plain doubles in one buffer,
-little more than the work of its normal draws: r |Z_i| with the group's
-sign, phi's one-sided form in place (the side's Side.value), its
-square, then one reduceat per row. Rows with |log r| of 300 or more, dead
-rows (r = 0) and rows whose sum is not a finite, positive, normal double
-pass log r + log|Z_i| through phi's log form and sum by log-sum-exp.
-The test suite checks this sampler in law against a literal forward pass
-with a fresh weight matrix per layer per draw.
+_layer_step takes one layer from log r_l to its units and ||h(l)||^2; its
+docstring states the step and the order of its draws. The test suite
+checks this sampler in law against a literal forward pass with a fresh
+weight matrix per layer per draw.
 
 Streams. Samples are generated in chunks of DEFAULT_CHUNK draws. An
 entropy prefix E is (seed, stream tag, fields of the operation), built by
 entropy_prefix, which accepts seeds in [0, 2^32) only. Layer l of chunk c
 of a request with prefix E owns the child stream
-SeedSequence(E + [c], spawn_key=(l,)). A layer stream yields Z_0, then
-one uniform per row for N' (none in a width-1 layer, where N' = 0), then
-per sign group S or its |Z|, then per unit 1, 2, .. in index
-order a uniform (its sign group), a normal and a chi-square (its share of
-S). Every layer draws Z_0, requested or not. The stream stops after the
-last group that is read: a group on a slope-0 side (relu's negative one)
-adds +0.0 to the norm, so only a stick-broken unit of its layer reads it,
-and it is drawn only then or when a later group of the stream is. So
-results are bit-identical for a given (config, x, seed) whatever the
-worker count, and unit m's draws are the same whether it is requested
-alone, with other units of its layer, or with other layers.
-SAMPLER_VERSION numbers this seed-to-draws mapping; run manifests record
-it. Stream tag 7 is held by the test suite's forward-pass oracle.
+SeedSequence(E + [c], spawn_key=(l,)), which _layer_step reads. Every
+layer draws Z_0, requested or not. So results are bit-identical for a
+given (config, x, seed) whatever the worker count, and unit m's draws are
+the same whether it is requested alone, with other units of its layer, or
+with other layers. SAMPLER_VERSION numbers this seed-to-draws mapping; run
+manifests record it. Stream tag 7 is held by the test suite's forward-pass
+oracle.
 """
 
 from __future__ import annotations
@@ -233,7 +202,9 @@ def parse_config_file(path) -> NetworkConfig:
     except OSError as exc:
         raise ConfigFileError(f"cannot read config file {path}: {exc}") from exc
     except configparser.Error as exc:
-        raise ConfigFileError(f"malformed config file {path}: {exc}") from exc
+        # configparser's messages span lines; an error prints as one
+        why = str(exc).replace("\n", " ")
+        raise ConfigFileError(f"malformed config file {path}: {why}") from exc
     if "network" not in parser:
         raise ConfigFileError(f"config file {path} lacks a [network] section")
     sec = parser["network"]
@@ -363,86 +334,100 @@ def _fair_count(rng: np.random.Generator, n: int, b: int) -> np.ndarray:
 
 
 def _conditional_chunk(config: NetworkConfig, log_q0: float, key: tuple,
-                       b: int, needs: dict[int, int]):
-    """One chunk of the conditional sampler; returns pre arrays per layer.
-    key is the chunk's entropy (request prefix plus chunk index). A layer
-    draws unit 0's Z, then N' of its other H - 1 units, then for the
-    positive and the negative group its chi-square sum if that side of phi
-    is a slope, else its |Z| row after row; trailing slope-0 groups only
-    when units 1.. are asked for. The top layer stops after Z when unit 0
-    is all it is asked for."""
-    curved = [side.slope is None for side in sides(config.nonlinearity)]
-    zero = [side.slope == 0 for side in sides(config.nonlinearity)]
-    top = max(needs)
+                       b: int, counts: dict[int, int]):
+    """One chunk of b draws: per layer l of counts, the (signs,
+    log-magnitudes) of its units 0..counts[l]-1, each of shape
+    (b, counts[l]), from _layer_step on layers 1 up to the top one asked
+    for. key is the chunk's entropy (request prefix plus chunk index)."""
+    top = max(counts)
     out = {}
     log_r = np.full(b, math.log(config.weight_std_for(1)) + 0.5 * log_q0)
     for layer in range(1, top + 1):
-        H = config.layer_widths[layer - 1]
-        rng = _generator(key, spawn_key=(layer,))
-        z0 = rng.standard_normal(b)
-        if layer in needs:
-            with np.errstate(divide="ignore"):
-                logabs = (log_r + np.log(np.abs(z0)))[:, None]
-            signs = np.sign(z0).astype(np.int8)[:, None]
-            signs[np.isneginf(logabs)] = 0
+        signs, logabs, log_sq = _layer_step(
+            config.nonlinearity, log_r, _generator(key, spawn_key=(layer,)),
+            config.layer_widths[layer - 1], counts.get(layer, 0), layer < top)
+        if layer in counts:
             out[layer] = signs, logabs
-        if layer == top and needs[layer] == 1:
-            break
-        stick = needs.get(layer, 1) > 1
+        if layer < top:
+            if config.include_bias:
+                log_sq = np.logaddexp(log_sq, 0.0)
+            log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
+    return out
+
+
+def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
+                j: int, norm: bool):
+    """One layer of H units, i.i.d. N(0, r^2) given log r per row. Returns
+    the (signs, log-magnitudes) of units 0..j-1, each of shape (rows, j),
+    and log ||phi(r Z)||^2 per row if norm, else None.
+
+    The sign and magnitude of each Z are independent, so one step serves
+    every activation. It reads rng in this order:
+    - Z_0 ~ N(0, 1), unit 0 exactly; with j <= 1 and no norm it stops here;
+    - N ~ Bin(H - 1, 1/2), the positives among the other H - 1 units, one
+      uniform per row by _fair_count (none in a width-1 layer);
+    - per sign group, positive then negative, its chi-square sum S if phi
+      is a slope on that side, else its |Z| row after row; a group on a
+      slope-0 side (relu's negative one) adds +0.0 to the norm, so it is
+      drawn only when units 1.. are;
+    - units 1..j-1 in index order (_stick_break): per unit a uniform (its
+      sign group), a normal and a chi-square (its share of S).
+    The norm then takes unit 0 as one more group per side, Z_0^2 or 0 on a
+    slope side and a |Z| group of 0 or 1 entries on a curved one, and sums
+    the groups in _log_sq_norm. So relu, prelu and identity cost O(j) per
+    row whatever H; elu and selu draw the |Z| of their negative units,
+    tanh and sigmoid all H - 1, so theirs cost O(H)."""
+    b = log_r.shape[0]
+    z0 = rng.standard_normal(b)
+    signs, logabs = np.empty((b, j), dtype=np.int8), np.empty((b, j))
+    if j:
+        with np.errstate(divide="ignore"):
+            logabs[:, 0] = log_r + np.log(np.abs(z0))
+        signs[:, 0] = np.sign(z0)
+    if j > 1 or norm:
         n_pos = _fair_count(rng, H - 1, b)
-        counts = (n_pos, H - 1 - n_pos)
-        draws = []
-        for g, (c, n) in enumerate(zip(curved, counts)):
-            if not stick and all(zero[g:]):
-                # a slope-0 group adds +0.0 to the norm and no group after
-                # it is drawn, so only stick-broken units would read it
+        groups = []
+        for sign, side, n in zip((1.0, -1.0), sides(phi),
+                                 (n_pos, H - 1 - n_pos)):
+            if side.slope == 0 and j <= 1:
                 d = None
-            elif c:
+            elif side.slope is None:
                 d = rng.standard_normal(np.sum(n))
                 np.abs(d, out=d)
             else:
                 d = rng.standard_gamma(0.5 * n)
                 d *= 2.0
-            draws.append(d)
-        if stick:
-            rest = _stick_break(rng, log_r, H - 1, curved, counts, draws,
-                                needs[layer] - 1)
-            out[layer] = tuple(np.hstack(p) for p in zip(out[layer], rest))
-        if layer == top:
-            break
-        # unit 0 joins the norm as one more group per side: z0^2 or 0 on a
-        # slope side, a |Z| group of 0 or 1 entries on a curved one, nothing
-        # on a slope-0 side, which the norm leaves out
-        pos0 = z0 > 0
-        n0 = pos0.astype(int)
-        counts += (n0, 1 - n0)
-        draws += [None if z else np.abs(z0[t]) if c
-                  else np.where(t, z0 * z0, 0.0)
-                  for c, z, t in zip(curved, zero, (pos0, ~pos0))]
-        log_sq = _log_sq_norm(config.nonlinearity, log_r, counts, draws)
-        if config.include_bias:
-            log_sq = np.logaddexp(log_sq, 0.0)
-        log_r = math.log(config.weight_std_for(layer + 1)) + 0.5 * log_sq
-    return out
+            groups.append((sign, side, n, d))
+        if j > 1:
+            _stick_break(rng, log_r, H, groups, signs, logabs)
+    signs[np.isneginf(logabs)] = 0
+    if not norm:
+        return signs, logabs, None
+    pos0 = z0 > 0
+    for (sign, side, _, _), t in zip(groups[:2], (pos0, ~pos0)):
+        groups.append((sign, side, t.astype(int), None if side.slope == 0
+                       else np.abs(z0[t]) if side.slope is None
+                       else np.where(t, z0 * z0, 0.0)))
+    return signs, logabs, _log_sq_norm(log_r, groups)
 
 
-def _stick_break(rng, log_r: np.ndarray, H: int, curved, counts, draws,
-                 j: int):
-    """Units 0..j-1 of a layer of H units, drawn in index order given the
-    size of each sign group and its draw: a unit of a chi-square group
-    takes a Beta share of the group's sum, a unit of a |Z| group (curved)
-    its row's next unused entry (exact, since the group is exchangeable)."""
+def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
+    """Units 1.. of a layer of H units into the columns 1.. of signs and
+    logabs, in index order, given the (sign, side, count, draw) of each
+    sign group of the other H - 1. With N' positives left among H' units,
+    a unit is positive with probability N'/H'; it then takes a Beta share
+    of its chi-square group's sum, or its |Z| group's next unused entry in
+    its row (exact, since the group is exchangeable)."""
     b = log_r.shape[0]
-    left = [n.copy() for n in counts]
-    sums = [np.zeros(b) if c else d for c, d in zip(curved, draws)]
+    left = [n.copy() for _, _, n, _ in groups]
+    sums = [np.zeros(b) if side.slope is None else d
+            for _, side, _, d in groups]
     # a |Z| group's next entry sits at ends - left; rows with none left
     # never take one, so clipping their index past the last entry is safe,
     # and an empty group (all units on the other side) has nothing to read
-    flats = [(d, np.cumsum(n)) if c and d.size else None
-             for c, d, n in zip(curved, draws, counts)]
-    signs = np.empty((b, j), dtype=np.int8)
-    logabs = np.empty((b, j))
-    for i in range(j):
+    flats = [(d, np.cumsum(n)) if side.slope is None and d.size else None
+             for _, side, n, d in groups]
+    for i in range(1, signs.shape[1]):
         pos = rng.random(b) * (H - i) < left[0]
         k = np.where(pos, *left)
         s = np.where(pos, *sums)
@@ -462,26 +447,22 @@ def _stick_break(rng, log_r: np.ndarray, H: int, curved, counts, draws,
         with np.errstate(divide="ignore"):
             logabs[:, i] = log_r + 0.5 * np.log(z2)
         signs[:, i] = np.where(pos, 1, -1)
-    signs[np.isneginf(logabs)] = 0
-    return signs, logabs
 
 
-def _log_sq_norm(phi: NonlinearitySpec, log_r: np.ndarray, counts, draws):
-    """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's draws:
-    c^2 r^2 S for a group of slope c and sum S, and phi(+-r |Z_i|)^2 summed
-    over a |Z| group. counts and draws list the groups in sign order
-    (positive, negative), then again for unit 0's own pair of groups; the
-    sides and signs repeat with them. A group of slope 0 adds +0.0 and is
-    left out (its draw may be None). With both sides slopes that is
-    2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise a row sums in
-    plain doubles if |log r| is below _LINEAR_LOG_R and the sum is a
-    finite, positive, normal double (reduceat skips empty rows, giving them
-    0, not the next entry); the rest sum log|phi(+-r e)| by log-sum-exp,
-    log r + log e through the side's log form for each entry e of a group,
-    sqrt(S) of a slope's or each |Z_i|, in a matrix padded with -inf.
+def _log_sq_norm(log_r: np.ndarray, groups):
+    """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's
+    (sign, side, count, draw) groups: c^2 r^2 S for a group of slope c and
+    sum S, and phi(+-r |Z_i|)^2 summed over a |Z| group. A group of slope 0
+    adds +0.0 and is left out (its draw may be None). With both sides
+    slopes that is 2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise
+    a row sums in plain doubles if |log r| is below _LINEAR_LOG_R and the
+    sum is a finite, positive, normal double (reduceat skips empty rows,
+    giving them 0, not the next entry); the rest sum log|phi(+-r e)| by
+    log-sum-exp, log r + log e through the side's log form for each entry e
+    of a group, sqrt(S) of a slope's or each |Z_i|, in a matrix padded
+    with -inf.
     """
-    groups = [g for g in zip((1.0, -1.0) * 2, sides(phi) * 2, counts, draws)
-              if g[1].slope != 0]
+    groups = [g for g in groups if g[1].slope != 0]
     if all(side.slope is not None for _, side, _, _ in groups):
         with np.errstate(divide="ignore"):
             return 2.0 * log_r + np.log(sum(side.slope**2 * d
@@ -577,8 +558,9 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
                 needs: dict[int, list[int]], entropy: tuple[int, ...],
                 kind: str = "pre",
                 workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The one sampler pass: validates the request (check_request), runs
-    its chunks and returns the requested units.
+    """The one sampler pass: validates the request (check_request),
+    allocates the result's arrays and runs its chunks, each of which writes
+    its rows of the requested units into them.
 
     needs maps 1-based layers to lists of distinct 0-based unit indices;
     n_samples, layers and indices are integers (errors.is_int), and an
@@ -589,11 +571,6 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     units and layers are requested.
     """
     x = check_request(config, x, n_samples, needs, kind, workers)
-    # the chunk steps draw the leading units of a layer up to the last one
-    # requested, in index order
-    counts = {layer: max(units) + 1 for layer, units in needs.items()}
-    chunks = [(i, min(DEFAULT_CHUNK, n_samples - start))
-              for i, start in enumerate(range(0, n_samples, DEFAULT_CHUNK))]
     q0 = layer1_sq_norm(config, x)
     if q0 >= np.finfo(float).tiny:
         log_q0 = math.log(q0)
@@ -601,31 +578,38 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         # x.x underflows for |x| below about 1e-154; a zero input without
         # bias zeroes layer 1, so every row starts dead (log r = -inf)
         log_q0 = 2.0 * math.log(math.hypot(*x)) if np.any(x) else -math.inf
+    # the chunk steps draw the leading units of a layer up to the last one
+    # requested, in index order; each chunk writes its rows of the
+    # requested columns straight into out, whose arrays are column-major:
+    # a row-wise reduction across units (max pooling of 10^5 rows of 4
+    # units) runs about 4 times faster on them than on row-major ones
+    counts = {layer: max(units) + 1 for layer, units in needs.items()}
+    out = {layer: (np.empty((n_samples, len(units)), np.int8, order="F"),
+                   np.empty((n_samples, len(units)), order="F"))
+           for layer, units in needs.items()}
 
-    def one_chunk(task):
-        idx, b = task
-        return _conditional_chunk(config, log_q0, (*entropy, idx), b, counts)
+    def one_chunk(idx):
+        start = idx * DEFAULT_CHUNK
+        rows = slice(start, min(start + DEFAULT_CHUNK, n_samples))
+        got = _conditional_chunk(config, log_q0, (*entropy, idx),
+                                 rows.stop - rows.start, counts)
+        for layer, units in needs.items():
+            for src, dst in zip(got[layer], out[layer]):
+                for col, unit in enumerate(units):
+                    dst[rows, col] = src[:, unit]
 
-    threads = worker_threads(workers, len(chunks))
+    n_chunks = -(-n_samples // DEFAULT_CHUNK)
+    threads = worker_threads(workers, n_chunks)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_chunk, chunks))
+            list(pool.map(one_chunk, range(n_chunks)))
     else:
-        results = [one_chunk(t) for t in chunks]
-
-    merged = {layer: (np.concatenate([r[layer][0] for r in results], axis=0),
-                      np.concatenate([r[layer][1] for r in results], axis=0))
-              for layer in needs}
-    # free the chunks before selecting columns: holding both raised the
-    # peak RSS of a 5e5-draw, three-layer request by about 10 MB
-    del results
-    out = {}
-    for layer, units in needs.items():
-        signs, lms = merged.pop(layer)
-        signs, lms = signs[:, units], lms[:, units]
-        if kind == "post":
-            signs, lms = apply_signed_log(config.nonlinearity, signs, lms)
-        out[layer] = (signs, lms)
+        for idx in range(n_chunks):
+            one_chunk(idx)
+    if kind == "post":
+        # a layer at a time, so only one layer has pre and post arrays at once
+        for layer in out:
+            out[layer] = apply_signed_log(config.nonlinearity, *out[layer])
     return out
 
 

@@ -120,7 +120,11 @@ _TABLE = {
     "relu": _Family(lambda p, u: np.maximum(u, 0.0), lambda p: (1.0, 0.0)),
     "prelu": _Family(lambda p, u: np.where(u > 0, u, p[0] * u),
                      lambda p: (1.0, p[0]), defaults=(0.25,),
-                     check=(lambda p: p[0] >= 0, "prelu slope must be >= 0")),
+                     # the sampler's norm squares a nonzero slope
+                     check=(lambda p: p[0] == 0 or p[0] > 0 and (
+                         np.finfo(float).tiny <= p[0] * p[0] < math.inf),
+                         "prelu slope must be 0 or in about "
+                         "[1.5e-154, 1.3e154]")),
     "elu": _Family(lambda p, u: _elu(p[0], u),
                    lambda p: (1.0, _elu_neg(1.0, p[0])), defaults=(1.0,),
                    check=(lambda p: p[0] > 0, "elu alpha must be > 0")),
@@ -128,8 +132,11 @@ _TABLE = {
     "selu": _Family(lambda p, u: p[0] * _elu(p[1], u),
                     lambda p: (p[0], _elu_neg(*p)),
                     defaults=(1.0507009873554805, 1.6732632423543772),
-                    check=(lambda p: p[0] > 0 and p[1] > 0,
-                           "selu lambda and alpha must be > 0")),
+                    # the negative side's log form takes log(lambda alpha)
+                    check=(lambda p: p[0] > 0 and p[1] > 0
+                           and 0 < p[0] * p[1] < math.inf,
+                           "selu lambda and alpha must be > 0 with a "
+                           "finite, nonzero product")),
     "tanh": _Family(lambda p, u: np.tanh(u),
                     lambda p: (Side(lambda u: np.tanh(u, out=u), _tanh_log),) * 2),
     # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
@@ -299,14 +306,17 @@ def verify_envelope(spec: NonlinearitySpec, c1: float, d1: float, side: str,
     phi = np.abs(apply(spec, u))
     au = np.abs(u)
 
-    upper_bad = phi > c2 + d2 * au
+    # a bound that overflows is +inf, above any finite |phi|, as it should be
+    with np.errstate(over="ignore"):
+        upper, lower = c2 + d2 * au, c1 + d1 * au
+    upper_bad = phi > upper
     if np.any(upper_bad):
         pt = float(u[np.argmax(upper_bad)])
         return EnvelopeWitness("fails", c1, d1, side, c2, d2, grid.describe(),
                                failure_point=pt, failure_inequality="upper")
 
     on_side = u > 0 if side == "positive-axis" else u < 0
-    lower_bad = on_side & (phi < c1 + d1 * au)
+    lower_bad = on_side & (phi < lower)
     if np.any(lower_bad):
         pt = float(u[np.argmax(lower_bad)])
         return EnvelopeWitness("fails", c1, d1, side, c2, d2, grid.describe(),

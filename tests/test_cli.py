@@ -74,6 +74,16 @@ class TestEnvelopeCommand:
     def test_unknown_family_is_a_usage_error(self, tmp_path):
         assert main(["envelope", "softplus", "--out", str(tmp_path / "e")]) == 2
 
+    def test_overflowing_bounds_warn_nothing(self, tmp_path, capsys):
+        # elu(1e308)'s bounds c + d|u| overflow to +inf, which lies above
+        # any finite |phi|, so the verdict holds and nothing is printed
+        out = tmp_path / "e"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["envelope", "elu(1e308)", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_rows(out / "envelope.csv")[0]["verdict"] == "holds"
+
 
 class TestContoursCommand:
     def test_default_exponents(self, tmp_path):
@@ -139,6 +149,33 @@ class TestTailSweepCommand:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["tail-sweep", "--config", str(tmp_path / "no.ini"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    @pytest.mark.parametrize("text,message", [
+        ("[network\ninput_dim = 3\n", "malformed config file"),
+        ("[network]\ninput_dim = 3\nlayer_widths = 4,4\n"
+         "nonlinearity = prelu(1e308)\n",
+         "prelu slope must be 0 or in about [1.5e-154, 1.3e154]"),
+    ], ids=["unclosed-section", "prelu-slope-square-overflows"])
+    def test_bad_config_file_exits_2(self, text, message, tmp_path, capsys):
+        ini = tmp_path / "bad.ini"
+        ini.write_text(text)
+        code = main(["tail-sweep", "--config", str(ini), "--out",
+                     str(tmp_path / "o")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert message in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_unadjacent_layers_get_no_recursion_rows(self, tmp_path):
+        ini = tmp_path / "deep.ini"
+        write_ini(ini, NetworkConfig(input_dim=10, layer_widths=(12, 12, 12),
+                                     nonlinearity=NonlinearitySpec("relu")))
+        out = tmp_path / "o"
+        assert main(["tail-sweep", "--config", str(ini), "--layers", "1,3",
+                     "--samples", "2000", "--out", str(out)]) == 0
+        assert len(read_rows(out / "theta_summary.csv")) == 4
+        assert read_rows(out / "recursion.csv") == []
 
     def test_out_of_range_layers_exit_2(self, net_ini, tmp_path, capsys):
         code = main(["tail-sweep", "--config", str(net_ini), "--layers", "5",
@@ -268,6 +305,15 @@ class TestSurvivalCurvesCommand:
                                  "(weight_std = 1e+308, |x| = ")
         assert not out.exists()
 
+    def test_standardize_true_is_the_default(self, net_ini, tmp_path):
+        args = ["survival-curves", "--config", str(net_ini), "--samples",
+                "20000"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--standardize", "true", "--out", str(b)]) == 0
+        for name in RunManifest.load(a / "manifest.json").files:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_grid_is_shared_across_layers(self, net_ini, tmp_path):
         out = tmp_path / "curves"
         main(["survival-curves", "--config", str(net_ini), "--samples",
@@ -333,6 +379,22 @@ def test_bad_request_exits_2_before_writing(args, message, net_ini, tmp_path,
     err = capsys.readouterr().err
     assert code == 2
     assert err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args,message", [
+    (["survival-curves", "--standardize", "maybe"],
+     "argument --standardize: expected true/false, got 'maybe'"),
+    (["tail-sweep", "--layers", "1,a"],
+     "argument --layers: expected comma-separated integers, got '1,a'"),
+], ids=["standardize-maybe", "layers-not-integers"])
+def test_unparsable_value_exits_2_through_argparse(args, message, net_ini,
+                                                   tmp_path, capsys):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--config", str(net_ini), "--out", str(out)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(message)
     assert not out.exists()
 
 
@@ -596,11 +658,13 @@ class TestRerun:
         (_network_edit(drop="include_bias"),
          "network fields missing: ['include_bias']"),
         (_covariance_without_layers, "error: no layers requested"),
+        (lambda m: dict(m, command="bogus"),
+         "manifest names unknown command 'bogus'"),
     ], ids=["extra-field", "no-params", "list", "no-qs", "int-params",
             "string-qs", "dict-std", "network-with-seed", "int-widths",
             "int-phi", "string-bias", "float-dim", "bool-seed",
             "bool-workers", "bool-sampler", "network-without-bias",
-            "no-layers"])
+            "no-layers", "unknown-command"])
     def test_malformed_manifest_exits_2(self, edit, message, tmp_path,
                                         capsys):
         out = tmp_path / "con"

@@ -123,6 +123,7 @@ class TestSweep:
         res = sweep(cfg, x, (1,), [(0, 1), (1, 1)], 10_000, 23)
         assert [(r.s, r.t) for r in res.reports] == [(1, 1)]
         assert [e[:3] for e in res.errors] == [(1, 0, 1)]
+        assert res.summary() == {"zero-consistent": 1, "error": 1}
 
     @pytest.mark.parametrize("kw", [
         dict(pair=(1, 1)), dict(pair=(0, 20)), dict(n_samples=100),

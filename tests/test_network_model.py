@@ -257,6 +257,8 @@ class TestSamplerDeterminism:
             sample_joint_units(cfg20, x20, 2, (), "pre", 1000, (0,))
         with pytest.raises(ValueError, match="layer 2"):
             run_sampler(cfg20, x20, 1000, {1: [0], 2: []}, (0,))
+        with pytest.raises(ValueError, match="kind must be 'pre' or 'post'"):
+            run_sampler(cfg20, x20, 1000, {1: [0]}, (0,), "mid")
 
 
 # The direct oracle: a fresh weight matrix per layer per draw and a literal
@@ -720,6 +722,20 @@ class TestExactSampler:
         assert np.all(np.isfinite(s.log_magnitudes[~dead]))
         assert not np.any(np.isnan(s.log_magnitudes))
 
+    @pytest.mark.parametrize("slope", [1e150, 1e-150])
+    def test_prelu_slopes_near_the_square_limits_sample(self, slope):
+        # width 1: g2 = r2 Z with r2 = |h1|, slope |g1| where g1 < 0, so
+        # log|g2| - log|h1| is log|Z| on every draw, of median log 0.6745
+        cfg = NetworkConfig(input_dim=3, layer_widths=(1, 1),
+                            nonlinearity=NonlinearitySpec("prelu", (slope,)))
+        got = run_sampler(cfg, sample_input(3, 5), 20_000, {1: [0], 2: [0]},
+                          (5, STREAM_UNITS))
+        (s1, lm1), (s2, lm2) = got[1], got[2]
+        assert np.all(s2 != 0) and np.all(np.isfinite(lm2))
+        log_z = lm2[:, 0] - lm1[:, 0] - np.where(s1[:, 0] < 0,
+                                                 math.log(slope), 0.0)
+        assert abs(np.exp(np.median(log_z)) - 0.6745) < 0.03
+
     def test_depth_200_stays_finite_in_log_domain(self):
         cfg = NetworkConfig(input_dim=10, layer_widths=(10,) * 200,
                             nonlinearity=RELU, weight_std=100.0)
@@ -1084,3 +1100,90 @@ def test_post_stream_is_pinned_bit_for_bit(family):
                       {1: [0], 2: [0, 1, 2], cfg.depth: [0, 4]},
                       (13, STREAM_UNITS), "post")
     assert _stream_digest(got) == POST_STREAMS[family]
+
+
+# prints how far run_sampler raises the peak RSS, over the bytes it
+# returns, on perfbench relu_sweep's request. The peak is the VmHWM line of
+# /proc/self/status, in kB: an exec'd child's ru_maxrss starts at the peak
+# of the process that forked it, here the test runner's.
+_MEMORY_CHILD = """
+import sys
+from layertails.network_model import NetworkConfig, run_sampler, sample_input
+from layertails.nonlinearity import NonlinearitySpec
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+
+cfg = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
+                    nonlinearity=NonlinearitySpec("relu"))
+x = sample_input(100, 3)
+before = peak()
+got = run_sampler(cfg, x, 500_000, {1: [0], 2: [0], 3: [0]}, (3, 1),
+                  workers=int(sys.argv[1]))
+grown = (peak() - before) * 1024
+print(grown / sum(s.nbytes + m.nbytes for s, m in got.values()))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sampler_pass_holds_little_beyond_its_result(workers):
+    """Each chunk writes its rows into the request's arrays, so the pass
+    holds no copy of the whole result; the bound leaves room for a chunk's
+    own arrays and the allocator."""
+    src = str(Path(network_model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _MEMORY_CHILD, str(workers)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.5
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_module_lookups_that_a_tracer_wraps(workers, monkeypatch):
+    """run_sampler reaches _conditional_chunk and apply_signed_log through
+    the module, once per chunk and once per requested layer, so wrappers
+    set on the module see every call and change no byte."""
+    cfg = small_config()
+    x = sample_input(cfg.input_dim, 3)
+    needs = {1: [0], 3: [2, 0]}
+    n = 2 * network_model.DEFAULT_CHUNK + 5
+    want = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), "post")
+    calls = []
+
+    def counting(name):
+        fn = getattr(network_model, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(network_model, name, wrapper)
+
+    counting("_conditional_chunk")
+    counting("apply_signed_log")
+    got = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), "post",
+                      workers=workers)
+    assert sorted(calls) == ["_conditional_chunk"] * 3 + ["apply_signed_log"] * 2
+    assert _stream_digest(got) == _stream_digest(want)
+
+
+def test_more_threads_than_cores_write_every_row(monkeypatch):
+    """Chunks write disjoint rows of the shared result arrays; eight threads
+    on any core count, switching every microsecond, give the serial bytes."""
+    cfg = small_config(nonlinearity=ELU)
+    x = sample_input(cfg.input_dim, 3)
+    needs = {1: [0], 2: [1, 0], 3: [3]}
+    n = 12 * network_model.DEFAULT_CHUNK + 7
+    want = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), "post")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), "post",
+                          workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _stream_digest(got) == _stream_digest(want)

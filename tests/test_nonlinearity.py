@@ -51,7 +51,10 @@ class TestSpecParsing:
         assert alpha == pytest.approx(1.6733, abs=1e-4)
 
     @pytest.mark.parametrize("bad", ["softplus", "relu(1)", "prelu(-0.5)",
-                                     "elu(0)", "selu(1.0)", "prelu(a)", ""])
+                                     "elu(0)", "selu(1.0)", "prelu(a)", "",
+                                     "prelu(1e308)", "prelu(1e-200)",
+                                     "selu(1e300,1e10)",
+                                     "selu(1e-200,1e-200)"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             NonlinearitySpec.parse(bad)
