@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -235,3 +237,76 @@ class TestRequestChecks:
                               workers=req["workers"])
         assert str(got.value) == str(want.value)
         assert draws == []
+
+
+def _digest(*arrays):
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def region_draws():
+    """Joint relu post draws of units 0..15 of layer 2 of a (20; 20, 20)
+    net, column-major as the sampler returns them, with rows 0, 777 and
+    the last set to exact zeros."""
+    net = NetworkConfig(input_dim=20, layer_widths=(20, 20),
+                        nonlinearity=RELU)
+    signs, lms = network_model.sample_joint_units(
+        net, sample_input(20, 5), 2, tuple(range(16)), "post", 3001, (5, 77))
+    signs, lms = signs.copy(order="F"), lms.copy(order="F")
+    signs[[0, 777, -1]] = 0
+    lms[[0, 777, -1]] = -np.inf
+    return signs, lms
+
+
+# sha256 of pool_signed_log's (signs, log-magnitudes) on the first R
+# columns of region_draws. From R = 8 on, numpy sums a row of 8 or more
+# entries pairwise, and np.sum(axis=1) gives other bits on a column-major
+# block than on a row-major one: both layouts must give these
+PINNED_POOLS = {
+    ("average", 1):
+        "9aed704c9d0686f7736785f39c070becbe7606bce5a6671d40440242e3ed19d7",
+    ("average", 4):
+        "33729c4605be03f95d698ad92e008fe9edcc51ea572c4172ac7db18fd8567428",
+    ("average", 8):
+        "a1a399af2513e35e73f748f50288a0963e1d5cbe9b46d6f182c8a28214ce78ba",
+    ("average", 16):
+        "8eb3b06963e417bae675dd4e44f3920b71fb74a0c08e1898dc889b33a5e3a0a0",
+    ("max", 1):
+        "9aed704c9d0686f7736785f39c070becbe7606bce5a6671d40440242e3ed19d7",
+    ("max", 4):
+        "f9c70b9e6dff77b5e79b06ad3320ec2d9f4bb19fa5a1f13281cbc9676e6c088a",
+    ("max", 8):
+        "5e3ef009aa7969169ec4621e3579eca93be0d83effc2a4d3ad872f5054f22cbd",
+    ("max", 16):
+        "5c3218752f27f21c5c2839f393e073063045bca62b1434c9254f3ac4a32fe99b",
+}
+
+
+@pytest.mark.parametrize("kind,R", sorted(PINNED_POOLS))
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_pooled_outputs_are_pinned_for_either_layout(region_draws, kind, R,
+                                                     order):
+    signs, lms = (np.array(a[:, :R], order=order) for a in region_draws)
+    assert np.all(signs[[0, 777, -1]] == 0)
+    out = pool_signed_log(signs, lms, PoolingSpec(kind, R))
+    assert _digest(*out) == PINNED_POOLS[kind, R]
+
+
+# sha256 of theta_hat and se_theta before and after, and the budget, of a
+# seeded relu request, max then average from the kept draws
+PINNED_CHECKS = {
+    "max": "e65f5f697efc4e77b7ee83dd806e55295e81ccf187a59eb96a7d24a35abfd654",
+    "average":
+        "6b1be7222c32705902001f47184effe5dd9b8651e52284ca3c4d0db65e2e7093",
+}
+
+
+def test_pooled_tail_checks_are_pinned(cfg, x, monkeypatch):
+    monkeypatch.setattr(conv_pooling, "_last_request", None)
+    for kind in ("max", "average"):
+        chk = pooled_tail_check(cfg, x, 2, (0, 1, 2, 3), PoolingSpec(kind, 4),
+                                30_000, 29)
+        assert _digest(np.array(_numbers(chk)[:5])) == PINNED_CHECKS[kind]
