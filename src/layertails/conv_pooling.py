@@ -18,7 +18,7 @@ from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
                             check_request, entropy_prefix,
                             sample_joint_units)
-from .tail_analysis import (TailEstimate, check_orders,
+from .tail_analysis import (TailEstimate, _exp, _finite_lanes, check_orders,
                             estimate_theta_moments, moment_curve)
 
 
@@ -34,11 +34,24 @@ class PoolingSpec:
             raise ValueError("region_size must be an integer >= 1")
 
 
+def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=1) of an (n, R) array, one column at a time, for
+    an exact ufunc (maximum, minimum). np.max(a, axis=1) of 10^5 x 4
+    doubles takes 6.6 ms row-major and 0.2 ms column-major (numpy 2.4);
+    this loop 0.7 and 0.2 ms."""
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        ufunc(out, a[:, j], out=out)
+    return out
+
+
 def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
     """Row-wise pooling of (n, R) sign/log-magnitude arrays, in log domain.
 
     Max pooling orders by signed value (any positive beats any zero beats
     any negative); average pooling is a signed log-sum-exp divided by R.
+    Either layout gives the same bytes: the average's row sums run on a
+    row-major block, whose rows numpy sums pairwise from R = 8 on.
     """
     signs = np.asarray(signs)
     lms = np.asarray(lms, dtype=float)
@@ -48,20 +61,21 @@ def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
         raise ValueError(f"expected region of {spec.region_size} units")
 
     if spec.kind == "max":
-        any_pos = np.any(signs > 0, axis=1)
-        any_zero = np.any(signs == 0, axis=1)
-        pos_lm = np.max(np.where(signs > 0, lms, -np.inf), axis=1)
-        neg_lm = np.min(np.where(signs < 0, lms, np.inf), axis=1)
-        out_s = np.where(any_pos, 1, np.where(any_zero, 0, -1)).astype(np.int8)
-        out_lm = np.where(any_pos, pos_lm, np.where(any_zero, -np.inf, neg_lm))
+        out_s = np.sign(_reduce_rows(np.maximum, signs)).astype(np.int8)
+        pos_lm = _reduce_rows(np.maximum, np.where(signs > 0, lms, -np.inf))
+        # out_lm reads it only in rows whose entries are all negative
+        neg_lm = _reduce_rows(np.minimum, lms)
+        out_lm = np.where(out_s > 0, pos_lm,
+                          np.where(out_s == 0, -np.inf, neg_lm))
         return out_s, out_lm
 
-    m = np.max(lms, axis=1)
+    m = _reduce_rows(np.maximum, lms)
     finite = ~np.isneginf(m)
-    ssum = np.zeros(signs.shape[0])
-    if np.any(finite):
-        shifted = np.exp(lms[finite] - m[finite, None]) * signs[finite]
-        ssum[finite] = np.sum(shifted, axis=1)
+    # a row of exact zeros is shifted by 0: its entries stay -inf, sum to 0
+    shifted = np.subtract(lms, np.where(finite, m, 0.0)[:, None], order="C")
+    _exp(shifted, _finite_lanes(shifted))
+    np.multiply(shifted, signs, out=shifted)
+    ssum = np.sum(shifted, axis=1)
     out_s = np.sign(ssum).astype(np.int8)
     with np.errstate(divide="ignore"):
         out_lm = np.where(finite & (ssum != 0),

@@ -28,6 +28,7 @@ from . import network_model
 from .errors import MomentOverflowError, is_int
 from .network_model import (STREAM_COVARIANCE, NetworkConfig, entropy_prefix,
                             sample_joint_units)
+from .tail_analysis import _exp, _finite_lanes
 
 _N_BATCHES = 32
 _LOG_DOUBLE_MAX = 708.0
@@ -79,36 +80,69 @@ def _check_request(config: NetworkConfig, x, layers, pair, n_samples: int,
     return needs
 
 
-def _cell(signs: np.ndarray, lms: np.ndarray, layer: int,
-          pair: tuple[int, int], s: int, t: int) -> CovarianceReport:
-    """Cov[(h_m)^s, (h_m')^t] of one layer's joint draws, given as
-    (n, 2) signs and log-magnitudes of the pair's post units."""
-    _check_powers(s, t)
-    n_samples = signs.shape[0]
-    lm_a, lm_b = lms[:, 0], lms[:, 1]
-    top_a = float(np.max(lm_a))
-    top_b = float(np.max(lm_b))
-    # Refuse powers whose products (or their squares, formed inside the
-    # batch-mean std) cannot be represented; the estimate would be
-    # meaningless anyway.
-    if (s * top_a > _LOG_DOUBLE_MAX or t * top_b > _LOG_DOUBLE_MAX
-            or s * top_a + t * top_b > _LOG_SQUARE_MAX):
-        raise MomentOverflowError(
-            f"(s, t) = ({s}, {t}) at layer {layer}: moment of order "
-            f"2({s}+{t}) exceeds double precision; use smaller powers")
-    a = signs[:, 0] * np.exp(s * lm_a) if s % 2 else np.exp(s * lm_a)
-    b = signs[:, 1] * np.exp(t * lm_b) if t % 2 else np.exp(t * lm_b)
+def _batch_rows(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The 32 contiguous batches of n draws as (batch numbers, index rows),
+    one pair per batch size: np.sum(h[rows], axis=1) / size is np.mean of
+    each batch's slice, bit for bit."""
+    bounds = np.linspace(0, n, _N_BATCHES + 1).astype(int)
+    sizes = np.diff(bounds)
+    out = []
+    for size in sorted(set(sizes.tolist())):  # np.unique imports numpy.ma
+        batches = np.flatnonzero(sizes == size)
+        out.append((batches, bounds[batches, None] + np.arange(size)))
+    return out
 
-    est = float(np.mean(a * b) - np.mean(a) * np.mean(b))
-    bounds = np.linspace(0, n_samples, _N_BATCHES + 1).astype(int)
-    batch = np.empty(_N_BATCHES)
-    for i in range(_N_BATCHES):
-        sl = slice(bounds[i], bounds[i + 1])
-        batch[i] = np.mean(a[sl] * b[sl]) - np.mean(a[sl]) * np.mean(b[sl])
-    se = float(np.std(batch, ddof=1) / math.sqrt(_N_BATCHES))
-    return CovarianceReport(layer=layer, pair=pair, s=s, t=t,
-                            estimate=est, se=se, n_samples=n_samples,
-                            verdict=_verdict(est, se))
+
+def _batch_means(h: np.ndarray, rows) -> np.ndarray:
+    out = np.empty(_N_BATCHES)
+    for batches, index in rows:
+        out[batches] = np.sum(h[index], axis=1) / index.shape[1]
+    return out
+
+
+def _layer_cells(signs: np.ndarray, lms: np.ndarray, layer: int,
+                 pair: tuple[int, int]):
+    """cell(s, t) -> Cov[(h_m)^s, (h_m')^t] of one layer's joint draws,
+    given as (n, 2) signs and log-magnitudes of the pair's post units.
+
+    Each unit's power h^s, with its mean and batch means, is formed once,
+    by the first cell that reads it; a cell then forms only the product.
+    """
+    rows = _batch_rows(signs.shape[0])
+    tops = [float(np.max(lms[:, c])) for c in (0, 1)]
+    finite = [_finite_lanes(lms[:, c]) for c in (0, 1)]
+    powers = {}
+
+    def power(c: int, s: int):
+        if (c, s) not in powers:
+            h = _exp(s * lms[:, c], finite[c])
+            if s % 2:
+                h = signs[:, c] * h
+            powers[c, s] = h, np.mean(h), _batch_means(h, rows)
+        return powers[c, s]
+
+    def cell(s: int, t: int) -> CovarianceReport:
+        _check_powers(s, t)
+        # Refuse powers whose products (or their squares, formed inside the
+        # batch-mean std) cannot be represented; the estimate would be
+        # meaningless anyway.
+        if (s * tops[0] > _LOG_DOUBLE_MAX or t * tops[1] > _LOG_DOUBLE_MAX
+                or s * tops[0] + t * tops[1] > _LOG_SQUARE_MAX):
+            raise MomentOverflowError(
+                f"(s, t) = ({s}, {t}) at layer {layer}: moment of order "
+                f"2({s}+{t}) exceeds double precision; use smaller powers")
+        a, mean_a, batch_a = power(0, s)
+        b, mean_b, batch_b = power(1, t)
+        ab = a * b
+        est = float(np.mean(ab) - mean_a * mean_b)
+        batch = _batch_means(ab, rows) - batch_a * batch_b
+        se = float(np.std(batch, ddof=1) / math.sqrt(_N_BATCHES))
+        return CovarianceReport(layer=layer, pair=pair, s=s, t=t,
+                                estimate=est, se=se,
+                                n_samples=signs.shape[0],
+                                verdict=_verdict(est, se))
+
+    return cell
 
 
 def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
@@ -126,7 +160,7 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
     signs, lms = sample_joint_units(
         config, x, layer, pair, "post", n_samples,
         entropy_prefix(seed, STREAM_COVARIANCE, *pair), workers=workers)
-    return _cell(signs, lms, layer, tuple(pair), s, t)
+    return _layer_cells(signs, lms, layer, tuple(pair))(s, t)
 
 
 @dataclass
@@ -169,10 +203,11 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
         workers=workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
-    for layer, cell in draws.items():
+    for layer, (signs, lms) in draws.items():
+        cell = _layer_cells(signs, lms, layer, tuple(pair))
         for s, t in powers:
             try:
-                reports.append(_cell(*cell, layer, tuple(pair), s, t))
+                reports.append(cell(s, t))
             except (MomentOverflowError, ValueError) as exc:
                 errors.append((layer, s, t, str(exc)))
     return SweepResult(reports=reports, errors=errors)

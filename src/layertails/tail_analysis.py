@@ -135,13 +135,39 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(a - m))))
 
 
+def _finite_lanes(lm: np.ndarray) -> np.ndarray | None:
+    """lm != -inf, for _exp; None when lm holds no -inf (an exact zero's
+    log-magnitude). An all-finite lm costs one reduction and no copy."""
+    return None if np.min(lm) > -np.inf else lm != -np.inf
+
+
+def _exp(x: np.ndarray, finite: np.ndarray | None) -> np.ndarray:
+    """np.exp(x) in place, bit for bit, where x is -inf wherever finite
+    (from _finite_lanes) is False.
+
+    numpy's exp leaves its vector kernel for any block that holds a -inf
+    (10^5 values, half of them -inf: 8x slower, numpy 2.4), and it gives
+    each finite lane the same bits either way. So no -inf reaches it: those
+    lanes take the stand-in +0.0, whose bit pattern is all zeros, and the
+    mask then turns their exp(0) = 1 into the +0.0 of exp(-inf). Sums over
+    x keep their order, so they keep their bits too.
+    """
+    if finite is None:
+        return np.exp(x, out=x)
+    bits = x.view(np.int64)
+    np.multiply(bits, finite, out=bits)
+    np.exp(x, out=x)
+    return np.multiply(x, finite, out=x)
+
+
 def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     """(log||X||_k, se) for each integer k in ks; see empirical_log_norm.
 
     Every moment is a log-sum-exp taken in one reused buffer, with the
-    operations of _logsumexp in the same order, so the values equal it
-    bit for bit; an order shared by k and some other 2k is taken once.
-    Rounding is monotone, so max(order * lm) = order * max(lm), read once.
+    operations of _logsumexp in the same order (its exp through _exp), so
+    the values equal it bit for bit; an order shared by k and some other
+    2k is taken once. Rounding is monotone, so max(order * lm) =
+    order * max(lm), read once.
     """
     lm = s.log_magnitudes
     n = lm.shape[0]
@@ -150,13 +176,14 @@ def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     top = float(np.max(lm))
     if top == -np.inf:
         raise DegenerateDistributionError("all samples are zero")
+    finite = _finite_lanes(lm)
     buf = np.empty(n)
 
     def log_moment(order: int) -> float:
         m = order * top
         np.multiply(lm, order, out=buf)
         np.subtract(buf, m, out=buf)
-        np.exp(buf, out=buf)
+        _exp(buf, finite)
         return m + math.log(float(np.sum(buf))) - math.log(n)
 
     logs = {order: log_moment(order) for order in {*ks, *(2 * k for k in ks)}}
