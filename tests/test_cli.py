@@ -84,8 +84,49 @@ class TestEnvelopeCommand:
         assert capsys.readouterr().err == ""
         assert read_rows(out / "envelope.csv")[0]["verdict"] == "holds"
 
+    # sha256 of envelope.csv for the default families and for edge specs:
+    # a zero slope, bounds that overflow, a subnormal alpha
+    @pytest.mark.parametrize("families,digest", [
+        ([], "75d66814388539e58a9cd7f291b88b4be7d9222c7d163d13e53d615981957fed"),
+        (["relu", "prelu(0.0)", "elu(1e308)", "elu(1e-320)", "identity"],
+         "d346a2d227c11856f2d502b9753de826d722a59e541d7dc4193ce8eee897bb08")],
+        ids=["defaults", "edges"])
+    def test_envelope_csv_is_pinned(self, families, digest, tmp_path):
+        out = tmp_path / "env"
+        assert main(["envelope", *families, "--out", str(out)]) == 0
+        assert sha256_file(out / "envelope.csv") == digest
+
+
+# sha256 of each contour file for the default exponents and for 0.5 2 3 1e6
+PINNED_CONTOURS = {
+    "contour_q0.2.csv":
+        "d0ac66e4a9b69bc5797beb80b34c3ddee2cab8342417faebbb3cc2c3aa77d3fd",
+    "contour_q0.666667.csv":
+        "a70cd197a55f5a9c4b65baaf58de98e88bd11057af146fe35e783beb38027e7b",
+    "contour_q1.csv":
+        "e4f9b7481c0062054a03e747e07849b18abc44165bfc5fd7421401c6b1c9a5e0",
+    "contour_q2.csv":
+        "990b8dffaba0bac0cea5589e4f0ec281a866e1e2591077719bb0f807d8c6059b",
+    "contour_q0.5.csv":
+        "c017f572624402f0e244dba6f6f04078ed9e6f88746030a847aec65bf75e15f8",
+    "contour_q3.csv":
+        "8a9095021f8d4c4137e363a949ba78d8453ae8ea521e6c447773f483c2cf20e9",
+    "contour_q1e+06.csv":
+        "5920d7fb0e564be8efd4f0ea6f3efe12d804bafd891a82ee498e2c735b26ca2b",
+}
+
 
 class TestContoursCommand:
+    @pytest.mark.parametrize("qs", [[], ["0.5", "2", "3", "1e6"]],
+                             ids=["defaults", "0.5-2-3-1e6"])
+    def test_contour_files_are_pinned(self, qs, tmp_path):
+        out = tmp_path / "con"
+        assert main(["contours", *qs, "--out", str(out)]) == 0
+        man = RunManifest.load(out / "manifest.json")
+        assert len(man.files) == 4
+        for name in man.files:
+            assert sha256_file(out / name) == PINNED_CONTOURS[name]
+
     def test_default_exponents(self, tmp_path):
         out = tmp_path / "con"
         assert main(["contours", "--out", str(out)]) == 0
@@ -537,6 +578,18 @@ class TestRerun:
         assert "survival_layer2.csv: MISMATCH" in printed
         assert "sampler version differs (manifest 8, this build 9)" in printed
         assert "numpy version differs" not in printed
+
+    def test_contours_manifest_with_t_and_n_points_replays(self, tmp_path,
+                                                          capsys):
+        # a contours run written when the manifest recorded t = 1.0 and
+        # n_points = 400, with the digests of its files
+        src = Path(__file__).parent / "data" / "contours_manifest.json"
+        params = RunManifest.load(src).params
+        assert (params["t"], params["n_points"]) == (1.0, 400)
+        code = main(["rerun", str(src), "--out", str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 0
+        assert "rerun of contours: all 4 file(s) byte-identical" in printed
 
     @pytest.mark.parametrize("command,changed,format1_files", [
         ("survival-curves", "gaussian_reference.csv", {

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -496,6 +497,20 @@ class TestSearchEnvelopeConstants:
         a = search_envelope_constants(NonlinearitySpec("prelu", (0.0,)))
         b = search_envelope_constants(RELU)
         assert (a.verdict, a.side, a.d1, a.d2) == (b.verdict, b.side, b.d1, b.d2)
+
+    def test_witnesses_are_pinned(self):
+        # every field of the search's witness, per ALL_SPECS entry
+        grid = "log grid [0.001, 1e+07] x 100000 per side"
+        unit = ("holds", 0.0, 1.0, "positive-axis", 0.0, 1.0, grid, None,
+                None)
+        bounded = ("bounded", None, None, None, None, None, grid, None, None)
+        want = [unit, unit, unit, unit, unit,
+                ("holds", 0.0, 1.0506999999999997, "positive-axis", 0.0,
+                 1.7572575347944774, grid, None, None),
+                bounded, bounded]
+        got = [dataclasses.astuple(search_envelope_constants(spec))
+               for spec in ALL_SPECS]
+        assert got == want
 
 
 class TestWitnessInvariants:
