@@ -14,9 +14,9 @@ from .manifest import RunManifest, build_manifest, sha256_file
 from .network_model import (NetworkConfig, UnitSampleSet, parse_config_file,
                             sample_input, sample_joint_units,
                             sample_layer_units)
-from .nonlinearity import (SEARCH_GRID, EnvelopeGrid, EnvelopeWitness,
-                           NonlinearitySpec, apply, apply_signed_log,
-                           search_envelope_constants, verify_envelope)
+from .nonlinearity import (EnvelopeWitness, NonlinearitySpec, apply,
+                           apply_signed_log, search_envelope_constants,
+                           verify_envelope)
 from .penalty_geometry import ContourSet, contour, equal_coordinate
 from .tail_analysis import (MomentCurve, RecursionVerdict, SurvivalCurves,
                             TailEstimate, empirical_log_norm,
@@ -29,10 +29,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigFileError", "ContourSet", "CovarianceReport",
-    "DegenerateDistributionError", "EnvelopeGrid", "EnvelopeWitness",
+    "DegenerateDistributionError", "EnvelopeWitness",
     "MomentCurve", "MomentOverflowError", "NetworkConfig", "NonlinearitySpec",
     "PoolCheck", "PoolingSpec", "RecursionVerdict", "RunManifest",
-    "SEARCH_GRID", "SurvivalCurves", "SweepResult", "TailEstimate",
+    "SurvivalCurves", "SweepResult", "TailEstimate",
     "UnitSampleSet", "apply", "apply_signed_log",
     "build_manifest", "contour", "empirical_log_norm",
     "equal_coordinate", "estimate_theta_moments", "estimate_theta_survival",

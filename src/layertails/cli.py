@@ -264,12 +264,12 @@ def _run_envelope(params: dict):
 def _run_contours(params: dict):
     tables, lines = [], []
     for q in params["qs"]:
-        cs = contour(q, params["t"], params["n_points"])
+        cs = contour(q, 1.0)
         tables.append((f"contour_q{q:g}.csv", [f"q = {cs.q!r}, t = {cs.t!r}"],
                        "phi,x,y",
                        [(float(phi), float(x), float(y))
                         for phi, (x, y) in zip(cs.phis, cs.points)]))
-        lines.append(f"q = {q:g}: {params['n_points']} points, "
+        lines.append(f"q = {q:g}: {len(cs.phis)} points, "
                      f"max relative error {cs.max_relative_error():.2e}")
     return tables, True, lines
 
@@ -303,8 +303,7 @@ _COMMANDS = {
                         {**_NETWORK, "standardize": bool}),
     "covariance": (_run_covariance, _NETWORK),
     "envelope": (_run_envelope, {**_COMMON, "families": [str]}),
-    "contours": (_run_contours, {**_COMMON, "qs": [float], "t": float,
-                                 "n_points": int}),
+    "contours": (_run_contours, {**_COMMON, "qs": [float]}),
     "oracle-check": (_run_oracle_check, {**_COMMON, "samples": int,
                                          "k_max": int}),
 }
@@ -388,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("contours", help="L^q ball contour data")
     co.add_argument("qs", nargs="*", type=float, default=list(DEFAULT_QS),
                     help="contour exponents (default: 2 1 2/3 0.2)")
-    co.set_defaults(t=1.0, n_points=400)
     _add_common(co)
 
     oc = sub.add_parser("oracle-check",

@@ -18,7 +18,7 @@ from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
                             check_request, entropy_prefix,
                             sample_joint_units)
-from .tail_analysis import (TailEstimate, _exp, _finite_lanes, check_orders,
+from .tail_analysis import (TailEstimate, _exp, _finite_lanes,
                             estimate_theta_moments, moment_curve)
 
 
@@ -98,83 +98,78 @@ class PoolCheck:
 _last_request = None
 
 
-def _request_key(config: NetworkConfig, x, seed, layer, region, n_samples,
-                 k_min, k_max, workers) -> tuple:
+def _request_key(config: NetworkConfig, x, seed, layer, region,
+                 n_samples) -> tuple:
     """The request's entropy and values, once it passes run_sampler's
-    checks, the order-window check and entropy_prefix's seed check, in
-    that order, so a bad layer or unit is named as run_sampler names it.
+    checks and then entropy_prefix's seed check, so a bad layer or unit is
+    named as run_sampler names it.
 
     The checks come first because 0.0 == 0 and True == 1 compare and hash
     alike: only is_int tells them apart, and a float or bool must raise
     even when the integer request was the last one.
     """
-    x = check_request(config, x, n_samples, {layer: region}, "post", workers)
-    check_orders(k_min, k_max)
+    x = check_request(config, x, n_samples, {layer: region}, "post", 1)
     entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
     return entropy, (config, x.shape, x.tobytes(),
-                     tuple(int(v) for v in entropy), int(n_samples),
-                     int(k_min), int(k_max), int(workers))
+                     tuple(int(v) for v in entropy), int(n_samples))
 
 
-def _draws_and_before(config, x, layer, region, n_samples, seed, k_min, k_max,
-                      workers):
+def _draws_and_before(config, x, layer, region, n_samples, seed):
     """The joint draws of a pooling request, read-only, and the "before"
     estimate of its first unit; from _last_request when it is the same
     request."""
     global _last_request
-    entropy, key = _request_key(config, x, seed, layer, region, n_samples,
-                                k_min, k_max, workers)
+    entropy, key = _request_key(config, x, seed, layer, region, n_samples)
     last = _last_request
     if last is not None and last[0] == key:
         _, signs, lms, before = last
     else:
         _last_request = None  # free the old draws before drawing new ones
         signs, lms = sample_joint_units(config, x, layer, region, "post",
-                                        n_samples, entropy, workers=workers)
+                                        n_samples, entropy)
         signs.flags.writeable = lms.flags.writeable = False
         before_set = UnitSampleSet(layer=layer, kind="post",
                                    unit_index=region[0],
                                    signs=signs[:, 0].copy(),
                                    log_magnitudes=lms[:, 0].copy())
-        before = estimate_theta_moments(moment_curve(before_set, k_min, k_max))
+        before = estimate_theta_moments(moment_curve(before_set))
         _last_request = (key, signs, lms, before)
     # each caller gets its own diagnostics dict
     return signs, lms, replace(before, diagnostics=dict(before.diagnostics))
 
 
 def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
-                      region, spec: PoolingSpec, n_samples: int, seed: int,
-                      k_min: int = 2, k_max: int = 10,
-                      workers: int = 1) -> PoolCheck:
+                      region, spec: PoolingSpec, n_samples: int,
+                      seed: int) -> PoolCheck:
     """Tail parameter before vs after pooling a region of post units.
 
     Both estimates use the same joint draws (the "before" unit is the
     first of the region), which correlates them and tightens the
-    difference. Passes iff |theta_after - theta_before| is within the sum
-    of the two standard errors plus 0.1.
+    difference. Both fit moment_curve's default window, k in [2, 10], and
+    the draws run on one thread. Passes iff |theta_after - theta_before|
+    is within the sum of the two standard errors plus 0.1.
 
-    Every argument is checked before anything is drawn: the sampler's
-    request (network_model.check_request) and the order window
-    (tail_analysis.check_orders). The draws and the "before" estimate do
-    not depend on spec, so the module keeps those of the last request,
-    keyed on every other argument, one request at a time: a second call
-    that differs only in spec (average after max, say) pools those draws
-    and fits "after" alone. After a call the entry holds n_samples x
-    len(region) int8 signs and float64 log-magnitudes: 3.6 MB at 10^5
-    draws of 4 units, 7.2 MB at 2 * 10^5. A call with any other argument
-    changed frees it before drawing. Results never depend on it: each
-    call returns the same values, bit for bit, whatever came before.
+    Every argument is checked before anything is drawn, by the sampler's
+    request check (network_model.check_request). The draws and the
+    "before" estimate do not depend on spec, so the module keeps those of
+    the last request, keyed on every other argument, one request at a
+    time: a second call that differs only in spec (average after max,
+    say) pools those draws and fits "after" alone. After a call the entry
+    holds n_samples x len(region) int8 signs and float64 log-magnitudes:
+    3.6 MB at 10^5 draws of 4 units, 7.2 MB at 2 * 10^5. A call with any
+    other argument changed frees it before drawing. Results never depend
+    on it: each call returns the same values, bit for bit, whatever came
+    before.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
     signs, lms, before = _draws_and_before(config, x, layer, region,
-                                           n_samples, seed, k_min, k_max,
-                                           workers)
+                                           n_samples, seed)
     ps, plm = pool_signed_log(signs, lms, spec)
     after_set = UnitSampleSet(layer=layer, kind=f"pooled-{spec.kind}",
                               unit_index=region[0], signs=ps,
                               log_magnitudes=plm)
-    after = estimate_theta_moments(moment_curve(after_set, k_min, k_max))
+    after = estimate_theta_moments(moment_curve(after_set))
     budget = before.se_theta + after.se_theta + 0.1
     passes = abs(after.theta_hat - before.theta_hat) <= budget
     return PoolCheck(before=before, after=after, passes=passes, budget=budget)

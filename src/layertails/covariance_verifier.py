@@ -47,7 +47,6 @@ class CovarianceReport:
     se: float
     n_samples: int
     verdict: str
-    n_batches: int = _N_BATCHES
 
     def __post_init__(self):
         if self.verdict == "violation" and not self.estimate < -3.0 * self.se:

@@ -219,38 +219,20 @@ def apply_signed_log(spec: NonlinearitySpec, signs, logmags):
     return np.where(pos, sp, sn).astype(np.int8), np.where(pos, lp, ln)
 
 
-@dataclass(frozen=True)
-class EnvelopeGrid:
-    """Log-spaced evaluation grid, symmetric about 0.
-
-    Points run over [-u_max, -u_min] and [u_min, u_max] plus the origin.
-    """
-
-    u_min: float = 1e-3
-    u_max: float = 1e3
-    points_per_side: int = 100_000
-
-    def __post_init__(self):
-        if not (0 < self.u_min < self.u_max):
-            raise ValueError("need 0 < u_min < u_max")
-        if self.points_per_side < 2:
-            raise ValueError("need at least 2 points per side")
-
-    def points(self) -> np.ndarray:
-        side = np.logspace(math.log10(self.u_min), math.log10(self.u_max),
-                           self.points_per_side)
-        return np.concatenate([-side[::-1], [0.0], side])
-
-    def describe(self) -> str:
-        return (f"log grid [{self.u_min:g}, {self.u_max:g}] x "
-                f"{self.points_per_side} per side")
+# The one certification grid: log-spaced over [_U_MIN, _U_MAX] on each side
+# plus the origin, wide enough that "bounded" separates saturating families
+# (sup ~ 1) from anything with linear growth.
+_U_MIN, _U_MAX, _PER_SIDE = 1e-3, 1e7, 100_000
+_GRID_DESC = f"log grid [{_U_MIN:g}, {_U_MAX:g}] x {_PER_SIDE} per side"
 
 
-# Default grid for constant search: wide enough that "bounded" separates
-# saturating families (sup ~ 1) from anything with linear growth.
-SEARCH_GRID = EnvelopeGrid(u_min=1e-3, u_max=1e7, points_per_side=100_000)
+def _grid() -> np.ndarray:
+    side = np.logspace(math.log10(_U_MIN), math.log10(_U_MAX), _PER_SIDE)
+    return np.concatenate([-side[::-1], [0.0], side])
 
-# Slope threshold for the bounded verdict: bounded iff sup|phi| < BOUNDED_D_MIN * u_max.
+
+# Slope threshold for the bounded verdict: bounded iff
+# sup|phi| < BOUNDED_D_MIN * _U_MAX.
 BOUNDED_D_MIN = 1e-6
 
 
@@ -287,60 +269,60 @@ class EnvelopeWitness:
                 raise ValueError("holds requires a declared side")
 
 
-def verify_envelope(spec: NonlinearitySpec, c1: float, d1: float, side: str,
-                    c2: float, d2: float,
-                    grid: EnvelopeGrid | None = None) -> EnvelopeWitness:
-    """Check the two envelope inequalities for given constants on a grid.
-
-    The lower inequality |phi(u)| >= c1 + d1|u| is checked on the declared
-    side only; the upper |phi(u)| <= c2 + d2|u| on the whole grid. Failure
-    is a verdict carrying the first violating point, not an exception.
-    """
-    if grid is None:
-        grid = EnvelopeGrid()
-    if grid.u_max < 100 or 2 * grid.points_per_side < 10_000:
-        raise ValueError("grid must cover [-U, U] with U >= 100 and >= 1e4 points")
-    if side not in ("positive-axis", "negative-axis"):
-        raise ValueError(f"bad side {side!r}")
-    u = grid.points()
-    phi = np.abs(apply(spec, u))
+def _check(u: np.ndarray, phi: np.ndarray, c1: float, d1: float, side: str,
+           c2: float, d2: float) -> EnvelopeWitness:
+    """The envelope verdict for constants, given the grid u and |phi(u)|."""
     au = np.abs(u)
-
     # a bound that overflows is +inf, above any finite |phi|, as it should be
     with np.errstate(over="ignore"):
         upper, lower = c2 + d2 * au, c1 + d1 * au
     upper_bad = phi > upper
     if np.any(upper_bad):
         pt = float(u[np.argmax(upper_bad)])
-        return EnvelopeWitness("fails", c1, d1, side, c2, d2, grid.describe(),
+        return EnvelopeWitness("fails", c1, d1, side, c2, d2, _GRID_DESC,
                                failure_point=pt, failure_inequality="upper")
 
     on_side = u > 0 if side == "positive-axis" else u < 0
     lower_bad = on_side & (phi < lower)
     if np.any(lower_bad):
         pt = float(u[np.argmax(lower_bad)])
-        return EnvelopeWitness("fails", c1, d1, side, c2, d2, grid.describe(),
+        return EnvelopeWitness("fails", c1, d1, side, c2, d2, _GRID_DESC,
                                failure_point=pt, failure_inequality="lower")
 
-    return EnvelopeWitness("holds", c1, d1, side, c2, d2, grid.describe())
+    return EnvelopeWitness("holds", c1, d1, side, c2, d2, _GRID_DESC)
 
 
-def search_envelope_constants(spec: NonlinearitySpec,
-                              grid: EnvelopeGrid | None = None) -> EnvelopeWitness:
-    """Find envelope constants by fitting the tightest linear bounds on a grid.
+def verify_envelope(spec: NonlinearitySpec, c1: float, d1: float, side: str,
+                    c2: float, d2: float) -> EnvelopeWitness:
+    """Check the two envelope inequalities for given constants on the grid.
+
+    The lower inequality |phi(u)| >= c1 + d1|u| is checked on the declared
+    side only; the upper |phi(u)| <= c2 + d2|u| on the whole grid. Failure
+    is a verdict carrying the first violating point, not an exception.
+    The grid is the search's, |u| in [1e-3, 1e7], wider than the
+    [1e-3, 1e3] this function once took by default: a failing call names
+    its first violating point on it.
+    """
+    if side not in ("positive-axis", "negative-axis"):
+        raise ValueError(f"bad side {side!r}")
+    u = _grid()
+    return _check(u, np.abs(apply(spec, u)), c1, d1, side, c2, d2)
+
+
+def search_envelope_constants(spec: NonlinearitySpec) -> EnvelopeWitness:
+    """Find envelope constants: the tightest linear bounds on the grid.
 
     Returns a "bounded" witness when the function saturates (sup over the
-    grid below BOUNDED_D_MIN * u_max); otherwise fits c1 = c2 = 0 envelopes,
-    picks the half-line with the larger lower slope, and verifies the result.
-    The constants certify the search grid; points off the grid are not checked.
+    grid below BOUNDED_D_MIN * _U_MAX); otherwise fits c1 = c2 = 0 envelopes,
+    picks the half-line with the larger lower slope, and verifies the result
+    on the same evaluation of phi. The constants certify the grid; points
+    off the grid are not checked.
     """
-    if grid is None:
-        grid = SEARCH_GRID
-    u = grid.points()
+    u = _grid()
     phi = np.abs(apply(spec, u))
 
-    if float(np.max(phi)) < BOUNDED_D_MIN * grid.u_max:
-        return EnvelopeWitness("bounded", grid=grid.describe())
+    if float(np.max(phi)) < BOUNDED_D_MIN * _U_MAX:
+        return EnvelopeWitness("bounded", grid=_GRID_DESC)
 
     au = np.abs(u)
     nz = au > 0
@@ -353,8 +335,8 @@ def search_envelope_constants(spec: NonlinearitySpec,
     d1 = d1s[side]
     if d1 <= 0:
         # No half-line supports a linear lower bound; treat as saturating.
-        return EnvelopeWitness("bounded", grid=grid.describe())
+        return EnvelopeWitness("bounded", grid=_GRID_DESC)
 
-    c2 = float(np.abs(apply(spec, 0.0)))
+    c2 = float(phi[_PER_SIDE])  # |phi(0)|, at the grid's origin
     d2 = float(np.max(ratio))
-    return verify_envelope(spec, 0.0, d1, side, c2, d2, grid)
+    return _check(u, phi, 0.0, d1, side, c2, d2)

@@ -341,23 +341,19 @@ def _tail_size(n: int, tail_fraction: float) -> int:
     return m
 
 
-def check_orders(k_min: int, k_max: int) -> None:
-    """Raise ValueError unless k_min, k_max are integers with 1 <= k_min and
-    at least MIN_ORDERS orders in [k_min, k_max], as the moment fit needs."""
+def check_tail_request(n_samples: int, k_min: int, k_max: int,
+                       tail_fraction: float) -> None:
+    """Raise ValueError for a tail-sweep request that fails on any draws:
+    too few samples, k_min, k_max not integers with 1 <= k_min and at
+    least MIN_ORDERS orders in [k_min, k_max], or a bad tail fraction."""
+    if n_samples < MIN_SAMPLES:
+        raise ValueError(f"need at least {MIN_SAMPLES} samples")
     if not (is_int(k_min) and is_int(k_max)):
         raise ValueError(f"k_min and k_max must be integers, got {k_min!r}, "
                          f"{k_max!r}")
     if k_min < 1 or k_max - k_min + 1 < MIN_ORDERS:
         raise ValueError(f"need 1 <= k_min and at least {MIN_ORDERS} orders "
                          f"in [k_min, k_max], got [{k_min}, {k_max}]")
-
-
-def check_tail_request(n_samples: int, k_min: int, k_max: int,
-                       tail_fraction: float) -> None:
-    """Raise ValueError for a tail-sweep request that fails on any draws."""
-    if n_samples < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    check_orders(k_min, k_max)
     _tail_size(n_samples, tail_fraction)
 
 
@@ -406,7 +402,6 @@ class RecursionVerdict:
     passes: bool
     difference: float
     tolerance: float
-    expected: float = 0.5
 
 
 def recursion_check(est_prev: TailEstimate, est_next: TailEstimate) -> RecursionVerdict:

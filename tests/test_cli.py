@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 from scipy.special import log_ndtr
 
 import layertails
-from layertails.cli import main
+from layertails.cli import _COMMANDS, build_parser, main
 from layertails.manifest import RunManifest, sha256_file
 from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
                                       sample_input)
@@ -157,6 +158,33 @@ class TestContoursCommand:
         assert main(["contours", "0.5", "1", "--out", str(out)]) == 0
         man = RunManifest.load(out / "manifest.json")
         assert set(man.files) == {"contour_q0.5.csv", "contour_q1.csv"}
+
+    def test_subnormal_coordinates_exit_2_before_writing(self, tmp_path,
+                                                         capsys):
+        # at q = 0.01 the 400-point contour's |cos phi|^(2/q) go subnormal
+        # and its points leave the level set by more than CONTOUR_RTOL
+        out = tmp_path / "con"
+        code = main(["contours", "0.01", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: contour point off the level set (relative error "
+            "2.437e-02 > 1e-09)"]
+        assert not out.exists()
+
+
+def _parser_dests(command: str) -> set[str]:
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMANDS))
+def test_every_run_parameter_has_a_flag(command):
+    # a parameter no flag sets could only be changed by editing a manifest;
+    # network is resolved from --config
+    names = set(_COMMANDS[command][1]) - {"network"}
+    assert names <= _parser_dests(command)
 
 
 class TestOracleCommand:

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layertails.nonlinearity import (_TABLE, BOUNDED_D_MIN, SEARCH_GRID,
-                                     EnvelopeGrid,
+from layertails.nonlinearity import (_TABLE, _U_MAX, BOUNDED_D_MIN,
                                      EnvelopeWitness, NonlinearitySpec, apply,
                                      apply_signed_log,
                                      search_envelope_constants, sides,
@@ -419,21 +418,6 @@ class TestHomogeneity:
                                                            rel=1e-9, abs=1e-12)
 
 
-class TestEnvelopeGrid:
-    def test_points_are_symmetric_and_include_zero(self):
-        g = EnvelopeGrid(u_min=0.1, u_max=10.0, points_per_side=50)
-        pts = g.points()
-        assert pts.shape == (101,)
-        assert pts[50] == 0.0
-        np.testing.assert_allclose(pts, -pts[::-1])
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            EnvelopeGrid(u_min=1.0, u_max=0.5)
-        with pytest.raises(ValueError):
-            EnvelopeGrid(points_per_side=1)
-
-
 class TestVerifyEnvelope:
     def test_relu_constants_hold(self):
         wit = verify_envelope(RELU, 0.0, 1.0, "positive-axis", 0.0, 1.0)
@@ -455,11 +439,6 @@ class TestVerifyEnvelope:
     def test_wrong_side_fails(self):
         wit = verify_envelope(RELU, 0.0, 1.0, "negative-axis", 0.0, 1.0)
         assert wit.verdict == "fails" and wit.failure_inequality == "lower"
-
-    def test_rejects_undersized_grid(self):
-        grid = EnvelopeGrid(u_min=0.1, u_max=10.0, points_per_side=100)
-        with pytest.raises(ValueError):
-            verify_envelope(RELU, 0.0, 1.0, "positive-axis", 0.0, 1.0, grid)
 
 
 class TestSearchEnvelopeConstants:
@@ -491,12 +470,28 @@ class TestSearchEnvelopeConstants:
 
     def test_bounded_threshold_separates_saturating_families(self):
         # sup |tanh| = 1, so on the search grid 1 < BOUNDED_D_MIN * u_max
-        assert 1.0 < BOUNDED_D_MIN * SEARCH_GRID.u_max
+        assert 1.0 < BOUNDED_D_MIN * _U_MAX
 
     def test_prelu_zero_slope_equals_relu(self):
         a = search_envelope_constants(NonlinearitySpec("prelu", (0.0,)))
         b = search_envelope_constants(RELU)
         assert (a.verdict, a.side, a.d1, a.d2) == (b.verdict, b.side, b.d1, b.d2)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_one_evaluation_per_search(self, spec, monkeypatch):
+        # the search and its verification read one evaluation of phi on
+        # the grid's 2 * 100000 + 1 points
+        sizes = []
+        fam = _TABLE[spec.family]
+
+        def counted(p, u):
+            sizes.append(np.size(u))
+            return fam.linear(p, u)
+
+        monkeypatch.setitem(_TABLE, spec.family,
+                            fam._replace(linear=counted))
+        search_envelope_constants(spec)
+        assert sizes == [200_001]
 
     def test_witnesses_are_pinned(self):
         # every field of the search's witness, per ALL_SPECS entry

@@ -158,15 +158,6 @@ class TestLastRequest:
             pooled_tail_check(**{**args, name: bad})
         assert len(draws) == 1
 
-    @pytest.mark.parametrize("k_min,k_max", [(2.5, 10), (2, 10.0), (2, 4),
-                                             (0, 10), (True, 10)])
-    def test_bad_orders_raise_before_drawing(self, cfg, x, draws, k_min,
-                                             k_max):
-        with pytest.raises(ValueError, match="k_min"):
-            pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29,
-                              k_min=k_min, k_max=k_max)
-        assert draws == []
-
     def test_warm_calls_equal_cold_calls(self, cfg, x, draws):
         cold = {}
         for spec in (MAX2, AVG2):
@@ -220,21 +211,20 @@ class TestRequestChecks:
     @pytest.mark.parametrize("bad", [
         dict(x=np.ones(49)), dict(x=np.r_[np.nan, np.ones(49)]),
         dict(n_samples=0), dict(layer=3), dict(region=(0, 50)),
-        dict(workers=0), dict(layer=2.0), dict(region=(0, 1.0))],
-        ids=["x-shape", "x-nan", "n_samples", "layer", "unit", "workers",
+        dict(layer=2.0), dict(region=(0, 1.0))],
+        ids=["x-shape", "x-nan", "n_samples", "layer", "unit",
              "layer-float", "unit-float"])
     def test_raises_the_samplers_message_before_drawing(self, cfg, x, draws,
                                                          bad):
         req = {"x": x, "layer": 2, "region": (0, 1), "n_samples": 10_000,
-               "workers": 1, **bad}
+               **bad}
         with pytest.raises(ValueError) as want:
             network_model.run_sampler(
                 cfg, req["x"], req["n_samples"], {req["layer"]: req["region"]},
-                (29,), "post", req["workers"])
+                (29,), "post", 1)
         with pytest.raises(ValueError) as got:
             pooled_tail_check(cfg, req["x"], req["layer"], req["region"],
-                              MAX2, req["n_samples"], 29,
-                              workers=req["workers"])
+                              MAX2, req["n_samples"], 29)
         assert str(got.value) == str(want.value)
         assert draws == []
 
