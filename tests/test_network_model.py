@@ -871,6 +871,17 @@ PIN_CONFIGS = {
     # deep layers mix plain-double and log-domain norms
     "depth60-std100": dict(input_dim=10, layer_widths=(10,) * 60,
                            weight_std=100.0),
+    # elu's negative units of a width-100 net fill many row blocks of a
+    # chunk, and the last of 3 chunks is short
+    "width100-workers1": dict(input_dim=100, layer_widths=(100,) * 3),
+    "width100-workers2": dict(input_dim=100, layer_widths=(100,) * 3),
+}
+
+# (draws, units, workers) of a PIN_CONFIGS entry whose request is not the
+# default (3000, {1: [0], 2: [0, 1, 2], depth: [0, 4]}, 1)
+PIN_REQUESTS = {
+    "width100-workers1": (10_007, {1: [0], 3: [0, 1, 2]}, 1),
+    "width100-workers2": (10_007, {1: [0], 3: [0, 1, 2]}, 2),
 }
 
 # sha256 of run_sampler's (signs, log-magnitudes) bytes, layer by layer;
@@ -892,6 +903,10 @@ PINNED_STREAMS = {
         "cd5669d0922de62429a8ee23dc41783a4192fbb479fb1d3fd231e46caac5c3ba",
     ("elu(1.0)", "depth60-std100"):
         "3d60ef36bcd68e6cc13781d09d0222146b13bb568af294f9620292257ba183c7",
+    ("elu(1.0)", "width100-workers1"):
+        "2822d4838a5423844d529494302d660ced804d3e4ad39132c9968743fb1b585d",
+    ("elu(1.0)", "width100-workers2"):
+        "2822d4838a5423844d529494302d660ced804d3e4ad39132c9968743fb1b585d",
     ("selu", "bias-depth3"):
         "733d778a88241d101a576b444ebe06c3bf398cb67921daa6efcafded90165f75",
     ("selu", "depth60-std100"):
@@ -913,9 +928,10 @@ def test_conditional_stream_is_pinned_bit_for_bit(family, config):
     # SAMPLER_VERSION, not a new digest
     cfg = NetworkConfig(nonlinearity=NonlinearitySpec.parse(family),
                         **PIN_CONFIGS[config])
-    got = run_sampler(cfg, sample_input(cfg.input_dim, 13), 3000,
-                      {1: [0], 2: [0, 1, 2], cfg.depth: [0, 4]},
-                      (13, STREAM_UNITS))
+    n, needs, workers = PIN_REQUESTS.get(
+        config, (3000, {1: [0], 2: [0, 1, 2], cfg.depth: [0, 4]}, 1))
+    got = run_sampler(cfg, sample_input(cfg.input_dim, 13), n, needs,
+                      (13, STREAM_UNITS), workers=workers)
     digest = hashlib.sha256()
     for layer in sorted(got):
         digest.update(got[layer][0].tobytes())
@@ -1012,7 +1028,10 @@ def test_wide_input_draws_do_not_depend_on_blas_threads():
 # Configurations whose rows reach the log-domain norm: tanh and sigmoid
 # shrink |g| below e^-300 at once (weight_std 1e-200) or tanh over about
 # 90 layers (1e-2); elu(0.3) grows past e^300 near layer 53 (100); selu
-# starts there (1e200). tanh at depth 40 stays in plain doubles.
+# starts there (1e200). tanh at depth 40 stays in plain doubles. The
+# width-10 elu(1e308) and selu(1e-160, 1.0) rows keep |log r| small but
+# their plain-double sums are not normal doubles: elu(1e308)^2 overflows,
+# and a square near 1e-320 is subnormal.
 LOG_DOMAIN_CONFIGS = {
     "tanh-std1e-200": ("tanh", dict(input_dim=3, layer_widths=(3, 3, 3),
                                     weight_std=1e-200)),
@@ -1029,6 +1048,10 @@ LOG_DOMAIN_CONFIGS = {
                                                  weight_std=100.0)),
     "selu-std1e200-bias": ("selu", dict(input_dim=20, layer_widths=(20, 20),
                                         weight_std=1e200, include_bias=True)),
+    "elu(1e308)-width10-depth3": ("elu(1e308)", dict(
+        input_dim=10, layer_widths=(10, 10, 10))),
+    "selu(1e-160,1.0)-width10-depth3": ("selu(1e-160,1.0)", dict(
+        input_dim=10, layer_widths=(10, 10, 10))),
 }
 
 # sha256 of run_sampler's bytes, as PINNED_STREAMS, for units
@@ -1039,6 +1062,14 @@ LOG_DOMAIN_STREAMS = {
         "a203ce6f1d852a59695e4655b44ef9d92d543def841cf3a5c83863e703aafee2",
     ("elu(0.3)-depth60-std100", "pre"):
         "c9cff293461ae2deb89268754f2858da9494f77810ab2823cdd4326a7f1019b0",
+    ("elu(1e308)-width10-depth3", "post"):
+        "4f65023011804d9c1b080fffdbb3e346c25253607423528f993cccc190129284",
+    ("elu(1e308)-width10-depth3", "pre"):
+        "a08491aa4c05b6b6ba44e3fa8fd8c9a24526ea5ba340f3b51459e319967e26c8",
+    ("selu(1e-160,1.0)-width10-depth3", "post"):
+        "c2c659995334c39b1d6a07b5d1600c22c9afafe1303cdf2f24e5478733424b8c",
+    ("selu(1e-160,1.0)-width10-depth3", "pre"):
+        "195d065fc2bb72b17239a672130fe25dcd9e728c0b53e9a2ca8398e14cd77b70",
     ("selu-std1e200-bias", "post"):
         "d64e1182b767982ad445594ba8c5ef721751ce885b064ef36dcc9c89a268c914",
     ("selu-std1e200-bias", "pre"):
