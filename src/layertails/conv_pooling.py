@@ -16,10 +16,9 @@ import numpy as np
 
 from .errors import is_int
 from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            check_request, entropy_prefix,
-                            sample_joint_units)
-from .tail_analysis import (TailEstimate, _exp, _finite_lanes,
-                            estimate_theta_moments, moment_curve)
+                            _exp, _finite_lanes, check_request,
+                            entropy_prefix, sample_joint_units)
+from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,8 @@ import numpy as np
 
 from . import network_model
 from .errors import MomentOverflowError, is_int
-from .network_model import (STREAM_COVARIANCE, NetworkConfig, entropy_prefix,
-                            sample_joint_units)
-from .tail_analysis import _exp, _finite_lanes
+from .network_model import (STREAM_COVARIANCE, NetworkConfig, _exp,
+                            _finite_lanes, entropy_prefix, sample_joint_units)
 
 _N_BATCHES = 32
 _LOG_DOUBLE_MAX = 708.0

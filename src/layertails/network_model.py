@@ -45,8 +45,10 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,6 +100,10 @@ _MAX_SEED = 2**32
 # squares of phi(r Z) then stay far inside double range (e^600 against
 # about e^709).
 _LINEAR_LOG_R = 300.0
+
+# A |Z| group is drawn, and its part of the norm summed, in blocks of rows
+# that hold about this many entries, in one buffer reused by every block
+_BLOCK = 25_000
 
 # JSON types of the NetworkConfig.to_dict fields (see errors.is_json_type)
 _FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
@@ -272,6 +278,31 @@ class UnitSampleSet:
             return self.signs * np.exp(self.log_magnitudes)
 
 
+def _finite_lanes(lm: np.ndarray) -> np.ndarray | None:
+    """lm != -inf, for _exp; None when lm holds no -inf (an exact zero's
+    log-magnitude). An all-finite lm costs one reduction and no copy."""
+    return None if np.min(lm) > -np.inf else lm != -np.inf
+
+
+def _exp(x: np.ndarray, finite: np.ndarray | None) -> np.ndarray:
+    """np.exp(x) in place, bit for bit, where x is -inf wherever finite
+    (from _finite_lanes) is False.
+
+    numpy's exp leaves its vector kernel for any block that holds a -inf
+    (10^5 values, half of them -inf: 8x slower, numpy 2.4), and it gives
+    each finite lane the same bits either way. So no -inf reaches it: those
+    lanes take the stand-in +0.0, whose bit pattern is all zeros, and the
+    mask then turns their exp(0) = 1 into the +0.0 of exp(-inf). Sums over
+    x keep their order, so they keep their bits too.
+    """
+    if finite is None:
+        return np.exp(x, out=x)
+    bits = x.view(np.int64)
+    np.multiply(bits, finite, out=bits)
+    np.exp(x, out=x)
+    return np.multiply(x, finite, out=x)
+
+
 def _generator(key, spawn_key=()) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(list(key), spawn_key=spawn_key)))
@@ -367,16 +398,18 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
     - N ~ Bin(H - 1, 1/2), the positives among the other H - 1 units, one
       uniform per row by _fair_count (none in a width-1 layer);
     - per sign group, positive then negative, its chi-square sum S if phi
-      is a slope on that side, else its |Z| row after row; a group on a
-      slope-0 side (relu's negative one) adds +0.0 to the norm, so it is
-      drawn only when units 1.. are;
+      is a slope on that side, else its |Z| row after row (_curved_group,
+      which sums the group's part of the norm as it draws each block of
+      rows); a group on a slope-0 side (relu's negative one) adds +0.0 to
+      the norm, so it is drawn only when units 1.. are;
     - units 1..j-1 in index order (_stick_break): per unit a uniform (its
       sign group), a normal and a chi-square (its share of S).
     The norm then takes unit 0 as one more group per side, Z_0^2 or 0 on a
-    slope side and a |Z| group of 0 or 1 entries on a curved one, and sums
-    the groups in _log_sq_norm. So relu, prelu and identity cost O(j) per
-    row whatever H; elu and selu draw the |Z| of their negative units,
-    tanh and sigmoid all H - 1, so theirs cost O(H)."""
+    slope side and a |Z| group of 0 or 1 entries on a curved one, and adds
+    the groups' parts in this order in _log_sq_norm. So relu, prelu and
+    identity cost O(j) per row whatever H; elu and selu draw the |Z| of
+    their negative units, tanh and sigmoid all H - 1, so theirs cost O(H)
+    time, but a chunk holds only O(j) of them per row, plus one block."""
     b = log_r.shape[0]
     z0 = rng.standard_normal(b)
     signs, logabs = np.empty((b, j), dtype=np.int8), np.empty((b, j))
@@ -386,14 +419,18 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
         signs[:, 0] = np.sign(z0)
     if j > 1 or norm:
         n_pos = _fair_count(rng, H - 1, b)
+        both = sides(phi)
+        # a curved side's part of the norm is summed as its group is drawn,
+        # with r = 1 on rows that take _log_sq_norm's log-domain fallback
+        r = None
+        if norm and any(side.slope is None for side in both):
+            r = np.exp(np.where(np.abs(log_r) < _LINEAR_LOG_R, log_r, 0.0))
         groups = []
-        for sign, side, n in zip((1.0, -1.0), sides(phi),
-                                 (n_pos, H - 1 - n_pos)):
+        for sign, side, n in zip((1.0, -1.0), both, (n_pos, H - 1 - n_pos)):
             if side.slope == 0 and j <= 1:
                 d = None
             elif side.slope is None:
-                d = rng.standard_normal(np.sum(n))
-                np.abs(d, out=d)
+                d = _curved_group(rng, sign, side, n, r, max(j - 1, 0))
             else:
                 d = rng.standard_gamma(0.5 * n)
                 d *= 2.0
@@ -405,10 +442,91 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
         return signs, logabs, None
     pos0 = z0 > 0
     for (sign, side, _, _), t in zip(groups[:2], (pos0, ~pos0)):
-        groups.append((sign, side, t.astype(int), None if side.slope == 0
-                       else np.abs(z0[t]) if side.slope is None
-                       else np.where(t, z0 * z0, 0.0)))
-    return signs, logabs, _log_sq_norm(log_r, groups)
+        n = t.astype(int)
+        if side.slope is None:
+            part = np.zeros(b)
+            with np.errstate(over="ignore", invalid="ignore"):
+                _sq_rows(np.abs(z0[t]), side, sign * r, n, np.cumsum(n) - n,
+                         part)
+            d = _Curved(part, None, lambda rows, t=t: np.abs(z0[t & rows]))
+        else:
+            d = None if side.slope == 0 else np.where(t, z0 * z0, 0.0)
+        groups.append((sign, side, n, d))
+    return signs, logabs, _log_sq_norm(log_r, r, groups)
+
+
+class _Curved(NamedTuple):
+    """A |Z| group as a layer step keeps it, never all of its entries:
+    part, per row the plain-double sum of phi(sign r |Z_i|)^2 over them
+    (None without a norm); head, per row its first entries, as many as
+    _stick_break can read, zeros after them; entries(rows), the |Z| of the
+    rows where the mask rows holds, back to back, for the log-domain
+    fallback of _log_sq_norm."""
+
+    part: np.ndarray | None
+    head: np.ndarray | None
+    entries: Callable
+
+
+def _blocks(rng, n: np.ndarray):
+    """(a, z, starts, e) for each block of rows a..z-1 of a |Z| group of
+    n[i] entries in row i: e holds their |Z|, back to back in row order,
+    drawn by rng into one buffer that every block reuses, and starts the
+    place of each row's first entry in e. So the blocks read rng as one
+    standard_normal call of all the entries would. A block holds about
+    _BLOCK entries, or one row where a row holds more."""
+    b = n.shape[0]
+    ends = np.cumsum(n)
+    starts = ends - n
+    step = max(1, _BLOCK * b // max(1, int(ends[-1])))
+    rows = [(a, min(a + step, b)) for a in range(0, b, step)]
+    spans = [(int(starts[a]), int(ends[z - 1])) for a, z in rows]
+    buf = np.empty(max(hi - lo for lo, hi in spans))
+    for (a, z), (lo, hi) in zip(rows, spans):
+        e = buf[:hi - lo]
+        rng.standard_normal(out=e)
+        yield a, z, starts[a:z] - lo, np.abs(e, out=e)
+
+
+def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int):
+    """A |Z| group of n[i] entries in row i, drawn from rng in _blocks: the
+    _Curved of its part (if r is not None) and the first `keep` entries of
+    each row. Its fallback entries are drawn again from rng's state
+    before the group, by a generator of their own."""
+    state = rng.bit_generator.state
+    b = n.shape[0]
+    part, sr = (None, None) if r is None else (np.zeros(b), sign * r)
+    head = np.zeros((b, keep))
+    cols = np.arange(keep)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, z, starts, e in _blocks(rng, n):
+            if keep:
+                first = cols < n[a:z, None]
+                head[a:z][first] = e[(starts[:, None] + cols)[first]]
+            if r is not None:
+                _sq_rows(e, side, sr[a:z], n[a:z], starts, part[a:z])
+
+    def entries(rows):
+        bits = np.random.PCG64()  # its seed is replaced by the saved state
+        bits.state = state
+        again = np.random.Generator(bits)
+        return np.concatenate([e[np.repeat(rows[a:z], n[a:z])]
+                               for a, z, _, e in _blocks(again, n)])
+
+    return _Curved(part, head, entries)
+
+
+def _sq_rows(e: np.ndarray, side, sr: np.ndarray, n: np.ndarray,
+             starts: np.ndarray, out: np.ndarray):
+    """Writes into out, which holds zeros, the sum over each row of
+    phi(sr e)^2, sr the row's r times the group's sign, over its entries
+    of e: n[i] for row i from starts[i] on. In plain doubles and in place
+    in e: sr |Z_i|, phi of it, squared, then one reduceat over the rows
+    that have entries (it would give an empty row the next entry)."""
+    e *= np.repeat(sr, n)
+    e = np.square(side.value(e), out=e)
+    full = n > 0
+    out[full] = np.add.reduceat(e, starts[full])
 
 
 def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
@@ -422,11 +540,11 @@ def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
     left = [n.copy() for _, _, n, _ in groups]
     sums = [np.zeros(b) if side.slope is None else d
             for _, side, _, d in groups]
-    # a |Z| group's next entry sits at ends - left; rows with none left
-    # never take one, so clipping their index past the last entry is safe,
-    # and an empty group (all units on the other side) has nothing to read
-    flats = [(d, np.cumsum(n)) if side.slope is None and d.size else None
-             for _, side, n, d in groups]
+    # a |Z| group's next entry in row i sits at i keep + count - left of
+    # its head; rows with none left never take one, so clipping their
+    # index past the last entry is safe
+    flats = [(d.head.ravel(), np.arange(b) * d.head.shape[1] + n)
+             if side.slope is None else None for _, side, n, d in groups]
     for i in range(1, signs.shape[1]):
         pos = rng.random(b) * (H - i) < left[0]
         k = np.where(pos, *left)
@@ -449,18 +567,23 @@ def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
         signs[:, i] = np.where(pos, 1, -1)
 
 
-def _log_sq_norm(log_r: np.ndarray, groups):
+def _log_sq_norm(log_r: np.ndarray, r, groups):
     """log ||phi(r Z)||^2 of each row, r = e^log_r, from a layer's
     (sign, side, count, draw) groups: c^2 r^2 S for a group of slope c and
     sum S, and phi(+-r |Z_i|)^2 summed over a |Z| group. A group of slope 0
     adds +0.0 and is left out (its draw may be None). With both sides
-    slopes that is 2 log r + log(lam^2 S+ + a^2 S-) at any depth. Otherwise
-    a row sums in plain doubles if |log r| is below _LINEAR_LOG_R and the
-    sum is a finite, positive, normal double (reduceat skips empty rows,
-    giving them 0, not the next entry); the rest sum log|phi(+-r e)| by
-    log-sum-exp, log r + log e through the side's log form for each entry e
-    of a group, sqrt(S) of a slope's or each |Z_i|, in a matrix padded
-    with -inf.
+    slopes that is 2 log r + log(lam^2 S+ + a^2 S-) at any depth.
+
+    Otherwise r is e^log_r where |log r| < _LINEAR_LOG_R and 1 elsewhere,
+    each |Z| group is a _Curved whose part was summed in plain doubles,
+    block by block as the group was drawn, and the parts add in group
+    order. A row keeps that sum if |log r| is below _LINEAR_LOG_R and the
+    sum is a finite, positive, normal double. The rest sum log|phi(+-r e)|
+    by log-sum-exp, log r + log e through the side's log form for each
+    entry e of a group: sqrt(S) of a slope's, each |Z_i| of a curved one,
+    which its entries() draws again from the group's saved generator
+    state. Only those rows' entries are held, in a matrix padded with -inf
+    whose exp goes through _exp, off numpy's slow path.
     """
     groups = [g for g in groups if g[1].slope != 0]
     if all(side.slope is not None for _, side, _, _ in groups):
@@ -468,20 +591,10 @@ def _log_sq_norm(log_r: np.ndarray, groups):
             return 2.0 * log_r + np.log(sum(side.slope**2 * d
                                             for _, side, _, d in groups))
     lin = np.abs(log_r) < _LINEAR_LOG_R
-    r = np.exp(np.where(lin, log_r, 0.0))
     sq = np.zeros(r.shape[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        for sign, side, n, d in groups:
-            if side.slope is not None:
-                sq += (side.slope * r) ** 2 * d
-                continue
-            # one buffer: r |Z_i| with the group's sign, phi of it, squared
-            h = np.repeat(sign * r, n)
-            h *= d
-            h = np.square(side.value(h), out=h)
-            part, full = np.zeros_like(sq), n > 0
-            part[full] = np.add.reduceat(h, (np.cumsum(n) - n)[full])
-            sq += part
+        for _, side, _, d in groups:
+            sq += d.part if side.slope is None else (side.slope * r) ** 2 * d
     ok = lin & (sq >= np.finfo(float).tiny) & (sq < np.inf)
     log_sq = np.log(np.where(ok, sq, 1.0))
     if np.all(ok):
@@ -494,15 +607,15 @@ def _log_sq_norm(log_r: np.ndarray, groups):
     start = np.zeros_like(sizes[0])
     for (sign, side, n, d), k in zip(groups, sizes):
         cells = (col >= start[:, None]) & (col < (start + k)[:, None])
-        e = np.sqrt(d[rest]) if side.slope is not None else d[np.repeat(rest, n)]
+        e = np.sqrt(d[rest]) if side.slope is not None else d.entries(rest)
         with np.errstate(divide="ignore"):
             lm = np.repeat(log_r[rest], k) + np.log(e)
         logabs[cells] = side.log(sign, lm)[1]
         start = start + k
     m = np.max(logabs, axis=1)
     with np.errstate(invalid="ignore"):
-        lse = 2.0 * m + np.log(np.sum(np.exp(2.0 * (logabs - m[:, None])),
-                                      axis=1))
+        x = 2.0 * (logabs - m[:, None])
+        lse = 2.0 * m + np.log(np.sum(_exp(x, _finite_lanes(x)), axis=1))
     # m = -inf where every phi(r e) is 0, as in a dead row of elu or tanh
     log_sq[rest] = np.where(np.isneginf(m), -np.inf, lse)
     return log_sq

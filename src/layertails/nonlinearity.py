@@ -71,7 +71,10 @@ def _elu_neg(lam, alpha):
     is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past e^_EXP_CAP."""
 
     def value(u):
-        u = np.multiply(np.expm1(u, out=u), alpha, out=u)
+        # x 1.0 == x for every double, so an identity factor is skipped
+        u = np.expm1(u, out=u)
+        if alpha != 1.0:
+            np.multiply(u, alpha, out=u)
         return u if lam == 1.0 else np.multiply(u, lam, out=u)
 
     def log(s, lm):
@@ -235,6 +238,19 @@ def _grid() -> np.ndarray:
 # sup|phi| < BOUNDED_D_MIN * _U_MAX.
 BOUNDED_D_MIN = 1e-6
 
+# log|u| of a point far past the grid. There a slope c, a positive double
+# and so above e^-745, gives log|phi(u)| > 1255, while a side that
+# saturates at a double has log|phi(u)| below log(max double) < 710.
+_FAR_LOG_U = 2000.0
+
+
+def _grows(side: Side, sign: float) -> bool:
+    """Whether |phi| on the half-line of this sign passes every double, as
+    a slope side does and a saturating one does not; read at |u| =
+    e^_FAR_LOG_U through the side's log form."""
+    return float(side.log(sign, np.float64(_FAR_LOG_U))[1]) > math.log(
+        np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class EnvelopeWitness:
@@ -315,8 +331,11 @@ def search_envelope_constants(spec: NonlinearitySpec) -> EnvelopeWitness:
     Returns a "bounded" witness when the function saturates (sup over the
     grid below BOUNDED_D_MIN * _U_MAX); otherwise fits c1 = c2 = 0 envelopes,
     picks the half-line with the larger lower slope, and verifies the result
-    on the same evaluation of phi. The constants certify the grid; points
-    off the grid are not checked.
+    on the same evaluation of phi. A half-line on which |phi| is bounded
+    (_grows) is never picked, although a level above d1 * 1e7 meets the
+    lower bound on the whole grid, as elu's negative side does for alpha
+    above about 1e7. Otherwise the constants certify the grid; points off
+    the grid are not checked.
     """
     u = _grid()
     phi = np.abs(apply(spec, u))
@@ -329,10 +348,13 @@ def search_envelope_constants(spec: NonlinearitySpec) -> EnvelopeWitness:
     ratio = np.divide(phi[nz], au[nz])
     upos = u[nz] > 0
     # the grid has points on both sides; a tie goes to the positive axis
-    d1s = {"positive-axis": float(np.min(ratio[upos])),
-           "negative-axis": float(np.min(ratio[~upos]))}
-    side = max(d1s, key=d1s.get)
-    d1 = d1s[side]
+    d1s = {name: float(np.min(ratio[on]))
+           for name, on, half, sign in zip(
+               ("positive-axis", "negative-axis"), (upos, ~upos),
+               sides(spec), (1.0, -1.0))
+           if _grows(half, sign)}
+    side = max(d1s, key=d1s.get, default=None)
+    d1 = d1s.get(side, 0.0)
     if d1 <= 0:
         # No half-line supports a linear lower bound; treat as saturating.
         return EnvelopeWitness("bounded", grid=_GRID_DESC)

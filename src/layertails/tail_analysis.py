@@ -39,8 +39,8 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import DegenerateDistributionError, check_positive, is_int
-from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _generator,
-                            entropy_prefix)
+from .network_model import (STREAM_SYNTHETIC, UnitSampleSet, _exp,
+                            _finite_lanes, _generator, entropy_prefix)
 
 # Additive slack in recursion_check, per estimator.
 METHOD_TOLERANCE = {"moment-slope": 0.15, "survival-slope": 0.2}
@@ -133,31 +133,6 @@ def _logsumexp(a: np.ndarray) -> float:
     if m == -np.inf:
         return -np.inf
     return m + math.log(float(np.sum(np.exp(a - m))))
-
-
-def _finite_lanes(lm: np.ndarray) -> np.ndarray | None:
-    """lm != -inf, for _exp; None when lm holds no -inf (an exact zero's
-    log-magnitude). An all-finite lm costs one reduction and no copy."""
-    return None if np.min(lm) > -np.inf else lm != -np.inf
-
-
-def _exp(x: np.ndarray, finite: np.ndarray | None) -> np.ndarray:
-    """np.exp(x) in place, bit for bit, where x is -inf wherever finite
-    (from _finite_lanes) is False.
-
-    numpy's exp leaves its vector kernel for any block that holds a -inf
-    (10^5 values, half of them -inf: 8x slower, numpy 2.4), and it gives
-    each finite lane the same bits either way. So no -inf reaches it: those
-    lanes take the stand-in +0.0, whose bit pattern is all zeros, and the
-    mask then turns their exp(0) = 1 into the +0.0 of exp(-inf). Sums over
-    x keep their order, so they keep their bits too.
-    """
-    if finite is None:
-        return np.exp(x, out=x)
-    bits = x.view(np.int64)
-    np.multiply(bits, finite, out=bits)
-    np.exp(x, out=x)
-    return np.multiply(x, finite, out=x)
 
 
 def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:

@@ -86,11 +86,13 @@ class TestEnvelopeCommand:
         assert read_rows(out / "envelope.csv")[0]["verdict"] == "holds"
 
     # sha256 of envelope.csv for the default families and for edge specs:
-    # a zero slope, bounds that overflow, a subnormal alpha
+    # a zero slope, bounds that overflow, a subnormal alpha; elu(1e308)'s
+    # row certifies the positive axis with d1 = 1.0, not its saturating
+    # negative one
     @pytest.mark.parametrize("families,digest", [
         ([], "75d66814388539e58a9cd7f291b88b4be7d9222c7d163d13e53d615981957fed"),
         (["relu", "prelu(0.0)", "elu(1e308)", "elu(1e-320)", "identity"],
-         "d346a2d227c11856f2d502b9753de826d722a59e541d7dc4193ce8eee897bb08")],
+         "3969c61a4beca7d5b41e4047e7ac6037e40c8c504a5a9163ae53af262b9039ab")],
         ids=["defaults", "edges"])
     def test_envelope_csv_is_pinned(self, families, digest, tmp_path):
         out = tmp_path / "env"

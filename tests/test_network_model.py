@@ -1173,6 +1173,42 @@ def test_sampler_pass_holds_little_beyond_its_result(workers):
     assert float(proc.stdout) <= 1.5
 
 
+# prints how far a 2-worker pass of 2 * 10^4 draws on a width-1000 net
+# raises the peak RSS, in MB (VmHWM, as _MEMORY_CHILD)
+_WIDE_MEMORY_CHILD = """
+import sys
+from layertails.network_model import NetworkConfig, run_sampler, sample_input
+from layertails.nonlinearity import NonlinearitySpec
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+
+cfg = NetworkConfig(input_dim=1000, layer_widths=(1000, 1000, 1000),
+                    nonlinearity=NonlinearitySpec.parse(sys.argv[1]))
+x = sample_input(1000, 3)
+before = peak()
+run_sampler(cfg, x, 20_000, {1: [0], 2: [0], 3: [0]}, (3, 1), workers=2)
+print((peak() - before) / 1024)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from /proc/self/status")
+@pytest.mark.parametrize("family", ["elu(1.0)", "tanh"])
+def test_wide_curved_pass_holds_no_chunk_by_width_array(family):
+    """A |Z| group is drawn and summed in blocks of rows through one
+    buffer, so a width-1000 pass holds no chunk x width array: one such
+    array of doubles is 33 MB per worker, and the pass returns 0.5 MB."""
+    src = str(Path(network_model.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", _WIDE_MEMORY_CHILD, family],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 32.0
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_module_lookups_that_a_tracer_wraps(workers, monkeypatch):
     """run_sampler reaches _conditional_chunk and apply_signed_log through

@@ -468,6 +468,14 @@ class TestSearchEnvelopeConstants:
         # upper envelope must cover the negative saturation level
         assert wit.c2 == 0.0 and wit.d2 >= 1.0
 
+    @pytest.mark.parametrize("text", ["elu(2e7)", "elu(1e308)"])
+    def test_saturating_half_line_is_never_certified(self, text):
+        # |elu(u)| < alpha for u < 0, yet alpha >= d1 * 1e7 meets the lower
+        # bound on the whole grid; the positive axis is certified instead
+        wit = search_envelope_constants(NonlinearitySpec.parse(text))
+        assert (wit.verdict, wit.side, wit.d1) == ("holds", "positive-axis",
+                                                   1.0)
+
     def test_bounded_threshold_separates_saturating_families(self):
         # sup |tanh| = 1, so on the search grid 1 < BOUNDED_D_MIN * u_max
         assert 1.0 < BOUNDED_D_MIN * _U_MAX
