@@ -459,7 +459,8 @@ class _Curved(NamedTuple):
     """A |Z| group as a layer step keeps it, never all of its entries:
     part, per row the plain-double sum of phi(sign r |Z_i|)^2 over them
     (None without a norm); head, per row its first entries, as many as
-    _stick_break can read, zeros after them; entries(rows), the |Z| of the
+    _stick_break can read, zeros after them (None for unit 0's groups,
+    which it never reads); entries(rows), the |Z| of the
     rows where the mask rows holds, back to back, for the log-domain
     fallback of _log_sq_norm."""
 
