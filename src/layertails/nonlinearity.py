@@ -1,15 +1,13 @@
 """Activation functions and numerical certification of the envelope property.
 
 Each activation family is defined once, by its entry in _TABLE: default
-parameters (their number is the parameter count) and their check, the linear
-form phi(u) that apply evaluates, and phi's two sides, u > 0 and u < 0. A
-Side is a slope c (phi(u) = c u) or a curve, and has an in-place value form
-for input of its sign (a curve's takes fewer operations than the linear form
-for the same values: elu alpha expm1(u) for u <= 0, sigmoid one exp instead
-of two) and a log form, (sign, log|u|) to (sign, log|phi(u)|). All but apply
-read the sides; apply stays apart because its zero signs (relu +0.0,
-prelu(0.0) -0.0) do not follow from the slopes. Adding a family means one
-entry plus its line in the test suite's ALL_SPECS.
+parameters (their number is the parameter count) and their check, and phi's
+two sides, u > 0 and u < 0. A Side is a slope c (phi(u) = c u) or a curve,
+and has an in-place value form for input of its sign (elu alpha expm1(u) for
+u <= 0, sigmoid one exp) and a log form, (sign, log|u|) to (sign,
+log|phi(u)|). Every caller reads the sides: apply, apply_signed_log, the
+envelope search and the sampler. Adding a family means its sides plus its
+line in the test suite's ALL_SPECS.
 
 An activation phi has the extended envelope property when
 
@@ -43,12 +41,6 @@ import numpy as np
 _EXP_CAP = 700.0
 
 
-def _elu(alpha, u):
-    # max(u, 0) + alpha expm1(min(u, 0)) has no per-element branch; one
-    # of the two terms is always an exact zero
-    return np.maximum(u, 0.0) + alpha * np.expm1(np.minimum(u, 0.0))
-
-
 class Side(NamedTuple):
     """One side of phi: value writes phi(u) into u, a float array of the
     side's sign; log maps (signs, log|u|) to (signs, log|phi(u)|) for such
@@ -66,9 +58,9 @@ def _slope(c):
 
 
 def _elu_neg(lam, alpha):
-    """lam elu_alpha for u <= 0: lam (alpha expm1(u)) in that order, _elu's
-    value bit for bit (its max(u, 0) term is an exact zero there). Its log
-    is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past e^_EXP_CAP."""
+    """lam elu_alpha for u <= 0: lam (alpha expm1(u)), in that order. Its
+    log is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past
+    e^_EXP_CAP."""
 
     def value(u):
         # x 1.0 == x for every double, so an identity factor is skipped
@@ -94,7 +86,7 @@ def _tanh_log(s, lm):
 
 def _sigmoid_side(sign):
     """sigmoid for u of one sign: e^u / (1 + e^u) for u <= 0, 1 / (1 + e^-u)
-    for u >= 0, the linear form's two exps in one. Its log, of sign +1, is
+    for u >= 0, one exp that overflows on neither side. Its log, of sign +1, is
     -log(1 + e^-u), and past e^_EXP_CAP 0 (u > 0) or -inf (u < 0)."""
 
     def value(u):
@@ -112,41 +104,33 @@ def _sigmoid_side(sign):
 class _Family(NamedTuple):
     """One _TABLE entry; p is always the spec's parameter tuple."""
 
-    linear: Callable  # (p, u) -> phi(u) on a float array
     sides: Callable  # (p) -> (positive, negative), each a slope or a Side
     defaults: tuple[float, ...] = ()  # their number is the parameter count
     check: tuple[Callable, str] | None = None  # (p) -> valid, and else why
 
 
 _TABLE = {
-    "identity": _Family(lambda p, u: u.copy(), lambda p: (1.0, 1.0)),
-    "relu": _Family(lambda p, u: np.maximum(u, 0.0), lambda p: (1.0, 0.0)),
-    "prelu": _Family(lambda p, u: np.where(u > 0, u, p[0] * u),
-                     lambda p: (1.0, p[0]), defaults=(0.25,),
+    "identity": _Family(lambda p: (1.0, 1.0)),
+    "relu": _Family(lambda p: (1.0, 0.0)),
+    "prelu": _Family(lambda p: (1.0, p[0]), defaults=(0.25,),
                      # the sampler's norm squares a nonzero slope
                      check=(lambda p: p[0] == 0 or p[0] > 0 and (
                          np.finfo(float).tiny <= p[0] * p[0] < math.inf),
                          "prelu slope must be 0 or in about "
                          "[1.5e-154, 1.3e154]")),
-    "elu": _Family(lambda p, u: _elu(p[0], u),
-                   lambda p: (1.0, _elu_neg(1.0, p[0])), defaults=(1.0,),
+    "elu": _Family(lambda p: (1.0, _elu_neg(1.0, p[0])), defaults=(1.0,),
                    check=(lambda p: p[0] > 0, "elu alpha must be > 0")),
     # the defaults are the standard self-normalizing (lambda, alpha)
-    "selu": _Family(lambda p, u: p[0] * _elu(p[1], u),
-                    lambda p: (p[0], _elu_neg(*p)),
+    "selu": _Family(lambda p: (p[0], _elu_neg(*p)),
                     defaults=(1.0507009873554805, 1.6732632423543772),
                     # the negative side's log form takes log(lambda alpha)
                     check=(lambda p: p[0] > 0 and p[1] > 0
                            and 0 < p[0] * p[1] < math.inf,
                            "selu lambda and alpha must be > 0 with a "
                            "finite, nonzero product")),
-    "tanh": _Family(lambda p, u: np.tanh(u),
-                    lambda p: (Side(lambda u: np.tanh(u, out=u), _tanh_log),) * 2),
-    # e^min(u,0) / (1 + e^-|u|) is the two-sided 1/(1+e^-u) without a
-    # per-element branch, and overflows on neither side
-    "sigmoid": _Family(lambda p, u: (np.exp(np.minimum(u, 0.0))
-                                     / (1.0 + np.exp(-np.abs(u)))),
-                       lambda p: (_sigmoid_side(1.0), _sigmoid_side(-1.0))),
+    "tanh": _Family(
+        lambda p: (Side(lambda u: np.tanh(u, out=u), _tanh_log),) * 2),
+    "sigmoid": _Family(lambda p: (_sigmoid_side(1.0), _sigmoid_side(-1.0))),
 }
 
 _SPEC_RE = re.compile(r"^\s*([a-z]+)\s*(?:\(([^)]*)\))?\s*$")
@@ -191,12 +175,18 @@ class NonlinearitySpec:
 
 
 def apply(spec: NonlinearitySpec, u):
-    """Apply the activation elementwise. Scalars in, scalars out."""
-    arr = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    """Apply the activation elementwise, into a copy of u; scalars in,
+    scalars out. u >= 0 goes through the positive side, so phi(0) is its
+    value (sigmoid's 0.5), and every zero comes back as +0.0."""
+    out = np.array(u, dtype=float, ndmin=1)
+    if not np.all(np.isfinite(out)):
         raise ValueError("apply requires finite input")
-    out = _TABLE[spec.family].linear(spec.params, arr)
-    return float(out) if np.ndim(u) == 0 else out
+    pos = out >= 0
+    # a gather by sign evaluates each side on its own entries only
+    for rows, side in zip((pos, ~pos), sides(spec)):
+        out[rows] = side.value(out[rows])
+    out += 0.0  # -0.0 + 0.0 is +0.0
+    return float(out[0]) if np.ndim(u) == 0 else out
 
 
 def sides(spec: NonlinearitySpec) -> tuple[Side, Side]:

@@ -221,7 +221,8 @@ def relu_norm_oracle(widths, layer: int, k: int, scale: float = 1.0) -> float:
         raise ValueError(f"widths must be integers >= 1, got {widths!r}")
     if not (is_int(layer) and 1 <= layer <= len(widths)):
         raise ValueError(f"layer {layer!r} out of range 1..{len(widths)}")
-    # gaussian_norm_oracle checks k, and scale as sigma, before any use
+    check_positive(scale=scale)
+    # gaussian_norm_oracle checks k before any use
     log_moment = k * math.log(gaussian_norm_oracle(scale, k))
     for H in widths[:layer - 1]:
         n = np.arange(1, H + 1)
@@ -534,6 +535,9 @@ class SurvivalCurves:
         """
         if self.gaussian_log_survival is None:
             raise ValueError("curves were built without a Gaussian reference")
+        if layer not in self.p999_index:
+            raise ValueError(f"layer {layer!r} has no curve; the curves' "
+                             f"layers are {self.layers}")
         j = self.p999_index[layer]
         ls = self.log_survival[layer][: j + 1]
         ref = self.gaussian_log_survival[: j + 1]
@@ -561,13 +565,16 @@ def survival_curves(sample_sets: dict[int, UnitSampleSet],
     99.9th and 99.95th percentiles are read from those sorted blocks. The
     Gaussian reference is the exact positive-half log-survival, log 2 +
     log Phi_bar(1.34898 u) standardized or log 2 + log Phi_bar(u / sigma)
-    when gaussian_sigma is given: finite where 2 Phi_bar(u) underflows.
-    u / sigma is formed as e^(log u - log sigma), so no scale overflows it.
+    when gaussian_sigma is given (unstandardized only): finite where
+    2 Phi_bar(u) underflows. u / sigma is formed as e^(log u - log sigma),
+    so no scale overflows it.
     """
     layers = sorted(sample_sets)
     if not layers:
         raise ValueError("no sample sets given")
     if gaussian_sigma is not None:
+        if standardize:
+            raise ValueError("gaussian_sigma is for unstandardized curves")
         check_positive(gaussian_sigma=gaussian_sigma)
     std_logs = {}
     log_iqrs = {}

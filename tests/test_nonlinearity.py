@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from layertails import nonlinearity
 from layertails.nonlinearity import (_TABLE, _U_MAX, BOUNDED_D_MIN,
                                      EnvelopeWitness, NonlinearitySpec, apply,
                                      apply_signed_log,
@@ -31,6 +32,35 @@ ALL_SPECS = [
 def test_all_specs_cover_every_family():
     # adding a family means one _TABLE entry plus its line in ALL_SPECS
     assert {spec.family for spec in ALL_SPECS} == set(_TABLE)
+
+
+def _elu_branching(lam, alpha, u):
+    return lam * np.where(u > 0, u, alpha * np.expm1(np.minimum(u, 0.0)))
+
+
+def _sigmoid_two_sided(u):
+    pos = u >= 0
+    out = np.empty_like(u)
+    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
+    e = np.exp(u[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+# phi of each family by a formula written apart from the table's sides
+REFERENCE = {
+    "identity": lambda p, u: u.copy(),
+    "relu": lambda p, u: np.maximum(u, 0.0),
+    "prelu": lambda p, u: np.where(u > 0, u, p[0] * u),
+    "elu": lambda p, u: _elu_branching(1.0, p[0], u),
+    "selu": lambda p, u: _elu_branching(*p, u),
+    "tanh": lambda p, u: np.tanh(u),
+    "sigmoid": lambda p, u: _sigmoid_two_sided(u),
+}
+
+
+def reference(spec, u):
+    return REFERENCE[spec.family](spec.params, u)
 
 
 class TestSpecParsing:
@@ -84,19 +114,12 @@ class TestApply:
     def test_elu_equals_its_branching_form(self, spec):
         side = np.logspace(-300, 300, 2001)
         u = np.concatenate([-side[::-1], [0.0], side])
-        lam, alpha = (1.0, *spec.params) if spec.family == "elu" else spec.params
-        want = lam * np.where(u > 0, u, alpha * np.expm1(np.minimum(u, 0.0)))
-        np.testing.assert_array_equal(apply(spec, u), want)
+        np.testing.assert_array_equal(apply(spec, u), reference(spec, u))
 
     def test_sigmoid_equals_its_two_sided_form(self):
         u = np.concatenate([np.linspace(-800.0, 800.0, 20_001), [-0.0],
                             np.random.default_rng(0).standard_normal(10_000)])
-        pos = u >= 0
-        want = np.empty_like(u)
-        want[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-        e = np.exp(u[~pos])
-        want[~pos] = e / (1.0 + e)
-        np.testing.assert_array_equal(apply(SIGMOID, u), want)
+        np.testing.assert_array_equal(apply(SIGMOID, u), reference(SIGMOID, u))
 
     def test_scalar_in_scalar_out(self):
         got = apply(RELU, -3.0)
@@ -111,6 +134,13 @@ class TestApply:
         with pytest.raises(ValueError):
             apply(RELU, np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
+    def test_leaves_its_input_alone(self, spec):
+        u = np.array([[-2.0, -0.0], [0.0, 3.0]])
+        got = apply(spec, u)
+        assert got.shape == u.shape and not np.shares_memory(got, u)
+        np.testing.assert_array_equal(u, [[-2.0, -0.0], [0.0, 3.0]])
+
 
 # edge inputs of the negative side; the positive side takes their negation
 SIDE_EDGES = [-0.0, 0.0, -1e-320, -5e-324, -1e-300, -36.7, -700.0, -745.2,
@@ -118,7 +148,22 @@ SIDE_EDGES = [-0.0, 0.0, -1e-320, -5e-324, -1e-300, -36.7, -700.0, -745.2,
 
 
 class TestApplySide:
-    """The one-sided forms the sampler's |Z| groups use equal apply."""
+    """The one-sided forms the sampler's |Z| groups use, and apply, equal
+    the reference formulas."""
+
+    @staticmethod
+    def _equal_reference(spec, sign, u):
+        want = reference(spec, u)
+        got = sides(spec)[sign < 0].value(u.copy())
+        # equal values, and equal squares bit for bit: only a zero may
+        # carry the other sign (relu's negative side gives -2 x 0 = -0.0)
+        np.testing.assert_array_equal(got, want)
+        with np.errstate(over="ignore"):  # a slope side squares 1e300
+            assert (got * got).tobytes() == (want * want).tobytes()
+        np.testing.assert_array_equal(np.signbit(got[want != 0]),
+                                      np.signbit(want[want != 0]))
+        # apply gives the same values, every zero as +0.0
+        assert apply(spec, u).tobytes() == (want + 0.0).tobytes()
 
     @pytest.mark.parametrize("spec", [
         NonlinearitySpec("elu", (1.0,)), NonlinearitySpec("elu", (0.37,)),
@@ -133,14 +178,7 @@ class TestApplySide:
             (1.0, -1.0), (-neg, neg), sides(spec)) if side.slope is None]
         assert curved
         for sign, u in curved:
-            want = apply(spec, u)
-            got = sides(spec)[sign < 0].value(u.copy())
-            # equal values, and equal squares bit for bit: only a zero may
-            # carry the other sign (elu's 0 + alpha expm1(-0.0) is +0.0)
-            np.testing.assert_array_equal(got, want)
-            assert (got * got).tobytes() == (want * want).tobytes()
-            np.testing.assert_array_equal(np.signbit(got[want != 0]),
-                                          np.signbit(want[want != 0]))
+            self._equal_reference(spec, sign, u)
 
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=str)
     def test_equals_apply_on_both_sides_of_every_family(self, spec):
@@ -148,13 +186,7 @@ class TestApplySide:
         mags = np.random.default_rng(6).exponential(5.0, 10**4)
         neg = np.concatenate([SIDE_EDGES, -mags])
         for sign, u in ((1.0, -neg), (-1.0, neg)):
-            want = apply(spec, u)
-            got = sides(spec)[sign < 0].value(u.copy())
-            np.testing.assert_array_equal(got, want)
-            with np.errstate(over="ignore"):  # a slope side squares 1e300
-                assert (got * got).tobytes() == (want * want).tobytes()
-            np.testing.assert_array_equal(np.signbit(got[want != 0]),
-                                          np.signbit(want[want != 0]))
+            self._equal_reference(spec, sign, u)
 
     def test_writes_into_its_input(self):
         u = np.array([-2.0, -0.5, 0.0])
@@ -339,7 +371,7 @@ PINNED_APPLY = {
         "-0x1.9p+7 -0x1.ep+2 -0x1.4p-1 -0x1p-3 -0x1.56e1fc2f8f359p-999 "
         "0x0p+0 0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
     "prelu(0.0)":
-        "-0x0p+0 -0x0p+0 -0x0p+0 -0x0p+0 -0x0p+0 0x0p+0 "
+        "0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 0x0p+0 "
         "0x1.56e1fc2f8f359p-997 0x1p-1 0x1.4p+1 0x1.9p+9",
     "elu(1.0)":
         "-0x1p+0 -0x1.ffffffffffcb5p-1 -0x1.d5f8f47ed617bp-1 "
@@ -393,6 +425,12 @@ def test_signed_log_is_pinned_bit_for_bit(spec):
 def test_apply_is_pinned_bit_for_bit(spec):
     out = apply(spec, np.array(PIN_LINEAR))
     assert [float(v).hex() for v in out] == _hexes(PINNED_APPLY[str(spec)])
+
+
+def test_prelu_zero_applies_as_relu_bit_for_bit():
+    u = np.array(PIN_LINEAR)
+    assert apply(NonlinearitySpec("prelu", (0.0,)), u).tobytes() == \
+        apply(RELU, u).tobytes()
 
 
 def _both_sides_slopes(spec):
@@ -490,14 +528,12 @@ class TestSearchEnvelopeConstants:
         # the search and its verification read one evaluation of phi on
         # the grid's 2 * 100000 + 1 points
         sizes = []
-        fam = _TABLE[spec.family]
 
-        def counted(p, u):
+        def counted(spec, u):
             sizes.append(np.size(u))
-            return fam.linear(p, u)
+            return apply(spec, u)
 
-        monkeypatch.setitem(_TABLE, spec.family,
-                            fam._replace(linear=counted))
+        monkeypatch.setattr(nonlinearity, "apply", counted)
         search_envelope_constants(spec)
         assert sizes == [200_001]
 

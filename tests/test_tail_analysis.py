@@ -305,6 +305,11 @@ class TestReluNormOracle:
         with pytest.raises(ValueError):
             relu_norm_oracle((3, 3), 2, 2, scale=0.0)
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, math.inf, math.nan])
+    def test_rejects_scale_by_its_name(self, scale):
+        with pytest.raises(ValueError, match="^scale must be positive"):
+            relu_norm_oracle((100,), 1, 2, scale=scale)
+
 
 def test_depth_progression_visible_at_narrow_width():
     # At width 3 the conditional scale of a deep unit fluctuates enough for
@@ -443,6 +448,20 @@ class TestSurvivalCurves:
         assert curves.gaussian_log_survival is None
         with pytest.raises(ValueError):
             curves.gaussian_match(1)
+
+    def test_standardized_refuses_sigma(self, gaussian_sets):
+        # the IQR places a standardized reference, so a sigma has no use there
+        with pytest.raises(ValueError, match="gaussian_sigma"):
+            survival_curves(gaussian_sets, standardize=True,
+                            gaussian_sigma=5.0)
+
+    @pytest.mark.parametrize("std", [True, False])
+    def test_gaussian_match_names_a_missing_layer(self, gaussian_sets, std):
+        curves = survival_curves(gaussian_sets, standardize=std,
+                                 gaussian_sigma=None if std else 1.0)
+        with pytest.raises(ValueError,
+                           match=r"layer 3 has no curve.*\[1, 2\]"):
+            curves.gaussian_match(3)
 
     def test_log_survival_values_are_counts(self, gaussian_sets):
         curves = survival_curves(gaussian_sets, standardize=True)
