@@ -22,8 +22,8 @@ Subcommands:
   contours         superellipse contour data for L^q balls
   oracle-check     moment estimator against exact Gaussian norms
   rerun            replay a manifest and verify byte-identical outputs;
-                   names a sampler version or output format change
-                   when files differ
+                   names a sampler version, output format, numpy version
+                   or numpy dispatch change when files differ
 """
 
 from __future__ import annotations
@@ -468,10 +468,12 @@ def _cmd_rerun(args: argparse.Namespace) -> int:
         if old.format != new.format:
             print(f"output format differs (manifest {old.format}, "
                   f"this build {new.format})")
-        numpy_then = old.versions.get("numpy")
-        if numpy_then is not None and numpy_then != new.versions["numpy"]:
-            print(f"numpy version differs (manifest {numpy_then}, "
-                  f"this build {new.versions['numpy']})")
+        for key, what in (("numpy", "numpy version"),
+                          ("numpy_dispatch", "numpy dispatch")):
+            then = old.versions.get(key)
+            if then is not None and then != new.versions[key]:
+                print(f"{what} differs (manifest {then}, "
+                      f"this build {new.versions[key]})")
         print(f"rerun of {old.command}: {len(mismatched)} file(s) differ")
         return 1
     print(f"rerun of {old.command}: all {len(old.files)} file(s) byte-identical")

@@ -10,9 +10,12 @@ the files move with the draws unchanged. Manifests written before either
 field existed load as version 1 and format 1, so `rerun` can say why a
 replay under another version or format differs.
 `versions` records the layertails, numpy and python versions of the
-build that wrote it (empty in manifests written before the field existed);
-the streams rest on numpy's generators, so `rerun` names a numpy change
-when files differ, but never compares the field.
+build that wrote it (empty in manifests written before the field existed),
+and numpy's active SIMD dispatch targets (numpy_dispatch): the streams
+rest on numpy's generators, and the last bits of its exp, log, expm1 and
+tanh kernels, which the draws and the sampler's saturation points go
+through, on the dispatch. So `rerun` names a numpy or dispatch change when
+files differ, but never compares the field.
 """
 
 from __future__ import annotations
@@ -34,6 +37,18 @@ from .network_model import SAMPLER_VERSION
 # 2: the Gaussian reference (gaussian_reference.csv) and the exact norms
 #    (oracle.csv) from the standard library's erfc and lgamma, not scipy.
 OUTPUT_FORMAT = 2
+
+
+def _numpy_dispatch() -> str:
+    """numpy's SIMD dispatch targets that this machine runs, in numpy's
+    order, space-separated (for example "X86_V3 X86_V4 AVX512_ICL")."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", {})
+    return " ".join(t for t in getattr(umath, "__cpu_dispatch__", ())
+                    if features.get(t))
 
 
 def sha256_file(path) -> str:
@@ -97,4 +112,5 @@ def build_manifest(command: str, params: dict, seed: int, file_paths: dict,
                        sampler=SAMPLER_VERSION, format=OUTPUT_FORMAT,
                        versions={"layertails": __version__,
                                  "numpy": np.__version__,
+                                 "numpy_dispatch": _numpy_dispatch(),
                                  "python": platform.python_version()})

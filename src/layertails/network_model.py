@@ -20,9 +20,12 @@ given h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
 depth can overflow (and a zero input gives log r_1 = -inf, a dead row).
 _layer_step takes one layer from log r_l to its units and ||h(l)||^2; its
-docstring states the step and the order of its draws. The test suite
-checks this sampler in law against a literal forward pass with a fresh
-weight matrix per layer per draw.
+docstring states the step and the order of its draws. A curved side
+draws only the half-normals it can still tell apart: past its saturation
+point (nonlinearity.Side.saturation) phi(r Z) is one double, so a chunk
+that puts most of a sign group there counts those entries instead of
+drawing them (_split). The test suite checks this sampler in law against
+a literal forward pass with a fresh weight matrix per layer per draw.
 
 Streams. Samples are generated in chunks of DEFAULT_CHUNK draws. An
 entropy prefix E is (seed, stream tag, fields of the operation), built by
@@ -77,7 +80,13 @@ from .nonlinearity import NonlinearitySpec, apply_signed_log, sides
 # 9: N' from an exact alias table of Bin(H - 1, 1/2), one uniform per row,
 #    instead of rng.binomial; the same law and slot, a new stream for every
 #    family (width-1 layers, which draw no N', keep theirs).
-SAMPLER_VERSION = 9
+# 10: a curved sign group (elu and selu's negative units, tanh's, sigmoid's
+#    positive ones) splits at the point past which phi(r |Z|) is one double
+#    on every row of a chunk, where at most 1/4 of its entries fall below
+#    it: only those are drawn, after their count per row, and units 1..j-1
+#    that take a saturated entry draw its |Z| after the group. Chunks that
+#    do not split, and relu, prelu and identity, keep version 9's streams.
+SAMPLER_VERSION = 10
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -104,6 +113,10 @@ _LINEAR_LOG_R = 300.0
 # A |Z| group is drawn, and its part of the norm summed, in blocks of rows
 # that hold about this many entries, in one buffer reused by every block
 _BLOCK = 25_000
+
+# A curved group is split at its saturation point (_split) where at most
+# this share of its entries falls below it
+_SPLIT_P = 0.25
 
 # JSON types of the NetworkConfig.to_dict fields (see errors.is_json_type)
 _FIELD_TYPES = {"input_dim": int, "layer_widths": [int], "nonlinearity": str,
@@ -401,15 +414,24 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
       is a slope on that side, else its |Z| row after row (_curved_group,
       which sums the group's part of the norm as it draws each block of
       rows); a group on a slope-0 side (relu's negative one) adds +0.0 to
-      the norm, so it is drawn only when units 1.. are;
+      the norm, so it is drawn only when units 1.. are. A curved side
+      that is the constant c past its saturation point T splits its group
+      at t = T / (the chunk's smallest r) where P(|Z| < t) <= _SPLIT_P
+      (_split): it draws each row's count below t, then only those |Z|,
+      and each saturated entry adds c^2. The split depends on log r alone,
+      so j and norm do not change these draws;
     - units 1..j-1 in index order (_stick_break): per unit a uniform (its
-      sign group), a normal and a chi-square (its share of S).
+      sign group), a normal and a chi-square (its share of S); in a layer
+      with a split group, then a uniform (below t or not) and, in the rows
+      that take a saturated entry, its |Z| from |Z| >= t.
     The norm then takes unit 0 as one more group per side, Z_0^2 or 0 on a
     slope side and a |Z| group of 0 or 1 entries on a curved one, and adds
     the groups' parts in this order in _log_sq_norm. So relu, prelu and
     identity cost O(j) per row whatever H; elu and selu draw the |Z| of
     their negative units, tanh and sigmoid all H - 1, so theirs cost O(H)
-    time, but a chunk holds only O(j) of them per row, plus one block."""
+    time, but a chunk holds only O(j) of them per row, plus one block. A
+    split group draws about p H of them, p its share below t: deep in an
+    elu net, where r grows, that is a few percent."""
     b = log_r.shape[0]
     z0 = rng.standard_normal(b)
     signs, logabs = np.empty((b, j), dtype=np.int8), np.empty((b, j))
@@ -425,12 +447,14 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
         r = None
         if norm and any(side.slope is None for side in both):
             r = np.exp(np.where(np.abs(log_r) < _LINEAR_LOG_R, log_r, 0.0))
+        lo = float(np.min(log_r))
         groups = []
         for sign, side, n in zip((1.0, -1.0), both, (n_pos, H - 1 - n_pos)):
             if side.slope == 0 and j <= 1:
                 d = None
             elif side.slope is None:
-                d = _curved_group(rng, sign, side, n, r, max(j - 1, 0))
+                d = _curved_group(rng, sign, side, n, r, max(j - 1, 0),
+                                  _split(side, lo))
             else:
                 d = rng.standard_gamma(0.5 * n)
                 d *= 2.0
@@ -448,7 +472,8 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
             with np.errstate(over="ignore", invalid="ignore"):
                 _sq_rows(np.abs(z0[t]), side, sign * r, n, np.cumsum(n) - n,
                          part)
-            d = _Curved(part, None, lambda rows, t=t: np.abs(z0[t & rows]))
+            d = _Curved(part, None, lambda rows, t=t: np.abs(z0[t & rows]),
+                        n, None)
         else:
             d = None if side.slope == 0 else np.where(t, z0 * z0, 0.0)
         groups.append((sign, side, n, d))
@@ -458,24 +483,107 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
 class _Curved(NamedTuple):
     """A |Z| group as a layer step keeps it, never all of its entries:
     part, per row the plain-double sum of phi(sign r |Z_i|)^2 over them
-    (None without a norm); head, per row its first entries, as many as
-    _stick_break can read, zeros after them (None for unit 0's groups,
-    which it never reads); entries(rows), the |Z| of the
-    rows where the mask rows holds, back to back, for the log-domain
-    fallback of _log_sq_norm."""
+    (None without a norm); head, per row its first entries below the split
+    point, as many as _stick_break can read, zeros after them (None for
+    unit 0's groups, which it never reads); entries(rows), the |Z| below
+    the split point of the rows where the mask rows holds, back to back,
+    for the log-domain fallback of _log_sq_norm; below, per row the number
+    of entries below the split point; cut, the split point t of
+    _curved_group, or None where the group was not split and every entry
+    counts as below it."""
 
     part: np.ndarray | None
     head: np.ndarray | None
     entries: Callable
+    below: np.ndarray
+    cut: float | None
 
 
-def _blocks(rng, n: np.ndarray):
+def _split(side, lo: float):
+    """(t, p) at which a chunk's |Z| group on a curved side splits, or
+    None: t = T / e^lo for the side's saturation point T and the chunk's
+    smallest log r, lo, so that r |Z| >= T on every row where |Z| >= t, and
+    p = P(|Z| < t). None where the side has no saturation point or where
+    p > _SPLIT_P (a chunk with a dead row, lo = -inf, never splits)."""
+    if side.saturation is None or not lo > math.log(side.saturation[0]):
+        return None
+    t = side.saturation[0] * math.exp(-lo)
+    p = math.erf(t / math.sqrt(2.0))
+    return (t, p) if p <= _SPLIT_P else None
+
+
+def _below_counts(rng, n: np.ndarray, p: float) -> np.ndarray:
+    """Per row, how many of its n[i] entries fall below the split point,
+    each with probability p: Bin(n[i], p) per row, or, where fewer than one
+    per row is expected (p sum(n) < rows), the places of those entries in
+    the flattened group, whose gaps are Geometric(p), drawn in rounds of a
+    few more than the expected rest. Each is the cheaper one there: at 4096
+    rows of about 50 entries numpy 2.4 takes 0.70, 0.30 and 0.24 ms for
+    the binomials at p = 0.25, 0.02 and 1e-3, and 2.9, 0.30 and 0.06 ms
+    for the gaps."""
+    if p == 0.0:  # t below about 1e-308: no entry is below it
+        return np.zeros_like(n)
+    ends = np.cumsum(n)
+    total = int(ends[-1])
+    if p * total >= n.size:
+        return rng.binomial(n, p)
+    places, last = [], -1
+    while last < total:
+        # a gap past the end ends the group; the clip keeps the sum of gaps
+        # from overflowing, where numpy returns 2^63 - 1 for p near 1e-19
+        gaps = rng.geometric(p, int(p * (total - last)) + 16)
+        at = last + np.cumsum(np.minimum(gaps, total + 1))
+        places.append(at[at < total])
+        last = int(at[-1])
+    return np.bincount(np.searchsorted(ends, np.concatenate(places),
+                                       side="right"), minlength=n.size)
+
+
+def _normals(rng, e: np.ndarray) -> np.ndarray:
+    """Fills e with |Z|, Z standard normal."""
+    rng.standard_normal(out=e)
+    return np.abs(e, out=e)
+
+
+def _below(t: float, rng, e: np.ndarray) -> np.ndarray:
+    """Fills e with |Z| given |Z| < t, by rejection: x = t U is kept where
+    an Exp(1) draw exceeds x^2 / 2, so with probability e^(-x^2 / 2), at
+    least 0.95 for every t that _split takes. Each round draws the
+    uniforms, then the exponentials, of a few more candidates than are
+    missing, and keeps the first accepted ones."""
+    done = 0
+    while done < e.size:
+        k = e.size - done
+        m = k + (k >> 4) + 8
+        x = rng.random(m)
+        x *= t
+        keep = x[np.square(x) * 0.5 < rng.standard_exponential(m)][:k]
+        e[done:done + keep.size] = keep
+        done += keep.size
+    return e
+
+
+def _tail(rng, t: float, k: int) -> np.ndarray:
+    """k draws of |Z| given |Z| >= t, by rejection from |Z|: each round
+    draws as many normals as are missing and keeps those at t or past it,
+    at least 3/4 of them for every t that _split takes."""
+    out = np.empty(k)
+    done = 0
+    while done < k:
+        z = np.abs(rng.standard_normal(k - done))
+        z = z[z >= t]
+        out[done:done + z.size] = z
+        done += z.size
+    return out
+
+
+def _blocks(rng, n: np.ndarray, fill):
     """(a, z, starts, e) for each block of rows a..z-1 of a |Z| group of
     n[i] entries in row i: e holds their |Z|, back to back in row order,
-    drawn by rng into one buffer that every block reuses, and starts the
-    place of each row's first entry in e. So the blocks read rng as one
-    standard_normal call of all the entries would. A block holds about
-    _BLOCK entries, or one row where a row holds more."""
+    written by fill(rng, e) into one buffer that every block reuses, and
+    starts the place of each row's first entry in e. So with _normals the
+    blocks read rng as one standard_normal call of all the entries would. A
+    block holds about _BLOCK entries, or one row where a row holds more."""
     b = n.shape[0]
     ends = np.cumsum(n)
     starts = ends - n
@@ -484,37 +592,51 @@ def _blocks(rng, n: np.ndarray):
     spans = [(int(starts[a]), int(ends[z - 1])) for a, z in rows]
     buf = np.empty(max(hi - lo for lo, hi in spans))
     for (a, z), (lo, hi) in zip(rows, spans):
-        e = buf[:hi - lo]
-        rng.standard_normal(out=e)
-        yield a, z, starts[a:z] - lo, np.abs(e, out=e)
+        yield a, z, starts[a:z] - lo, fill(rng, buf[:hi - lo])
 
 
-def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int):
-    """A |Z| group of n[i] entries in row i, drawn from rng in _blocks: the
-    _Curved of its part (if r is not None) and the first `keep` entries of
-    each row. Its fallback entries are drawn again from rng's state
-    before the group, by a generator of their own."""
+def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int,
+                  split):
+    """A |Z| group of n[i] entries in row i: the _Curved of its part (if r
+    is not None) and the first `keep` entries below the split point of
+    each row. Without a split (split None) rng draws every entry in
+    _blocks. With one, (t, p) from _split, rng first draws each row's count
+    below t, Bin(n[i], p) (_below_counts), then only those entries, from
+    |Z| given |Z| < t (_below), in _blocks. Each of the others has
+    phi(sign r |Z|) = c, the side's saturation constant, so the part adds
+    c^2 per entry and nothing is drawn for them. The fallback's entries are
+    drawn again from rng's state before the blocks, by a generator of their
+    own."""
+    t, below, fill = None, n, _normals
+    if split is not None:
+        t, p = split
+        below = _below_counts(rng, n, p)
+        fill = functools.partial(_below, t)
     state = rng.bit_generator.state
     b = n.shape[0]
     part, sr = (None, None) if r is None else (np.zeros(b), sign * r)
     head = np.zeros((b, keep))
     cols = np.arange(keep)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, z, starts, e in _blocks(rng, n):
+        for a, z, starts, e in _blocks(rng, below, fill):
             if keep:
-                first = cols < n[a:z, None]
+                first = cols < below[a:z, None]
                 head[a:z][first] = e[(starts[:, None] + cols)[first]]
             if r is not None:
-                _sq_rows(e, side, sr[a:z], n[a:z], starts, part[a:z])
+                _sq_rows(e, side, sr[a:z], below[a:z], starts, part[a:z])
+        if r is not None and t is not None:
+            # no 0 x inf where c^2 overflows, as elu(1e308)'s does
+            sat, c = n - below, side.saturation[1]
+            part += np.where(sat > 0, sat * (c * c), 0.0)
 
     def entries(rows):
         bits = np.random.PCG64()  # its seed is replaced by the saved state
         bits.state = state
         again = np.random.Generator(bits)
-        return np.concatenate([e[np.repeat(rows[a:z], n[a:z])]
-                               for a, z, _, e in _blocks(again, n)])
+        return np.concatenate([e[np.repeat(rows[a:z], below[a:z])]
+                               for a, z, _, e in _blocks(again, below, fill)])
 
-    return _Curved(part, head, entries)
+    return _Curved(part, head, entries, below, t)
 
 
 def _sq_rows(e: np.ndarray, side, sr: np.ndarray, n: np.ndarray,
@@ -536,16 +658,22 @@ def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
     sign group of the other H - 1. With N' positives left among H' units,
     a unit is positive with probability N'/H'; it then takes a Beta share
     of its chi-square group's sum, or its |Z| group's next unused entry in
-    its row (exact, since the group is exchangeable)."""
+    its row (exact, since the group is exchangeable). Where a |Z| group was
+    split at t (_curved_group), the unit takes an entry below t with
+    probability (those left) / (all left), from one uniform per unit drawn
+    for every row, and else a saturated one, which only it reads: its |Z|
+    is drawn then, from |Z| given |Z| >= t (_tail), positive group first."""
     b = log_r.shape[0]
     left = [n.copy() for _, _, n, _ in groups]
     sums = [np.zeros(b) if side.slope is None else d
             for _, side, _, d in groups]
-    # a |Z| group's next entry in row i sits at i keep + count - left of
-    # its head; rows with none left never take one, so clipping their
-    # index past the last entry is safe
-    flats = [(d.head.ravel(), np.arange(b) * d.head.shape[1] + n)
-             if side.slope is None else None for _, side, n, d in groups]
+    # a |Z| group's next entry below its split point in row i sits at
+    # i keep + below - (below left) of its head; rows with none left never
+    # take one, so clipping their index past the last entry is safe
+    curved = [(d.head.ravel(), np.arange(b) * d.head.shape[1] + d.below,
+               d.below.copy(), d.cut)
+              if side.slope is None else None for _, side, _, d in groups]
+    split = any(c is not None and c[3] is not None for c in curved)
     for i in range(1, signs.shape[1]):
         pos = rng.random(b) * (H - i) < left[0]
         k = np.where(pos, *left)
@@ -556,10 +684,18 @@ def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
         rest = 2.0 * rng.standard_gamma(0.5 * (k - 1))
         z2 = np.where(k == 1, s, s * (u / (u + rest)))
         took = (pos, ~pos)
-        for t, n, flat in zip(took, left, flats):
-            if flat is not None:
-                z2 = np.where(t, flat[0].take(flat[1] - n, mode="clip") ** 2,
-                              z2)
+        v = rng.random(b) if split else None
+        for t, n, c in zip(took, left, curved):
+            if c is None:
+                continue
+            head, base, below_left, cut = c
+            hit = t if cut is None else t & (v * n < below_left)
+            z2 = np.where(hit, head.take(base - below_left, mode="clip") ** 2,
+                          z2)
+            below_left -= hit
+            if cut is not None:
+                miss = np.flatnonzero(t & ~hit)
+                z2[miss] = np.square(_tail(rng, cut, miss.size))
         for g, t in enumerate(took):
             left[g] -= t
             sums[g] = np.where(t, sums[g] - z2, sums[g])
@@ -583,8 +719,10 @@ def _log_sq_norm(log_r: np.ndarray, r, groups):
     by log-sum-exp, log r + log e through the side's log form for each
     entry e of a group: sqrt(S) of a slope's, each |Z_i| of a curved one,
     which its entries() draws again from the group's saved generator
-    state. Only those rows' entries are held, in a matrix padded with -inf
-    whose exp goes through _exp, off numpy's slow path.
+    state. A split group's m saturated entries of a row are one more term,
+    log|c| + log(m) / 2, for m c^2. Only those rows' entries are held, in a
+    matrix padded with -inf whose exp goes through _exp, off numpy's slow
+    path.
     """
     groups = [g for g in groups if g[1].slope != 0]
     if all(side.slope is not None for _, side, _, _ in groups):
@@ -601,18 +739,30 @@ def _log_sq_norm(log_r: np.ndarray, r, groups):
     if np.all(ok):
         return log_sq
     rest = ~ok
-    sizes = [np.ones(np.sum(rest), int) if side.slope is not None else n[rest]
-             for _, side, n, _ in groups]
+    # a row's cells of a group: 1 for a slope's, its entries below the
+    # split point for a |Z| group's, and one more for its saturated ones
+    sizes = [np.ones(np.sum(rest), int) if side.slope is not None
+             else d.below[rest] + (d.cut is not None)
+             for _, side, _, d in groups]
     col = np.arange(np.max(sum(sizes)))
     logabs = np.full((sizes[0].size, col.size), -np.inf)
     start = np.zeros_like(sizes[0])
-    for (sign, side, n, d), k in zip(groups, sizes):
+    for (sign, side, n, d), size in zip(groups, sizes):
+        if side.slope is not None:
+            k, e = size, np.sqrt(d[rest])
+        else:
+            k, e = d.below[rest], d.entries(rest)
+            if d.cut is not None:
+                # m saturated entries add m c^2: log|c| + log(m) / 2
+                with np.errstate(divide="ignore"):
+                    logabs[np.arange(k.size), start + k] = (
+                        math.log(abs(side.saturation[1]))
+                        + 0.5 * np.log(n[rest] - k))
         cells = (col >= start[:, None]) & (col < (start + k)[:, None])
-        e = np.sqrt(d[rest]) if side.slope is not None else d.entries(rest)
         with np.errstate(divide="ignore"):
             lm = np.repeat(log_r[rest], k) + np.log(e)
         logabs[cells] = side.log(sign, lm)[1]
-        start = start + k
+        start = start + size
     m = np.max(logabs, axis=1)
     with np.errstate(invalid="ignore"):
         x = 2.0 * (logabs - m[:, None])

@@ -5,9 +5,11 @@ parameters (their number is the parameter count) and their check, and phi's
 two sides, u > 0 and u < 0. A Side is a slope c (phi(u) = c u) or a curve,
 and has an in-place value form for input of its sign (elu alpha expm1(u) for
 u <= 0, sigmoid one exp) and a log form, (sign, log|u|) to (sign,
-log|phi(u)|). Every caller reads the sides: apply, apply_signed_log, the
-envelope search and the sampler. Adding a family means its sides plus its
-line in the test suite's ALL_SPECS.
+log|phi(u)|). A curve that is one double c from some |u| = T on in both
+forms carries (T, c) as its saturation, which the sampler reads to count
+such entries instead of drawing them. Every caller reads the sides: apply,
+apply_signed_log, the envelope search and the sampler. Adding a family
+means its sides plus its line in the test suite's ALL_SPECS.
 
 An activation phi has the extended envelope property when
 
@@ -44,11 +46,17 @@ _EXP_CAP = 700.0
 class Side(NamedTuple):
     """One side of phi: value writes phi(u) into u, a float array of the
     side's sign; log maps (signs, log|u|) to (signs, log|phi(u)|) for such
-    u, elementwise and safe on any u; slope is c if phi(u) = c u, else None."""
+    u, elementwise and safe on any u; slope is c if phi(u) = c u, else None.
+    saturation is (T, c) for a curve whose value is the double c, bit for
+    bit, and whose log form is log|c| up to rounding, at every |u| >= T
+    (else None): there phi(u)^2 is c^2 whatever u, which lets the sampler
+    count such entries instead of drawing them. Each T is the measured
+    point (through numpy's expm1, tanh and exp) with a margin."""
 
     value: Callable
     log: Callable
     slope: float | None = None
+    saturation: tuple[float, float] | None = None
 
 
 def _slope(c):
@@ -60,7 +68,8 @@ def _slope(c):
 def _elu_neg(lam, alpha):
     """lam elu_alpha for u <= 0: lam (alpha expm1(u)), in that order. Its
     log is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past
-    e^_EXP_CAP."""
+    e^_EXP_CAP. expm1(u) is -1.0 from u = -37.43 on, so the side is
+    -(lam alpha) from |u| = 40."""
 
     def value(u):
         # x 1.0 == x for every double, so an identity factor is skipped
@@ -75,7 +84,8 @@ def _elu_neg(lam, alpha):
         c = math.log(lam * alpha)
         return s, np.where(lm > _EXP_CAP, c, c + shape)
 
-    return Side(value, log)
+    # -1.0 x alpha x lam rounds as -(lam alpha) does
+    return Side(value, log, saturation=(40.0, -(lam * alpha)))
 
 
 def _tanh_log(s, lm):
@@ -87,7 +97,12 @@ def _tanh_log(s, lm):
 def _sigmoid_side(sign):
     """sigmoid for u of one sign: e^u / (1 + e^u) for u <= 0, 1 / (1 + e^-u)
     for u >= 0, one exp that overflows on neither side. Its log, of sign +1, is
-    -log(1 + e^-u), and past e^_EXP_CAP 0 (u > 0) or -inf (u < 0)."""
+    -log(1 + e^-u), and past e^_EXP_CAP 0 (u > 0) or -inf (u < 0).
+
+    The positive side is 1.0 from u = 36.74 on (saturation at 40). The
+    negative one has no saturation: its square underflows to 0.0 from
+    u = -372.57 on, but its log form, about u, keeps falling, and a row of
+    the log-domain norm reads it."""
 
     def value(u):
         e = np.exp(np.negative(u, out=u) if sign > 0 else u, out=u)
@@ -98,7 +113,7 @@ def _sigmoid_side(sign):
         return 1, np.where(lm > _EXP_CAP, 0.0 if sign > 0 else -np.inf,
                            -np.logaddexp(0.0, -u))
 
-    return Side(value, log)
+    return Side(value, log, saturation=(40.0, 1.0) if sign > 0 else None)
 
 
 class _Family(NamedTuple):
@@ -128,8 +143,10 @@ _TABLE = {
                            and 0 < p[0] * p[1] < math.inf,
                            "selu lambda and alpha must be > 0 with a "
                            "finite, nonzero product")),
-    "tanh": _Family(
-        lambda p: (Side(lambda u: np.tanh(u, out=u), _tanh_log),) * 2),
+    # tanh(u) is +-1.0 from |u| = 18.99 on
+    "tanh": _Family(lambda p: tuple(
+        Side(lambda u: np.tanh(u, out=u), _tanh_log, saturation=(20.0, c))
+        for c in (1.0, -1.0))),
     "sigmoid": _Family(lambda p: (_sigmoid_side(1.0), _sigmoid_side(-1.0))),
 }
 

@@ -14,7 +14,7 @@ from scipy.special import log_ndtr
 
 import layertails
 from layertails.cli import _COMMANDS, build_parser, main
-from layertails.manifest import RunManifest, sha256_file
+from layertails.manifest import RunManifest, _numpy_dispatch, sha256_file
 from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
                                       sample_input)
 from layertails.nonlinearity import NonlinearitySpec
@@ -606,7 +606,44 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "survival_layer2.csv: MISMATCH" in printed
-        assert "sampler version differs (manifest 8, this build 9)" in printed
+        assert ("sampler version differs (manifest 8, this build "
+                f"{SAMPLER_VERSION})") in printed
+        assert "numpy version differs" not in printed
+
+    def test_version_9_elu_manifest_is_named(self, tmp_path, capsys):
+        # version 10 draws only the half-normals of a split curved group
+        # that fall below its saturation point; at weight_std 33 every
+        # layer-1 group splits at p = 0.24. These are the files a version-9
+        # build wrote for this run
+        v9_files = {
+            "gaussian_reference.csv": "8c2a881a9bf3129c1b0448aceafd954c"
+                                      "3b54b26fea4c0a213a47a43057e7d5af",
+            "ordering.csv": "410987c0bad224f1e3b7618afa794b50"
+                            "6465d9803674b46a5ac76544326308eb",
+            "survival_layer1.csv": "6c9658199f5dee3a7ef5fe31fd13f477"
+                                   "b629a40a5d4c67bde98433d6211b9299",
+            "survival_layer2.csv": "ee4115a873f42a078f3f5c6336ff60c6"
+                                   "82acdc8619807dd8e3b51a46117f4e51",
+        }
+        cfg = NetworkConfig(input_dim=10, layer_widths=(20, 20),
+                            nonlinearity=NonlinearitySpec("elu", (1.0,)),
+                            weight_std=33.0)
+        write_ini(tmp_path / "net.ini", cfg)
+        out = tmp_path / "curves"
+        main(["survival-curves", "--config", str(tmp_path / "net.ini"),
+              "--samples", "20000", "--out", str(out)])
+        man = json.loads((out / "manifest.json").read_text())
+        assert sorted(man["files"]) == sorted(v9_files)
+        man["sampler"] = 9
+        man["files"] = v9_files
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "survival_layer2.csv: MISMATCH" in printed
+        assert "sampler version differs (manifest 9, this build 10)" in printed
         assert "numpy version differs" not in printed
 
     def test_contours_manifest_with_t_and_n_points_replays(self, tmp_path,
@@ -674,6 +711,7 @@ class TestRerun:
         man = json.loads((out / "manifest.json").read_text())
         assert man["versions"] == {"layertails": layertails.__version__,
                                    "numpy": np.__version__,
+                                   "numpy_dispatch": _numpy_dispatch(),
                                    "python": platform.python_version()}
         # another build's versions: the bytes still match, so rerun passes
         man["versions"] = dict(man["versions"], numpy="1.26.4",
@@ -692,6 +730,31 @@ class TestRerun:
         assert (f"numpy version differs (manifest 1.26.4, this build "
                 f"{np.__version__})") in printed
         assert "sampler version differs" not in printed
+
+    def test_numpy_dispatch_is_named_when_files_differ(self, net_ini,
+                                                       tmp_path, capsys):
+        out = tmp_path / "sweep"
+        main(["tail-sweep", "--config", str(net_ini), "--samples", "20000",
+              "--out", str(out), "--seed", "3"])
+        man = json.loads((out / "manifest.json").read_text())
+        this = man["versions"]["numpy_dispatch"]
+        assert this == _numpy_dispatch()
+        # a machine without the AVX512 kernels: the same bytes still pass
+        man["versions"]["numpy_dispatch"] = "X86_V3"
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "same")]) == 0
+        assert "dispatch differs" not in capsys.readouterr().out
+        man["files"] = {name: "0" * 64 for name in man["files"]}
+        (out / "manifest.json").write_text(json.dumps(man))
+        assert main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "differ")]) == 1
+        printed = capsys.readouterr().out
+        if this != "X86_V3":
+            assert (f"numpy dispatch differs (manifest X86_V3, this build "
+                    f"{this})") in printed
+        assert "numpy version differs" not in printed
 
     def test_manifest_without_versions_loads_and_replays(self, net_ini,
                                                          tmp_path, capsys):

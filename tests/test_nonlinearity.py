@@ -1,3 +1,12 @@
+"""Tests of the activation table: parsing, apply and its sides, the
+log-domain forms, the saturation points and the envelope search.
+
+The bit-for-bit pins (PINNED_APPLY, PINNED_SIGNED_LOG, the saturation
+constants) were made on an AVX512 machine (numpy dispatch X86_V3, X86_V4,
+AVX512_ICL, AVX512_SPR). numpy's exp, log and expm1 kernels of other
+dispatch targets may differ from them by an ulp; see ROADMAP item 16.
+"""
+
 import dataclasses
 import math
 
@@ -193,6 +202,67 @@ class TestApplySide:
         got = sides(NonlinearitySpec("elu", (1.0,)))[1].value(u)  # u <= 0
         assert got is u
         np.testing.assert_array_equal(u, np.expm1([-2.0, -0.5, 0.0]))
+
+
+# every curved side of ALL_SPECS, plus elu at a large, a huge and a
+# subnormal alpha, whose saturation constants are 4.0, -inf squared and 0
+# squared
+SATURATING_SPECS = [spec for spec in ALL_SPECS if any(
+    side.slope is None for side in sides(spec))] + [
+    NonlinearitySpec("elu", (2.0,)), NonlinearitySpec("elu", (1e308,)),
+    NonlinearitySpec("elu", (1e-320,))]
+
+
+class TestSaturation:
+    """A curved side's saturation (T, c): from |u| = T on its value is the
+    double c, bit for bit, and its log form is log|c| up to rounding; so
+    the sampler may count those entries, c^2 each, instead of drawing
+    them."""
+
+    @pytest.mark.parametrize("spec", SATURATING_SPECS, ids=str)
+    def test_side_is_its_constant_from_the_saturation_point(self, spec):
+        big = np.finfo(float).max
+        checked = 0
+        for sign, side in zip((1.0, -1.0), sides(spec)):
+            if side.slope is not None or side.saturation is None:
+                continue
+            t, c = side.saturation
+            dense = np.exp(np.linspace(math.log(t), math.log(big) - 1e-9,
+                                       10**5))
+            mags = np.concatenate([[t], dense, [big]])
+            got = side.value(sign * mags)
+            assert got.tobytes() == np.full(mags.size, c).tobytes()
+            with np.errstate(over="ignore"):
+                assert (got * got).tobytes() == np.full(mags.size,
+                                                        c * c).tobytes()
+            s, lm = side.log(np.full(mags.size, sign), np.log(mags))
+            assert np.all(s == (1 if spec.family == "sigmoid" else sign))
+            np.testing.assert_allclose(lm, math.log(abs(c)), rtol=0,
+                                       atol=1e-15)
+            checked += 1
+        assert checked == (1 if spec.family in ("elu", "selu", "sigmoid")
+                           else 2)
+
+    def test_sigmoid_negative_side_has_none(self):
+        # its square is 0.0 from u = -372.57 on, but its log form, which a
+        # log-domain norm reads, is about u and keeps falling
+        side = sides(SIGMOID)[1]
+        assert side.saturation is None
+        u = np.array([-400.0, -1e4])
+        assert np.all(np.square(side.value(u.copy())) == 0.0)
+        np.testing.assert_allclose(side.log(1, np.log(-u))[1], u)
+
+    @pytest.mark.parametrize("spec", [
+        NonlinearitySpec("elu", (1.0,)), NonlinearitySpec("selu"), TANH,
+        SIGMOID], ids=str)
+    def test_points_keep_a_margin(self, spec):
+        # the measured points are 37.43 (expm1), 18.99 (tanh) and 36.74
+        # (exp); half of the margin in, the side is its constant already
+        for sign, side in zip((1.0, -1.0), sides(spec)):
+            if side.saturation is not None:
+                t, c = side.saturation
+                inner = sign * (t - 0.5 * (t - {40.0: 37.43, 20.0: 18.99}[t]))
+                assert side.value(np.array([inner]))[0] == c
 
 
 def _encode(values):
