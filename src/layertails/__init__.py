@@ -15,8 +15,7 @@ from .network_model import (NetworkConfig, UnitSampleSet, parse_config_file,
                             sample_input, sample_joint_units,
                             sample_layer_units)
 from .nonlinearity import (EnvelopeWitness, NonlinearitySpec, apply,
-                           apply_signed_log, search_envelope_constants,
-                           verify_envelope)
+                           apply_signed_log, search_envelope_constants)
 from .penalty_geometry import ContourSet, contour, equal_coordinate
 from .tail_analysis import (MomentCurve, RecursionVerdict, SurvivalCurves,
                             TailEstimate, empirical_log_norm,
@@ -43,5 +42,4 @@ __all__ = [
     "sample_input", "sample_joint_units", "sample_layer_units",
     "search_envelope_constants",
     "sha256_file", "survival_curves", "sweep", "synthetic_values",
-    "verify_envelope",
 ]

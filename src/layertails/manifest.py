@@ -36,7 +36,9 @@ from .network_model import SAMPLER_VERSION
 # 1: every build before this field.
 # 2: the Gaussian reference (gaussian_reference.csv) and the exact norms
 #    (oracle.csv) from the standard library's erfc and lgamma, not scipy.
-OUTPUT_FORMAT = 2
+# 3: envelope.csv read from the activation table, exact off any grid,
+#    without its two failure columns.
+OUTPUT_FORMAT = 3
 
 
 def _numpy_dispatch() -> str:

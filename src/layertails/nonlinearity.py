@@ -1,4 +1,4 @@
-"""Activation functions and numerical certification of the envelope property.
+"""Activation functions and the envelope property, read from their table.
 
 Each activation family is defined once, by its entry in _TABLE: default
 parameters (their number is the parameter count) and their check, and phi's
@@ -7,9 +7,11 @@ and has an in-place value form for input of its sign (elu alpha expm1(u) for
 u <= 0, sigmoid one exp) and a log form, (sign, log|u|) to (sign,
 log|phi(u)|). A curve that is one double c from some |u| = T on in both
 forms carries (T, c) as its saturation, which the sampler reads to count
-such entries instead of drawing them. Every caller reads the sides: apply,
-apply_signed_log, the envelope search and the sampler. Adding a family
-means its sides plus its line in the test suite's ALL_SPECS.
+such entries instead of drawing them. A curve of a family with a slope
+side also carries sup |phi(u)|/|u| over its half-line. Every caller reads
+the sides: apply, apply_signed_log, the envelope verdict and the sampler.
+Adding a family means its sides plus its line in the test suite's
+ALL_SPECS.
 
 An activation phi has the extended envelope property when
 
@@ -22,10 +24,11 @@ makes the layerwise tail recursion tick. Saturating functions (tanh,
 sigmoid) do not have it; they get a "bounded" verdict instead, which is
 the sub-Gaussian regime.
 
-Certification here is numerical: inequalities are checked on a finite
-grid, and search_envelope_constants fits the tightest linear envelopes
-over that grid. A grid certificate is exactly that; it does not prove
-the inequality off the grid.
+search_envelope_constants reads the property from the sides, so its
+constants hold at every real u, not on a grid: a slope c gives |phi(u)| =
+c|u|, and every curve is bounded, with |phi(u)|/|u| at most its sup_ratio
+(lambda alpha for elu and selu, 1 for tanh). So the property holds iff
+some side is a slope c > 0.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +55,16 @@ class Side(NamedTuple):
     bit, and whose log form is log|c| up to rounding, at every |u| >= T
     (else None): there phi(u)^2 is c^2 whatever u, which lets the sampler
     count such entries instead of drawing them. Each T is the measured
-    point (through numpy's expm1, tanh and exp) with a margin."""
+    point (through numpy's expm1, tanh and exp) with a margin. sup_ratio
+    is a double at or above sup |phi(u)|/|u| on a curve's half-line, the
+    envelope's upper slope; a family without a slope side may leave it
+    None, as its verdict never reads it."""
 
     value: Callable
     log: Callable
     slope: float | None = None
     saturation: tuple[float, float] | None = None
+    sup_ratio: float | None = None
 
 
 def _slope(c):
@@ -69,7 +77,9 @@ def _elu_neg(lam, alpha):
     """lam elu_alpha for u <= 0: lam (alpha expm1(u)), in that order. Its
     log is log(lam alpha) + log(1 - e^-|u|), and log(lam alpha) past
     e^_EXP_CAP. expm1(u) is -1.0 from u = -37.43 on, so the side is
-    -(lam alpha) from |u| = 40."""
+    -(lam alpha) from |u| = 40. |phi(u)|/|u| rises to lam alpha as
+    u -> 0-; the product of the two doubles can round below it (the
+    default selu's does), so sup_ratio is the exact product rounded up."""
 
     def value(u):
         # x 1.0 == x for every double, so an identity factor is skipped
@@ -84,8 +94,12 @@ def _elu_neg(lam, alpha):
         c = math.log(lam * alpha)
         return s, np.where(lm > _EXP_CAP, c, c + shape)
 
+    sup = Fraction(lam) * Fraction(alpha)
+    up = float(sup)
+    if up < sup:
+        up = math.nextafter(up, math.inf)
     # -1.0 x alpha x lam rounds as -(lam alpha) does
-    return Side(value, log, saturation=(40.0, -(lam * alpha)))
+    return Side(value, log, saturation=(40.0, -(lam * alpha)), sup_ratio=up)
 
 
 def _tanh_log(s, lm):
@@ -143,9 +157,10 @@ _TABLE = {
                            and 0 < p[0] * p[1] < math.inf,
                            "selu lambda and alpha must be > 0 with a "
                            "finite, nonzero product")),
-    # tanh(u) is +-1.0 from |u| = 18.99 on
+    # tanh(u) is +-1.0 from |u| = 18.99 on, and |tanh(u)| <= |u|
     "tanh": _Family(lambda p: tuple(
-        Side(lambda u: np.tanh(u, out=u), _tanh_log, saturation=(20.0, c))
+        Side(lambda u: np.tanh(u, out=u), _tanh_log, saturation=(20.0, c),
+             sup_ratio=1.0)
         for c in (1.0, -1.0))),
     "sigmoid": _Family(lambda p: (_sigmoid_side(1.0), _sigmoid_side(-1.0))),
 }
@@ -229,45 +244,14 @@ def apply_signed_log(spec: NonlinearitySpec, signs, logmags):
     return np.where(pos, sp, sn).astype(np.int8), np.where(pos, lp, ln)
 
 
-# The one certification grid: log-spaced over [_U_MIN, _U_MAX] on each side
-# plus the origin, wide enough that "bounded" separates saturating families
-# (sup ~ 1) from anything with linear growth.
-_U_MIN, _U_MAX, _PER_SIDE = 1e-3, 1e7, 100_000
-_GRID_DESC = f"log grid [{_U_MIN:g}, {_U_MAX:g}] x {_PER_SIDE} per side"
-
-
-def _grid() -> np.ndarray:
-    side = np.logspace(math.log10(_U_MIN), math.log10(_U_MAX), _PER_SIDE)
-    return np.concatenate([-side[::-1], [0.0], side])
-
-
-# Slope threshold for the bounded verdict: bounded iff
-# sup|phi| < BOUNDED_D_MIN * _U_MAX.
-BOUNDED_D_MIN = 1e-6
-
-# log|u| of a point far past the grid. There a slope c, a positive double
-# and so above e^-745, gives log|phi(u)| > 1255, while a side that
-# saturates at a double has log|phi(u)| below log(max double) < 710.
-_FAR_LOG_U = 2000.0
-
-
-def _grows(side: Side, sign: float) -> bool:
-    """Whether |phi| on the half-line of this sign passes every double, as
-    a slope side does and a saturating one does not; read at |u| =
-    e^_FAR_LOG_U through the side's log form."""
-    return float(side.log(sign, np.float64(_FAR_LOG_U))[1]) > math.log(
-        np.finfo(float).max)
-
-
 @dataclass(frozen=True)
 class EnvelopeWitness:
-    """Outcome of an envelope check.
+    """Outcome of the envelope decision.
 
-    verdict is one of "holds", "fails", "bounded". For "holds" the
-    constants certify both inequalities at every grid point; for "fails"
-    the first violating point and which inequality it broke are recorded;
-    "bounded" means the function saturates and no linear lower envelope
-    with usable slope exists (the sub-Gaussian case).
+    verdict is "holds" or "bounded". For "holds" the constants satisfy both
+    inequalities at every real u; "bounded" means no side is a slope, so
+    phi saturates and no linear lower envelope exists (the sub-Gaussian
+    case).
     """
 
     verdict: str
@@ -276,12 +260,9 @@ class EnvelopeWitness:
     side: str | None = None
     c2: float | None = None
     d2: float | None = None
-    grid: str = ""
-    failure_point: float | None = None
-    failure_inequality: str | None = None
 
     def __post_init__(self):
-        if self.verdict not in ("holds", "fails", "bounded"):
+        if self.verdict not in ("holds", "bounded"):
             raise ValueError(f"bad verdict {self.verdict!r}")
         if self.verdict == "holds":
             if self.c1 is None or self.c1 < 0 or self.d1 is None or self.d1 <= 0:
@@ -292,80 +273,22 @@ class EnvelopeWitness:
                 raise ValueError("holds requires a declared side")
 
 
-def _check(u: np.ndarray, phi: np.ndarray, c1: float, d1: float, side: str,
-           c2: float, d2: float) -> EnvelopeWitness:
-    """The envelope verdict for constants, given the grid u and |phi(u)|."""
-    au = np.abs(u)
-    # a bound that overflows is +inf, above any finite |phi|, as it should be
-    with np.errstate(over="ignore"):
-        upper, lower = c2 + d2 * au, c1 + d1 * au
-    upper_bad = phi > upper
-    if np.any(upper_bad):
-        pt = float(u[np.argmax(upper_bad)])
-        return EnvelopeWitness("fails", c1, d1, side, c2, d2, _GRID_DESC,
-                               failure_point=pt, failure_inequality="upper")
-
-    on_side = u > 0 if side == "positive-axis" else u < 0
-    lower_bad = on_side & (phi < lower)
-    if np.any(lower_bad):
-        pt = float(u[np.argmax(lower_bad)])
-        return EnvelopeWitness("fails", c1, d1, side, c2, d2, _GRID_DESC,
-                               failure_point=pt, failure_inequality="lower")
-
-    return EnvelopeWitness("holds", c1, d1, side, c2, d2, _GRID_DESC)
-
-
-def verify_envelope(spec: NonlinearitySpec, c1: float, d1: float, side: str,
-                    c2: float, d2: float) -> EnvelopeWitness:
-    """Check the two envelope inequalities for given constants on the grid.
-
-    The lower inequality |phi(u)| >= c1 + d1|u| is checked on the declared
-    side only; the upper |phi(u)| <= c2 + d2|u| on the whole grid. Failure
-    is a verdict carrying the first violating point, not an exception.
-    The grid is the search's, |u| in [1e-3, 1e7], wider than the
-    [1e-3, 1e3] this function once took by default: a failing call names
-    its first violating point on it.
-    """
-    if side not in ("positive-axis", "negative-axis"):
-        raise ValueError(f"bad side {side!r}")
-    u = _grid()
-    return _check(u, np.abs(apply(spec, u)), c1, d1, side, c2, d2)
-
-
 def search_envelope_constants(spec: NonlinearitySpec) -> EnvelopeWitness:
-    """Find envelope constants: the tightest linear bounds on the grid.
+    """The envelope verdict and constants, read from spec's sides.
 
-    Returns a "bounded" witness when the function saturates (sup over the
-    grid below BOUNDED_D_MIN * _U_MAX); otherwise fits c1 = c2 = 0 envelopes,
-    picks the half-line with the larger lower slope, and verifies the result
-    on the same evaluation of phi. A half-line on which |phi| is bounded
-    (_grows) is never picked, although a level above d1 * 1e7 meets the
-    lower bound on the whole grid, as elu's negative side does for alpha
-    above about 1e7. Otherwise the constants certify the grid; points off
-    the grid are not checked.
+    The property holds iff some side is a slope c > 0. Then d1 is the
+    largest such c, with c1 = 0 and a tie to the positive axis; c2 is
+    |phi(0)|, and d2 the largest of the sides' slopes and curves'
+    sup_ratio. Otherwise phi saturates and the verdict is "bounded".
+    The constants bound phi exactly; apply rounds each factor apart, so
+    its value may stand a few ulp (or 2^-1074) above the upper bound.
     """
-    u = _grid()
-    phi = np.abs(apply(spec, u))
-
-    if float(np.max(phi)) < BOUNDED_D_MIN * _U_MAX:
-        return EnvelopeWitness("bounded", grid=_GRID_DESC)
-
-    au = np.abs(u)
-    nz = au > 0
-    ratio = np.divide(phi[nz], au[nz])
-    upos = u[nz] > 0
-    # the grid has points on both sides; a tie goes to the positive axis
-    d1s = {name: float(np.min(ratio[on]))
-           for name, on, half, sign in zip(
-               ("positive-axis", "negative-axis"), (upos, ~upos),
-               sides(spec), (1.0, -1.0))
-           if _grows(half, sign)}
-    side = max(d1s, key=d1s.get, default=None)
-    d1 = d1s.get(side, 0.0)
-    if d1 <= 0:
-        # No half-line supports a linear lower bound; treat as saturating.
-        return EnvelopeWitness("bounded", grid=_GRID_DESC)
-
-    c2 = float(phi[_PER_SIDE])  # |phi(0)|, at the grid's origin
-    d2 = float(np.max(ratio))
-    return _check(u, phi, 0.0, d1, side, c2, d2)
+    both = dict(zip(("positive-axis", "negative-axis"), sides(spec)))
+    slopes = {name: s.slope for name, s in both.items() if s.slope}
+    if not slopes:
+        return EnvelopeWitness("bounded")
+    side = max(slopes, key=slopes.get)  # the first of equals, positive
+    d2 = max(s.sup_ratio if s.slope is None else s.slope
+             for s in both.values())
+    return EnvelopeWitness("holds", 0.0, slopes[side], side,
+                           abs(apply(spec, 0.0)), d2)

@@ -76,8 +76,8 @@ class TestEnvelopeCommand:
         assert main(["envelope", "softplus", "--out", str(tmp_path / "e")]) == 2
 
     def test_overflowing_bounds_warn_nothing(self, tmp_path, capsys):
-        # elu(1e308)'s bounds c + d|u| overflow to +inf, which lies above
-        # any finite |phi|, so the verdict holds and nothing is printed
+        # elu(1e308)'s d2 is alpha, so d2 |u| overflows for |u| > 1.8;
+        # the verdict holds and nothing is printed
         out = tmp_path / "e"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -88,11 +88,12 @@ class TestEnvelopeCommand:
     # sha256 of envelope.csv for the default families and for edge specs:
     # a zero slope, bounds that overflow, a subnormal alpha; elu(1e308)'s
     # row certifies the positive axis with d1 = 1.0, not its saturating
-    # negative one
+    # negative one, and d2 = 1e308; selu's d1 is lambda and its d2 lambda
+    # alpha rounded up
     @pytest.mark.parametrize("families,digest", [
-        ([], "75d66814388539e58a9cd7f291b88b4be7d9222c7d163d13e53d615981957fed"),
+        ([], "b761d423ba4e7e6f74c716c2a823fd10b520674258b59b8dd041686f79fc3278"),
         (["relu", "prelu(0.0)", "elu(1e308)", "elu(1e-320)", "identity"],
-         "3969c61a4beca7d5b41e4047e7ac6037e40c8c504a5a9163ae53af262b9039ab")],
+         "16ea1fb40a903c2139e8c2423d6f61dfe75886133a3cadf175d877c51ce72172")],
         ids=["defaults", "edges"])
     def test_envelope_csv_is_pinned(self, families, digest, tmp_path):
         out = tmp_path / "env"
@@ -687,7 +688,7 @@ class TestRerun:
             args += ["--config", str(tmp_path / "net.ini")]
         assert main(args) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 2)
+        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 3)
         assert sorted(man["files"]) == sorted(format1_files)
         del man["format"]
         man["files"] = format1_files
@@ -700,7 +701,28 @@ class TestRerun:
         assert code == 1
         assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
             f"{changed}: MISMATCH"]
-        assert "output format differs (manifest 1, this build 2)" in printed
+        assert "output format differs (manifest 1, this build 3)" in printed
+        assert "sampler version differs" not in printed
+
+    def test_format_2_envelope_manifest_is_named(self, tmp_path, capsys):
+        # format 3 reads envelope.csv from the activation table: the
+        # failure columns go and selu's d1 and d2 move. This is the file a
+        # format-2 build wrote for the default families
+        out = tmp_path / "env"
+        assert main(["envelope", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["format"] == 3
+        man["format"] = 2
+        man["files"] = {"envelope.csv": "75d66814388539e58a9cd7f291b88b4b"
+                                        "e7d9222c7d163d13e53d615981957fed"}
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "envelope.csv: MISMATCH" in printed
+        assert "output format differs (manifest 2, this build 3)" in printed
         assert "sampler version differs" not in printed
 
     def test_manifest_records_versions_that_rerun_never_compares(
@@ -958,3 +980,37 @@ def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), \
             name
+
+
+_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+@pytest.mark.skipif("X86_V4" not in _numpy_dispatch().split(),
+                    reason="numpy does not dispatch X86_V4 on this machine, "
+                           "so disabling it changes no kernel")
+def test_rerun_names_a_numpy_dispatch_change(net_ini, tmp_path, capsys):
+    """A tail-sweep run with numpy's X86_V4 and AVX512 kernels disabled
+    either replays byte for byte here, or its rerun names the dispatch.
+
+    NPY_DISABLE_CPU_FEATURES is set for the child process only; there
+    numpy dispatches X86_V3 alone, and its exp and log may return other
+    last bits, which reach theta_summary.csv.
+    """
+    out = tmp_path / "v3"
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=_AVX512,
+               PYTHONPATH=os.pathsep.join(
+                   [str(Path(layertails.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "layertails.cli", "tail-sweep", "--config",
+         str(net_ini), "--samples", "20000", "--seed", "3", "--out",
+         str(out)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    then = RunManifest.load(out / "manifest.json").versions["numpy_dispatch"]
+    assert "X86_V4" not in then.split()
+    capsys.readouterr()
+    code = main(["rerun", str(out / "manifest.json"), "--out",
+                 str(tmp_path / "replay")])
+    printed = capsys.readouterr().out
+    assert code == 0 or (f"numpy dispatch differs (manifest {then}, this "
+                         f"build {_numpy_dispatch()})") in printed, printed
