@@ -9,12 +9,16 @@ otherwise. Standard errors come from batch means over 32 contiguous
 batches, so they honor any dependence the estimator introduces within a
 batch.
 
-A sweep draws the pair once, at every requested layer, in a single
-sampler pass from the prefix (seed, STREAM_COVARIANCE, m, m'), and scores
-all its (layer, s, t) cells from those draws. Its cells are therefore not
-independent of each other. No check relies on that: each verdict rests on
-its own cell's batch means. estimate_unit_covariance draws from the same
-prefix, so it reproduces any sweep cell exactly.
+A sweep draws the pair once, at every layer from 1 to the deepest
+requested one, in a single sampler pass from the prefix (seed,
+STREAM_COVARIANCE, m, m'), and scores the requested layers' (layer, s, t)
+cells from those draws. A layer's draws depend on the units asked of the
+layers below it, so drawing the pair at the layers it does not score
+makes a layer's cells the same whichever other layers a request scores.
+Its cells are therefore not independent of each other. No check relies
+on that: each verdict rests on its own cell's batch means.
+estimate_unit_covariance draws the same way, so it reproduces any sweep
+cell exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,9 @@ import numpy as np
 
 from . import network_model
 from .errors import MomentOverflowError, is_int
-from .network_model import (STREAM_COVARIANCE, NetworkConfig, _exp,
+# sample_joint_units is not called here; it stays bound because
+# perfbench/tracer.py wraps covariance_verifier.sample_joint_units by name
+from .network_model import (STREAM_COVARIANCE, NetworkConfig, _exp,  # noqa: F401
                             _finite_lanes, entropy_prefix, sample_joint_units)
 
 _N_BATCHES = 32
@@ -65,17 +71,31 @@ def _check_powers(s: int, t: int) -> None:
         raise ValueError("powers s, t must be integers >= 1")
 
 
-def _check_request(config: NetworkConfig, x, layers, pair, n_samples: int,
-                   workers: int) -> dict:
-    """{layer: pair} for run_sampler, once the pair's shape, its request
-    checks and n_samples >= 10^4 pass; run before any entropy prefix."""
+def _draws(config: NetworkConfig, x, layers, pair, n_samples: int,
+           seed: int, workers: int) -> dict:
+    """run_sampler's draws of the pair's post units at every layer from 1
+    to the deepest of layers, from the prefix (seed, STREAM_COVARIANCE, m,
+    m'), once the pair's shape, its request checks at layers and
+    n_samples >= 10^4 pass. A layer's draws depend on how many leading
+    units are asked of each layer below it, so a layer that is not scored
+    asks for the pair's larger unit, or its own last unit where it is
+    narrower: then a layer's draws do not depend on which other layers are
+    scored."""
     if np.shape(pair) != (2,):
         raise ValueError(f"pair must be two unit indices, got {pair!r}")
     needs = {layer: tuple(pair) for layer in layers}
     network_model.check_request(config, x, n_samples, needs, "post", workers)
     if n_samples < 10_000:
         raise ValueError("need n_samples >= 10^4")
-    return needs
+    entropy = entropy_prefix(seed, STREAM_COVARIANCE, *pair)
+    scored = list(needs)
+    for layer in range(1, max(scored) + 1):
+        needs.setdefault(layer, (min(max(pair),
+                                     config.layer_widths[layer - 1] - 1),))
+    # looked up on the module, so a wrapped run_sampler sees this pass too
+    draws = network_model.run_sampler(config, x, n_samples, needs, entropy,
+                                      "post", workers=workers)
+    return {layer: draws[layer] for layer in scored}
 
 
 def _batch_rows(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -154,10 +174,8 @@ def estimate_unit_covariance(config: NetworkConfig, x: np.ndarray, layer: int,
     draws are those of the same pair and layer in sweep, so the report
     equals the matching sweep cell exactly.
     """
-    _check_request(config, x, (layer,), pair, n_samples, workers)
-    signs, lms = sample_joint_units(
-        config, x, layer, pair, "post", n_samples,
-        entropy_prefix(seed, STREAM_COVARIANCE, *pair), workers=workers)
+    signs, lms = _draws(config, x, (layer,), pair, n_samples, seed,
+                        workers)[layer]
     return _layer_cells(signs, lms, layer, tuple(pair))(s, t)
 
 
@@ -183,22 +201,19 @@ def sweep(config: NetworkConfig, x: np.ndarray, layers, powers,
           workers: int = 1) -> SweepResult:
     """Grid of covariance reports over layers x powers.
 
-    One sampler pass draws the pair at every requested layer, and every
-    (layer, s, t) cell is scored from those draws, so each cell equals
-    estimate_unit_covariance of the same arguments exactly. Cells of one
-    sweep share draws, so they are not independent; each cell's batch-mean
-    standard error stays valid, and no check relies on independence between
-    cells. Request problems (a pair not of two distinct units, too few
-    samples, no layers, units or layers not integers in range, a bad seed)
-    raise ValueError before any draw; per-cell ones (moment overflow,
-    invalid powers) are recorded. A repeated layer is scored once.
+    One sampler pass draws the pair at every layer up to the deepest
+    requested one, and every requested (layer, s, t) cell is scored from
+    those draws, so each cell equals estimate_unit_covariance of the same
+    arguments exactly, and a layer's cells do not depend on which other
+    layers are requested. Cells of one sweep share draws, so they are not
+    independent; each cell's batch-mean standard error stays valid, and no
+    check relies on independence between cells. Request problems (a pair
+    not of two distinct units, too few samples, no layers, units or layers
+    not integers in range, a bad seed) raise ValueError before any draw;
+    per-cell ones (moment overflow, invalid powers) are recorded. A
+    repeated layer is scored once.
     """
-    needs = _check_request(config, x, layers, pair, n_samples, workers)
-    # looked up on the module, so a wrapped run_sampler sees this pass too
-    draws = network_model.run_sampler(
-        config, x, n_samples, needs,
-        entropy_prefix(seed, STREAM_COVARIANCE, *pair), "post",
-        workers=workers)
+    draws = _draws(config, x, layers, pair, n_samples, seed, workers)
     reports: list[CovarianceReport] = []
     errors: list[tuple[int, int, int, str]] = []
     for layer, (signs, lms) in draws.items():

@@ -31,13 +31,14 @@ Streams. Samples are generated in chunks of DEFAULT_CHUNK draws. An
 entropy prefix E is (seed, stream tag, fields of the operation), built by
 entropy_prefix, which accepts seeds in [0, 2^32) only. Layer l of chunk c
 of a request with prefix E owns the child stream
-SeedSequence(E + [c], spawn_key=(l,)), which _layer_step reads. Every
-layer draws Z_0, requested or not. So results are bit-identical for a
-given (config, x, seed) whatever the worker count, and unit m's draws are
-the same whether it is requested alone, with other units of its layer, or
-with other layers. SAMPLER_VERSION numbers this seed-to-draws mapping; run
-manifests record it. Stream tag 7 is held by the test suite's forward-pass
-oracle.
+SeedSequence(E + [c], spawn_key=(l,)), which _layer_step reads. Layer l's
+draws depend on the request only through k_1..k_l, k_i = 1 + the largest
+unit index asked of layer i (1 when none is), and never on the worker
+count. Unit m of layer l does not depend on k_l or on deeper layers, so
+unit 0 of a layer is the same whichever layers are requested with it;
+units asked of a lower layer do change the layers above. SAMPLER_VERSION
+numbers this seed-to-draws mapping; run manifests record it. Stream tag 7
+is held by the test suite's forward-pass oracle.
 """
 
 from __future__ import annotations
@@ -86,7 +87,11 @@ from .nonlinearity import NonlinearitySpec, apply_signed_log, sides
 #    it: only those are drawn, after their count per row, and units 1..j-1
 #    that take a saturated entry draw its |Z| after the group. Chunks that
 #    do not split, and relu, prelu and identity, keep version 9's streams.
-SAMPLER_VERSION = 10
+# 11: a layer asked for units up to k - 1 draws Z_0 .. Z_{k-1} as plain
+#    normals, then N' of the other H - k units. Requests that ask at most
+#    unit 0 of each layer (every tail-sweep and survival-curves run) keep
+#    version 10's streams; covariance, pooling and joint draws get new ones.
+SAMPLER_VERSION = 11
 
 # Entropy stream tags; every sampling operation owns a tag so streams
 # never collide across operations.
@@ -406,94 +411,87 @@ def _layer_step(phi: NonlinearitySpec, log_r: np.ndarray, rng, H: int,
     and log ||phi(r Z)||^2 per row if norm, else None.
 
     The sign and magnitude of each Z are independent, so one step serves
-    every activation. It reads rng in this order:
-    - Z_0 ~ N(0, 1), unit 0 exactly; with j <= 1 and no norm it stops here;
-    - N ~ Bin(H - 1, 1/2), the positives among the other H - 1 units, one
-      uniform per row by _fair_count (none in a width-1 layer);
+    every activation. With k = max(j, 1) it reads rng in this order:
+    - Z_0 .. Z_{k-1} ~ N(0, 1), units 0..k-1 exactly, as one (k, rows)
+      block: unit m's normals after unit m - 1's; with no norm it stops
+      here;
+    - N ~ Bin(H - k, 1/2), the positives among the other H - k units, one
+      uniform per row by _fair_count (none where k = H);
     - per sign group, positive then negative, its chi-square sum S if phi
       is a slope on that side, else its |Z| row after row (_curved_group,
       which sums the group's part of the norm as it draws each block of
       rows); a group on a slope-0 side (relu's negative one) adds +0.0 to
-      the norm, so it is drawn only when units 1.. are. A curved side
-      that is the constant c past its saturation point T splits its group
-      at t = T / (the chunk's smallest r) where P(|Z| < t) <= _SPLIT_P
-      (_split): it draws each row's count below t, then only those |Z|,
-      and each saturated entry adds c^2. The split depends on log r alone,
-      so j and norm do not change these draws;
-    - units 1..j-1 in index order (_stick_break): per unit a uniform (its
-      sign group), a normal and a chi-square (its share of S); in a layer
-      with a split group, then a uniform (below t or not) and, in the rows
-      that take a saturated entry, its |Z| from |Z| >= t.
-    The norm then takes unit 0 as one more group per side, Z_0^2 or 0 on a
-    slope side and a |Z| group of 0 or 1 entries on a curved one, and adds
-    the groups' parts in this order in _log_sq_norm. So relu, prelu and
-    identity cost O(j) per row whatever H; elu and selu draw the |Z| of
-    their negative units, tanh and sigmoid all H - 1, so theirs cost O(H)
-    time, but a chunk holds only O(j) of them per row, plus one block. A
-    split group draws about p H of them, p its share below t: deep in an
-    elu net, where r grows, that is a few percent."""
+      the norm and is never drawn. A curved side that is the constant c
+      past its saturation point T splits its group at t = T / (the chunk's
+      smallest r) where P(|Z| < t) <= _SPLIT_P (_split): it draws each
+      row's count below t, then only those |Z|, and each saturated entry
+      adds c^2.
+    The norm then takes units 0..k-1 as one more group per side, the sum of
+    their Z^2 on that side of a slope side and a |Z| group of 0 to k
+    entries on a curved one, and adds the groups' parts in this order in
+    _log_sq_norm. So relu, prelu and identity cost O(k) per row whatever
+    H; elu and selu draw the |Z| of their negative units, tanh and sigmoid
+    all H - k, so theirs cost O(H) time, but a chunk holds only O(k) of
+    them per row, plus one block. A split group draws about p H of them, p
+    its share below t: deep in an elu net, where r grows, that is a few
+    percent."""
     b = log_r.shape[0]
-    z0 = rng.standard_normal(b)
-    signs, logabs = np.empty((b, j), dtype=np.int8), np.empty((b, j))
-    if j:
-        with np.errstate(divide="ignore"):
-            logabs[:, 0] = log_r + np.log(np.abs(z0))
-        signs[:, 0] = np.sign(z0)
-    if j > 1 or norm:
-        n_pos = _fair_count(rng, H - 1, b)
-        both = sides(phi)
-        # a curved side's part of the norm is summed as its group is drawn,
-        # with r = 1 on rows that take _log_sq_norm's log-domain fallback
-        r = None
-        if norm and any(side.slope is None for side in both):
-            r = np.exp(np.where(np.abs(log_r) < _LINEAR_LOG_R, log_r, 0.0))
-        lo = float(np.min(log_r))
-        groups = []
-        for sign, side, n in zip((1.0, -1.0), both, (n_pos, H - 1 - n_pos)):
-            if side.slope == 0 and j <= 1:
-                d = None
-            elif side.slope is None:
-                d = _curved_group(rng, sign, side, n, r, max(j - 1, 0),
-                                  _split(side, lo))
-            else:
-                d = rng.standard_gamma(0.5 * n)
-                d *= 2.0
-            groups.append((sign, side, n, d))
-        if j > 1:
-            _stick_break(rng, log_r, H, groups, signs, logabs)
+    k = max(j, 1)
+    z = rng.standard_normal((k, b))
+    with np.errstate(divide="ignore"):
+        logabs = log_r + np.log(np.abs(z[:j]))
+    signs = np.sign(z[:j]).astype(np.int8)
     signs[np.isneginf(logabs)] = 0
     if not norm:
-        return signs, logabs, None
-    pos0 = z0 > 0
-    for (sign, side, _, _), t in zip(groups[:2], (pos0, ~pos0)):
-        n = t.astype(int)
+        return signs.T, logabs.T, None
+    n_pos = _fair_count(rng, H - k, b)
+    both = sides(phi)
+    # a curved side's part of the norm is summed as its group is drawn,
+    # with r = 1 on rows that take _log_sq_norm's log-domain fallback
+    r = None
+    if any(side.slope is None for side in both):
+        r = np.exp(np.where(np.abs(log_r) < _LINEAR_LOG_R, log_r, 0.0))
+    lo = float(np.min(log_r))
+    groups = []
+    for sign, side, n in zip((1.0, -1.0), both, (n_pos, H - k - n_pos)):
+        if side.slope == 0:
+            d = None
+        elif side.slope is None:
+            d = _curved_group(rng, sign, side, n, r, _split(side, lo))
+        else:
+            d = rng.standard_gamma(0.5 * n)
+            d *= 2.0
+        groups.append((sign, side, n, d))
+    pos = z > 0
+    for (sign, side, _, _), t in zip(groups[:2], (pos, ~pos)):
+        n = d = None
         if side.slope is None:
+            # a row's entries are its units' |Z| on this side, in unit order
+            zt, tt = z.T, t.T
+            n = np.count_nonzero(tt, axis=1)
             part = np.zeros(b)
             with np.errstate(over="ignore", invalid="ignore"):
-                _sq_rows(np.abs(z0[t]), side, sign * r, n, np.cumsum(n) - n,
+                _sq_rows(np.abs(zt[tt]), side, sign * r, n, np.cumsum(n) - n,
                          part)
-            d = _Curved(part, None, lambda rows, t=t: np.abs(z0[t & rows]),
-                        n, None)
-        else:
-            d = None if side.slope == 0 else np.where(t, z0 * z0, 0.0)
+            d = _Curved(part, lambda rows, zt=zt, tt=tt:
+                        np.abs(zt[tt & rows[:, None]]), n, None)
+        elif side.slope != 0:
+            d = np.where(t, z * z, 0.0)
+            d = d[0] if k == 1 else np.sum(d, axis=0)
         groups.append((sign, side, n, d))
-    return signs, logabs, _log_sq_norm(log_r, r, groups)
+    return signs.T, logabs.T, _log_sq_norm(log_r, r, groups)
 
 
 class _Curved(NamedTuple):
     """A |Z| group as a layer step keeps it, never all of its entries:
-    part, per row the plain-double sum of phi(sign r |Z_i|)^2 over them
-    (None without a norm); head, per row its first entries below the split
-    point, as many as _stick_break can read, zeros after them (None for
-    unit 0's groups, which it never reads); entries(rows), the |Z| below
-    the split point of the rows where the mask rows holds, back to back,
-    for the log-domain fallback of _log_sq_norm; below, per row the number
-    of entries below the split point; cut, the split point t of
-    _curved_group, or None where the group was not split and every entry
-    counts as below it."""
+    part, per row the plain-double sum of phi(sign r |Z_i|)^2 over them;
+    entries(rows), the |Z| below the split point of the rows where the mask
+    rows holds, back to back, for the log-domain fallback of _log_sq_norm;
+    below, per row the number of entries below the split point; cut, the
+    split point t of _curved_group, or None where the group was not split
+    and every entry counts as below it."""
 
-    part: np.ndarray | None
-    head: np.ndarray | None
+    part: np.ndarray
     entries: Callable
     below: np.ndarray
     cut: float | None
@@ -563,20 +561,6 @@ def _below(t: float, rng, e: np.ndarray) -> np.ndarray:
     return e
 
 
-def _tail(rng, t: float, k: int) -> np.ndarray:
-    """k draws of |Z| given |Z| >= t, by rejection from |Z|: each round
-    draws as many normals as are missing and keeps those at t or past it,
-    at least 3/4 of them for every t that _split takes."""
-    out = np.empty(k)
-    done = 0
-    while done < k:
-        z = np.abs(rng.standard_normal(k - done))
-        z = z[z >= t]
-        out[done:done + z.size] = z
-        done += z.size
-    return out
-
-
 def _blocks(rng, n: np.ndarray, fill):
     """(a, z, starts, e) for each block of rows a..z-1 of a |Z| group of
     n[i] entries in row i: e holds their |Z|, back to back in row order,
@@ -595,11 +579,9 @@ def _blocks(rng, n: np.ndarray, fill):
         yield a, z, starts[a:z] - lo, fill(rng, buf[:hi - lo])
 
 
-def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int,
-                  split):
-    """A |Z| group of n[i] entries in row i: the _Curved of its part (if r
-    is not None) and the first `keep` entries below the split point of
-    each row. Without a split (split None) rng draws every entry in
+def _curved_group(rng, sign: float, side, n: np.ndarray, r, split):
+    """The _Curved of a |Z| group of n[i] entries in row i, its part summed
+    at the rows' r. Without a split (split None) rng draws every entry in
     _blocks. With one, (t, p) from _split, rng first draws each row's count
     below t, Bin(n[i], p) (_below_counts), then only those entries, from
     |Z| given |Z| < t (_below), in _blocks. Each of the others has
@@ -613,18 +595,11 @@ def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int,
         below = _below_counts(rng, n, p)
         fill = functools.partial(_below, t)
     state = rng.bit_generator.state
-    b = n.shape[0]
-    part, sr = (None, None) if r is None else (np.zeros(b), sign * r)
-    head = np.zeros((b, keep))
-    cols = np.arange(keep)
+    part, sr = np.zeros(n.shape[0]), sign * r
     with np.errstate(over="ignore", invalid="ignore"):
         for a, z, starts, e in _blocks(rng, below, fill):
-            if keep:
-                first = cols < below[a:z, None]
-                head[a:z][first] = e[(starts[:, None] + cols)[first]]
-            if r is not None:
-                _sq_rows(e, side, sr[a:z], below[a:z], starts, part[a:z])
-        if r is not None and t is not None:
+            _sq_rows(e, side, sr[a:z], below[a:z], starts, part[a:z])
+        if t is not None:
             # no 0 x inf where c^2 overflows, as elu(1e308)'s does
             sat, c = n - below, side.saturation[1]
             part += np.where(sat > 0, sat * (c * c), 0.0)
@@ -636,7 +611,7 @@ def _curved_group(rng, sign: float, side, n: np.ndarray, r, keep: int,
         return np.concatenate([e[np.repeat(rows[a:z], below[a:z])]
                                for a, z, _, e in _blocks(again, below, fill)])
 
-    return _Curved(part, head, entries, below, t)
+    return _Curved(part, entries, below, t)
 
 
 def _sq_rows(e: np.ndarray, side, sr: np.ndarray, n: np.ndarray,
@@ -650,58 +625,6 @@ def _sq_rows(e: np.ndarray, side, sr: np.ndarray, n: np.ndarray,
     e = np.square(side.value(e), out=e)
     full = n > 0
     out[full] = np.add.reduceat(e, starts[full])
-
-
-def _stick_break(rng, log_r: np.ndarray, H: int, groups, signs, logabs):
-    """Units 1.. of a layer of H units into the columns 1.. of signs and
-    logabs, in index order, given the (sign, side, count, draw) of each
-    sign group of the other H - 1. With N' positives left among H' units,
-    a unit is positive with probability N'/H'; it then takes a Beta share
-    of its chi-square group's sum, or its |Z| group's next unused entry in
-    its row (exact, since the group is exchangeable). Where a |Z| group was
-    split at t (_curved_group), the unit takes an entry below t with
-    probability (those left) / (all left), from one uniform per unit drawn
-    for every row, and else a saturated one, which only it reads: its |Z|
-    is drawn then, from |Z| given |Z| >= t (_tail), positive group first."""
-    b = log_r.shape[0]
-    left = [n.copy() for _, _, n, _ in groups]
-    sums = [np.zeros(b) if side.slope is None else d
-            for _, side, _, d in groups]
-    # a |Z| group's next entry below its split point in row i sits at
-    # i keep + below - (below left) of its head; rows with none left never
-    # take one, so clipping their index past the last entry is safe
-    curved = [(d.head.ravel(), np.arange(b) * d.head.shape[1] + d.below,
-               d.below.copy(), d.cut)
-              if side.slope is None else None for _, side, _, d in groups]
-    split = any(c is not None and c[3] is not None for c in curved)
-    for i in range(1, signs.shape[1]):
-        pos = rng.random(b) * (H - i) < left[0]
-        k = np.where(pos, *left)
-        s = np.where(pos, *sums)
-        # Z^2 / S' ~ Beta(1/2, (K'-1)/2), drawn as chi2_1 / (chi2_1 +
-        # chi2_{K'-1}); the last unit of a group takes all that is left.
-        u = rng.standard_normal(b) ** 2
-        rest = 2.0 * rng.standard_gamma(0.5 * (k - 1))
-        z2 = np.where(k == 1, s, s * (u / (u + rest)))
-        took = (pos, ~pos)
-        v = rng.random(b) if split else None
-        for t, n, c in zip(took, left, curved):
-            if c is None:
-                continue
-            head, base, below_left, cut = c
-            hit = t if cut is None else t & (v * n < below_left)
-            z2 = np.where(hit, head.take(base - below_left, mode="clip") ** 2,
-                          z2)
-            below_left -= hit
-            if cut is not None:
-                miss = np.flatnonzero(t & ~hit)
-                z2[miss] = np.square(_tail(rng, cut, miss.size))
-        for g, t in enumerate(took):
-            left[g] -= t
-            sums[g] = np.where(t, sums[g] - z2, sums[g])
-        with np.errstate(divide="ignore"):
-            logabs[:, i] = log_r + 0.5 * np.log(z2)
-        signs[:, i] = np.where(pos, 1, -1)
 
 
 def _log_sq_norm(log_r: np.ndarray, r, groups):
@@ -831,8 +754,10 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     empty needs raises "no layers requested". Returns, per requested
     layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
     columns in the order given; kind "pre" gives g(l), "post" applies the
-    nonlinearity to them. The draws of a unit do not depend on which other
-    units and layers are requested.
+    nonlinearity to them. Layer l's draws depend on the request only
+    through k_1..k_l, k_i = 1 + the largest index asked of layer i (1 when
+    none is): unit m of layer l does not depend on k_l, on deeper layers
+    or on the worker count, but units asked of a lower layer change it.
     """
     x = check_request(config, x, n_samples, needs, kind, workers)
     q0 = layer1_sq_norm(config, x)
@@ -843,11 +768,12 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         # bias zeroes layer 1, so every row starts dead (log r = -inf)
         log_q0 = 2.0 * math.log(math.hypot(*x)) if np.any(x) else -math.inf
     # the chunk steps draw the leading units of a layer up to the last one
-    # requested, in index order; each chunk writes its rows of the
+    # requested, in index order (k as a Python int: _fair_table is cached
+    # by H - k and calls its bit_length); each chunk writes its rows of the
     # requested columns straight into out, whose arrays are column-major:
     # a row-wise reduction across units (max pooling of 10^5 rows of 4
     # units) runs about 4 times faster on them than on row-major ones
-    counts = {layer: max(units) + 1 for layer, units in needs.items()}
+    counts = {layer: int(max(units)) + 1 for layer, units in needs.items()}
     out = {layer: (np.empty((n_samples, len(units)), np.int8, order="F"),
                    np.empty((n_samples, len(units)), order="F"))
            for layer, units in needs.items()}

@@ -117,8 +117,6 @@ class TailEstimate:
     theta_hat: float
     se_theta: float
     method: str
-    k_range: tuple[int, int] | None = None
-    tail_fraction: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -301,7 +299,6 @@ def estimate_theta_moments(curve: MomentCurve,
         raise DegenerateDistributionError(
             f"fitted moment slope {theta!r} is not a positive tail parameter")
     return TailEstimate(theta_hat=theta, se_theta=se, method="moment-slope",
-                        k_range=(int(curve.ks[0]), int(curve.ks[-1])),
                         diagnostics={"weighted_rss": rss,
                                      "n_samples": curve.n_samples,
                                      "correction": correction})
@@ -369,7 +366,7 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     theta = 1.0 / slope
     se_theta = se_slope / slope ** 2
     return TailEstimate(theta_hat=theta, se_theta=se_theta,
-                        method="survival-slope", tail_fraction=tail_fraction,
+                        method="survival-slope",
                         diagnostics={"n_tail": m, "rss": rss})
 
 

@@ -644,7 +644,7 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "survival_layer2.csv: MISMATCH" in printed
-        assert "sampler version differs (manifest 9, this build 10)" in printed
+        assert "sampler version differs (manifest 9, this build 11)" in printed
         assert "numpy version differs" not in printed
 
     def test_contours_manifest_with_t_and_n_points_replays(self, tmp_path,

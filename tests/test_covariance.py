@@ -48,12 +48,12 @@ class TestEstimate:
         assert abs(r.estimate) <= 3 * r.se
 
     def test_matches_plain_covariance_of_decoded_samples(self, cfg, x):
-        from layertails.network_model import (STREAM_COVARIANCE,
-                                              sample_joint_units)
+        from layertails.network_model import STREAM_COVARIANCE, run_sampler
         r = estimate_unit_covariance(cfg, x, 2, (0, 1), 1, 1, 20_000, 23)
+        # the pair is drawn at every layer up to the scored one
         entropy = (23, STREAM_COVARIANCE, 0, 1)
-        signs, lms = sample_joint_units(cfg, x, 2, (0, 1), "post", 20_000,
-                                        entropy)
+        signs, lms = run_sampler(cfg, x, 20_000, {1: [0, 1], 2: [0, 1]},
+                                 entropy, "post")[2]
         a = signs[:, 0] * np.exp(lms[:, 0])
         b = signs[:, 1] * np.exp(lms[:, 1])
         want = float(np.mean(a * b) - np.mean(a) * np.mean(b))
@@ -163,6 +163,27 @@ class TestOnePassSweep:
         assert res.reports == want
 
     @pytest.mark.parametrize("nonlinearity", [RELU, ELU], ids=str)
+    def test_a_layer_is_scored_alike_whichever_layers_come_with_it(
+            self, nonlinearity):
+        net = NetworkConfig(input_dim=10, layer_widths=(12, 12, 12),
+                            nonlinearity=nonlinearity)
+        x = sample_input(10, 4)
+        alone = sweep(net, x, (3,), POWERS, 10_000, 31, pair=(2, 0))
+        every = sweep(net, x, (1, 2, 3), POWERS, 10_000, 31, pair=(2, 0))
+        assert len(alone.reports) == 9
+        assert alone.reports == [r for r in every.reports if r.layer == 3]
+
+    def test_a_lower_layer_narrower_than_the_pair_is_not_checked(self):
+        # layer 1 holds units 0 and 1 only; unit 2 is asked of layers 2, 3
+        net = NetworkConfig(input_dim=10, layer_widths=(2, 12, 12),
+                            nonlinearity=RELU)
+        x = sample_input(10, 4)
+        res = sweep(net, x, (2, 3), POWERS, 10_000, 31, pair=(2, 0))
+        assert res.errors == [] and len(res.reports) == 18
+        assert res.reports[-1] == estimate_unit_covariance(
+            net, x, 3, (2, 0), 3, 3, 10_000, 31)
+
+    @pytest.mark.parametrize("nonlinearity", [RELU, ELU], ids=str)
     def test_worker_count_does_not_change_the_reports(self, nonlinearity):
         net = NetworkConfig(input_dim=10, layer_widths=(12, 12, 12),
                             nonlinearity=nonlinearity)
@@ -179,17 +200,17 @@ TANH = NonlinearitySpec("tanh")
 # leaves batches of 312 and 313 draws in another order than n = 10^4
 PINNED_SWEEPS = {
     ("relu", 10_000):
-        "6bd20d4043b77a741f871458fd0716d2fdd4fc6f0ea2adf7268460e0bcca6dcb",
+        "7d281f3040f77b1a602ffdc1d686b623575352bb5e55b7320316d9a78b1fc6a0",
     ("relu", 10_007):
-        "ef653ed3317ee3b08ab2c2c39d82b6f2b95001549d034971bda00b3f153a457d",
+        "5aebf1344c9b73c8e701628e3b2fc063672792b042f5471d47c2eeb5bbe8d08f",
     ("elu(1.0)", 10_000):
-        "1eb417570125fdb8d3aacc2c40c25b700c824d4323516a871d7bccf927b3f75f",
+        "c1dbf33d9fabd797d38bee9bc681b699c4eceaafbb478ca6fc2ab74b4060e861",
     ("elu(1.0)", 10_007):
-        "ebf4d49ba966f0e67cd9bc556744b6a823284aebaa9608445d53f3a4de8d67f8",
+        "34a0d506e8f59c6aa290d1dd4f50677e45b05f503d9a14d3306eb72dc5180f17",
     ("tanh-bias", 10_000):
-        "55ff61a7818787e206c15e16cd964c3292acd2a0044ce913e25d3760e8eb3dd3",
+        "5eb6c576e83f8b2f25814f24463a0ee38c098efb4ce27c3e60298c164bb0e0a2",
     ("tanh-bias", 10_007):
-        "ab57cda84a67a46a6bcf7921a57e7001ab4be55a95b5629f3d991761b8f814b1",
+        "15a75a823d4787c82424eeb8f572c18bfe7bc63e9ddfa12d5f9043649e67dd8c",
 }
 
 

@@ -714,7 +714,7 @@ def nonlinearity_saturation(phi):
 
 
 class TestSplitDraws:
-    """The three draws of a split |Z| group against their exact laws."""
+    """The two draws of a split |Z| group against their exact laws."""
 
     @pytest.mark.parametrize("p", [0.2, 1e-3], ids=["binomial", "gaps"])
     def test_below_counts_are_binomial(self, p):
@@ -745,12 +745,6 @@ class TestSplitDraws:
                                  np.empty(20_000))
         assert np.all((0 <= e) & (e < t))
         assert stats.kstest(e, stats.truncnorm(0.0, t).cdf).pvalue > 0.001
-
-    @pytest.mark.parametrize("t", [0.3, 1e-3])
-    def test_tail_is_the_half_normal_past_t(self, t):
-        e = network_model._tail(network_model._generator((7, 99)), t, 20_000)
-        assert np.all(e >= t)
-        assert stats.kstest(e, stats.truncnorm(t, np.inf).cdf).pvalue > 0.001
 
     @pytest.mark.parametrize("p", [1e-300, 0.0])
     def test_counts_at_a_vanishing_p_are_zero(self, p):
@@ -825,9 +819,9 @@ class TestExactSampler:
                              ids=lambda spec: spec.family)
     def test_split_layer_1_units_are_exactly_gaussian(self, nonlinearity,
                                                       monkeypatch):
-        # layer 1 is N(0, r_1^2) in every unit; at p = 0.24 units 1..3 take
-        # an entry below the split point a quarter of the time and else
-        # draw a saturated one's |Z| from the tail
+        # layer 1 is N(0, r_1^2) in every unit; units 0..3 are drawn as
+        # plain normals before the other 16 units' groups, which split at
+        # p = 0.24 and carry the norm to layer 2
         x = sample_input(20, 8)
         r1 = nonlinearity_saturation(nonlinearity) / 0.306
         cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20),
@@ -840,6 +834,34 @@ class TestExactSampler:
         for col in range(2):
             g = signs[:, col] * np.exp(lms[:, col])
             assert stats.kstest(g, "norm", args=(0, r1)).pvalue > 0.001
+
+    @pytest.mark.parametrize("family", ["relu", "split-elu", "tanh"])
+    def test_joint_request_agrees_with_direct(self, family, monkeypatch):
+        # units past unit 0 and a joint statistic of two units, from one
+        # request, against the forward pass asked the same units; the
+        # split elu is test_split_agrees_with_direct's net, whose layer-1
+        # groups split at p = 0.24 and layer-2 ones below 0.01
+        x = sample_input(20, 5)
+        phi = ELU if family == "split-elu" else NonlinearitySpec(family)
+        std = 1.0
+        if family == "split-elu":
+            std = (nonlinearity_saturation(ELU)
+                   / (0.306 * math.sqrt(float(x @ x))), 1e4, 1.0)
+        cfg = NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
+                            nonlinearity=phi, weight_std=std)
+        needs = {1: [0, 1, 2], 2: [0, 1], 3: [0]}
+        n = 20_000
+        splits = _splits(monkeypatch)
+        exact = run_sampler(cfg, x, n, needs, (5, STREAM_UNITS))
+        assert any(splits) == (family == "split-elu")
+        direct = direct_oracle(cfg, x, n, needs, 5)
+
+        def statistics(got):
+            g = {layer: s * np.exp(lm) for layer, (s, lm) in got.items()}
+            return g[1][:, 2], g[2][:, 1], g[3][:, 0], np.max(g[2], axis=1)
+
+        for a, b in zip(statistics(exact), statistics(direct)):
+            assert stats.ks_2samp(a, b).pvalue > 0.001
 
     def test_width_one_relu_dies_half_the_time(self):
         # g2 = 0 exactly when the single layer-1 unit is not positive
@@ -927,13 +949,12 @@ class TestExactSampler:
     @pytest.mark.parametrize("family", ["relu", "prelu(0.3)", "identity",
                                         "elu(1.0)", "selu", "tanh",
                                         "sigmoid"])
-    def test_siblings_on_a_lower_layer_leave_the_next_layer_alone(
+    def test_a_lower_layer_reaches_the_next_only_through_its_last_unit(
             self, family, monkeypatch):
-        # units 1.. of layer 1 read every sign group of its stream, unit 0
-        # alone only the groups up to the last one with a nonzero slope;
-        # layer 2's r must come out the same either way. The curved
-        # families' layer-1 groups split (r_1 = 100 |(x, 1)|), so most of
-        # unit 1's entries are saturated ones, drawn after the groups
+        # layer 1's request enters layer 2's draws only through k_1 = 1 +
+        # the largest unit asked of it: no unit and unit 0 alone both give
+        # k_1 = 1, unit 2 alone and units 0..2 both give k_1 = 3. The
+        # curved families' layer-1 groups split (r_1 = 100 |(x, 1)|)
         phi = NonlinearitySpec.parse(family)
         curved = any(side.slope is None for side in sides(phi))
         cfg = NetworkConfig(input_dim=6, layer_widths=(6, 6),
@@ -943,11 +964,20 @@ class TestExactSampler:
         x = sample_input(6, 12)
         n = network_model.DEFAULT_CHUNK + 300
         splits = _splits(monkeypatch)
-        alone = run_sampler(cfg, x, n, {2: [0]}, (12, STREAM_UNITS))[2]
-        with_siblings = run_sampler(cfg, x, n, {1: [0, 1], 2: [0]},
-                                    (12, STREAM_UNITS))[2]
-        np.testing.assert_array_equal(alone[0], with_siblings[0])
-        np.testing.assert_array_equal(alone[1], with_siblings[1])
+
+        def draw(needs):
+            return run_sampler(cfg, x, n, needs, (12, STREAM_UNITS))
+
+        alone = draw({2: [0]})
+        with_unit_0 = draw({1: [0], 2: [0]})
+        with_unit_2 = draw({1: [2], 2: [0]})
+        with_units_0_to_2 = draw({1: [0, 1, 2], 2: [0]})
+        for a, b in zip(alone[2], with_unit_0[2]):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(with_unit_2[2], with_units_0_to_2[2]):
+            np.testing.assert_array_equal(a, b)
+        for a, b in zip(with_unit_2[1], with_units_0_to_2[1]):
+            np.testing.assert_array_equal(a[:, 0], b[:, 2])
         assert all(splits) and bool(splits) == curved
 
     def test_prelu_stream_is_request_shape_and_worker_invariant(self):
@@ -1056,8 +1086,10 @@ def test_returned_units_carry_the_norm_that_scales_the_next_layer(
     # Z from draws that depend on neither phi nor the scale; so g2 over that
     # factor is one array for all families of one step and every weight_std,
     # unless the returned units disagree with the norm the step carried on.
-    # At weight_std 100 a curved layer-1 group splits, and units 1 and 2
-    # mostly land on saturated entries, whose |Z| they draw after it
+    # All three layer-1 units are asked for, so they are drawn as plain
+    # normals and the sign groups of the other units are empty; at
+    # weight_std 100 a curved side's empty group still splits, and most
+    # returned units sit past its saturation point
     x = sample_input(4, 9)
     ts = []
     splits = _splits(monkeypatch)
@@ -1100,42 +1132,42 @@ PIN_REQUESTS = {
 }
 
 # sha256 of run_sampler's (signs, log-magnitudes) bytes, layer by layer;
-# generated at sampler version 9, the rows whose curved groups split
-# (depth60-std100 for elu, selu, tanh and sigmoid; width100 for elu) at
-# version 10
+# generated at sampler version 11. The curved groups of the depth60-std100
+# rows split below the top layer (elu, selu and tanh in every chunk,
+# sigmoid in one); the top layer, which carries no norm, draws no groups
 PINNED_STREAMS = {
     ("relu", "bias-depth3"):
-        "18817bbba39731491c60a853ee79b95b29058dc6a6babb5fd8bd2e87677f566f",
+        "1e1b931a205aa2000763aeb61ca60b2a97153ab5ab7ce97a92567160c2a8c67f",
     ("relu", "depth60-std100"):
-        "31425e63aad9bfe3273be6245177d6fd71acbc6a664e7c7fc978cd39a13365c5",
+        "e02d7d9446f475964c9dc979a9710243418a0252ea66cdb48090f0a0f97d3d70",
     ("prelu(0.3)", "bias-depth3"):
-        "1bea391a1beefb9f53d32779372c6e72ba4f85cc5795323f3043a6f3966d83c2",
+        "c80a701bcab06ad147024ad27e0b7d469e8aac61f29c3da8d69a65040f34fc70",
     ("prelu(0.3)", "depth60-std100"):
-        "d2461cf77c9a8032e8fa513878e557cbc2cd4b55f820577336973a6ae76244fd",
+        "973ebed256e37bda554066482d1746ece1a76157b54ef342124f28781c5ecd50",
     ("identity", "bias-depth3"):
-        "80370bd14aaf681b1f729b33af3a0072ad3ae7f283dca39008eb4c8fa1456a97",
+        "1e07d67a60b1d9e046b24b9f00af3d7439eb92037d23e87c73b2bc9c2473f480",
     ("identity", "depth60-std100"):
-        "77dde3bd3cbf51948b1b8a1d510df35f5d5ad43d1a5d82c16f95e94bdc46a7b3",
+        "0bf33d7c96b9111bed3310a44b6451ce21a964b86907f87b7417007ba7aec1e5",
     ("elu(1.0)", "bias-depth3"):
-        "cd5669d0922de62429a8ee23dc41783a4192fbb479fb1d3fd231e46caac5c3ba",
+        "9ca2a95f92589b431eed6605f25a8b96242d967ad8d4fcfc02a47cbfc0975086",
     ("elu(1.0)", "depth60-std100"):
-        "05fcc54c187c3be65318cf1210e013576ec04cb53444589ee7da9c46570f651e",
+        "be61d90859e46df029769107294e75716a99d4d43b16cd732f12b6ef0e91adae",
     ("elu(1.0)", "width100-workers1"):
-        "6a3c48da4822da6487deb65a71fd59bf54a9579853c98d3299df9bd7c3f963ac",
+        "16f03bafa5db68f2db9f32571a43bbb78bea1e3579b8fdb2659cd168b48eab4a",
     ("elu(1.0)", "width100-workers2"):
-        "6a3c48da4822da6487deb65a71fd59bf54a9579853c98d3299df9bd7c3f963ac",
+        "16f03bafa5db68f2db9f32571a43bbb78bea1e3579b8fdb2659cd168b48eab4a",
     ("selu", "bias-depth3"):
-        "733d778a88241d101a576b444ebe06c3bf398cb67921daa6efcafded90165f75",
+        "932b56d953b12668e3a7577cf285bd38b368c85e35497c0a93b1c03e0200a21f",
     ("selu", "depth60-std100"):
-        "362a3fad7a3f4757180168f0d6e1db45e41e2abc415c120091b56c4938964330",
+        "5c12d9ff3f6173c6d016dfeee90fc3bb184aacd811125470e1f36cc5970fb182",
     ("tanh", "bias-depth3"):
-        "361a428b86f09d0b6e7d7c6d42e5429a303fed89aa2c87c12117f34b21a23d99",
+        "4048351ad999d51dd292af035298658a93be07608236cde03ae84b5c48b56f9a",
     ("tanh", "depth60-std100"):
-        "1331c6df589facf6b80c42c4249450080bf8c76098618c60b7876efd3e4ae2f6",
+        "6e04e1042aa6b22ff5d69ac498009d61b33db10d208363c211a8353252d2395d",
     ("sigmoid", "bias-depth3"):
-        "1acdf9da7f1ab3abd95652c10bc29a1f3e57aef8ed65236970c08d35f90ccf0f",
+        "e39b224a380e013c365dbbba8a1354c9b8e4e6db5953d12c9c1395f6f9072d9e",
     ("sigmoid", "depth60-std100"):
-        "ea66442a522f82f584501e9224a87dd3158e9b70e8b4d227a684381684cc9a1d",
+        "1bb10cac9e22448dd5c95a3f4404a6dbe5e618464af2f2f93274ee765486c7da",
 }
 
 
@@ -1273,41 +1305,42 @@ LOG_DOMAIN_CONFIGS = {
 
 # sha256 of run_sampler's bytes, as PINNED_STREAMS, for units
 # {1: [0], 2: [0, 1], depth: [0, 2]} (at depth 2 the last entry wins);
-# generated at sampler version 9, the rows whose curved groups split
-# (elu(0.3), elu(1e308) and selu(std 1e200)) at version 10
+# generated at sampler version 11, but sigmoid-std1e-200's post row at
+# version 9 (every post unit is sigmoid(0) to the last bit). The groups of
+# elu(0.3) and selu-std1e200 split below the top layer
 LOG_DOMAIN_STREAMS = {
     ("elu(0.3)-depth60-std100", "post"):
-        "9340546cd55ccbf664290149d478de9fd0836b2154d9c45a7a22396fce80eb29",
+        "dda3142a8d6f119da47267992856433208cb7d34714e04f0c16dfc5d4fdc6b1b",
     ("elu(0.3)-depth60-std100", "pre"):
-        "7fcbefcead0facbed3928bb2cd7b03332c25ae1a75062e1b6b33e4cff4beb984",
+        "431b57807150da6039402b633fb4accbfc62111c4f65ea60623c6540367623f0",
     ("elu(1e308)-width10-depth3", "post"):
-        "5225d514526331c45dc3298c2bf0e402f250c58287b2ba8be9d001e9d8f7e1f1",
+        "e906fe678a08ea843afbb6191cc00c33cd91873bb77f3bac183fa60297c5e9e9",
     ("elu(1e308)-width10-depth3", "pre"):
-        "6f705f419fcb4558d743a86301a055d6c5400edd3d5ee2141239f0920328648f",
+        "5cabed8bc31e4126d13839a55fb338788e3d33595819a51f97daeabf5001c541",
     ("selu(1e-160,1.0)-width10-depth3", "post"):
-        "c2c659995334c39b1d6a07b5d1600c22c9afafe1303cdf2f24e5478733424b8c",
+        "555434b7a026dcefa53f0f8ca701f612e37a1e70fd871deed509c95b81118482",
     ("selu(1e-160,1.0)-width10-depth3", "pre"):
-        "195d065fc2bb72b17239a672130fe25dcd9e728c0b53e9a2ca8398e14cd77b70",
+        "fc77e57951073bc4990b8de4953ad438ec963bbe7970c5a554c1d6fb054a89ec",
     ("selu-std1e200-bias", "post"):
-        "4de497b93c29610a41e0bc090f45a9a6e0b5096082ff3678d41b65b72d224fa6",
+        "a6046c89491c48e8b36adf9a65a206975ea396630c650fbb87c61ebb5f3dc24e",
     ("selu-std1e200-bias", "pre"):
-        "f2f2e955b29ebe2fe3c8433bc3fd87746f9892e09e4a0dd8cd3ce952278e710d",
+        "4a6bf5a85ba10c6eab459d639f2c893ce4be50220102e29a86e84f2cd9d6f9b8",
     ("sigmoid-std1e-200", "post"):
         "44bb076c266a34403b00638e5e751a9bebdf74c7b703bc9acc4382b8d866adad",
     ("sigmoid-std1e-200", "pre"):
-        "d5e8a217755f190a63ea0d569693a7aefc5a626fc49b7845f7bca9f6073513df",
+        "f37740dc9cba77fc84d730a2fdde6621b1921b237f43971248d87eb6afdd3b0d",
     ("tanh-depth100-std1e-2", "post"):
-        "65f46ef565596d5d7d4a29ca7bf5c581f82d985780fa4637e007ac80ed1f0142",
+        "26962794c2f13af49ce62e42eb1b43a88e2ad104f0c58d3315796607f80fd06e",
     ("tanh-depth100-std1e-2", "pre"):
-        "aa1d98cee3a6b3a6015a6c42b837df4f7a5710f4fa29d5efcbff3c84a48c2571",
+        "3ee94f30e19c99c5a92efa6e0bbf4673df180dbba3472551a733ed103f630907",
     ("tanh-depth40-std1e-2", "post"):
-        "7c0ed67bba3d7f681324e70cab1f32eab7ad369aab2893f975ba4c6a839eb4bf",
+        "baf60c3e01f995449e02f96d477669bd19cbfe90be8ceefd6b27afb4d1108902",
     ("tanh-depth40-std1e-2", "pre"):
-        "ba00a6dd63c7ba350b07c2551671aeb4c07b6204f061c36b53eada15c1e9ef30",
+        "5eec95f8a7710848e09e8686c0a16d2b5f16659456c64a6987f34e9e21a1f1fc",
     ("tanh-std1e-200", "post"):
-        "703ff95c4d2cca405dacbe5108ed12e541a0bfc2c313c8de073502c11367568f",
+        "d577f88c5b94bfc940b9ae25fa08ebcd3c1a9cbeb892d89b0f59772c5f276461",
     ("tanh-std1e-200", "pre"):
-        "7e72c7478b7aa841885a39a13ea4235f31e77ba38def1bb0196414158c455b36",
+        "64af4a133e9adae6f5c340e58c0cedf9fa114896cb9c9fc3224ddbe18494220d",
 }
 
 
@@ -1322,22 +1355,22 @@ def test_log_domain_stream_is_pinned_bit_for_bit(name, kind):
 
 
 # sha256 of the PINNED_STREAMS request on bias-depth3 with kind "post";
-# generated at sampler version 9
+# generated at sampler version 11
 POST_STREAMS = {
     "elu(1.0)":
-        "78e4f1d22829491797f56ff40f553451e23982f98156c636519e393623be5c86",
+        "5580327bd5879ead0870be64e19208e52b9d2b8feaa7ba7b6b6fa85bd3dd60fa",
     "identity":
-        "80370bd14aaf681b1f729b33af3a0072ad3ae7f283dca39008eb4c8fa1456a97",
+        "1e07d67a60b1d9e046b24b9f00af3d7439eb92037d23e87c73b2bc9c2473f480",
     "prelu(0.3)":
-        "6a1aefa26bd5b1ea5eb58741ea7869d4f977b0c2542bf1bfa2ce1c514a21625a",
+        "300b2f59f70b2b4d829e5bc67f8dca3257773fcf985cad52ca347c8541a07db3",
     "relu":
-        "2d31c8d24c63a435e0cbd663f83cfdc77a43330777ea89103ee70bae5171523a",
+        "77644eebdc95b741f4fa1b8049dddf43720ed1f6df49a864470d4947071dd07a",
     "selu":
-        "de1decb20c0ac8190f2579cf76cc5dc05a81c9d4674e2cb39d1bb854ec3943d9",
+        "8178222a94ce6b964e3483f8199f9e7684d52f4423e161b9b1bea8e7b0ad0e8c",
     "sigmoid":
-        "160b183b623d3f752efb0c514dda8a6ede12387ec3f356b3be6b617e0abe1677",
+        "811ed52a30f5ca8b6153d81e1bcd6b3429fc0ab3e6b2cb31ec0ca7644eaaef9b",
     "tanh":
-        "8d4af7000336cebb9f5c54df4398d6751b589f1a4c28e5022112808264721267",
+        "1a1cf3c877548ba62bc9e0b188a4800f5f20ae60811e39e6ebe548417a713f30",
 }
 
 

@@ -259,19 +259,19 @@ PINNED_POOLS = {
     ("average", 1):
         "9aed704c9d0686f7736785f39c070becbe7606bce5a6671d40440242e3ed19d7",
     ("average", 4):
-        "33729c4605be03f95d698ad92e008fe9edcc51ea572c4172ac7db18fd8567428",
+        "d2eff67a2073c7c0091c0117f8611efb63e1d6facf6aeaaca7935b48ed433da7",
     ("average", 8):
-        "a1a399af2513e35e73f748f50288a0963e1d5cbe9b46d6f182c8a28214ce78ba",
+        "6f7bb16d75f9d4e47c842e8e64fb88008eec1c764dc66533118e2438b0ad5b58",
     ("average", 16):
-        "8eb3b06963e417bae675dd4e44f3920b71fb74a0c08e1898dc889b33a5e3a0a0",
+        "d5740f97cfbfd60b489e0295d39caac087931e9708bee31008465e9d19ae9f00",
     ("max", 1):
         "9aed704c9d0686f7736785f39c070becbe7606bce5a6671d40440242e3ed19d7",
     ("max", 4):
-        "f9c70b9e6dff77b5e79b06ad3320ec2d9f4bb19fa5a1f13281cbc9676e6c088a",
+        "ced39946925b3f92eba16cf5634faeea13fb5be114c35f6e75241a63c07cd90b",
     ("max", 8):
-        "5e3ef009aa7969169ec4621e3579eca93be0d83effc2a4d3ad872f5054f22cbd",
+        "cf94ae13ba7ff675d68b0516e79087629b7d4f24c7e8930a11ce5e88689ef9e0",
     ("max", 16):
-        "5c3218752f27f21c5c2839f393e073063045bca62b1434c9254f3ac4a32fe99b",
+        "06f10e18f498fb74ffe938e709ed7fff2b7b56182b8e2ff9996c5d3a2b081b41",
 }
 
 
@@ -288,9 +288,9 @@ def test_pooled_outputs_are_pinned_for_either_layout(region_draws, kind, R,
 # sha256 of theta_hat and se_theta before and after, and the budget, of a
 # seeded relu request, max then average from the kept draws
 PINNED_CHECKS = {
-    "max": "e65f5f697efc4e77b7ee83dd806e55295e81ccf187a59eb96a7d24a35abfd654",
+    "max": "bef6c1b92f41a89a386a634f1b5e9a7e6fa84cc8dac933ffc5c16e14006891df",
     "average":
-        "6b1be7222c32705902001f47184effe5dd9b8651e52284ca3c4d0db65e2e7093",
+        "3e86d270a23d2ff6b776ed8fdf15607825b84c37d1f56642e075308103355372",
 }
 
 
