@@ -91,50 +91,21 @@ class PoolCheck:
     budget: float
 
 
-# The last request's (key, signs, lms, before), or None: the max and
-# average checks of one region make the same request, so the second one
-# only pools
-_last_request = None
+# The last request's key -> (signs, lms, before): the max and average
+# checks of one region make the same request, so the second one only pools
+_kept = {}
 
 
-def _request_key(config: NetworkConfig, x, seed, layer, region,
-                 n_samples) -> tuple:
-    """The request's entropy and values, once it passes run_sampler's
-    checks and then entropy_prefix's seed check, so a bad layer or unit is
-    named as run_sampler names it.
-
-    The checks come first because 0.0 == 0 and True == 1 compare and hash
-    alike: only is_int tells them apart, and a float or bool must raise
-    even when the integer request was the last one.
-    """
-    x = check_request(config, x, n_samples, {layer: region}, "post", 1)
-    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
-    return entropy, (config, x.shape, x.tobytes(),
-                     tuple(int(v) for v in entropy), int(n_samples))
-
-
-def _draws_and_before(config, x, layer, region, n_samples, seed):
-    """The joint draws of a pooling request, read-only, and the "before"
-    estimate of its first unit; from _last_request when it is the same
-    request."""
-    global _last_request
-    entropy, key = _request_key(config, x, seed, layer, region, n_samples)
-    last = _last_request
-    if last is not None and last[0] == key:
-        _, signs, lms, before = last
-    else:
-        _last_request = None  # free the old draws before drawing new ones
-        signs, lms = sample_joint_units(config, x, layer, region, "post",
-                                        n_samples, entropy)
-        signs.flags.writeable = lms.flags.writeable = False
-        before_set = UnitSampleSet(layer=layer, kind="post",
-                                   unit_index=region[0],
-                                   signs=signs[:, 0].copy(),
-                                   log_magnitudes=lms[:, 0].copy())
-        before = estimate_theta_moments(moment_curve(before_set))
-        _last_request = (key, signs, lms, before)
-    # each caller gets its own diagnostics dict
-    return signs, lms, replace(before, diagnostics=dict(before.diagnostics))
+def _draw(config, x, layer, region, n_samples, entropy):
+    """The read-only joint draws of a pooling request and the "before"
+    estimate of its first unit."""
+    signs, lms = sample_joint_units(config, x, layer, region, "post",
+                                    n_samples, entropy)
+    signs.flags.writeable = lms.flags.writeable = False
+    before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],
+                               signs=signs[:, 0].copy(),
+                               log_magnitudes=lms[:, 0].copy())
+    return signs, lms, estimate_theta_moments(moment_curve(before_set))
 
 
 def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
@@ -148,22 +119,25 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     the draws run on one thread. Passes iff |theta_after - theta_before|
     is within the sum of the two standard errors plus 0.1.
 
-    Every argument is checked before anything is drawn, by the sampler's
-    request check (network_model.check_request). The draws and the
-    "before" estimate do not depend on spec, so the module keeps those of
-    the last request, keyed on every other argument, one request at a
-    time: a second call that differs only in spec (average after max,
-    say) pools those draws and fits "after" alone. After a call the entry
-    holds n_samples x len(region) int8 signs and float64 log-magnitudes:
-    3.6 MB at 10^5 draws of 4 units, 7.2 MB at 2 * 10^5. A call with any
-    other argument changed frees it before drawing. Results never depend
-    on it: each call returns the same values, bit for bit, whatever came
-    before.
+    Every argument is checked first, as network_model.check_request
+    checks it. The module keeps the draws and "before" estimate of the
+    last request, keyed on every argument but spec, so average after max
+    only pools. The entry holds n_samples x len(region) int8 signs and
+    float64 log-magnitudes (3.6 MB at 10^5 draws of 4 units) and is freed
+    before any other request draws. Results never depend on it.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
-    signs, lms, before = _draws_and_before(config, x, layer, region,
-                                           n_samples, seed)
+    # checked before the lookup: 0.0 == 0 and True == 1 hash alike
+    x = check_request(config, x, n_samples, {layer: region}, "post", 1)
+    entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
+    key = (config, x.tobytes(), tuple(int(v) for v in entropy), int(n_samples))
+    if key not in _kept:
+        _kept.clear()  # free the old draws before drawing new ones
+        _kept[key] = _draw(config, x, layer, region, n_samples, entropy)
+    signs, lms, before = _kept[key]
+    # each caller gets its own diagnostics dict
+    before = replace(before, diagnostics=dict(before.diagnostics))
     ps, plm = pool_signed_log(signs, lms, spec)
     after_set = UnitSampleSet(layer=layer, kind=f"pooled-{spec.kind}",
                               unit_index=region[0], signs=ps,

@@ -16,8 +16,8 @@ theta k log k + b k + c log k + d + O(1/k), so the per-k log-norm is
 Fitting that four-term model recovers the asymptotic slope from small k
 (Gaussian 0.51, Exponential 0.99, Weibull(2) 0.48 on exact curves over
 k in [2,10], against true values 0.5, 1.0, 0.5); the plain two-term fit
-underestimates badly (0.42, 0.66, 0.29). The corrected fit is the
-default; correction="none" gives the plain one.
+underestimates badly (0.42, 0.66, 0.29), so the four-term model is the
+only one fitted.
 
 survival-slope: a Weibull plot. On the top tail_fraction order
 statistics regress log(-log S(x)) on log x; the slope estimates 1/theta.
@@ -67,6 +67,8 @@ def as_sample_set(obj) -> UnitSampleSet:
     v = np.asarray(obj, dtype=float)
     if v.ndim != 1:
         raise ValueError("sample values must be a 1-d array")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("sample values must be finite")
     with np.errstate(divide="ignore"):
         lm = np.log(np.abs(v))
     return UnitSampleSet(layer=0, kind="pre", unit_index=0,
@@ -271,26 +273,19 @@ def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
     return beta, cov, float(resid @ resid)
 
 
-def estimate_theta_moments(curve: MomentCurve,
-                           correction: str = "finite-k") -> TailEstimate:
+def estimate_theta_moments(curve: MomentCurve) -> TailEstimate:
     """Tail parameter from the moment curve's slope in log k.
 
     Weighted least squares with weights 1/se^2 and an intercept (the
-    asymptotic equivalence fixes the slope, not the constant). The
-    default "finite-k" correction adds (log k)/k and 1/k regressors that
-    absorb the Stirling-order bias of small-k windows; see the module
-    docstring. correction="none" fits the plain two-term model.
+    asymptotic equivalence fixes the slope, not the constant), plus
+    (log k)/k and 1/k regressors that absorb the Stirling-order bias of
+    small-k windows; see the module docstring.
     """
     if len(curve.ks) < MIN_ORDERS:
         raise ValueError(f"curve needs at least {MIN_ORDERS} entries")
-    if correction not in ("finite-k", "none"):
-        raise ValueError(f"unknown correction {correction!r}")
     k = curve.ks.astype(float)
     lk = np.log(k)
-    if correction == "finite-k":
-        X = np.column_stack([np.ones_like(lk), lk, lk / k, 1.0 / k])
-    else:
-        X = np.column_stack([np.ones_like(lk), lk])
+    X = np.column_stack([np.ones_like(lk), lk, lk / k, 1.0 / k])
     w = 1.0 / np.maximum(curve.ses, 1e-12) ** 2
     beta, cov, rss = _wls(X, curve.log_norms, w)
     theta = float(beta[1])
@@ -300,8 +295,7 @@ def estimate_theta_moments(curve: MomentCurve,
             f"fitted moment slope {theta!r} is not a positive tail parameter")
     return TailEstimate(theta_hat=theta, se_theta=se, method="moment-slope",
                         diagnostics={"weighted_rss": rss,
-                                     "n_samples": curve.n_samples,
-                                     "correction": correction})
+                                     "n_samples": curve.n_samples})
 
 
 def _tail_size(n: int, tail_fraction: float) -> int:

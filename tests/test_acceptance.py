@@ -173,18 +173,16 @@ def test_criterion_5_synthetic_calibration():
     noiseless = MomentCurve(ks=ks, log_norms=0.5 * np.log(ks) + 0.3,
                             ses=np.full(9, 1e-6), n_samples=1000,
                             source_id="noiseless line")
-    line_fits = [estimate_theta_moments(noiseless, correction=c).theta_hat
-                 for c in ("finite-k", "none")]
+    line_fit = estimate_theta_moments(noiseless).theta_hat
     ok = (0.85 <= exp_est.theta_hat <= 1.15
           and 0.4 <= wei_est.theta_hat <= 0.6
-          and all(abs(v - 0.5) <= 1e-9 for v in line_fits))
+          and abs(line_fit - 0.5) <= 1e-9)
     _line(5, ok, f"exponential {exp_est.theta_hat:.3f} in 1+-0.15, "
           f"weibull(2) {wei_est.theta_hat:.3f} in 0.5+-0.1, noiseless line "
-          f"off by {max(abs(v - 0.5) for v in line_fits):.1e}")
+          f"off by {abs(line_fit - 0.5):.1e}")
     assert 0.85 <= exp_est.theta_hat <= 1.15
     assert 0.4 <= wei_est.theta_hat <= 0.6
-    for value in line_fits:
-        assert value == pytest.approx(0.5, abs=1e-9)
+    assert line_fit == pytest.approx(0.5, abs=1e-9)
 
 
 def test_criterion_6_envelope_certification():

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import json
 import math
 import os
@@ -947,6 +948,25 @@ def test_runtime_needs_no_scipy(net_ini, tmp_path):
                                     "covariance", "envelope", "contours",
                                     "oracle-check", "rerun"])
     assert set(codes.values()) <= {"0", "1"}, proc.stdout
+
+
+def test_sources_import_only_numpy_and_the_standard_library():
+    """Every absolute import in the package names numpy or a standard
+    library module; relative imports are the package itself."""
+    sources = sorted(Path(layertails.__file__).parent.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, (
+                    f"{path.name}:{node.lineno} imports {name}")
 
 
 def test_tail_sweep_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -126,7 +126,7 @@ AVG2 = PoolingSpec("average", 2)
 def draws(monkeypatch):
     """Empties the module's last-request entry and counts the sampler
     passes pooled_tail_check makes through its module global."""
-    monkeypatch.setattr(conv_pooling, "_last_request", None)
+    monkeypatch.setattr(conv_pooling, "_kept", {})
     calls = []
     real = conv_pooling.sample_joint_units
 
@@ -161,11 +161,11 @@ class TestLastRequest:
     def test_warm_calls_equal_cold_calls(self, cfg, x, draws):
         cold = {}
         for spec in (MAX2, AVG2):
-            conv_pooling._last_request = None
+            conv_pooling._kept.clear()
             cold[spec.kind] = _numbers(
                 pooled_tail_check(cfg, x, 2, (0, 1), spec, 20_000, 29))
         assert len(draws) == 2
-        conv_pooling._last_request = None
+        conv_pooling._kept.clear()
         first = pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 20_000, 29)
         first.before.diagnostics["n_samples"] = -1  # a caller's own copy
         warm = {"max": _numbers(first),
@@ -184,7 +184,7 @@ class TestLastRequest:
         changed = _numbers(pooled_tail_check(cfg, x, 2, (0, 1), MAX2,
                                              10_000, 29))
         assert len(draws) == 2
-        conv_pooling._last_request = None
+        conv_pooling._kept.clear()
         assert _numbers(pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000,
                                           29)) == changed
 
@@ -198,7 +198,7 @@ class TestLastRequest:
 
     def test_kept_arrays_are_read_only(self, cfg, x, draws):
         pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
-        _, signs, lms, _ = conv_pooling._last_request
+        [(signs, lms, _)] = conv_pooling._kept.values()
         assert signs.shape == lms.shape == (10_000, 2)
         for a in (signs, lms):
             assert not a.flags.writeable
@@ -295,7 +295,7 @@ PINNED_CHECKS = {
 
 
 def test_pooled_tail_checks_are_pinned(cfg, x, monkeypatch):
-    monkeypatch.setattr(conv_pooling, "_last_request", None)
+    monkeypatch.setattr(conv_pooling, "_kept", {})
     for kind in ("max", "average"):
         chk = pooled_tail_check(cfg, x, 2, (0, 1, 2, 3), PoolingSpec(kind, 4),
                                 30_000, 29)

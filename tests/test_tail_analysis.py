@@ -151,6 +151,19 @@ class TestMomentCurve:
             moment_curve(v, 5, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("estimator", [
+    lambda v: empirical_log_norm(v, 2), moment_curve,
+    lambda v: estimate_theta_survival(v, 0.3)],
+    ids=["empirical_log_norm", "moment_curve", "estimate_theta_survival"])
+def test_non_finite_raw_samples_rejected(estimator, bad):
+    v = np.random.default_rng(0).standard_normal(1000)
+    v[17] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        estimator(v)
+
+
 def exact_gaussian_curve(k_min=2, k_max=10, sigma=1.0, se=1e-4):
     ks = np.arange(k_min, k_max + 1)
     logs = np.array([math.log(gaussian_norm_oracle(sigma, int(k))) for k in ks])
@@ -164,17 +177,18 @@ class TestThetaFromMoments:
         curve = MomentCurve(ks=ks, log_norms=0.5 * np.log(ks) + 0.3,
                             ses=np.full(9, 1e-6), n_samples=1000,
                             source_id="synthetic line")
-        for correction in ("finite-k", "none"):
-            est = estimate_theta_moments(curve, correction=correction)
-            assert est.theta_hat == pytest.approx(0.5, abs=1e-9)
+        est = estimate_theta_moments(curve)
+        assert est.theta_hat == pytest.approx(0.5, abs=1e-9)
 
     def test_exact_gaussian_curve_needs_the_correction(self):
         curve = exact_gaussian_curve()
         corrected = estimate_theta_moments(curve)
-        plain = estimate_theta_moments(curve, correction="none")
+        # np.polyfit weights the residuals, not their squares, by w
+        plain, _ = np.polyfit(np.log(curve.ks), curve.log_norms, 1,
+                              w=1 / curve.ses)
         assert corrected.theta_hat == pytest.approx(0.5, abs=0.02)
         # the plain 2-term fit of the same exact curve is biased low
-        assert plain.theta_hat < 0.45
+        assert plain < 0.45
 
     def test_scale_invariance_is_exact(self):
         v = synthetic_values("exponential", 100_000, 9)
@@ -189,10 +203,6 @@ class TestThetaFromMoments:
             synthetic_values("weibull", 1_000_000, 5, shape=2.0)))
         assert abs(exp_est.theta_hat - 1.0) <= 0.15
         assert abs(wei_est.theta_hat - 0.5) <= 0.1
-
-    def test_unknown_correction_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_theta_moments(exact_gaussian_curve(), correction="stirling")
 
 
 class TestThetaFromSurvival:
