@@ -15,9 +15,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import is_int
-from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            _exp, _finite_lanes, check_request,
-                            entropy_prefix, sample_joint_units)
+from .network_model import (DEFAULT_CHUNK, STREAM_POOLING, NetworkConfig,
+                            UnitSampleSet, _exp, _finite_lanes,
+                            check_request, entropy_prefix,
+                            sample_joint_units)
 from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
 
 
@@ -49,8 +50,11 @@ def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
 
     Max pooling orders by signed value (any positive beats any zero beats
     any negative); average pooling is a signed log-sum-exp divided by R.
-    Either layout gives the same bytes: the average's row sums run on a
-    row-major block, whose rows numpy sums pairwise from R = 8 on.
+    Beside its input it holds a few (n,) arrays, plus, for the average, one
+    row-major block of DEFAULT_CHUNK rows, where that block's row sums run
+    (numpy sums a row pairwise from R = 8 on). Every step is elementwise or
+    sums within a row, so either layout and any block edge give the same
+    bytes.
     """
     signs = np.asarray(signs)
     lms = np.asarray(lms, dtype=float)
@@ -61,26 +65,34 @@ def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
 
     if spec.kind == "max":
         out_s = np.sign(_reduce_rows(np.maximum, signs)).astype(np.int8)
-        pos_lm = _reduce_rows(np.maximum, np.where(signs > 0, lms, -np.inf))
-        # out_lm reads it only in rows whose entries are all negative
-        neg_lm = _reduce_rows(np.minimum, lms)
-        out_lm = np.where(out_s > 0, pos_lm,
-                          np.where(out_s == 0, -np.inf, neg_lm))
+        # the largest log-magnitude of a row's positive entries, which
+        # stays -inf in a row that has none: the answer where out_s >= 0
+        out_lm = np.full(signs.shape[0], -np.inf)
+        for j in range(signs.shape[1]):
+            np.maximum(out_lm, lms[:, j], out=out_lm, where=signs[:, j] > 0)
+        # a row of negative entries takes its least log-magnitude
+        np.copyto(out_lm, _reduce_rows(np.minimum, lms), where=out_s < 0)
         return out_s, out_lm
 
     m = _reduce_rows(np.maximum, lms)
     finite = ~np.isneginf(m)
     # a row of exact zeros is shifted by 0: its entries stay -inf, sum to 0
-    shifted = np.subtract(lms, np.where(finite, m, 0.0)[:, None], order="C")
-    _exp(shifted, _finite_lanes(shifted))
-    np.multiply(shifted, signs, out=shifted)
-    ssum = np.sum(shifted, axis=1)
+    shift = np.where(finite, m, 0.0)
+    ssum = np.empty(signs.shape[0])
+    for a in range(0, ssum.size, DEFAULT_CHUNK):
+        rows = slice(a, a + DEFAULT_CHUNK)
+        block = np.subtract(lms[rows], shift[rows, None], order="C")
+        _exp(block, _finite_lanes(block))
+        np.multiply(block, signs[rows], out=block)
+        np.sum(block, axis=1, out=ssum[rows])
     out_s = np.sign(ssum).astype(np.int8)
+    ok = finite & (ssum != 0)
+    # m + log|ssum| - log R, in m's array
     with np.errstate(divide="ignore"):
-        out_lm = np.where(finite & (ssum != 0),
-                          m + np.log(np.abs(ssum)) - math.log(spec.region_size),
-                          -np.inf)
-    return out_s, out_lm
+        m += np.log(np.abs(ssum, out=ssum), out=ssum)
+    m -= math.log(spec.region_size)
+    np.copyto(m, -np.inf, where=~ok)
+    return out_s, m
 
 
 @dataclass(frozen=True)
@@ -98,13 +110,13 @@ _kept = {}
 
 def _draw(config, x, layer, region, n_samples, entropy):
     """The read-only joint draws of a pooling request and the "before"
-    estimate of its first unit."""
+    estimate of its first unit, read from views of their first column
+    (contiguous: the sampler's arrays are column-major)."""
     signs, lms = sample_joint_units(config, x, layer, region, "post",
                                     n_samples, entropy)
     signs.flags.writeable = lms.flags.writeable = False
     before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],
-                               signs=signs[:, 0].copy(),
-                               log_magnitudes=lms[:, 0].copy())
+                               signs=signs[:, 0], log_magnitudes=lms[:, 0])
     return signs, lms, estimate_theta_moments(moment_curve(before_set))
 
 
@@ -124,7 +136,10 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     last request, keyed on every argument but spec, so average after max
     only pools. The entry holds n_samples x len(region) int8 signs and
     float64 log-magnitudes (3.6 MB at 10^5 draws of 4 units) and is freed
-    before any other request draws. Results never depend on it.
+    before any other request draws. Results never depend on it. Beyond
+    the entry a call holds O(n_samples) working memory: the sampler applies
+    the activation a chunk at a time, the "before" unit is a view of the
+    first column, and pooling runs a column or a block of rows at a time.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")

@@ -747,7 +747,9 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
                 workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """The one sampler pass: validates the request (check_request),
     allocates the result's arrays and runs its chunks, each of which writes
-    its rows of the requested units into them.
+    its rows of the requested units into them, through apply_signed_log
+    first when kind is "post". So a request holds its result plus one
+    chunk's working arrays per thread, whatever its kind.
 
     needs maps 1-based layers to lists of distinct 0-based unit indices;
     n_samples, layers and indices are integers (errors.is_int), and an
@@ -784,9 +786,17 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         got = _conditional_chunk(config, log_q0, (*entropy, idx),
                                  rows.stop - rows.start, counts)
         for layer, units in needs.items():
-            for src, dst in zip(got[layer], out[layer]):
-                for col, unit in enumerate(units):
-                    dst[rows, col] = src[:, unit]
+            if kind == "pre":
+                for src, dst in zip(got[layer], out[layer]):
+                    for col, unit in enumerate(units):
+                        dst[rows, col] = src[:, unit]
+                continue
+            # elementwise, so a chunk's rows get the bytes a whole layer's
+            # would, and no pre arrays outlive the chunk
+            post = apply_signed_log(config.nonlinearity,
+                                    *(a[:, units] for a in got[layer]))
+            for src, dst in zip(post, out[layer]):
+                dst[rows] = src
 
     n_chunks = -(-n_samples // DEFAULT_CHUNK)
     threads = worker_threads(workers, n_chunks)
@@ -796,10 +806,6 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
     else:
         for idx in range(n_chunks):
             one_chunk(idx)
-    if kind == "post":
-        # a layer at a time, so only one layer has pre and post arrays at once
-        for layer in out:
-            out[layer] = apply_signed_log(config.nonlinearity, *out[layer])
     return out
 
 

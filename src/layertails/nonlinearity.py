@@ -33,6 +33,7 @@ some side is a slope c > 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from collections.abc import Callable
@@ -221,8 +222,11 @@ def apply(spec: NonlinearitySpec, u):
     return float(out[0]) if np.ndim(u) == 0 else out
 
 
+@functools.cache
 def sides(spec: NonlinearitySpec) -> tuple[Side, Side]:
-    """phi's (positive, negative) Sides; a table slope c becomes c u's."""
+    """phi's (positive, negative) Sides; a table slope c becomes c u's.
+    Built once per spec (a frozen, hashable dataclass) and shared: every
+    layer step and apply_signed_log call reads them."""
     return tuple(c if isinstance(c, Side) else _slope(c)
                  for c in _TABLE[spec.family].sides(spec.params))
 

@@ -1463,8 +1463,9 @@ def test_wide_curved_pass_holds_no_chunk_by_width_array(family):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_module_lookups_that_a_tracer_wraps(workers, monkeypatch):
     """run_sampler reaches _conditional_chunk and apply_signed_log through
-    the module, once per chunk and once per requested layer, so wrappers
-    set on the module see every call and change no byte."""
+    the module, the first once per chunk and the second once per chunk per
+    requested layer, so wrappers set on the module see every call and
+    change no byte."""
     cfg = small_config()
     x = sample_input(cfg.input_dim, 3)
     needs = {1: [0], 3: [2, 0]}
@@ -1484,7 +1485,7 @@ def test_module_lookups_that_a_tracer_wraps(workers, monkeypatch):
     counting("apply_signed_log")
     got = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), "post",
                       workers=workers)
-    assert sorted(calls) == ["_conditional_chunk"] * 3 + ["apply_signed_log"] * 2
+    assert sorted(calls) == ["_conditional_chunk"] * 3 + ["apply_signed_log"] * 6
     assert _stream_digest(got) == _stream_digest(want)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,3 +301,80 @@ def test_pooled_tail_checks_are_pinned(cfg, x, monkeypatch):
         chk = pooled_tail_check(cfg, x, 2, (0, 1, 2, 3), PoolingSpec(kind, 4),
                                 30_000, 29)
         assert _digest(np.array(_numbers(chk)[:5])) == PINNED_CHECKS[kind]
+
+
+def _whole_array_pool(signs, lms, kind):
+    """pool_signed_log as one pass over whole (n, R) arrays, the formula
+    its columns and row blocks must reproduce bit for bit."""
+    if kind == "max":
+        out_s = np.sign(np.max(signs, axis=1)).astype(np.int8)
+        pos_lm = np.max(np.where(signs > 0, lms, -np.inf), axis=1)
+        neg_lm = np.min(lms, axis=1)
+        return out_s, np.where(out_s > 0, pos_lm,
+                               np.where(out_s == 0, -np.inf, neg_lm))
+    m = np.max(lms, axis=1)
+    finite = ~np.isneginf(m)
+    shifted = np.subtract(lms, np.where(finite, m, 0.0)[:, None], order="C")
+    ssum = np.sum(np.exp(shifted) * signs, axis=1)
+    with np.errstate(divide="ignore"):
+        out_lm = np.where(finite & (ssum != 0),
+                          m + np.log(np.abs(ssum)) - np.log(signs.shape[1]),
+                          -np.inf)
+    return np.sign(ssum).astype(np.int8), out_lm
+
+
+@pytest.mark.parametrize("n", [4095, 3 * network_model.DEFAULT_CHUNK + 1])
+@pytest.mark.parametrize("R", [4, 8, 16])
+@pytest.mark.parametrize("kind", ["max", "average"])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_row_blocks_give_the_whole_array_bytes(n, R, kind, order):
+    """Across block edges (one short block, and three full blocks plus a
+    one-row block), with exact zeros, all-zero and all-negative rows."""
+    rng = np.random.default_rng(n * R)
+    v = rng.standard_normal((n, R)) * np.exp(rng.normal(0.0, 20.0, (n, 1)))
+    v[rng.random((n, R)) < 0.3] = 0.0
+    v[rng.random(n) < 0.05] = 0.0
+    neg = rng.random(n) < 0.05
+    v[neg] = -np.abs(v[neg])
+    signs, lms = (np.array(a, order=order) for a in encode(v))
+    got = pool_signed_log(signs, lms, PoolingSpec(kind, R))
+    want = _whole_array_pool(signs, lms, kind)
+    assert _digest(*got) == _digest(*want)
+
+
+def _traced_peak(fn):
+    """fn's result and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        got = fn()
+        return got, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# 5 * 10^4 joint relu post draws of units 0..15 of layer 2
+MEMORY_NET = NetworkConfig(input_dim=20, layer_widths=(20, 20),
+                           nonlinearity=RELU)
+MEMORY_REGION = tuple(range(16))
+
+
+def test_post_request_holds_one_copy_of_its_draws():
+    """The activation is applied a chunk at a time, so a post request's
+    peak is its result plus one chunk's working arrays."""
+    x = sample_input(20, 5)
+    (signs, lms), peak = _traced_peak(lambda: network_model.sample_joint_units(
+        MEMORY_NET, x, 2, MEMORY_REGION, "post", 50_000, (5, 77)))
+    assert peak < 1.5 * (signs.nbytes + lms.nbytes)
+
+
+def test_pooling_checks_hold_one_copy_of_their_draws(monkeypatch):
+    """Max then average on one request: the kept draws, a view of their
+    first column for "before", and pooling by columns and row blocks."""
+    monkeypatch.setattr(conv_pooling, "_kept", {})
+    x = sample_input(20, 5)
+    _, peak = _traced_peak(lambda: [
+        pooled_tail_check(MEMORY_NET, x, 2, MEMORY_REGION,
+                          PoolingSpec(kind, 16), 50_000, 5)
+        for kind in ("max", "average")])
+    (signs, lms, _), = conv_pooling._kept.values()
+    assert peak < 1.5 * (signs.nbytes + lms.nbytes)
