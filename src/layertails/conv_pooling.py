@@ -1,7 +1,9 @@
 """Max and average pooling over unit samples, plus the tail-invariance
 check: pooling a region of same-layer units does not change the optimal
-tail parameter. Convolutional regions are treated as fully-connected maps
-on the flattened region, so this module doubles as the convolutional case.
+tail parameter. A region is units of one fully-connected layer, which
+assumes independent weights at each position: given the layer below, the
+region's units are then i.i.d. A convolutional region is not covered; its
+positions share one filter, so they are correlated given the layer below.
 
 Pooling of sampled units runs in the (sign, log-magnitude) encoding so
 deep-layer samples never leave log domain.

@@ -141,6 +141,10 @@ class NetworkConfig:
     include_bias: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.nonlinearity, NonlinearitySpec):
+            raise TypeError("nonlinearity must be a NonlinearitySpec, got "
+                            f"{self.nonlinearity!r}; NonlinearitySpec.parse "
+                            "reads a spec string")
         if not is_int(self.input_dim) or self.input_dim < 1:
             raise ValueError(f"input_dim must be an integer >= 1, got {self.input_dim!r}")
         if not isinstance(self.include_bias, (bool, np.bool_)):

@@ -59,6 +59,11 @@ _THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 # Points of the shared survival grid.
 _SURVIVAL_GRID = 400
 
+# Entries per block of the moment and tail passes: 2^15 doubles, 256 KiB,
+# which stays in a core's L2 cache. The bytes do not depend on it (see
+# _block_sums and _largest), only the working memory and the speed.
+_LEAF = 1 << 15
+
 
 def as_sample_set(obj) -> UnitSampleSet:
     """Coerce a raw value array into a UnitSampleSet (layer 0, synthetic)."""
@@ -138,11 +143,17 @@ def _logsumexp(a: np.ndarray) -> float:
 def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     """(log||X||_k, se) for each integer k in ks; see empirical_log_norm.
 
-    Every moment is a log-sum-exp taken in one reused buffer, with the
-    operations of _logsumexp in the same order (its exp through _exp), so
-    the values equal it bit for bit; an order shared by k and some other
-    2k is taken once. Rounding is monotone, so max(order * lm) =
-    order * max(lm), read once.
+    Every moment is a log-sum-exp with the operations of _logsumexp in the
+    same order (its exp through _exp), so the values equal it bit for bit;
+    an order shared by k and some other 2k is taken once. Rounding is
+    monotone, so max(order * lm) = order * max(lm), read once.
+
+    The draws are read in blocks of at most _LEAF entries: one buffer and
+    one _finite_lanes mask of that size are the working memory, whatever
+    n. Each block is scaled, shifted, exponentiated and summed for every
+    order while it is in cache, and the block sums are added in numpy's
+    pairwise order (_block_sums), so each sum is np.sum's over the whole
+    buffer, bit for bit.
     """
     lm = s.log_magnitudes
     n = lm.shape[0]
@@ -151,17 +162,23 @@ def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     top = float(np.max(lm))
     if top == -np.inf:
         raise DegenerateDistributionError("all samples are zero")
-    finite = _finite_lanes(lm)
-    buf = np.empty(n)
+    orders = sorted({*ks, *(2 * k for k in ks)})
+    shifts = [order * top for order in orders]
+    buf = np.empty(min(n, _LEAF))
 
-    def log_moment(order: int) -> float:
-        m = order * top
-        np.multiply(lm, order, out=buf)
-        np.subtract(buf, m, out=buf)
-        _exp(buf, finite)
-        return m + math.log(float(np.sum(buf))) - math.log(n)
+    def leaf(block: np.ndarray) -> np.ndarray:
+        finite = _finite_lanes(block)
+        b = buf[:block.size]
+        out = np.empty(len(orders))
+        for j, (order, m) in enumerate(zip(orders, shifts)):
+            np.multiply(block, order, out=b)
+            np.subtract(b, m, out=b)
+            _exp(b, finite)
+            out[j] = np.sum(b)
+        return out
 
-    logs = {order: log_moment(order) for order in {*ks, *(2 * k for k in ks)}}
+    logs = {order: m + math.log(float(t)) - math.log(n)
+            for order, m, t in zip(orders, shifts, _block_sums(lm, leaf))}
     out = []
     for k in ks:
         log_mk, log_m2k = logs[k], logs[2 * k]
@@ -169,6 +186,26 @@ def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
         se = math.sqrt(math.expm1(max(delta, 0.0))) / (k * math.sqrt(n))
         out.append((log_mk / k, se))
     return out
+
+
+def _block_sums(a: np.ndarray, leaf) -> np.ndarray:
+    """leaf(a) for a block of at most _LEAF entries; a longer a is split
+    where numpy's pairwise summation splits it, at n2 = n//2 - (n//2) % 8,
+    and the halves' results are added.
+
+    When leaf returns np.sum of some elementwise function of its block,
+    the result is np.sum of that function over all of a, bit for bit.
+    This rests on how numpy sums a float64 array: pairwise (since numpy
+    1.9), splitting every node of more than 128 entries at n2 and summing
+    smaller ones in a fixed 8-way loop. A node of at most _LEAF entries
+    summed by np.sum is then the same node summed inside np.sum of the
+    whole; the tests check it against the installed numpy.
+    """
+    n = a.shape[0]
+    if n <= _LEAF:
+        return leaf(a)
+    n2 = n // 2 - (n // 2) % 8
+    return _block_sums(a[:n2], leaf) + _block_sums(a[n2:], leaf)
 
 
 def empirical_log_norm(samples, k: int) -> tuple[float, float]:
@@ -324,6 +361,47 @@ def check_tail_request(n_samples: int, k_min: int, k_max: int,
     _tail_size(n_samples, tail_fraction)
 
 
+def _largest(lm: np.ndarray, m: int) -> np.ndarray:
+    """The m largest entries of lm, sorted descending: a reversed view of
+    one buffer of m + _LEAF doubles. Beside it the working memory is one
+    block's mask and its gathered entries, at most _LEAF of each.
+
+    The buffer's last m entries hold the m largest values of those kept so
+    far; thr is the least of them. Entries of a block above thr are
+    gathered into the free front, and when the next block's would not fit
+    one partition keeps the m largest of the lot. An entry at or below thr
+    cannot change the multiset of the m largest, and that multiset is
+    unique, so the sorted result is np.sort(np.partition(lm, n - m)[n -
+    m:])[::-1] entry for entry.
+    """
+    buf = np.empty(m + _LEAF)
+    keep = buf[_LEAF:]
+    keep[:] = lm[:m]
+    thr = np.min(keep)
+    free = _LEAF  # buf[free:_LEAF] holds the gathered entries
+
+    def settle():
+        nonlocal free, thr
+        buf[free:].partition(_LEAF - free)
+        free, thr = _LEAF, keep[0]
+
+    for lo in range(m, lm.shape[0], _LEAF):
+        block = lm[lo:lo + _LEAF]
+        above = block > thr
+        c = int(np.count_nonzero(above))
+        if c > free:
+            settle()
+            above = block > thr
+            c = int(np.count_nonzero(above))
+        # a boolean index, not np.compress(out=), which copies out as well
+        buf[free - c:free] = block[above]
+        free -= c
+    if free < _LEAF:
+        settle()
+    keep.sort()
+    return keep[::-1]
+
+
 def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate:
     """Weibull-plot estimator on the top tail_fraction order statistics.
 
@@ -332,28 +410,40 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     log(-log S) on log x. The least-squares slope and its standard error
     come from centered sums (plain numpy reductions, no BLAS call), so
     the result does not depend on the BLAS thread count.
+
+    Working memory is _largest's m + _LEAF buffer and a few m-long
+    arrays, m = int(tail_fraction * n): no copy of all n draws.
     """
     s = as_sample_set(samples)
     n = s.n_samples
     m = _tail_size(n, tail_fraction)
-    # the m largest, by a partition before the sort: the same array as
-    # sorting all n
-    top = np.sort(np.partition(s.log_magnitudes, n - m)[n - m:])[::-1]
+    top = _largest(s.log_magnitudes, m)
     if top[-1] == -np.inf:
         raise DegenerateDistributionError("tail contains exact zeros")
     if np.count_nonzero(top[1:] != top[:-1]) + 1 < 10:
         raise DegenerateDistributionError("tail collapses to fewer than 10 "
                                           "distinct points")
-    surv = (np.arange(1, m + 1) - 0.5) / n
-    y = np.log(-np.log(surv))
+    # y = log(-log S) and the centered sums in place, in the order of the
+    # plain expressions (y - (ym + slope * xc) and so on), so with their
+    # bits; t is one m-long scratch array
+    y = np.arange(0.5, m)
+    y /= n
+    for f in (np.log, np.negative, np.log):
+        f(y, out=y)
     ym = np.mean(y)
     xc = top - np.mean(top)
-    sxx = float(np.sum(xc * xc))
+    t = np.multiply(xc, xc)
+    sxx = float(np.sum(t))
     if not sxx > 0:
         raise DegenerateDistributionError("survival regression is singular")
-    slope = float(np.sum(xc * (y - ym))) / sxx
-    resid = y - (ym + slope * xc)
-    rss = float(np.sum(resid * resid))
+    np.subtract(y, ym, out=t)
+    t *= xc
+    slope = float(np.sum(t)) / sxx
+    np.multiply(xc, slope, out=t)
+    t += ym
+    np.subtract(y, t, out=t)
+    t *= t
+    rss = float(np.sum(t))
     se_slope = math.sqrt(rss / (m - 2) / sxx)
     if slope <= 0:
         raise DegenerateDistributionError("survival slope is not positive")

@@ -91,6 +91,7 @@ class TestEnvelopeCommand:
     # row certifies the positive axis with d1 = 1.0, not its saturating
     # negative one, and d2 = 1e308; selu's d1 is lambda and its d2 lambda
     # alpha rounded up
+    @pytest.mark.pin
     @pytest.mark.parametrize("families,digest", [
         ([], "b761d423ba4e7e6f74c716c2a823fd10b520674258b59b8dd041686f79fc3278"),
         (["relu", "prelu(0.0)", "elu(1e308)", "elu(1e-320)", "identity"],
@@ -122,6 +123,7 @@ PINNED_CONTOURS = {
 
 
 class TestContoursCommand:
+    @pytest.mark.pin
     @pytest.mark.parametrize("qs", [[], ["0.5", "2", "3", "1e6"]],
                              ids=["defaults", "0.5-2-3-1e6"])
     def test_contour_files_are_pinned(self, qs, tmp_path):

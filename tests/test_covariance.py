@@ -222,6 +222,7 @@ def _sweep_digest(res):
     return digest.hexdigest()
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("net,n", sorted(PINNED_SWEEPS))
 def test_sweep_reports_are_pinned_bit_for_bit(net, n):
     spec = {"relu": RELU, "elu(1.0)": ELU, "tanh-bias": TANH}[net]

@@ -55,6 +55,7 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+@pytest.mark.pin
 @given(signed_log_draws(100, 300))
 @settings(max_examples=150, deadline=None)
 def test_moment_curve_equals_the_logsumexp_formula(draws):
@@ -94,6 +95,7 @@ def _cell_reference(signs, lms, s, t):
     return est, float(np.std(batch, ddof=1) / math.sqrt(32))
 
 
+@pytest.mark.pin
 @given(signed_log_draws(32, 300), st.data())
 @settings(max_examples=150, deadline=None)
 def test_covariance_cells_equal_the_per_batch_formula(first, data):
@@ -126,6 +128,7 @@ def _average_reference(signs, lms, R):
     return np.sign(ssum).astype(np.int8), out_lm
 
 
+@pytest.mark.pin
 @given(signed_log_draws(1, 200), st.sampled_from([1, 3, 4, 8, 9, 16]),
        st.sampled_from(["C", "F"]))
 @settings(max_examples=150, deadline=None)

@@ -479,6 +479,7 @@ def _hexes(text):
     return [float.fromhex(v).hex() for v in text.split()]
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("spec", PIN_SPECS, ids=str)
 def test_signed_log_is_pinned_bit_for_bit(spec):
     n = len(PIN_LOGS)
@@ -490,12 +491,14 @@ def test_signed_log_is_pinned_bit_for_bit(spec):
     assert [float(v).hex() for v in out_lm] == _hexes(want_lm)
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("spec", PIN_SPECS, ids=str)
 def test_apply_is_pinned_bit_for_bit(spec):
     out = apply(spec, np.array(PIN_LINEAR))
     assert [float(v).hex() for v in out] == _hexes(PINNED_APPLY[str(spec)])
 
 
+@pytest.mark.pin
 def test_prelu_zero_applies_as_relu_bit_for_bit():
     u = np.array(PIN_LINEAR)
     assert apply(NonlinearitySpec("prelu", (0.0,)), u).tobytes() == \
@@ -590,6 +593,7 @@ class TestSearchEnvelopeConstants:
         b = search_envelope_constants(RELU)
         assert (a.verdict, a.side, a.d1, a.d2) == (b.verdict, b.side, b.d1, b.d2)
 
+    @pytest.mark.pin
     def test_witnesses_are_pinned(self):
         # every field of the witness, per ALL_SPECS entry
         unit = ("holds", 0.0, 1.0, "positive-axis", 0.0, 1.0)

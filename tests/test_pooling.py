@@ -276,6 +276,7 @@ PINNED_POOLS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("kind,R", sorted(PINNED_POOLS))
 @pytest.mark.parametrize("order", ["F", "C"])
 def test_pooled_outputs_are_pinned_for_either_layout(region_draws, kind, R,
@@ -295,6 +296,7 @@ PINNED_CHECKS = {
 }
 
 
+@pytest.mark.pin
 def test_pooled_tail_checks_are_pinned(cfg, x, monkeypatch):
     monkeypatch.setattr(conv_pooling, "_kept", {})
     for kind in ("max", "average"):
@@ -323,6 +325,7 @@ def _whole_array_pool(signs, lms, kind):
     return np.sign(ssum).astype(np.int8), out_lm
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("n", [4095, 3 * network_model.DEFAULT_CHUNK + 1])
 @pytest.mark.parametrize("R", [4, 8, 16])
 @pytest.mark.parametrize("kind", ["max", "average"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from scipy.special import bdtr, bdtrc, gamma, gammaln, log_ndtr, ndtr
 
 from layertails.errors import DegenerateDistributionError
 from layertails.network_model import UnitSampleSet
-from layertails.tail_analysis import (MomentCurve, TailEstimate,
+from layertails.tail_analysis import (_LEAF, MomentCurve, TailEstimate,
+                                      _block_sums, _largest,
                                       _log_gaussian_sf, _log_iqr,
+                                      _log_norms,
                                       _signed_quantile, check_tail_request,
                                       empirical_log_norm,
                                       estimate_theta_moments,
@@ -62,6 +65,7 @@ class TestLogNorm:
         with pytest.raises(DegenerateDistributionError):
             moment_curve(np.zeros(500), 2, 5)
 
+    @pytest.mark.pin
     def test_curve_equals_per_order_log_sum_exp(self):
         # the reference takes each moment with fresh temporaries; the
         # shared buffer must give the same doubles bit for bit
@@ -556,6 +560,7 @@ PINNED_OUTPUTS = {
 }
 
 
+@pytest.mark.pin
 @pytest.mark.parametrize("data,output", sorted(PINNED_OUTPUTS))
 def test_outputs_are_pinned_bit_for_bit(gaussian_sets, data, output):
     sets = gaussian_sets if data == "gaussian" else _relu_post_sets()
@@ -657,3 +662,102 @@ def test_gaussian_match_verdict_equals_the_bdtr_form_on_a_census():
                 same += ok == _bdtr_verdict(curves, 1)
                 failed += not ok
     assert (same, failed) == (1800, 295)
+
+
+# ---------------------------------------------------------------------------
+# blocked passes: the bytes of the whole-array forms, in leaf-sized memory
+
+BLOCK_SIZES = [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 10**5 + 7, 5 * 10**5]
+
+
+def _whole_buffer_log_norms(lm, ks):
+    """_log_norms as one n-long buffer per order, summed by one np.sum."""
+    n = lm.shape[0]
+    top = float(np.max(lm))
+    buf = np.empty(n)
+    logs = {}
+    for order in {*ks, *(2 * k for k in ks)}:
+        m = order * top
+        np.multiply(lm, order, out=buf)
+        np.subtract(buf, m, out=buf)
+        np.exp(buf, out=buf)
+        logs[order] = m + math.log(float(np.sum(buf))) - math.log(n)
+    out = []
+    for k in ks:
+        delta = min(logs[2 * k] - 2.0 * logs[k], math.log(n))
+        out.append((logs[k] / k, math.sqrt(math.expm1(max(delta, 0.0)))
+                    / (k * math.sqrt(n))))
+    return out
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("zeros", [False, True], ids=["finite", "zeros"])
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+def test_blocked_log_norms_equal_the_whole_buffer_bit_for_bit(n, zeros):
+    rng = np.random.default_rng(n)
+    v = rng.standard_t(3, size=n) * np.exp(rng.normal(size=n))
+    if zeros:
+        v[rng.random(n) < 0.2] = 0.0
+    s = encode(v)
+    ks = range(1, 13)
+    assert _log_norms(s, ks) == _whole_buffer_log_norms(s.log_magnitudes, ks)
+
+
+@pytest.mark.pin
+def test_block_sums_follow_numpys_pairwise_order():
+    # np.sum of each leaf, added up the split tree, is np.sum of the
+    # whole: around the leaf size, at powers of two and at random sizes
+    rng = np.random.default_rng(11)
+    sizes = sorted({*range(1, 300, 7), *(k * _LEAF + d for k in (1, 2, 3, 8)
+                                         for d in (-9, -8, -1, 0, 1, 7, 8)),
+                    *(2**e for e in range(8, 21)),
+                    *rng.integers(300, 1_200_000, 40).tolist()})
+    for n in sizes:
+        a = np.exp(3.0 * rng.standard_normal(n))
+        a[rng.random(n) < 0.25] = 0.0
+        assert _block_sums(a, np.sum) == np.sum(a), n
+
+
+def _partition_top(x, m):
+    n = x.shape[0]
+    return np.sort(np.partition(x, n - m)[n - m:])[::-1]
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("order", ["random", "ascending", "descending"])
+@pytest.mark.parametrize("n,m", [(1000, 200), (_LEAF + 1, 300),
+                                 (5 * 10**5, 5 * 10**4),
+                                 (3 * _LEAF + 5, 2 * _LEAF + 3)])
+def test_largest_is_the_sorted_partition_tail(n, m, order):
+    # integer values give ties across blocks; a tenth of them are -inf
+    rng = np.random.default_rng(m)
+    x = rng.integers(0, 60, n).astype(float)
+    x[rng.random(n) < 0.1] = -np.inf
+    if order != "random":
+        x.sort()
+        x = x if order == "ascending" else x[::-1].copy()
+    want = _partition_top(x, m)
+    got = _largest(x, m)
+    assert got.tobytes() == want.tobytes()
+    # an all -inf tail, and a tail that is one repeated value
+    for fill in (-np.inf, 5.0):
+        y = np.full(n, fill)
+        assert _largest(y, m).tobytes() == _partition_top(y, m).tobytes()
+
+
+def test_estimators_hold_no_copy_the_size_of_their_draws():
+    """The moment curve and the survival fit read the draws in leaf-sized
+    blocks, so neither allocates an n-long array. The survival fit's own
+    regression arrays are m = tail_fraction * n long; a 1% fraction keeps
+    them small beside the quarter-size bound."""
+    n = 4 * 10**5
+    s = synthetic_values("exponential", n, 8)
+    for estimate in (lambda: moment_curve(s),
+                     lambda: estimate_theta_survival(s, 0.01)):
+        tracemalloc.start()
+        try:
+            estimate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 8 / 4
