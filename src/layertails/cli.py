@@ -103,18 +103,20 @@ def _run_tail_sweep(params: dict):
             per_layer["moment-slope"] = estimate_theta_moments(curve)
         except ValueError as exc:
             summary_rows.append((l, params["kind"], "moment-slope", None, None,
-                                 _sanitize(exc)))
+                                 None, None, _sanitize(exc)))
         try:
             per_layer["survival-slope"] = estimate_theta_survival(
                 sets[l], params["tail_fraction"])
         except ValueError as exc:
             summary_rows.append((l, params["kind"], "survival-slope", None, None,
-                                 _sanitize(exc)))
+                                 None, None, _sanitize(exc)))
         parts = []
         for method, est in per_layer.items():
             ests[method][l] = est
             summary_rows.append((l, params["kind"], method,
-                                 est.theta_hat, est.se_theta, ""))
+                                 est.theta_hat, est.se_theta,
+                                 est.diagnostics.get("weighted_rss"),
+                                 est.diagnostics.get("n_tail"), ""))
             parts.append(f"{method} {est.theta_hat:.4f} +/- {est.se_theta:.4f}")
         lines.append(f"layer {l} ({params['kind']}): "
                      + ("; ".join(parts) if parts else "no estimate"))
@@ -141,7 +143,8 @@ def _run_tail_sweep(params: dict):
                     f"n_samples = {params['samples']}",
                     f"moment-slope over k in [{params['k_min']}, {params['k_max']}]; "
                     f"survival-slope on the top {params['tail_fraction']} fraction"],
-                   "layer,kind,method,theta_hat,se_theta,error", summary_rows))
+                   "layer,kind,method,theta_hat,se_theta,weighted_rss,n_tail,"
+                   "error", summary_rows))
     tables.append(("recursion.csv",
                    ["theta step between consecutive layers, expected 0.5"],
                    "layer_prev,layer_next,method,theta_prev,theta_next,"

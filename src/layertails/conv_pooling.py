@@ -17,10 +17,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import is_int
-from .network_model import (DEFAULT_CHUNK, STREAM_POOLING, NetworkConfig,
-                            UnitSampleSet, _exp, _finite_lanes,
-                            check_request, entropy_prefix,
-                            sample_joint_units)
+from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
+                            _exp, _finite_lanes, check_request,
+                            entropy_prefix, sample_joint_units)
 from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
 
 
@@ -36,15 +35,63 @@ class PoolingSpec:
             raise ValueError("region_size must be an integer >= 1")
 
 
-def _reduce_rows(ufunc, a: np.ndarray) -> np.ndarray:
-    """ufunc.reduce(a, axis=1) of an (n, R) array, one column at a time, for
-    an exact ufunc (maximum, minimum). np.max(a, axis=1) of 10^5 x 4
-    doubles takes 6.6 ms row-major and 0.2 ms column-major (numpy 2.4);
-    this loop 0.7 and 0.2 ms."""
-    out = a[:, 0].copy()
+def _reduce_rows(ufunc, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """ufunc.reduce(a, axis=1) of an (n, R) array into out, one column at a
+    time, for an exact ufunc (maximum, minimum). np.max(a, axis=1) of
+    10^5 x 4 doubles takes 6.6 ms row-major and 0.2 ms column-major
+    (numpy 2.4); this loop 0.7 and 0.2 ms."""
+    out[...] = a[:, 0]
     for j in range(1, a.shape[1]):
         ufunc(out, a[:, j], out=out)
     return out
+
+
+# Entries per block of pool_signed_log: 2^16, 512 KiB of doubles
+_POOL_BLOCK = 1 << 16
+
+
+def _max_rows(s, lm, out_s, out_lm, top):
+    """Max pooling of one block of rows into out_s and out_lm; top is a
+    row-long scratch array of s's dtype."""
+    np.sign(_reduce_rows(np.maximum, s, top), out=out_s, casting="unsafe")
+    # the largest log-magnitude of a row's positive entries, which stays
+    # -inf in a row that has none: the answer where out_s >= 0
+    out_lm.fill(-np.inf)
+    for j in range(s.shape[1]):
+        np.maximum(out_lm, lm[:, j], out=out_lm, where=s[:, j] > 0)
+    # a row of negative entries takes its least log-magnitude
+    neg = np.flatnonzero(out_s < 0)
+    if neg.size:
+        out_lm[neg] = _reduce_rows(np.minimum, lm[neg], np.empty(neg.size))
+
+
+def _average_rows(s, lm, out_s, out_lm, ssum):
+    """Average pooling of one block of rows into out_s and out_lm; ssum is
+    a row-long scratch array of doubles."""
+    R = s.shape[1]
+    m = _reduce_rows(np.maximum, lm, out_lm)
+    finite = ~np.isneginf(m)
+    # a row of exact zeros is shifted by 0: its entries stay -inf, sum to 0
+    shift = np.where(finite, m, 0.0)
+    if R < 8:
+        ssum.fill(0.0)
+        for j in range(R):
+            col = np.subtract(lm[:, j], shift)
+            _exp(col, _finite_lanes(col))
+            col *= s[:, j]
+            ssum += col
+    else:
+        block = np.subtract(lm, shift[:, None], order="C")
+        _exp(block, _finite_lanes(block))
+        np.multiply(block, s, out=block)
+        np.sum(block, axis=1, out=ssum)
+    np.sign(ssum, out=out_s, casting="unsafe")
+    ok = finite & (ssum != 0)
+    # m + log|ssum| - log R, in out_lm
+    with np.errstate(divide="ignore"):
+        m += np.log(np.abs(ssum, out=ssum), out=ssum)
+    m -= math.log(R)
+    np.copyto(m, -np.inf, where=~ok)
 
 
 def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
@@ -52,49 +99,35 @@ def pool_signed_log(signs: np.ndarray, lms: np.ndarray, spec: PoolingSpec):
 
     Max pooling orders by signed value (any positive beats any zero beats
     any negative); average pooling is a signed log-sum-exp divided by R.
-    Beside its input it holds a few (n,) arrays, plus, for the average, one
-    row-major block of DEFAULT_CHUNK rows, where that block's row sums run
-    (numpy sums a row pairwise from R = 8 on). Every step is elementwise or
-    sums within a row, so either layout and any block edge give the same
-    bytes.
+    Beside its input and its two (n,) outputs it holds the working arrays
+    of one block of _POOL_BLOCK entries (_POOL_BLOCK // R rows), which it
+    reduces column by column and writes straight into the outputs. Max
+    pooling takes the least log-magnitude of its all-negative rows alone.
+    For R < 8 the average adds a row's terms left to right from +0.0,
+    which is numpy's row sum of fewer than 8 entries; from R = 8 on numpy
+    sums a row pairwise, so the block is made row-major and summed by
+    np.sum(axis=1). Every step is elementwise or sums within a row, so
+    either layout and any block edge give the same bytes.
     """
     signs = np.asarray(signs)
     lms = np.asarray(lms, dtype=float)
     if signs.shape != lms.shape or signs.ndim != 2:
         raise ValueError("expected matching (n, R) arrays")
-    if signs.shape[1] != spec.region_size:
+    n, R = signs.shape
+    if R != spec.region_size:
         raise ValueError(f"expected region of {spec.region_size} units")
-
+    out_s = np.empty(n, np.int8)
+    out_lm = np.empty(n)
+    step = max(1, _POOL_BLOCK // R)
     if spec.kind == "max":
-        out_s = np.sign(_reduce_rows(np.maximum, signs)).astype(np.int8)
-        # the largest log-magnitude of a row's positive entries, which
-        # stays -inf in a row that has none: the answer where out_s >= 0
-        out_lm = np.full(signs.shape[0], -np.inf)
-        for j in range(signs.shape[1]):
-            np.maximum(out_lm, lms[:, j], out=out_lm, where=signs[:, j] > 0)
-        # a row of negative entries takes its least log-magnitude
-        np.copyto(out_lm, _reduce_rows(np.minimum, lms), where=out_s < 0)
-        return out_s, out_lm
-
-    m = _reduce_rows(np.maximum, lms)
-    finite = ~np.isneginf(m)
-    # a row of exact zeros is shifted by 0: its entries stay -inf, sum to 0
-    shift = np.where(finite, m, 0.0)
-    ssum = np.empty(signs.shape[0])
-    for a in range(0, ssum.size, DEFAULT_CHUNK):
-        rows = slice(a, a + DEFAULT_CHUNK)
-        block = np.subtract(lms[rows], shift[rows, None], order="C")
-        _exp(block, _finite_lanes(block))
-        np.multiply(block, signs[rows], out=block)
-        np.sum(block, axis=1, out=ssum[rows])
-    out_s = np.sign(ssum).astype(np.int8)
-    ok = finite & (ssum != 0)
-    # m + log|ssum| - log R, in m's array
-    with np.errstate(divide="ignore"):
-        m += np.log(np.abs(ssum, out=ssum), out=ssum)
-    m -= math.log(spec.region_size)
-    np.copyto(m, -np.inf, where=~ok)
-    return out_s, m
+        pool, work = _max_rows, np.empty(min(n, step), signs.dtype)
+    else:
+        pool, work = _average_rows, np.empty(min(n, step))
+    for a in range(0, n, step):
+        rows = slice(a, a + step)
+        pool(signs[rows], lms[rows], out_s[rows], out_lm[rows],
+             work[:min(step, n - a)])
+    return out_s, out_lm
 
 
 @dataclass(frozen=True)
@@ -139,9 +172,10 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     only pools. The entry holds n_samples x len(region) int8 signs and
     float64 log-magnitudes (3.6 MB at 10^5 draws of 4 units) and is freed
     before any other request draws. Results never depend on it. Beyond
-    the entry a call holds O(n_samples) working memory: the sampler applies
-    the activation a chunk at a time, the "before" unit is a view of the
-    first column, and pooling runs a column or a block of rows at a time.
+    the entry a call holds the pooled unit's two arrays and working memory
+    of a chunk or a block: the sampler applies the activation a chunk at a
+    time, the "before" unit is a view of the first column, pooling runs a
+    block of rows at a time, and the moment curves a leaf of draws.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")

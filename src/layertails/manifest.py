@@ -38,7 +38,11 @@ from .network_model import SAMPLER_VERSION
 #    (oracle.csv) from the standard library's erfc and lgamma, not scipy.
 # 3: envelope.csv read from the activation table, exact off any grid,
 #    without its two failure columns.
-OUTPUT_FORMAT = 3
+# 4: the moment-slope fit by a Householder QR in plain floats, not LAPACK
+#    (tail-sweep's moment-slope theta_hat and se_theta and the recursion
+#    rows built from them move in their last digits), and theta_summary.csv
+#    gains weighted_rss and n_tail columns before error.
+OUTPUT_FORMAT = 4
 
 
 def _numpy_dispatch() -> str:

@@ -76,8 +76,8 @@ from .nonlinearity import NonlinearitySpec, apply_signed_log, sides
 #    centered sums (the last digits of tail-sweep's survival-slope rows
 #    move) and ||x||^2 by math.fsum, not np.dot (the layer-1 scale may move
 #    by its last bit, and every draw with it); the streams are version 7's.
-#    The moment-slope fit (tail_analysis._wls) still calls BLAS, pinned by
-#    test_tail_sweep_bytes_do_not_depend_on_blas_threads.
+#    The moment-slope fit (tail_analysis._wls) kept BLAS until output
+#    format 4, which fits it by a QR in plain floats.
 # 9: N' from an exact alias table of Bin(H - 1, 1/2), one uniform per row,
 #    instead of rng.binomial; the same law and slot, a new stream for every
 #    family (width-1 layers, which draw no N', keep theirs).

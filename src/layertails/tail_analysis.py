@@ -33,6 +33,7 @@ only; the tests check each one against scipy over its whole domain of use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from statistics import NormalDist
 
@@ -188,10 +189,11 @@ def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
     return out
 
 
-def _block_sums(a: np.ndarray, leaf) -> np.ndarray:
+def _block_sums(a, leaf) -> np.ndarray:
     """leaf(a) for a block of at most _LEAF entries; a longer a is split
     where numpy's pairwise summation splits it, at n2 = n//2 - (n//2) % 8,
-    and the halves' results are added.
+    and the halves' results are added. a is an array, or a range whose
+    slices leaf reads as the positions of a block.
 
     When leaf returns np.sum of some elementwise function of its block,
     the result is np.sum of that function over all of a, bit for bit.
@@ -201,7 +203,7 @@ def _block_sums(a: np.ndarray, leaf) -> np.ndarray:
     summed by np.sum is then the same node summed inside np.sum of the
     whole; the tests check it against the installed numpy.
     """
-    n = a.shape[0]
+    n = len(a)
     if n <= _LEAF:
         return leaf(a)
     n2 = n // 2 - (n // 2) % 8
@@ -298,16 +300,51 @@ def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
                        source_id=src)
 
 
-def _wls(X: np.ndarray, y: np.ndarray, w: np.ndarray):
-    sw = np.sqrt(w)
-    Xw = X * sw[:, None]
-    yw = y * sw
-    beta, _, rank, _ = np.linalg.lstsq(Xw, yw, rcond=None)
-    if rank < X.shape[1]:
+def _wls(X, y, w):
+    """Weighted least squares in plain floats, no LAPACK or BLAS call:
+    (beta, var, rss), var the diagonal of (X' W X)^-1 and rss the weighted
+    residual sum of squares. X is a list of K rows of p entries.
+
+    A Householder QR of the weighted design sqrt(W) X: the reflections
+    that zero each column below the diagonal also act on sqrt(W) y, so
+    R beta is its first p entries and rss the sum of squares of the rest,
+    and var is read from the rows of R^-1. X' W X, whose condition number
+    is the square of the design's, is never formed. A design is
+    rank-deficient when a diagonal entry of R is at most max(K, p) eps
+    times the largest, the tolerance of numpy's lstsq.
+    """
+    sw = [math.sqrt(v) for v in w]
+    cols = [[row[c] * s for row, s in zip(X, sw)] for c in range(len(X[0]))]
+    b = [v * s for v, s in zip(y, sw)]
+    p = len(cols)
+    for j, c in enumerate(cols):
+        # H = v v' / (alpha v_0) - I maps c[j:] to (alpha, 0, ..., 0)
+        alpha = -math.copysign(math.hypot(*c[j:]), c[j])
+        v = [c[j] - alpha, *c[j + 1:]]
+        c[j] = alpha
+        if alpha == 0.0:
+            continue  # a zero column; the rank check below raises
+        for d in cols[j + 1:] + [b]:
+            f = math.fsum(vi * di for vi, di in zip(v, d[j:])) / (alpha * v[0])
+            d[j:] = [di + f * vi for vi, di in zip(v, d[j:])]
+    # R[i][j] is cols[j][i] for i <= j
+    diag = [abs(c[j]) for j, c in enumerate(cols)]
+    if min(diag) <= max(len(b), p) * sys.float_info.epsilon * max(diag):
         raise ValueError("singular fit: design matrix is rank-deficient")
-    cov = np.linalg.inv(Xw.T @ Xw)
-    resid = yw - Xw @ beta
-    return beta, cov, float(resid @ resid)
+    beta = [0.0] * p
+    for i in reversed(range(p)):
+        beta[i] = (b[i] - math.fsum(cols[j][i] * beta[j]
+                                    for j in range(i + 1, p))) / cols[i][i]
+    var = [0.0] * p
+    for k in range(p):  # column k of R^-1, by back substitution
+        z = [0.0] * (k + 1)
+        z[k] = 1.0 / cols[k][k]
+        for i in reversed(range(k)):
+            z[i] = -math.fsum(cols[j][i] * z[j]
+                              for j in range(i + 1, k + 1)) / cols[i][i]
+        for i in range(k + 1):
+            var[i] += z[i] * z[i]
+    return beta, var, math.fsum(r * r for r in b[p:])
 
 
 def estimate_theta_moments(curve: MomentCurve) -> TailEstimate:
@@ -316,17 +353,18 @@ def estimate_theta_moments(curve: MomentCurve) -> TailEstimate:
     Weighted least squares with weights 1/se^2 and an intercept (the
     asymptotic equivalence fixes the slope, not the constant), plus
     (log k)/k and 1/k regressors that absorb the Stirling-order bias of
-    small-k windows; see the module docstring.
+    small-k windows; see the module docstring. The fit runs in plain
+    floats (_wls), so its result does not depend on the BLAS build or its
+    thread count.
     """
     if len(curve.ks) < MIN_ORDERS:
         raise ValueError(f"curve needs at least {MIN_ORDERS} entries")
-    k = curve.ks.astype(float)
-    lk = np.log(k)
-    X = np.column_stack([np.ones_like(lk), lk, lk / k, 1.0 / k])
-    w = 1.0 / np.maximum(curve.ses, 1e-12) ** 2
-    beta, cov, rss = _wls(X, curve.log_norms, w)
-    theta = float(beta[1])
-    se = float(np.sqrt(cov[1, 1]))
+    X = [[1.0, math.log(k), math.log(k) / k, 1.0 / k]
+         for k in curve.ks.astype(float).tolist()]
+    w = [1.0 / (s * s) for s in np.maximum(curve.ses, 1e-12).tolist()]
+    beta, var, rss = _wls(X, curve.log_norms.tolist(), w)
+    theta = beta[1]
+    se = math.sqrt(var[1])
     if not (math.isfinite(theta) and theta > 0):
         raise DegenerateDistributionError(
             f"fitted moment slope {theta!r} is not a positive tail parameter")
@@ -411,8 +449,11 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     come from centered sums (plain numpy reductions, no BLAS call), so
     the result does not depend on the BLAS thread count.
 
-    Working memory is _largest's m + _LEAF buffer and a few m-long
-    arrays, m = int(tail_fraction * n): no copy of all n draws.
+    Working memory is _largest's m + _LEAF buffer, m = int(tail_fraction
+    * n), and two leaf-sized arrays: the plotting positions and the
+    centered sums are formed a leaf at a time, in the order of the plain
+    expressions (y - (ym + slope * xc) and so on), and summed by
+    _block_sums, so each sum is np.sum's over all m entries bit for bit.
     """
     s = as_sample_set(samples)
     n = s.n_samples
@@ -423,27 +464,43 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     if np.count_nonzero(top[1:] != top[:-1]) + 1 < 10:
         raise DegenerateDistributionError("tail collapses to fewer than 10 "
                                           "distinct points")
-    # y = log(-log S) and the centered sums in place, in the order of the
-    # plain expressions (y - (ym + slope * xc) and so on), so with their
-    # bits; t is one m-long scratch array
-    y = np.arange(0.5, m)
-    y /= n
-    for f in (np.log, np.negative, np.log):
-        f(y, out=y)
-    ym = np.mean(y)
-    xc = top - np.mean(top)
-    t = np.multiply(xc, xc)
-    sxx = float(np.sum(t))
+    xc = np.empty(min(m, _LEAF))
+
+    def y_of(r: range) -> np.ndarray:
+        # y = log(-log S) at the Hazen positions r
+        y = np.arange(r.start + 0.5, r.stop)
+        y /= n
+        for f in (np.log, np.negative, np.log):
+            f(y, out=y)
+        return y
+
+    def centered(r: range) -> np.ndarray:
+        return np.subtract(top[r.start:r.stop], xm, out=xc[:len(r)])
+
+    def means(r: range) -> np.ndarray:
+        return np.array([np.sum(y_of(r)), np.sum(top[r.start:r.stop])])
+
+    def moments(r: range) -> np.ndarray:
+        x, t = centered(r), y_of(r)
+        t -= ym
+        t *= x
+        sxy = np.sum(t)
+        return np.array([np.sum(np.multiply(x, x, out=t)), sxy])
+
+    def residuals(r: range) -> np.ndarray:
+        x, t = centered(r), y_of(r)
+        x *= slope
+        x += ym
+        np.subtract(t, x, out=t)
+        t *= t
+        return np.sum(t)
+
+    ym, xm = _block_sums(range(m), means) / m
+    sxx, sxy = _block_sums(range(m), moments).tolist()
     if not sxx > 0:
         raise DegenerateDistributionError("survival regression is singular")
-    np.subtract(y, ym, out=t)
-    t *= xc
-    slope = float(np.sum(t)) / sxx
-    np.multiply(xc, slope, out=t)
-    t += ym
-    np.subtract(y, t, out=t)
-    t *= t
-    rss = float(np.sum(t))
+    slope = sxy / sxx
+    rss = float(_block_sums(range(m), residuals))
     se_slope = math.sqrt(rss / (m - 2) / sxx)
     if slope <= 0:
         raise DegenerateDistributionError("survival slope is not positive")

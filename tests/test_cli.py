@@ -213,11 +213,19 @@ class TestTailSweepCommand:
         assert (out / "moments_layer1.csv").exists()
         assert (out / "moments_layer2.csv").exists()
         summary = read_rows(out / "theta_summary.csv")
-        # both estimators for both layers
+        # both estimators for both layers, each with its own diagnostic
+        assert list(summary[0]) == ["layer", "kind", "method", "theta_hat",
+                                    "se_theta", "weighted_rss", "n_tail",
+                                    "error"]
         assert len(summary) == 4
         assert {r["method"] for r in summary} == {"moment-slope",
                                                   "survival-slope"}
         assert all(float(r["theta_hat"]) > 0 for r in summary)
+        for r in summary:
+            if r["method"] == "moment-slope":
+                assert float(r["weighted_rss"]) > 0 and r["n_tail"] == ""
+            else:
+                assert r["weighted_rss"] == "" and r["n_tail"] == "3000"
         rec = read_rows(out / "recursion.csv")
         assert {r["method"] for r in rec} == {"moment-slope", "survival-slope"}
 
@@ -281,7 +289,7 @@ class TestTailSweepCommand:
         assert main(args + ["--out", str(out)]) == 0
         row = next(r for r in read_rows(out / "theta_summary.csv")
                    if r["layer"] == "4" and r["method"] == "survival-slope")
-        assert row["theta_hat"] == ""
+        assert row["theta_hat"] == row["weighted_rss"] == row["n_tail"] == ""
         assert row["error"] == "tail contains exact zeros"
         assert (out / "moments_layer4.csv").exists()
         assert main(args + ["--out", str(tmp_path / "a"), "--assert"]) == 1
@@ -691,7 +699,7 @@ class TestRerun:
             args += ["--config", str(tmp_path / "net.ini")]
         assert main(args) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 3)
+        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 4)
         assert sorted(man["files"]) == sorted(format1_files)
         del man["format"]
         man["files"] = format1_files
@@ -704,7 +712,7 @@ class TestRerun:
         assert code == 1
         assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
             f"{changed}: MISMATCH"]
-        assert "output format differs (manifest 1, this build 3)" in printed
+        assert "output format differs (manifest 1, this build 4)" in printed
         assert "sampler version differs" not in printed
 
     def test_format_2_envelope_manifest_is_named(self, tmp_path, capsys):
@@ -714,7 +722,7 @@ class TestRerun:
         out = tmp_path / "env"
         assert main(["envelope", "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["format"] == 3
+        assert man["format"] == 4
         man["format"] = 2
         man["files"] = {"envelope.csv": "75d66814388539e58a9cd7f291b88b4b"
                                         "e7d9222c7d163d13e53d615981957fed"}
@@ -725,7 +733,35 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "envelope.csv: MISMATCH" in printed
-        assert "output format differs (manifest 2, this build 3)" in printed
+        assert "output format differs (manifest 2, this build 4)" in printed
+        assert "sampler version differs" not in printed
+
+    def test_format_3_tail_sweep_manifest_is_named(self, net_ini, tmp_path,
+                                                   capsys):
+        # format 4 fits the moment slope by QR in plain floats and adds two
+        # columns to theta_summary.csv; the draws are unchanged, so only
+        # the summary and the recursion rows differ from the files a
+        # format-3 build wrote for this run
+        out = tmp_path / "sweep"
+        assert main(["tail-sweep", "--config", str(net_ini), "--samples",
+                     "20000", "--seed", "3", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["format"] == 4
+        man["format"] = 3
+        man["files"].update({
+            "recursion.csv": "708c400c6a41bf747736705d6b34b865"
+                             "c5d3aad449556901ae852d2461ed76bc",
+            "theta_summary.csv": "ccee0d0802ee0f6c1c07c47db046559b"
+                                 "05b6705d8bbfd2cbb1b93f4ebde58501"})
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
+            "recursion.csv: MISMATCH", "theta_summary.csv: MISMATCH"]
+        assert "output format differs (manifest 3, this build 4)" in printed
         assert "sampler version differs" not in printed
 
     def test_manifest_records_versions_that_rerun_never_compares(

@@ -290,9 +290,9 @@ def test_pooled_outputs_are_pinned_for_either_layout(region_draws, kind, R,
 # sha256 of theta_hat and se_theta before and after, and the budget, of a
 # seeded relu request, max then average from the kept draws
 PINNED_CHECKS = {
-    "max": "bef6c1b92f41a89a386a634f1b5e9a7e6fa84cc8dac933ffc5c16e14006891df",
+    "max": "489f1c1f4805aa3db5dac6aff86a04ca470551e260a837561d6de52a690aa129",
     "average":
-        "3e86d270a23d2ff6b776ed8fdf15607825b84c37d1f56642e075308103355372",
+        "436729325247a3c09bbe3e1e48ccf6a9833dffe1c949be1b616068e8235bc4a0",
 }
 
 
@@ -327,12 +327,17 @@ def _whole_array_pool(signs, lms, kind):
 
 @pytest.mark.pin
 @pytest.mark.parametrize("n", [4095, 3 * network_model.DEFAULT_CHUNK + 1])
-@pytest.mark.parametrize("R", [4, 8, 16])
+@pytest.mark.parametrize("R", [1, 4, 7, 8, 16])
 @pytest.mark.parametrize("kind", ["max", "average"])
 @pytest.mark.parametrize("order", ["F", "C"])
-def test_row_blocks_give_the_whole_array_bytes(n, R, kind, order):
+def test_row_blocks_give_the_whole_array_bytes(n, R, kind, order,
+                                               monkeypatch):
     """Across block edges (one short block, and three full blocks plus a
-    one-row block), with exact zeros, all-zero and all-negative rows."""
+    one-row block), with exact zeros, all-zero and all-negative rows.
+    Blocks of DEFAULT_CHUNK rows put those edges at these n for every R;
+    R = 7 and 8 sit on either side of the average's left-to-right sum."""
+    monkeypatch.setattr(conv_pooling, "_POOL_BLOCK",
+                        R * network_model.DEFAULT_CHUNK)
     rng = np.random.default_rng(n * R)
     v = rng.standard_normal((n, R)) * np.exp(rng.normal(0.0, 20.0, (n, 1)))
     v[rng.random((n, R)) < 0.3] = 0.0
@@ -381,3 +386,19 @@ def test_pooling_checks_hold_one_copy_of_their_draws(monkeypatch):
         for kind in ("max", "average")])
     (signs, lms, _), = conv_pooling._kept.values()
     assert peak < 1.5 * (signs.nbytes + lms.nbytes)
+
+
+@pytest.mark.parametrize("kind", ["max", "average"])
+@pytest.mark.parametrize("order", ["F", "C"])
+def test_pooling_holds_its_outputs_and_one_block(kind, order):
+    """Beside its input, pool_signed_log of 10^5 x 4 holds its two outputs
+    and at most six doubles per row of one block: no n-long working array
+    (the whole-array form held 0.9 MB more for max, 2.6 MB for average)."""
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal((10**5, 4))
+    v[rng.random(v.shape) < 0.3] = 0.0
+    signs, lms = (np.array(a, order=order) for a in encode(v))
+    (out_s, out_lm), peak = _traced_peak(
+        lambda: pool_signed_log(signs, lms, PoolingSpec(kind, 4)))
+    rows = 1 << 14  # a block of 2^16 entries at R = 4
+    assert peak <= out_s.nbytes + out_lm.nbytes + 6 * 8 * rows

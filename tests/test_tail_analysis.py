@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.special import bdtr, bdtrc, gamma, gammaln, log_ndtr, ndtr
 from layertails.errors import DegenerateDistributionError
 from layertails.network_model import UnitSampleSet
 from layertails.tail_analysis import (_LEAF, MomentCurve, TailEstimate,
-                                      _block_sums, _largest,
+                                      _block_sums, _largest, _wls,
                                       _log_gaussian_sf, _log_iqr,
                                       _log_norms,
                                       _signed_quantile, check_tail_request,
@@ -761,3 +762,153 @@ def test_estimators_hold_no_copy_the_size_of_their_draws():
         finally:
             tracemalloc.stop()
         assert peak < n * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# the moment-slope fit against an exact rational solve
+
+def _moment_design(curve):
+    """The moment-slope fit's rows [1, log k, (log k)/k, 1/k], weights
+    1/se^2 (se floored at 1e-12) and log-norms, as floats."""
+    X = [[1.0, math.log(k), math.log(k) / k, 1.0 / k]
+         for k in curve.ks.astype(float).tolist()]
+    w = [1.0 / (s * s) for s in np.maximum(curve.ses, 1e-12).tolist()]
+    return X, curve.log_norms.tolist(), w
+
+
+def _exact_moment_fit(curve):
+    """theta_hat and se of the moment-slope fit, with the design, weights
+    and log-norms taken as exact rationals: the normal equations
+    X'WX beta = X'Wy solved by Gauss-Jordan elimination over Fractions,
+    se = sqrt of entry (1, 1) of (X'WX)^-1."""
+    X, y, w = ([[Fraction(v) for v in row] for row in X_] if i == 0 else
+               [Fraction(v) for v in X_]
+               for i, X_ in enumerate(_moment_design(curve)))
+    p = 4
+    # [X'WX | X'Wy | I], reduced to [I | beta | (X'WX)^-1]
+    M = [[sum(wi * r[a] * r[b] for wi, r in zip(w, X)) for b in range(p)]
+         + [sum(wi * r[a] * yi for wi, r, yi in zip(w, X, y))]
+         + [Fraction(int(a == b)) for b in range(p)] for a in range(p)]
+    for i in range(p):
+        M[i] = [v / M[i][i] for v in M[i]]
+        for r in range(p):
+            if r != i:
+                M[r] = [u - M[r][i] * v for u, v in zip(M[r], M[i])]
+    return float(M[1][p]), math.sqrt(M[1][p + 2])
+
+
+def _oracle_curves():
+    """Moment curves of synthetic Gaussian, Exp(1) and Weibull(0.5) draws,
+    of a (100, 100, 100) relu net's layers 1-3 and of max- and
+    average-pooled relu units, 2e4 draws each, over four k windows."""
+    from layertails.conv_pooling import PoolingSpec, pool_signed_log
+    from layertails.network_model import (NetworkConfig, sample_input,
+                                          sample_joint_units,
+                                          sample_layer_units)
+    from layertails.nonlinearity import NonlinearitySpec
+
+    n = 20_000
+    sets = [synthetic_values(family, n, seed, **kw)
+            for family, kw in (("gaussian", {}), ("exponential", {}),
+                               ("weibull", {"shape": 0.5}))
+            for seed in range(20)]
+    net = NetworkConfig(input_dim=100, layer_widths=(100, 100, 100),
+                        nonlinearity=NonlinearitySpec("relu"))
+    x = sample_input(100, 3)
+    sets += sample_layer_units(net, x, [1, 2, 3], "pre", n, 3).values()
+    signs, lms = sample_joint_units(net, x, 2, (0, 1, 2, 3), "post", n, (3,))
+    for kind in ("max", "average"):
+        ps, plm = pool_signed_log(signs, lms, PoolingSpec(kind, 4))
+        sets.append(UnitSampleSet(layer=2, kind=f"pooled-{kind}",
+                                  unit_index=0, signs=ps, log_magnitudes=plm))
+    return [moment_curve(s, k_min, k_max) for s in sets
+            for k_min, k_max in ((2, 10), (1, 20), (2, 40), (5, 8))]
+
+
+def test_moment_fit_matches_an_exact_rational_solve():
+    # the QR fit in plain floats against the exact solve of the same
+    # problem; the normal equations in floats are off by up to 1e-8 in se
+    for curve in _oracle_curves():
+        theta, se = _exact_moment_fit(curve)
+        beta, var, _ = _wls(*_moment_design(curve))
+        assert beta[1] == pytest.approx(theta, rel=1e-11, abs=0), curve.source_id
+        assert math.sqrt(var[1]) == pytest.approx(se, rel=1e-11, abs=0)
+        if theta > 0:
+            est = estimate_theta_moments(curve)
+            assert (est.theta_hat, est.se_theta) == (beta[1],
+                                                     math.sqrt(var[1]))
+        else:
+            with pytest.raises(DegenerateDistributionError,
+                               match="not a positive tail parameter"):
+                estimate_theta_moments(curve)
+
+
+def test_rank_deficient_moment_fit_raises():
+    # an se of 1e200 squares to inf, so six of the nine rows weigh 0 and
+    # three rows are left for four coefficients
+    ks = np.arange(2, 11)
+    curve = MomentCurve(ks=ks, log_norms=0.5 * np.log(ks),
+                        ses=np.array([1e-3] * 3 + [1e200] * 6),
+                        n_samples=1000)
+    with pytest.raises(ValueError, match="singular fit"):
+        estimate_theta_moments(curve)
+
+
+def test_moment_fit_makes_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    est = estimate_theta_moments(moment_curve(synthetic_values(
+        "gaussian", 10_000, 1)))
+    assert 0.4 < est.theta_hat < 0.6
+
+
+@pytest.mark.parametrize("tail_fraction", [0.1, 0.4])
+def test_survival_fit_holds_its_tail_buffer_and_leaves(tail_fraction):
+    """At 5e5 draws the survival fit holds _largest's m + _LEAF buffer and
+    at most three leaf-sized arrays: its plotting positions and centered
+    sums are formed a leaf at a time (m-long arrays held 1.2 MB more at
+    a 0.1 fraction)."""
+    n = 5 * 10**5
+    s = synthetic_values("exponential", n, 8)
+    m = int(tail_fraction * n)
+    tracemalloc.start()
+    try:
+        estimate_theta_survival(s, tail_fraction)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m > 3 * _LEAF // 2
+    assert peak <= (m + _LEAF) * 8 + 3 * _LEAF * 8
+
+
+def _whole_array_survival(lm, m):
+    """estimate_theta_survival's (theta, se, rss) from m-long arrays: the
+    plotting positions, centered sums and residuals each one whole array,
+    summed by one np.sum or np.mean."""
+    n = lm.shape[0]
+    top = np.sort(lm)[::-1][:m]
+    y = np.log(-np.log(np.arange(0.5, m) / n))
+    ym = np.mean(y)
+    xc = top - np.mean(top)
+    sxx = float(np.sum(xc * xc))
+    slope = float(np.sum((y - ym) * xc)) / sxx
+    rss = float(np.sum((y - (xc * slope + ym)) ** 2))
+    se_slope = math.sqrt(rss / (m - 2) / sxx)
+    return 1.0 / slope, se_slope / slope ** 2, rss
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("n,tail_fraction", [
+    (10**4, 0.1), (10 * _LEAF, 0.1), (10 * _LEAF + 80, 0.1),
+    (5 * 10**5, 0.1), (5 * 10**5, 0.4)])
+def test_blocked_survival_fit_equals_the_whole_arrays_bit_for_bit(
+        n, tail_fraction):
+    # m = tail_fraction * n: one leaf, exactly one leaf, one leaf and 8
+    # entries, and trees of several leaves
+    s = synthetic_values("weibull", n, 2, shape=0.7)
+    est = estimate_theta_survival(s, tail_fraction)
+    want = _whole_array_survival(s.log_magnitudes, int(tail_fraction * n))
+    assert (est.theta_hat, est.se_theta, est.diagnostics["rss"]) == want
