@@ -37,15 +37,18 @@ from pathlib import Path
 from .covariance_verifier import sweep
 from .errors import ConfigFileError, is_json_type
 from .manifest import RunManifest, build_manifest
-from .network_model import (NetworkConfig, layer1_sq_norm, parse_config_file,
+from .network_model import (STREAM_UNITS, NetworkConfig, entropy_prefix,
+                            layer1_sq_norm, parse_config_file, sample_chunks,
                             sample_input, sample_layer_units)
 from .nonlinearity import NonlinearitySpec, search_envelope_constants
 from .penalty_geometry import contour
-from .tail_analysis import (check_tail_request, empirical_log_norm,
-                            estimate_theta_moments, estimate_theta_survival,
-                            gaussian_norm_oracle, moment_curve,
+from .tail_analysis import (TailFold, check_tail_request, empirical_log_norm,
+                            estimate_theta_moments, gaussian_norm_oracle,
                             recursion_check, survival_curves,
                             synthetic_values)
+# tail-sweep folds its draws in a TailFold and calls neither of these;
+# they stay bound because perfbench/tracer.py wraps them here by name
+from .tail_analysis import estimate_theta_survival, moment_curve  # noqa: F401
 
 DEFAULT_FAMILIES = ("relu", "prelu(0.25)", "elu(1.0)", "selu", "tanh", "sigmoid")
 DEFAULT_QS = (2.0, 1.0, 2.0 / 3.0, 0.2)
@@ -82,31 +85,44 @@ def _run_tail_sweep(params: dict):
     config = NetworkConfig.from_dict(params["network"])
     seed = params["seed"]
     x = sample_input(config.input_dim, seed)  # checks the seed first
-    check_tail_request(params["samples"], params["k_min"], params["k_max"],
+    n, kind = params["samples"], params["kind"]
+    check_tail_request(n, params["k_min"], params["k_max"],
                        params["tail_fraction"])
     layers = params["layers"]
-    sets = sample_layer_units(config, x, layers, params["kind"],
-                              params["samples"], seed,
-                              workers=params["workers"])
+    # unit 0 of each layer, as sample_layer_units draws it; each chunk is
+    # folded into its layer's estimators as it comes, so no layer's draws
+    # are ever held whole
+    chunks = sample_chunks(config, x, n, {l: [0] for l in sorted(set(layers))},
+                           entropy_prefix(seed, STREAM_UNITS), kind,
+                           params["workers"])
+    folds = {l: TailFold(n, params["k_min"], params["k_max"],
+                         params["tail_fraction"],
+                         f"layer={l} kind={kind} unit=0") for l in layers}
+    for got in chunks:
+        for l, (_, lms) in got.items():
+            folds[l].add(lms[:, 0])
+    for fold in folds.values():
+        fold.finish()
     tables, lines = [], []
     summary_rows, recursion_rows = [], []
     ests = {"moment-slope": {}, "survival-slope": {}}
     for l in layers:
         per_layer = {}
         try:
-            curve = moment_curve(sets[l], params["k_min"], params["k_max"])
+            curve = folds[l].curve()
             tables.append((f"moments_layer{l}.csv",
                            [f"{curve.source_id}, n_samples = {curve.n_samples}"],
-                           "k,log_norm,se",
-                           [(int(k), float(ln), float(se)) for k, ln, se
-                            in zip(curve.ks, curve.log_norms, curve.ses)]))
+                           "k,log_norm,se,top_share",
+                           [(int(k), float(ln), float(se), float(share))
+                            for k, ln, se, share
+                            in zip(curve.ks, curve.log_norms, curve.ses,
+                                   curve.top_shares)]))
             per_layer["moment-slope"] = estimate_theta_moments(curve)
         except ValueError as exc:
             summary_rows.append((l, params["kind"], "moment-slope", None, None,
                                  None, None, _sanitize(exc)))
         try:
-            per_layer["survival-slope"] = estimate_theta_survival(
-                sets[l], params["tail_fraction"])
+            per_layer["survival-slope"] = folds[l].survival()
         except ValueError as exc:
             summary_rows.append((l, params["kind"], "survival-slope", None, None,
                                  None, None, _sanitize(exc)))

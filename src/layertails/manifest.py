@@ -42,7 +42,13 @@ from .network_model import SAMPLER_VERSION
 #    (tail-sweep's moment-slope theta_hat and se_theta and the recursion
 #    rows built from them move in their last digits), and theta_summary.csv
 #    gains weighted_rss and n_tail columns before error.
-OUTPUT_FORMAT = 4
+# 5: moment curves shift each leaf of 2^15 rows by its own maximum and
+#    combine the leaves by math.fsum (tail_analysis._MomentFold), so
+#    tail-sweep can fold its draws as they are drawn: curves of more than
+#    2^15 draws (tail-sweep's moments and moment-slope rows, oracle.csv)
+#    move in their last digits, and moments_layer*.csv gains a top_share
+#    column, the largest draw's share of each k-th moment.
+OUTPUT_FORMAT = 5
 
 
 def _numpy_dispatch() -> str:

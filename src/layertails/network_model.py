@@ -8,13 +8,16 @@ with every weight (and bias, when enabled) of layer l drawn i.i.d.
 N(0, sigma_l^2). The object of study is the prior distribution of a single
 unit g(l)_m or h(l)_m for a fixed input x, across independent weight draws.
 
-Sampling. run_sampler is the one sampler pass: it validates a request
-(units per layer, before or after the nonlinearity), draws it in chunks,
-each written straight into the request's arrays, and returns them. Its
-draw count, layers and unit indices, like every seed, are Python or numpy
-integers (errors.is_int), used as given: a float or bool raises
+Sampling. sample_chunks is the one sampler pass: it validates a request
+(units per layer, before or after the nonlinearity, check_request) and
+yields its draws a chunk at a time, in chunk order, each chunk's
+requested columns only. run_sampler writes those chunks into the
+request's arrays and returns them; tail-sweep folds each chunk into its
+estimators instead, so it holds no array of all the draws. A request's
+draw count, layers and unit indices, like every seed, are Python or
+numpy integers (errors.is_int), used as given: a float or bool raises
 ValueError, as does a request for no layers. sample_layer_units,
-sample_joint_units and covariance_verifier.sweep call it directly. It
+sample_joint_units and covariance_verifier.sweep call run_sampler. It
 never materializes a weight matrix: it rests on the exact identity that,
 given h(l-1), the H_l entries of g(l) are i.i.d. N(0, r_l^2) with
 r_l^2 = sigma_l^2 (||h(l-1)||^2 + 1 if bias). It carries log r_l, so no
@@ -43,6 +46,7 @@ is held by the test suite's forward-pass oracle.
 
 from __future__ import annotations
 
+import collections
 import configparser
 import functools
 import hashlib
@@ -745,25 +749,21 @@ def layer1_sq_norm(config: NetworkConfig, x: np.ndarray) -> float:
     return math.fsum(x * x) + (1.0 if config.include_bias else 0.0)
 
 
-def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
-                needs: dict[int, list[int]], entropy: tuple[int, ...],
-                kind: str = "pre",
-                workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The one sampler pass: validates the request (check_request),
-    allocates the result's arrays and runs its chunks, each of which writes
-    its rows of the requested units into them, through apply_signed_log
-    first when kind is "post". So a request holds its result plus one
-    chunk's working arrays per thread, whatever its kind.
+def sample_chunks(config: NetworkConfig, x: np.ndarray, n_samples: int,
+                  needs: dict[int, list[int]], entropy: tuple[int, ...],
+                  kind: str = "pre", workers: int = 1, then=None):
+    """The one sampler pass, as an iterator. The request is checked first
+    (check_request), when this is called; the iterator then yields, for
+    each chunk of DEFAULT_CHUNK rows in chunk order (the last one shorter),
+    {layer: (signs, log_magnitudes)} with arrays of shape (rows,
+    len(units)), columns in the order given, through apply_signed_log
+    first when kind is "post". See run_sampler for needs and the streams.
+    With then, each chunk's thread calls then(first row, that dict) and
+    the iterator yields what it returns.
 
-    needs maps 1-based layers to lists of distinct 0-based unit indices;
-    n_samples, layers and indices are integers (errors.is_int), and an
-    empty needs raises "no layers requested". Returns, per requested
-    layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
-    columns in the order given; kind "pre" gives g(l), "post" applies the
-    nonlinearity to them. Layer l's draws depend on the request only
-    through k_1..k_l, k_i = 1 + the largest index asked of layer i (1 when
-    none is): unit m of layer l does not depend on k_l, on deeper layers
-    or on the worker count, but units asked of a lower layer change it.
+    With more than one worker thread, chunks are drawn ahead of the
+    consumer, at most 2 per thread, so what a pass holds does not grow
+    with n_samples.
     """
     x = check_request(config, x, n_samples, needs, kind, workers)
     q0 = layer1_sq_norm(config, x)
@@ -775,41 +775,82 @@ def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
         log_q0 = 2.0 * math.log(math.hypot(*x)) if np.any(x) else -math.inf
     # the chunk steps draw the leading units of a layer up to the last one
     # requested, in index order (k as a Python int: _fair_table is cached
-    # by H - k and calls its bit_length); each chunk writes its rows of the
-    # requested columns straight into out, whose arrays are column-major:
-    # a row-wise reduction across units (max pooling of 10^5 rows of 4
-    # units) runs about 4 times faster on them than on row-major ones
+    # by H - k and calls its bit_length)
     counts = {layer: int(max(units)) + 1 for layer, units in needs.items()}
-    out = {layer: (np.empty((n_samples, len(units)), np.int8, order="F"),
-                   np.empty((n_samples, len(units)), order="F"))
-           for layer, units in needs.items()}
 
     def one_chunk(idx):
         start = idx * DEFAULT_CHUNK
-        rows = slice(start, min(start + DEFAULT_CHUNK, n_samples))
         got = _conditional_chunk(config, log_q0, (*entropy, idx),
-                                 rows.stop - rows.start, counts)
-        for layer, units in needs.items():
-            if kind == "pre":
-                for src, dst in zip(got[layer], out[layer]):
-                    for col, unit in enumerate(units):
-                        dst[rows, col] = src[:, unit]
-                continue
-            # elementwise, so a chunk's rows get the bytes a whole layer's
-            # would, and no pre arrays outlive the chunk
-            post = apply_signed_log(config.nonlinearity,
-                                    *(a[:, units] for a in got[layer]))
-            for src, dst in zip(post, out[layer]):
-                dst[rows] = src
+                                 min(DEFAULT_CHUNK, n_samples - start), counts)
+        # elementwise, so a chunk's rows get the bytes a whole layer's
+        # would, and no pre arrays outlive the chunk
+        cols = {layer: (apply_signed_log(config.nonlinearity,
+                                         *(a[:, units] for a in got[layer]))
+                        if kind == "post" else
+                        tuple(a[:, units] for a in got[layer]))
+                for layer, units in needs.items()}
+        return cols if then is None else then(start, cols)
 
     n_chunks = -(-n_samples // DEFAULT_CHUNK)
-    threads = worker_threads(workers, n_chunks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(one_chunk, range(n_chunks)))
-    else:
-        for idx in range(n_chunks):
-            one_chunk(idx)
+    return _in_order(one_chunk, n_chunks, worker_threads(workers, n_chunks))
+
+
+def _in_order(fn, n: int, threads: int):
+    """fn(0), ..., fn(n - 1), yielded in that order; with threads > 1 they
+    run on a pool of that many threads, at most 2 per thread submitted
+    and not yet yielded."""
+    if threads == 1:
+        yield from map(fn, range(n))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        ahead = collections.deque()
+        try:
+            for idx in range(n):
+                ahead.append(pool.submit(fn, idx))
+                if len(ahead) == 2 * threads:
+                    yield ahead.popleft().result()
+            while ahead:
+                yield ahead.popleft().result()
+        finally:
+            for future in ahead:
+                future.cancel()
+
+
+def run_sampler(config: NetworkConfig, x: np.ndarray, n_samples: int,
+                needs: dict[int, list[int]], entropy: tuple[int, ...],
+                kind: str = "pre",
+                workers: int = 1) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The sampler pass into arrays: validates the request (sample_chunks
+    calls check_request), allocates the result's arrays, and has each
+    chunk of sample_chunks write its rows into them on its own thread. So
+    a request holds its result plus one chunk's working arrays per thread,
+    whatever its kind.
+
+    needs maps 1-based layers to lists of distinct 0-based unit indices;
+    n_samples, layers and indices are integers (errors.is_int), and an
+    empty needs raises "no layers requested". Returns, per requested
+    layer, (signs, log_magnitudes) arrays of shape (n_samples, len(units)),
+    columns in the order given; kind "pre" gives g(l), "post" applies the
+    nonlinearity to them. Layer l's draws depend on the request only
+    through k_1..k_l, k_i = 1 + the largest index asked of layer i (1 when
+    none is): unit m of layer l does not depend on k_l, on deeper layers
+    or on the worker count, but units asked of a lower layer change it.
+    """
+    def write(start, cols):
+        for layer, arrays in cols.items():
+            for src, dst in zip(arrays, out[layer]):
+                dst[start:start + src.shape[0]] = src
+
+    chunks = sample_chunks(config, x, n_samples, needs, entropy, kind,
+                           workers, then=write)
+    # column-major: a row-wise reduction across units (max pooling of 10^5
+    # rows of 4 units) runs about 4 times faster on them than on row-major
+    # ones
+    out = {layer: (np.empty((n_samples, len(units)), np.int8, order="F"),
+                   np.empty((n_samples, len(units)), order="F"))
+           for layer, units in needs.items()}
+    for _ in chunks:
+        pass
     return out
 
 

@@ -60,9 +60,12 @@ _THREE_SIGMA_RATE = math.erfc(3.0 / math.sqrt(2.0))
 # Points of the shared survival grid.
 _SURVIVAL_GRID = 400
 
-# Entries per block of the moment and tail passes: 2^15 doubles, 256 KiB,
-# which stays in a core's L2 cache. The bytes do not depend on it (see
-# _block_sums and _largest), only the working memory and the speed.
+# Rows per leaf of the moment and tail passes: 2^15 doubles, 256 KiB,
+# which stays in a core's L2 cache, and 8 whole sampler chunks of
+# network_model.DEFAULT_CHUNK rows. The moment curves' bytes depend on it
+# above one leaf, since each leaf is shifted by its own maximum
+# (_MomentFold), so it is part of the output format; the survival fit's do
+# not (_block_sums and _Largest).
 _LEAF = 1 << 15
 
 
@@ -105,16 +108,20 @@ def synthetic_values(family: str, n: int, seed: int, sigma: float = 1.0,
 
 @dataclass(frozen=True)
 class MomentCurve:
-    """(k, log||X||_k, se) triples for integer k."""
+    """(k, log||X||_k, se) triples for integer k. top_shares, when given,
+    holds per k the fraction of the k-th empirical moment carried by the
+    largest draw: near 1, the k-th moment rests on that draw alone."""
 
     ks: np.ndarray
     log_norms: np.ndarray
     ses: np.ndarray
     n_samples: int
     source_id: str = ""
+    top_shares: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (len(self.ks) == len(self.log_norms) == len(self.ses)):
+        arrays = [self.ks, self.log_norms, self.ses, self.top_shares]
+        if len({len(a) for a in arrays if a is not None}) != 1:
             raise ValueError("curve arrays must have equal length")
         if np.any(np.diff(self.ks) <= 0):
             raise ValueError("k must be strictly increasing")
@@ -141,52 +148,97 @@ def _logsumexp(a: np.ndarray) -> float:
     return m + math.log(float(np.sum(np.exp(a - m))))
 
 
-def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float]]:
-    """(log||X||_k, se) for each integer k in ks; see empirical_log_norm.
+class _MomentFold:
+    """The empirical moments E|X|^q of one unit's draws, for the orders q
+    of ks and 2 ks, folded a leaf at a time: one definition for a held
+    array and for a stream of chunks.
 
-    Every moment is a log-sum-exp with the operations of _logsumexp in the
-    same order (its exp through _exp), so the values equal it bit for bit;
-    an order shared by k and some other 2k is taken once. Rounding is
-    monotone, so max(order * lm) = order * max(lm), read once.
+    The rows are cut into leaves of _LEAF rows from row 0. A leaf is
+    shifted by its own maximum t: per order q, the sum s of exp(q lm -
+    q t) over its rows, through _exp, by np.sum. The leaves combine per
+    order as math.fsum(s exp(q t - q top)), top the maximum of all rows:
+    each leaf's shift is rescaled to the global one (Milakov &
+    Gimelshein's online normalizer), through the difference of the two
+    shifts as rounded, q t - q top, so the log adds back the very double
+    q top. math.fsum's result does not depend on the order of its terms,
+    and each leaf's on nothing but its rows, so neither the worker count
+    nor the chunking of a stream reaches the bytes. Up to one leaf the
+    arithmetic is a log-sum-exp over the whole buffer, as _logsumexp
+    orders it. The largest draw's term is exactly 1, so its share of the
+    q-th moment is 1 over the combined sum.
 
-    The draws are read in blocks of at most _LEAF entries: one buffer and
-    one _finite_lanes mask of that size are the working memory, whatever
-    n. Each block is scaled, shifted, exponentiated and summed for every
-    order while it is in cache, and the block sums are added in numpy's
-    pairwise order (_block_sums), so each sum is np.sum's over the whole
-    buffer, bit for bit.
+    Per leaf it keeps the maximum and one sum per order; a leaf is folded
+    in a scratch buffer of its size that the caller passes.
     """
-    lm = s.log_magnitudes
-    n = lm.shape[0]
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} samples")
-    top = float(np.max(lm))
-    if top == -np.inf:
-        raise DegenerateDistributionError("all samples are zero")
-    orders = sorted({*ks, *(2 * k for k in ks)})
-    shifts = [order * top for order in orders]
-    buf = np.empty(min(n, _LEAF))
 
-    def leaf(block: np.ndarray) -> np.ndarray:
+    def __init__(self, ks):
+        self.orders = sorted({*ks, *(2 * k for k in ks)})
+        self.n = 0
+        self.tops: list[float] = []
+        self.sums: list[list[float]] = []
+
+    def leaf(self, block: np.ndarray, b: np.ndarray) -> None:
+        """Fold the next leaf, a whole one or the last rows, in the
+        scratch array b of block's size."""
+        self.n += block.size
+        top = float(np.max(block))
+        self.tops.append(top)
+        if top == -np.inf:  # every row an exact zero: it adds nothing
+            self.sums.append([0.0] * len(self.orders))
+            return
         finite = _finite_lanes(block)
-        b = buf[:block.size]
-        out = np.empty(len(orders))
-        for j, (order, m) in enumerate(zip(orders, shifts)):
+        sums = []
+        for order in self.orders:
             np.multiply(block, order, out=b)
-            np.subtract(b, m, out=b)
+            np.subtract(b, order * top, out=b)
             _exp(b, finite)
-            out[j] = np.sum(b)
+            sums.append(float(np.sum(b)))
+        self.sums.append(sums)
+
+    def log_norms(self, ks) -> list[tuple[float, float, float]]:
+        """(log||X||_k, se, top share) for each integer k in ks; see
+        empirical_log_norm."""
+        n = self.n
+        if n < MIN_SAMPLES:
+            raise ValueError(f"need at least {MIN_SAMPLES} samples")
+        top = max(self.tops)
+        if top == -np.inf:
+            raise DegenerateDistributionError("all samples are zero")
+        logs, totals = {}, {}
+        for j, order in enumerate(self.orders):
+            m = order * top
+            # order * t - m is 0.0 where t = top, and -inf for a zero leaf
+            totals[order] = math.fsum(s[j] * math.exp(order * t - m)
+                                      for t, s in zip(self.tops, self.sums))
+            logs[order] = m + math.log(totals[order]) - math.log(n)
+        out = []
+        for k in ks:
+            log_mk, log_m2k = logs[k], logs[2 * k]
+            delta = min(log_m2k - 2.0 * log_mk, math.log(n))
+            se = math.sqrt(math.expm1(max(delta, 0.0))) / (k * math.sqrt(n))
+            out.append((log_mk / k, se, 1.0 / totals[k]))
         return out
 
-    logs = {order: m + math.log(float(t)) - math.log(n)
-            for order, m, t in zip(orders, shifts, _block_sums(lm, leaf))}
-    out = []
-    for k in ks:
-        log_mk, log_m2k = logs[k], logs[2 * k]
-        delta = min(log_m2k - 2.0 * log_mk, math.log(n))
-        se = math.sqrt(math.expm1(max(delta, 0.0))) / (k * math.sqrt(n))
-        out.append((log_mk / k, se))
-    return out
+
+def _log_norms(s: UnitSampleSet, ks) -> list[tuple[float, float, float]]:
+    """(log||X||_k, se, top share) for each integer k in ks, by _MomentFold
+    over the held draws' leaves (views, no copy) in one scratch buffer."""
+    lm = s.log_magnitudes
+    n = lm.shape[0]
+    fold = _MomentFold(ks)
+    buf = np.empty(min(n, _LEAF))
+    for lo in range(0, n, _LEAF):
+        block = lm[lo:lo + _LEAF]
+        fold.leaf(block, buf[:block.size])
+    return fold.log_norms(ks)
+
+
+def _curve(ks, triples, n: int, source_id: str) -> MomentCurve:
+    return MomentCurve(ks=np.array(ks),
+                       log_norms=np.array([t[0] for t in triples]),
+                       ses=np.array([t[1] for t in triples]),
+                       n_samples=n, source_id=source_id,
+                       top_shares=np.array([t[2] for t in triples]))
 
 
 def _block_sums(a, leaf) -> np.ndarray:
@@ -221,7 +273,7 @@ def empirical_log_norm(samples, k: int) -> tuple[float, float]:
     s = as_sample_set(samples)
     if not (is_int(k) and k >= 1):
         raise ValueError(f"k must be an integer >= 1, got {k!r}")
-    return _log_norms(s, [k])[0]
+    return _log_norms(s, [k])[0][:2]
 
 
 def gaussian_norm_oracle(sigma: float, k: int) -> float:
@@ -291,13 +343,8 @@ def moment_curve(samples, k_min: int = 2, k_max: int = 10) -> MomentCurve:
         raise ValueError(f"need integers 1 <= k_min < k_max, got {k_min!r}, {k_max!r}")
     s = as_sample_set(samples)
     ks = range(k_min, k_max + 1)
-    pairs = _log_norms(s, ks)
-    src = f"layer={s.layer} kind={s.kind} unit={s.unit_index}"
-    return MomentCurve(ks=np.array(ks),
-                       log_norms=np.array([p[0] for p in pairs]),
-                       ses=np.array([p[1] for p in pairs]),
-                       n_samples=s.n_samples,
-                       source_id=src)
+    return _curve(ks, _log_norms(s, ks), s.n_samples,
+                  f"layer={s.layer} kind={s.kind} unit={s.unit_index}")
 
 
 def _wls(X, y, w):
@@ -399,45 +446,67 @@ def check_tail_request(n_samples: int, k_min: int, k_max: int,
     _tail_size(n_samples, tail_fraction)
 
 
-def _largest(lm: np.ndarray, m: int) -> np.ndarray:
-    """The m largest entries of lm, sorted descending: a reversed view of
-    one buffer of m + _LEAF doubles. Beside it the working memory is one
-    block's mask and its gathered entries, at most _LEAF of each.
+class _Largest:
+    """The m largest of a stream of blocks of at most _LEAF entries each,
+    sorted descending: a reversed view of one buffer of m + _LEAF doubles.
+    Beside it the working memory is one block's mask and its gathered
+    entries, at most _LEAF of each.
 
-    The buffer's last m entries hold the m largest values of those kept so
-    far; thr is the least of them. Entries of a block above thr are
-    gathered into the free front, and when the next block's would not fit
-    one partition keeps the m largest of the lot. An entry at or below thr
-    cannot change the multiset of the m largest, and that multiset is
-    unique, so the sorted result is np.sort(np.partition(lm, n - m)[n -
-    m:])[::-1] entry for entry.
+    The buffer's last m entries are filled by the first m entries; then
+    they hold the m largest values of those kept so far, and thr is the
+    least of them. Entries of a block above thr are gathered into the free
+    front, and when the next block's would not fit one partition keeps the
+    m largest of the lot. An entry at or below thr cannot change the
+    multiset of the m largest, and that multiset is unique, so the sorted
+    result is np.sort(np.partition(lm, n - m)[n - m:])[::-1] entry for
+    entry, however the entries are cut into blocks.
     """
-    buf = np.empty(m + _LEAF)
-    keep = buf[_LEAF:]
-    keep[:] = lm[:m]
-    thr = np.min(keep)
-    free = _LEAF  # buf[free:_LEAF] holds the gathered entries
 
-    def settle():
-        nonlocal free, thr
-        buf[free:].partition(_LEAF - free)
-        free, thr = _LEAF, keep[0]
+    def __init__(self, m: int):
+        self._buf = np.empty(m + _LEAF)
+        self._keep = self._buf[_LEAF:]
+        self._filled = 0  # entries of keep filled by the first m
+        self._free = _LEAF  # buf[free:_LEAF] holds the gathered entries
+        self._thr = None
 
-    for lo in range(m, lm.shape[0], _LEAF):
-        block = lm[lo:lo + _LEAF]
-        above = block > thr
+    def _settle(self) -> None:
+        self._buf[self._free:].partition(_LEAF - self._free)
+        self._free, self._thr = _LEAF, self._keep[0]
+
+    def add(self, block: np.ndarray) -> None:
+        keep = self._keep
+        if self._filled < keep.size:
+            take = min(keep.size - self._filled, block.size)
+            keep[self._filled:self._filled + take] = block[:take]
+            self._filled += take
+            if self._filled < keep.size:
+                return
+            self._thr = np.min(keep)
+            block = block[take:]
+        above = block > self._thr
         c = int(np.count_nonzero(above))
-        if c > free:
-            settle()
-            above = block > thr
+        if c > self._free:
+            self._settle()
+            above = block > self._thr
             c = int(np.count_nonzero(above))
         # a boolean index, not np.compress(out=), which copies out as well
-        buf[free - c:free] = block[above]
-        free -= c
-    if free < _LEAF:
-        settle()
-    keep.sort()
-    return keep[::-1]
+        self._buf[self._free - c:self._free] = block[above]
+        self._free -= c
+
+    def result(self) -> np.ndarray:
+        if self._free < _LEAF:
+            self._settle()
+        self._keep.sort()
+        return self._keep[::-1]
+
+
+def _largest(lm: np.ndarray, m: int) -> np.ndarray:
+    """The m largest entries of lm, sorted descending (_Largest, fed the
+    leaves of lm)."""
+    tail = _Largest(m)
+    for lo in range(0, lm.shape[0], _LEAF):
+        tail.add(lm[lo:lo + _LEAF])
+    return tail.result()
 
 
 def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate:
@@ -449,16 +518,22 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     come from centered sums (plain numpy reductions, no BLAS call), so
     the result does not depend on the BLAS thread count.
 
-    Working memory is _largest's m + _LEAF buffer, m = int(tail_fraction
-    * n), and two leaf-sized arrays: the plotting positions and the
-    centered sums are formed a leaf at a time, in the order of the plain
-    expressions (y - (ym + slope * xc) and so on), and summed by
-    _block_sums, so each sum is np.sum's over all m entries bit for bit.
+    Working memory is _Largest's m + _LEAF buffer, m = int(tail_fraction
+    * n), and two leaf-sized arrays (_survival_fit).
     """
     s = as_sample_set(samples)
     n = s.n_samples
-    m = _tail_size(n, tail_fraction)
-    top = _largest(s.log_magnitudes, m)
+    return _survival_fit(_largest(s.log_magnitudes,
+                                  _tail_size(n, tail_fraction)), n)
+
+
+def _survival_fit(top: np.ndarray, n: int) -> TailEstimate:
+    """estimate_theta_survival from the m largest of n log-magnitudes,
+    sorted descending. The plotting positions and the centered sums are
+    formed a leaf at a time, in the order of the plain expressions (y -
+    (ym + slope * xc) and so on), and summed by _block_sums, so each sum
+    is np.sum's over all m entries bit for bit."""
+    m = top.size
     if top[-1] == -np.inf:
         raise DegenerateDistributionError("tail contains exact zeros")
     if np.count_nonzero(top[1:] != top[:-1]) + 1 < 10:
@@ -509,6 +584,56 @@ def estimate_theta_survival(samples, tail_fraction: float = 0.1) -> TailEstimate
     return TailEstimate(theta_hat=theta, se_theta=se_theta,
                         method="survival-slope",
                         diagnostics={"n_tail": m, "rss": rss})
+
+
+class TailFold:
+    """One unit's moment curve and survival fit, folded from its draws'
+    log-magnitudes as they arrive: blocks of any size in row order, such
+    as a sampler pass's chunks (network_model.sample_chunks). The rows are
+    gathered into leaves of _LEAF rows from row 0, and each leaf is folded
+    into a _MomentFold and a _Largest, so the results are moment_curve's
+    and estimate_theta_survival's on the held draws, bit for bit. The
+    fold holds one leaf-sized buffer and the m + _LEAF buffer of the m
+    largest, m = int(tail_fraction * n_samples), whatever n_samples.
+
+    add every block, then finish once; curve and survival then raise what
+    moment_curve and estimate_theta_survival would on the held draws.
+    """
+
+    def __init__(self, n_samples: int, k_min: int, k_max: int,
+                 tail_fraction: float, source_id: str):
+        self._ks = range(k_min, k_max + 1)
+        self._source_id = source_id
+        self._moments = _MomentFold(self._ks)
+        self._largest = _Largest(_tail_size(n_samples, tail_fraction))
+        self._leaf = np.empty(min(n_samples, _LEAF))
+        self._fill = 0
+
+    def add(self, lm: np.ndarray) -> None:
+        while lm.size:
+            take = min(_LEAF - self._fill, lm.size)
+            self._leaf[self._fill:self._fill + take] = lm[:take]
+            self._fill += take
+            lm = lm[take:]
+            if self._fill == _LEAF:
+                self.finish()
+
+    def finish(self) -> None:
+        """Fold the rows gathered since the last whole leaf."""
+        if self._fill:
+            block = self._leaf[:self._fill]
+            # a scratch buffer per leaf, not per fold: one is live at a
+            # time however many units are folded
+            self._moments.leaf(block, np.empty(block.size))
+            self._largest.add(block)
+            self._fill = 0
+
+    def curve(self) -> MomentCurve:
+        return _curve(self._ks, self._moments.log_norms(self._ks),
+                      self._moments.n, self._source_id)
+
+    def survival(self) -> TailEstimate:
+        return _survival_fit(self._largest.result(), self._moments.n)
 
 
 @dataclass(frozen=True)

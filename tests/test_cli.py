@@ -1,3 +1,13 @@
+"""Tests of the command line: each subcommand's files, verdicts and exit
+codes, the manifest and rerun, and tail-sweep's fold of its draws.
+
+The sha256 pins (of envelope.csv, the contour files and the manifests'
+file digests) were made on an AVX512 machine (numpy dispatch X86_V3,
+X86_V4, AVX512_ICL, AVX512_SPR). numpy's exp, log and expm1 kernels of
+other dispatch targets may differ from them by an ulp; see ROADMAP item
+16.
+"""
+
 import argparse
 import ast
 import json
@@ -6,6 +16,7 @@ import os
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,8 +28,11 @@ import layertails
 from layertails.cli import _COMMANDS, build_parser, main
 from layertails.manifest import RunManifest, _numpy_dispatch, sha256_file
 from layertails.network_model import (SAMPLER_VERSION, NetworkConfig,
-                                      sample_input)
+                                      parse_config_file, sample_input,
+                                      sample_layer_units)
 from layertails.nonlinearity import NonlinearitySpec
+from layertails.tail_analysis import (_LEAF, estimate_theta_moments,
+                                      estimate_theta_survival, moment_curve)
 
 from conftest import write_ini
 
@@ -293,6 +307,61 @@ class TestTailSweepCommand:
         assert row["error"] == "tail contains exact zeros"
         assert (out / "moments_layer4.csv").exists()
         assert main(args + ["--out", str(tmp_path / "a"), "--assert"]) == 1
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("n", [_LEAF - 1, _LEAF, _LEAF + 1, 3 * _LEAF + 4097])
+@pytest.mark.parametrize("kind", ["pre", "post"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tail_sweep_stream_equals_the_held_draws(net_ini, tmp_path, workers,
+                                                 kind, n):
+    """tail-sweep folds each chunk into its estimators as it is drawn. Its
+    moment curves and both estimates carry the bits of moment_curve,
+    estimate_theta_moments and estimate_theta_survival on
+    sample_layer_units' draws of the same request: below, at and above
+    one leaf, and over several leaves and a part."""
+    out = tmp_path / "o"
+    assert main(["tail-sweep", "--config", str(net_ini), "--samples", str(n),
+                 "--kind", kind, "--seed", "5", "--workers", str(workers),
+                 "--out", str(out)]) == 0
+    cfg = parse_config_file(net_ini)
+    sets = sample_layer_units(cfg, sample_input(cfg.input_dim, 5), [1, 2],
+                              kind, n, 5)
+    summary = read_rows(out / "theta_summary.csv")
+    for l, s in sets.items():
+        curve = moment_curve(s)
+        lines = (out / f"moments_layer{l}.csv").read_text().splitlines()
+        assert lines[2:] == [
+            f"{k},{float(ln)!r},{float(se)!r},{float(share)!r}"
+            for k, ln, se, share in zip(curve.ks, curve.log_norms,
+                                        curve.ses, curve.top_shares)]
+        for method, est in (("moment-slope", estimate_theta_moments(curve)),
+                            ("survival-slope", estimate_theta_survival(s))):
+            row = next(r for r in summary
+                       if r["layer"] == str(l) and r["method"] == method)
+            assert (row["theta_hat"], row["se_theta"]) == (
+                repr(est.theta_hat), repr(est.se_theta))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tail_sweep_holds_its_tails_not_its_draws(tmp_path, workers):
+    """A 3-layer tail-sweep of 4e5 draws holds, per layer, its survival
+    tail (_LEAF + m doubles, m = 4e4) and a few leaf-sized buffers, at
+    most 5.7 MB in all. Holding the draws, 9 bytes per draw per layer,
+    took 10.8 MB more."""
+    ini = tmp_path / "net.ini"
+    write_ini(ini, NetworkConfig(input_dim=20, layer_widths=(20, 20, 20),
+                                 nonlinearity=NonlinearitySpec("relu")))
+    tracemalloc.start()
+    try:
+        assert main(["tail-sweep", "--config", str(ini), "--samples",
+                     "400000", "--workers", str(workers),
+                     "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    m = 40_000
+    assert peak <= 3 * ((m + _LEAF) * 8 + 5 * _LEAF * 8)
 
 
 class TestSurvivalCurvesCommand:
@@ -699,7 +768,7 @@ class TestRerun:
             args += ["--config", str(tmp_path / "net.ini")]
         assert main(args) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 4)
+        assert (man["sampler"], man["format"]) == (SAMPLER_VERSION, 5)
         assert sorted(man["files"]) == sorted(format1_files)
         del man["format"]
         man["files"] = format1_files
@@ -712,7 +781,7 @@ class TestRerun:
         assert code == 1
         assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
             f"{changed}: MISMATCH"]
-        assert "output format differs (manifest 1, this build 4)" in printed
+        assert "output format differs (manifest 1, this build 5)" in printed
         assert "sampler version differs" not in printed
 
     def test_format_2_envelope_manifest_is_named(self, tmp_path, capsys):
@@ -722,7 +791,7 @@ class TestRerun:
         out = tmp_path / "env"
         assert main(["envelope", "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["format"] == 4
+        assert man["format"] == 5
         man["format"] = 2
         man["files"] = {"envelope.csv": "75d66814388539e58a9cd7f291b88b4b"
                                         "e7d9222c7d163d13e53d615981957fed"}
@@ -733,7 +802,7 @@ class TestRerun:
         printed = capsys.readouterr().out
         assert code == 1
         assert "envelope.csv: MISMATCH" in printed
-        assert "output format differs (manifest 2, this build 4)" in printed
+        assert "output format differs (manifest 2, this build 5)" in printed
         assert "sampler version differs" not in printed
 
     def test_format_3_tail_sweep_manifest_is_named(self, net_ini, tmp_path,
@@ -746,7 +815,7 @@ class TestRerun:
         assert main(["tail-sweep", "--config", str(net_ini), "--samples",
                      "20000", "--seed", "3", "--out", str(out)]) == 0
         man = json.loads((out / "manifest.json").read_text())
-        assert man["format"] == 4
+        assert man["format"] == 5
         man["format"] = 3
         man["files"].update({
             "recursion.csv": "708c400c6a41bf747736705d6b34b865"
@@ -761,8 +830,38 @@ class TestRerun:
         assert code == 1
         assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
             "recursion.csv: MISMATCH", "theta_summary.csv: MISMATCH"]
-        assert "output format differs (manifest 3, this build 4)" in printed
+        assert "output format differs (manifest 3, this build 5)" in printed
         assert "sampler version differs" not in printed
+
+    def test_format_4_tail_sweep_manifest_is_named(self, net_ini, tmp_path,
+                                                   capsys):
+        # format 5 folds the moments by leaves and adds a top_share column
+        # to moments_layer*.csv; at 2e4 draws (one leaf) the other columns
+        # and files keep their bytes. These are the moment files a format-4
+        # build wrote for this run
+        out = tmp_path / "sweep"
+        assert main(["tail-sweep", "--config", str(net_ini), "--samples",
+                     "20000", "--seed", "3", "--out", str(out)]) == 0
+        man = json.loads((out / "manifest.json").read_text())
+        assert man["format"] == 5
+        man["format"] = 4
+        man["files"].update({
+            "moments_layer1.csv": "7d183e96f80d863c1c055bede9999c9b"
+                                  "ac3610343f6f915da63e1c1236bb6f47",
+            "moments_layer2.csv": "cb5645e1dedc6d043f6355b4c375d90a"
+                                  "4a458d363561394b6863f39efa22f958"})
+        (out / "manifest.json").write_text(json.dumps(man))
+        capsys.readouterr()
+        code = main(["rerun", str(out / "manifest.json"), "--out",
+                     str(tmp_path / "replay")])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert [l for l in printed.splitlines() if "MISMATCH" in l] == [
+            "moments_layer1.csv: MISMATCH", "moments_layer2.csv: MISMATCH"]
+        assert "output format differs (manifest 4, this build 5)" in printed
+        assert "sampler version differs" not in printed
+        rows = (out / "moments_layer1.csv").read_text().splitlines()
+        assert rows[1] == "k,log_norm,se,top_share"
 
     def test_manifest_records_versions_that_rerun_never_compares(
             self, net_ini, tmp_path, capsys):

@@ -1,3 +1,12 @@
+"""Tests of the covariance verifier: batch-means standard errors, the
+sign verdicts, one-pass sweeps and their input checks.
+
+The sha256 pins of the sweeps (PINNED_SWEEPS) were made on an AVX512
+machine (numpy dispatch X86_V3, X86_V4, AVX512_ICL, AVX512_SPR). numpy's
+exp, log and expm1 kernels of other dispatch targets may differ from them
+by an ulp; see ROADMAP item 16.
+"""
+
 import hashlib
 
 import numpy as np

@@ -1,3 +1,13 @@
+"""Tests of the network model and its one sampler pass: configs, streams,
+the conditional layer step against a literal forward pass, the chunk
+iterator, and what a pass holds.
+
+The sha256 pins of the draws (PINNED_STREAMS, POST_STREAMS and the like)
+were made on an AVX512 machine (numpy dispatch X86_V3, X86_V4, AVX512_ICL,
+AVX512_SPR). numpy's exp, log and expm1 kernels of other dispatch targets
+may differ from them by an ulp; see ROADMAP item 16.
+"""
+
 import hashlib
 import math
 import os
@@ -13,9 +23,9 @@ from layertails import network_model
 from layertails.errors import ConfigFileError
 from layertails.network_model import (STREAM_UNITS, NetworkConfig,
                                       UnitSampleSet, parse_config_file,
-                                      run_sampler, sample_input,
-                                      sample_joint_units, sample_layer_units,
-                                      worker_threads)
+                                      run_sampler, sample_chunks,
+                                      sample_input, sample_joint_units,
+                                      sample_layer_units, worker_threads)
 from layertails.nonlinearity import (NonlinearitySpec, apply,
                                      apply_signed_log, sides)
 from layertails.tail_analysis import relu_norm_oracle
@@ -1522,3 +1532,51 @@ def test_more_threads_than_cores_write_every_row(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert _stream_digest(got) == _stream_digest(want)
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["pre", "post"])
+def test_chunks_come_in_order_with_run_samplers_rows(workers, kind):
+    """sample_chunks yields each chunk's requested columns in chunk order;
+    stacked, they are run_sampler's arrays of the same request."""
+    cfg = small_config(nonlinearity=ELU)
+    x = sample_input(cfg.input_dim, 3)
+    needs = {1: [0], 2: [1, 0], 3: [3]}
+    n = 5 * network_model.DEFAULT_CHUNK + 7
+    want = run_sampler(cfg, x, n, needs, (3, STREAM_UNITS), kind)
+    chunks = list(sample_chunks(cfg, x, n, needs, (3, STREAM_UNITS), kind,
+                                workers))
+    assert [len(c[1][0]) for c in chunks] == [4096] * 5 + [7]
+    for layer, arrays in want.items():
+        for j, a in enumerate(arrays):
+            got = np.concatenate([c[layer][j] for c in chunks])
+            assert got.tobytes() == np.ascontiguousarray(a).tobytes()
+
+
+def test_chunks_are_drawn_at_most_two_per_thread_ahead(monkeypatch):
+    """With 2 threads, a consumer that has taken k chunks has had at most
+    k + 3 drawn, so a slow consumer holds no growing backlog."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    drawn = []
+    chunk = network_model._conditional_chunk
+
+    def counting(*args, **kwargs):
+        drawn.append(1)
+        return chunk(*args, **kwargs)
+    monkeypatch.setattr(network_model, "_conditional_chunk", counting)
+    cfg = small_config()
+    chunks = sample_chunks(cfg, sample_input(cfg.input_dim, 3),
+                           20 * network_model.DEFAULT_CHUNK, {1: [0]},
+                           (3, STREAM_UNITS), workers=2)
+    assert drawn == []  # nothing is drawn before the first chunk is asked
+    for k, _ in enumerate(chunks, start=1):
+        assert len(drawn) <= k + 3
+    assert len(drawn) == 20
+
+
+def test_request_is_checked_when_the_iterator_is_made():
+    cfg = small_config()
+    with pytest.raises(ValueError, match="no units requested for layer 2"):
+        sample_chunks(cfg, sample_input(cfg.input_dim, 3), 1000,
+                      {1: [0], 2: []}, (0,))

@@ -1,3 +1,13 @@
+"""Tests of pooling in log domain and of the pooled tail check: the
+pooled values against plain doubles, the check's verdicts, and what
+pooling holds in memory.
+
+The sha256 pins (PINNED_POOLS, PINNED_CHECKS) were made on an AVX512
+machine (numpy dispatch X86_V3, X86_V4, AVX512_ICL, AVX512_SPR). numpy's
+exp, log and expm1 kernels of other dispatch targets may differ from them
+by an ulp; see ROADMAP item 16.
+"""
+
 import hashlib
 import tracemalloc
 

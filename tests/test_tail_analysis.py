@@ -1,3 +1,13 @@
+"""Tests of the tail estimators: moment curves and their leaf fold, the
+moment-slope and survival-slope fits, survival curves, the exact norm
+oracles, and the blocked passes that keep their memory leaf-sized.
+
+The sha256 pins (PINNED_OUTPUTS) were made on an AVX512 machine (numpy
+dispatch X86_V3, X86_V4, AVX512_ICL, AVX512_SPR). numpy's exp, log and
+expm1 kernels of other dispatch targets may differ from them by an ulp;
+see ROADMAP item 16.
+"""
+
 import hashlib
 import math
 import tracemalloc
@@ -10,7 +20,7 @@ from hypothesis import strategies as st
 from scipy.special import bdtr, bdtrc, gamma, gammaln, log_ndtr, ndtr
 
 from layertails.errors import DegenerateDistributionError
-from layertails.network_model import UnitSampleSet
+from layertails.network_model import DEFAULT_CHUNK, UnitSampleSet
 from layertails.tail_analysis import (_LEAF, MomentCurve, TailEstimate,
                                       _block_sums, _largest, _wls,
                                       _log_gaussian_sf, _log_iqr,
@@ -525,7 +535,7 @@ def _moments_digest(sets):
     arrays = []
     for l in sorted(sets):
         c = moment_curve(sets[l])
-        arrays += [c.ks, c.log_norms, c.ses]
+        arrays += [c.ks, c.log_norms, c.ses, c.top_shares]
     return _sha(*arrays)
 
 
@@ -540,14 +550,14 @@ PIN_OUTPUTS = {
 
 # sha256 of each output's bytes (every SurvivalCurves array, log_iqr,
 # p999_index and n_positive; theta_hat and se_theta; the moment curves'
-# ks, log-norms and ses), layer by layer
+# ks, log-norms, ses and top shares), layer by layer
 PINNED_OUTPUTS = {
     ("gaussian", "curves-sigma"):
         "aab3acc09a1d1e7885b0821f6b360e0925e2ab38e98b895c3fcac175631efdcf",
     ("gaussian", "curves-standardized"):
         "eefd70ca60a7c5bfdc421597c9842a21efa5360e5a232668af048bd8687462c5",
     ("gaussian", "moment-curve"):
-        "718efb13db303640a2fa138e94cf044b8100f282c05d95cf9d6602b787330880",
+        "855cebd7d76cbcbe7030f09b803c5058f726fa6a6cde66c228496e31694a99a6",
     ("gaussian", "theta-survival"):
         "4a615e8c8acf644ade5fb86931c8ba5cc84ff2f71d0f509dc03868df3e5cd026",
     ("relu-post", "curves-sigma"):
@@ -555,7 +565,7 @@ PINNED_OUTPUTS = {
     ("relu-post", "curves-standardized"):
         "477db07323f8b2b8864d474aa6374308515a8836ac3ac40690eb92060fd2b1dc",
     ("relu-post", "moment-curve"):
-        "07046ab107e3d59d548399456f4a82f87af3f80af8c91438f23ddb50910521d1",
+        "ead24ff7941f0dc530df1f3b50bf788fcf357c38fd0a7b3720d3254a667e51f5",
     ("relu-post", "theta-survival"):
         "2b50ce6ddc0d160d5ad01b974b919faddeea8f0e5bbe4102eb36c8b0cfb05c6a",
 }
@@ -671,37 +681,106 @@ def test_gaussian_match_verdict_equals_the_bdtr_form_on_a_census():
 BLOCK_SIZES = [_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF + 7, 10**5 + 7, 5 * 10**5]
 
 
-def _whole_buffer_log_norms(lm, ks):
-    """_log_norms as one n-long buffer per order, summed by one np.sum."""
+def _leaf_fold_log_norms(lm, ks):
+    """The moment definition written out: leaves of _LEAF rows from row 0,
+    each shifted by its own maximum t, exponentiated by np.exp and summed
+    by one np.sum per order q; the leaves combined by math.fsum of
+    s exp(q t - q top). A leaf of exact zeros adds 0."""
     n = lm.shape[0]
     top = float(np.max(lm))
-    buf = np.empty(n)
-    logs = {}
-    for order in {*ks, *(2 * k for k in ks)}:
-        m = order * top
-        np.multiply(lm, order, out=buf)
-        np.subtract(buf, m, out=buf)
-        np.exp(buf, out=buf)
-        logs[order] = m + math.log(float(np.sum(buf))) - math.log(n)
+    orders = {*ks, *(2 * k for k in ks)}
+    terms = {order: [] for order in orders}
+    for lo in range(0, n, _LEAF):
+        leaf = lm[lo:lo + _LEAF]
+        t = float(np.max(leaf))
+        for order in orders:
+            if t == -np.inf:
+                terms[order].append(0.0)
+                continue
+            s = float(np.sum(np.exp(leaf * order - order * t)))
+            terms[order].append(s * math.exp(order * t - order * top))
+    totals = {order: math.fsum(v) for order, v in terms.items()}
+    logs = {order: order * top + math.log(totals[order]) - math.log(n)
+            for order in orders}
     out = []
     for k in ks:
         delta = min(logs[2 * k] - 2.0 * logs[k], math.log(n))
         out.append((logs[k] / k, math.sqrt(math.expm1(max(delta, 0.0)))
-                    / (k * math.sqrt(n))))
+                    / (k * math.sqrt(n)), 1.0 / totals[k]))
     return out
+
+
+def _global_shift_log_norms(lm, ks):
+    """(log||X||_k, the magnitude of its terms) by the whole-buffer
+    log-sum-exp shifted by the global maximum, the definition before the
+    leaf fold; the terms are q top, log of the sum and log n, over k."""
+    n = lm.shape[0]
+    top = float(np.max(lm))
+    out = []
+    for k in ks:
+        m = k * top
+        s = float(np.sum(np.exp(lm * k - m)))
+        out.append(((m + math.log(s) - math.log(n)) / k,
+                    (abs(m) + abs(math.log(s)) + math.log(n)) / k))
+    return out
+
+
+def _t3_lognormal(n, zeros):
+    rng = np.random.default_rng(n)
+    v = rng.standard_t(3, size=n) * np.exp(rng.normal(size=n))
+    if zeros:
+        v[rng.random(n) < 0.2] = 0.0
+    return encode(v)
 
 
 @pytest.mark.pin
 @pytest.mark.parametrize("zeros", [False, True], ids=["finite", "zeros"])
 @pytest.mark.parametrize("n", BLOCK_SIZES)
-def test_blocked_log_norms_equal_the_whole_buffer_bit_for_bit(n, zeros):
-    rng = np.random.default_rng(n)
-    v = rng.standard_t(3, size=n) * np.exp(rng.normal(size=n))
-    if zeros:
-        v[rng.random(n) < 0.2] = 0.0
-    s = encode(v)
+def test_blocked_log_norms_equal_the_leaf_fold_bit_for_bit(n, zeros):
+    s = _t3_lognormal(n, zeros)
     ks = range(1, 13)
-    assert _log_norms(s, ks) == _whole_buffer_log_norms(s.log_magnitudes, ks)
+    assert _log_norms(s, ks) == _leaf_fold_log_norms(s.log_magnitudes, ks)
+
+
+def test_leaf_fold_is_the_global_shift_up_to_rounding():
+    # at 5e5 draws (16 leaves) each log-norm lies within an ulp of the
+    # magnitude of the terms it is formed from; relative to the log-norm
+    # itself their cancellation leaves up to about 30 ulps, in either form
+    eps = np.finfo(float).eps
+    for zeros in (False, True):
+        s = _t3_lognormal(5 * 10**5, zeros)
+        ks = range(1, 13)
+        for (got, _, _), (want, scale) in zip(
+                _log_norms(s, ks),
+                _global_shift_log_norms(s.log_magnitudes, ks)):
+            assert abs(got - want) <= eps * scale
+
+
+def test_a_leaf_is_whole_sampler_chunks():
+    assert _LEAF % DEFAULT_CHUNK == 0
+
+
+def test_leaf_with_only_zeros_adds_nothing():
+    # a whole leaf of exact zeros between two of draws: the curve is that
+    # of the draws alone, at the full n
+    v = _t3_lognormal(3 * _LEAF, False).decode()
+    v[_LEAF:2 * _LEAF] = 0.0
+    got = _log_norms(encode(v), range(2, 6))
+    assert got == _leaf_fold_log_norms(encode(v).log_magnitudes, range(2, 6))
+    assert all(math.isfinite(x) for row in got for x in row)
+
+
+@pytest.mark.parametrize("n", [1000, 3 * _LEAF + 17])
+def test_top_share_is_the_largest_draws_share(n):
+    # in plain doubles: max |x|^k / sum |x|^k, with and without zeros
+    for zeros in (False, True):
+        v = np.abs(_t3_lognormal(n, zeros).decode())
+        curve = moment_curve(v, 1, 8)
+        for k, share in zip(curve.ks.tolist(), curve.top_shares.tolist()):
+            p = v ** k
+            assert share == pytest.approx(np.max(p) / math.fsum(p.tolist()),
+                                          rel=1e-12)
+            assert 0.0 < share <= 1.0
 
 
 @pytest.mark.pin
