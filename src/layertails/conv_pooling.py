@@ -6,21 +6,29 @@ region's units are then i.i.d. A convolutional region is not covered; its
 positions share one filter, so they are correlated given the layer below.
 
 Pooling of sampled units runs in the (sign, log-magnitude) encoding so
-deep-layer samples never leave log domain.
+deep-layer samples never leave log domain. The check streams its draws:
+one sampler pass pools each chunk by max and by average and folds the
+first unit and both pooled units into their moment curves as it goes, so
+it holds one chunk and three leaves, never the draws of its request.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import is_int
-from .network_model import (STREAM_POOLING, NetworkConfig, UnitSampleSet,
-                            _exp, _finite_lanes, check_request,
-                            entropy_prefix, sample_joint_units)
-from .tail_analysis import TailEstimate, estimate_theta_moments, moment_curve
+from .network_model import (STREAM_POOLING, NetworkConfig, _exp,
+                            _finite_lanes, check_request, entropy_prefix,
+                            sample_chunks)
+from .tail_analysis import CurveFold, TailEstimate, estimate_theta_moments
+# pooled_tail_check folds a sampler pass and calls neither of these; they
+# stay bound because perfbench/tracer.py wraps them here by name
+from .network_model import sample_joint_units  # noqa: F401
+from .tail_analysis import moment_curve  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -138,21 +146,45 @@ class PoolCheck:
     budget: float
 
 
-# The last request's key -> (signs, lms, before): the max and average
-# checks of one region make the same request, so the second one only pools
+# The last request's key -> {"before": ..., "max": ..., "average": ...}:
+# the first unit's TailEstimate and each pooled unit's, or the error its
+# fit raised. The max and average checks of one region make the same
+# request, and one pass folds all three, so the second check draws nothing
 _kept = {}
 
 
-def _draw(config, x, layer, region, n_samples, entropy):
-    """The read-only joint draws of a pooling request and the "before"
-    estimate of its first unit, read from views of their first column
-    (contiguous: the sampler's arrays are column-major)."""
-    signs, lms = sample_joint_units(config, x, layer, region, "post",
-                                    n_samples, entropy)
-    signs.flags.writeable = lms.flags.writeable = False
-    before_set = UnitSampleSet(layer=layer, kind="post", unit_index=region[0],
-                               signs=signs[:, 0], log_magnitudes=lms[:, 0])
-    return signs, lms, estimate_theta_moments(moment_curve(before_set))
+def _fit(fold: CurveFold):
+    """fold's moment-slope estimate, or the ValueError the fit raised
+    (every error of moment_curve and estimate_theta_moments is one): it
+    belongs to the calls that ask for this unit, not to the pass."""
+    try:
+        return estimate_theta_moments(fold.curve())
+    except ValueError as err:
+        # without its traceback, whose frames would keep the pass's
+        # buffers alive as long as the entry
+        return err.with_traceback(None)
+
+
+def _fits(config, x, layer, region, n_samples, entropy) -> dict:
+    """One sampler pass of a pooling request, folded as it is drawn: each
+    chunk's first column into the "before" fold, and the chunk pooled by
+    each kind into that kind's fold. The chunks are column-major, so the
+    first column is contiguous and pooling reduces whole columns."""
+    specs = [PoolingSpec(kind, len(region)) for kind in ("max", "average")]
+    source = f"layer={layer} kind={{}} unit={region[0]}"
+    folds = {"before": CurveFold(n_samples, 2, 10, source.format("post"))}
+    for spec in specs:
+        folds[spec.kind] = CurveFold(n_samples, 2, 10,
+                                     source.format(f"pooled-{spec.kind}"))
+    for cols in sample_chunks(config, x, n_samples, {layer: region}, entropy,
+                              "post", 1):
+        signs, lms = cols[layer]
+        folds["before"].add(lms[:, 0])
+        for spec in specs:
+            folds[spec.kind].add(pool_signed_log(signs, lms, spec)[1])
+    for fold in folds.values():
+        fold.finish()
+    return {name: _fit(fold) for name, fold in folds.items()}
 
 
 def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
@@ -167,15 +199,16 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     is within the sum of the two standard errors plus 0.1.
 
     Every argument is checked first, as network_model.check_request
-    checks it. The module keeps the draws and "before" estimate of the
-    last request, keyed on every argument but spec, so average after max
-    only pools. The entry holds n_samples x len(region) int8 signs and
-    float64 log-magnitudes (3.6 MB at 10^5 draws of 4 units) and is freed
-    before any other request draws. Results never depend on it. Beyond
-    the entry a call holds the pooled unit's two arrays and working memory
-    of a chunk or a block: the sampler applies the activation a chunk at a
-    time, the "before" unit is a view of the first column, pooling runs a
-    block of rows at a time, and the moment curves a leaf of draws.
+    checks it. One sampler pass folds the "before" unit and the region
+    pooled by max and by average (_fits), and the module keeps the three
+    results of the last request, keyed on every argument but spec, so
+    average after max draws nothing. The entry holds no draws: three
+    estimates, or the errors their fits raised; a fit's error is raised
+    by the calls that need that estimate alone. The results never depend
+    on the entry. A pass holds one chunk of draws and its two pooled
+    units, and three leaf buffers of 256 KiB (CurveFold), whatever
+    n_samples: moment_curve and estimate_theta_moments on the held arrays,
+    bit for bit.
     """
     if len(region) != spec.region_size:
         raise ValueError("region length must equal spec.region_size")
@@ -184,16 +217,17 @@ def pooled_tail_check(config: NetworkConfig, x: np.ndarray, layer: int,
     entropy = entropy_prefix(seed, STREAM_POOLING, layer, *region)
     key = (config, x.tobytes(), tuple(int(v) for v in entropy), int(n_samples))
     if key not in _kept:
-        _kept.clear()  # free the old draws before drawing new ones
-        _kept[key] = _draw(config, x, layer, region, n_samples, entropy)
-    signs, lms, before = _kept[key]
-    # each caller gets its own diagnostics dict
-    before = replace(before, diagnostics=dict(before.diagnostics))
-    ps, plm = pool_signed_log(signs, lms, spec)
-    after_set = UnitSampleSet(layer=layer, kind=f"pooled-{spec.kind}",
-                              unit_index=region[0], signs=ps,
-                              log_magnitudes=plm)
-    after = estimate_theta_moments(moment_curve(after_set))
+        _kept.clear()
+        _kept[key] = _fits(config, x, layer, region, n_samples, entropy)
+    fits = _kept[key]
+    before, after = fits["before"], fits[spec.kind]
+    for fit in (before, after):
+        if isinstance(fit, ValueError):
+            # a copy, so the kept error holds no frames of this call
+            raise copy.copy(fit)
+    # each caller gets its own diagnostics dicts
+    before, after = (replace(e, diagnostics=dict(e.diagnostics))
+                     for e in (before, after))
     budget = before.se_theta + after.se_theta + 0.1
     passes = abs(after.theta_hat - before.theta_hat) <= budget
     return PoolCheck(before=before, after=after, passes=passes, budget=budget)

@@ -586,26 +586,23 @@ def _survival_fit(top: np.ndarray, n: int) -> TailEstimate:
                         diagnostics={"n_tail": m, "rss": rss})
 
 
-class TailFold:
-    """One unit's moment curve and survival fit, folded from its draws'
-    log-magnitudes as they arrive: blocks of any size in row order, such
-    as a sampler pass's chunks (network_model.sample_chunks). The rows are
-    gathered into leaves of _LEAF rows from row 0, and each leaf is folded
-    into a _MomentFold and a _Largest, so the results are moment_curve's
-    and estimate_theta_survival's on the held draws, bit for bit. The
-    fold holds one leaf-sized buffer and the m + _LEAF buffer of the m
-    largest, m = int(tail_fraction * n_samples), whatever n_samples.
+class CurveFold:
+    """One unit's moment curve, folded from its draws' log-magnitudes as
+    they arrive: blocks of any size in row order, such as a sampler pass's
+    chunks (network_model.sample_chunks). The rows are gathered into
+    leaves of _LEAF rows from row 0, and each leaf is folded into a
+    _MomentFold, so the curve is moment_curve's on the held draws, bit for
+    bit. The fold holds one leaf-sized buffer, whatever n_samples.
 
-    add every block, then finish once; curve and survival then raise what
-    moment_curve and estimate_theta_survival would on the held draws.
+    add every block, then finish once; curve then raises what moment_curve
+    would on the held draws.
     """
 
     def __init__(self, n_samples: int, k_min: int, k_max: int,
-                 tail_fraction: float, source_id: str):
+                 source_id: str):
         self._ks = range(k_min, k_max + 1)
         self._source_id = source_id
         self._moments = _MomentFold(self._ks)
-        self._largest = _Largest(_tail_size(n_samples, tail_fraction))
         self._leaf = np.empty(min(n_samples, _LEAF))
         self._fill = 0
 
@@ -621,16 +618,35 @@ class TailFold:
     def finish(self) -> None:
         """Fold the rows gathered since the last whole leaf."""
         if self._fill:
-            block = self._leaf[:self._fill]
-            # a scratch buffer per leaf, not per fold: one is live at a
-            # time however many units are folded
-            self._moments.leaf(block, np.empty(block.size))
-            self._largest.add(block)
+            self._fold(self._leaf[:self._fill])
             self._fill = 0
+
+    def _fold(self, block: np.ndarray) -> None:
+        # a scratch buffer per leaf, not per fold: one is live at a time
+        # however many units are folded
+        self._moments.leaf(block, np.empty(block.size))
 
     def curve(self) -> MomentCurve:
         return _curve(self._ks, self._moments.log_norms(self._ks),
                       self._moments.n, self._source_id)
+
+
+class TailFold(CurveFold):
+    """A CurveFold that also folds each leaf into a _Largest, so survival
+    is estimate_theta_survival's on the held draws, bit for bit. Beside
+    the leaf buffer it holds the m + _LEAF buffer of the m largest, m =
+    int(tail_fraction * n_samples); survival raises what
+    estimate_theta_survival would.
+    """
+
+    def __init__(self, n_samples: int, k_min: int, k_max: int,
+                 tail_fraction: float, source_id: str):
+        super().__init__(n_samples, k_min, k_max, source_id)
+        self._largest = _Largest(_tail_size(n_samples, tail_fraction))
+
+    def _fold(self, block: np.ndarray) -> None:
+        super()._fold(block)
+        self._largest.add(block)
 
     def survival(self) -> TailEstimate:
         return _survival_fit(self._largest.result(), self._moments.n)

@@ -8,8 +8,10 @@ exp, log and expm1 kernels of other dispatch targets may differ from them
 by an ulp; see ROADMAP item 16.
 """
 
+import gc
 import hashlib
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -19,8 +21,13 @@ from hypothesis import strategies as st
 from layertails import conv_pooling, network_model
 from layertails.conv_pooling import (PoolCheck, PoolingSpec, pool_signed_log,
                                      pooled_tail_check)
-from layertails.network_model import NetworkConfig, sample_input
+from layertails.errors import DegenerateDistributionError
+from layertails.network_model import (STREAM_POOLING, NetworkConfig,
+                                      UnitSampleSet, entropy_prefix,
+                                      sample_input)
 from layertails.nonlinearity import NonlinearitySpec
+from layertails.tail_analysis import (_LEAF, TailEstimate,
+                                      estimate_theta_moments, moment_curve)
 
 RELU = NonlinearitySpec("relu")
 MAX4 = PoolingSpec("max", 4)
@@ -132,21 +139,43 @@ class TestPooledTailCheck:
 MAX2 = PoolingSpec("max", 2)
 AVG2 = PoolingSpec("average", 2)
 
+# Its layer-1 region (0, 5) at 8193 draws, input and seed 7, has a max-pooled
+# fit that passes and an average-pooled one whose moment slope is negative
+TANH_NET = NetworkConfig(input_dim=20, layer_widths=(20, 20),
+                         nonlinearity=NonlinearitySpec("tanh"))
+
 
 @pytest.fixture
 def draws(monkeypatch):
     """Empties the module's last-request entry and counts the sampler
-    passes pooled_tail_check makes through its module global."""
+    passes (sample_chunks calls) pooled_tail_check makes through its
+    module global."""
     monkeypatch.setattr(conv_pooling, "_kept", {})
     calls = []
-    real = conv_pooling.sample_joint_units
+    real = conv_pooling.sample_chunks
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(conv_pooling, "sample_joint_units", counted)
+    monkeypatch.setattr(conv_pooling, "sample_chunks", counted)
     return calls
+
+
+def _arrays_reached(obj):
+    """Every numpy array reachable from obj through gc referents, classes
+    and modules excepted."""
+    seen, todo, found = set(), [obj], []
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen.add(id(o))
+        if isinstance(o, np.ndarray):
+            found.append(o)
+        else:
+            todo.extend(gc.get_referents(o))
+    return found
 
 
 def _numbers(chk):
@@ -207,14 +236,45 @@ class TestLastRequest:
         pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
         assert len(draws) == 3
 
-    def test_kept_arrays_are_read_only(self, cfg, x, draws):
+    @pytest.mark.pin
+    @pytest.mark.parametrize("kinds", [("max", "average"),
+                                       ("average", "max")],
+                             ids=["max-first", "average-first"])
+    def test_one_kinds_fit_error_stays_on_its_own_call(self, draws, kinds):
+        """Max still returns its estimate, before or after average raises,
+        from one draw."""
+        x = sample_input(20, 7)
+        for kind in kinds:
+            spec = PoolingSpec(kind, 2)
+            if kind == "max":
+                chk = pooled_tail_check(TANH_NET, x, 1, (0, 5), spec, 8193, 7)
+                assert chk.after.theta_hat == 0.0033425982372778384
+            else:
+                with pytest.raises(DegenerateDistributionError,
+                                   match=r"^fitted moment slope "
+                                         r"-0\.003385670442597284 is not a "
+                                         r"positive tail parameter$"):
+                    pooled_tail_check(TANH_NET, x, 1, (0, 5), spec, 8193, 7)
+        assert len(draws) == 1
+
+    def test_kept_entry_holds_no_draws(self, cfg, x, draws):
+        """The entry keeps three results, and nothing it reaches is an
+        array of n_samples rows; a kept fit error keeps no traceback."""
         pooled_tail_check(cfg, x, 2, (0, 1), MAX2, 10_000, 29)
-        [(signs, lms, _)] = conv_pooling._kept.values()
-        assert signs.shape == lms.shape == (10_000, 2)
-        for a in (signs, lms):
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
+        [fits] = conv_pooling._kept.values()
+        assert sorted(fits) == ["average", "before", "max"]
+        assert all(isinstance(f, TailEstimate) for f in fits.values())
+        assert all(a.shape[:1] != (10_000,)
+                   for a in _arrays_reached(conv_pooling._kept))
+        x7 = sample_input(20, 7)
+        pooled_tail_check(TANH_NET, x7, 1, (0, 5), MAX2, 8193, 7)
+        with pytest.raises(DegenerateDistributionError):
+            pooled_tail_check(TANH_NET, x7, 1, (0, 5), AVG2, 8193, 7)
+        [fits] = conv_pooling._kept.values()
+        assert isinstance(fits["average"], DegenerateDistributionError)
+        assert fits["average"].__traceback__ is None
+        assert all(a.shape[:1] != (8193,)
+                   for a in _arrays_reached(conv_pooling._kept))
 
 
 class TestRequestChecks:
@@ -298,7 +358,7 @@ def test_pooled_outputs_are_pinned_for_either_layout(region_draws, kind, R,
 
 
 # sha256 of theta_hat and se_theta before and after, and the budget, of a
-# seeded relu request, max then average from the kept draws
+# seeded relu request, max then average from one sampler pass
 PINNED_CHECKS = {
     "max": "489f1c1f4805aa3db5dac6aff86a04ca470551e260a837561d6de52a690aa129",
     "average":
@@ -385,17 +445,50 @@ def test_post_request_holds_one_copy_of_its_draws():
     assert peak < 1.5 * (signs.nbytes + lms.nbytes)
 
 
-def test_pooling_checks_hold_one_copy_of_their_draws(monkeypatch):
-    """Max then average on one request: the kept draws, a view of their
-    first column for "before", and pooling by columns and row blocks."""
+# A fixed bound on the traced peak of the check below: 3.6 MiB at both n
+# (the sampler's chunk, 1 MiB of leaves and moment scratch), under the
+# 7.2 MB the draws alone take at the smaller n
+PEAK_BOUND = 5 << 20
+
+
+@pytest.mark.parametrize("n", [50_000, 200_000])
+def test_pooling_checks_hold_no_draws(monkeypatch, n):
+    """Max then average on one request of 16 units: one pass holds a chunk
+    of draws, its two pooled units and three leaf buffers, whatever n; the
+    draws alone take 9 * 16 * n bytes, 7.2 MB at n = 5 * 10^4."""
     monkeypatch.setattr(conv_pooling, "_kept", {})
     x = sample_input(20, 5)
     _, peak = _traced_peak(lambda: [
         pooled_tail_check(MEMORY_NET, x, 2, MEMORY_REGION,
-                          PoolingSpec(kind, 16), 50_000, 5)
+                          PoolingSpec(kind, 16), n, 5)
         for kind in ("max", "average")])
-    (signs, lms, _), = conv_pooling._kept.values()
-    assert peak < 1.5 * (signs.nbytes + lms.nbytes)
+    assert peak < PEAK_BOUND
+
+
+@pytest.mark.pin
+@pytest.mark.parametrize("n", [_LEAF - 1, _LEAF + 1, 3 * _LEAF + 4097])
+@pytest.mark.parametrize("R", [1, 4, 16])
+def test_streamed_check_equals_the_held_draws(monkeypatch, n, R):
+    """The streamed check against the held-array formula: moment_curve
+    and estimate_theta_moments on the first column of sample_joint_units'
+    draws and on pool_signed_log of them, across leaf edges."""
+    monkeypatch.setattr(conv_pooling, "_kept", {})
+    x, region = sample_input(20, 5), tuple(range(R))
+    entropy = entropy_prefix(5, STREAM_POOLING, 2, *region)
+    signs, lms = network_model.sample_joint_units(MEMORY_NET, x, 2, region,
+                                                  "post", n, entropy)
+
+    def fit(kind, s, lm):
+        return estimate_theta_moments(moment_curve(UnitSampleSet(
+            layer=2, kind=kind, unit_index=0, signs=s, log_magnitudes=lm)))
+
+    before = fit("post", signs[:, 0], lms[:, 0])
+    for kind in ("max", "average"):
+        spec = PoolingSpec(kind, R)
+        after = fit(f"pooled-{kind}", *pool_signed_log(signs, lms, spec))
+        chk = pooled_tail_check(MEMORY_NET, x, 2, region, spec, n, 5)
+        assert (chk.before, chk.after) == (before, after)
+        assert chk.budget == before.se_theta + after.se_theta + 0.1
 
 
 @pytest.mark.parametrize("kind", ["max", "average"])
